@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 
 from .baselines import (
     ArModel,
-    BaselineBundle,
     DEEPNN_CONFIG,
     ForestConfig,
     GbtConfig,
@@ -66,7 +65,6 @@ from .hierarchy import (
     save_hierarchy,
 )
 from .metrics import (
-    EvalRecord,
     distance_correlation,
     pearson,
     relative_rmse,

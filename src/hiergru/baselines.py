@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,10 +18,8 @@ from .errors import (
     WrongLengthError,
 )
 from .gru import OptimState, run_optimizer
-from .hierarchy import Hierarchy, NodeId
-from .models import forecast as _forecast
-
-BASELINE_TAGS = ("ar", "rw", "rf", "gbt", "fc", "deepnn")
+from .hierarchy import Hierarchy
+from .models import ModelBundle, _pmap, node_seed
 
 
 # ------------------------------------------------------------------ AR / RW
@@ -68,7 +66,7 @@ def _minimum_norm_solve(a: np.ndarray, b: np.ndarray, scale: float) -> np.ndarra
     """
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     cutoff = np.finfo(np.float64).eps * max(a.shape) * max(scale, 1.0)
-    inv = np.where(s > cutoff, np.divide(1.0, s, where=s > 0), 0.0)
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > cutoff)
     return vt.T @ (inv * (u.T @ b))
 
 
@@ -399,34 +397,9 @@ def fit_mlp(windows: list[Window], rho: int, cfg: MlpConfig) -> MlpModel:
 
 # ------------------------------------------------------------------ bundles
 
-@dataclass(frozen=True)
-class BaselineBundle:
-    """Per-node fitted baseline models behind the recurrent bundles' API."""
-
-    tag: str
-    rho: int
-    models: dict[NodeId, object]
-    provenance: dict[NodeId, dict] = field(default_factory=dict)
-    label: str | None = None
-
-    @property
-    def display_label(self) -> str:
-        return self.label or self.tag
-
-    @property
-    def model_map(self) -> dict:
-        return self.models
-
-    def covered_nodes(self) -> tuple[NodeId, ...]:
-        return tuple(sorted(self.models))
-
-    def predict_next(self, node: NodeId, window: np.ndarray) -> float:
-        return self.models[node].predict(window)
-
-    def forecast(
-        self, panel: SeriesPanel, node: NodeId, origin: int, horizon: int
-    ) -> np.ndarray:
-        return _forecast(self, panel, node, origin, horizon)
+# The former name of the baseline bundle class, kept because
+# perfbench/traced_run.py looks it up; drop it with that script's next change.
+BaselineBundle = ModelBundle
 
 
 def fit_baseline(
@@ -438,29 +411,22 @@ def fit_baseline(
     *,
     label: str | None = None,
     jobs: int = 1,
-) -> BaselineBundle:
+) -> ModelBundle:
     """Fit one baseline family on every node's training windows.
 
     Seeded configs are re-derived per node (stable hash of config seed and
     node id) so any single node's fit can be replayed in isolation.
     """
-    from dataclasses import replace
+    from .registry import TAGS  # the registry imports this module
 
-    from .models import _pmap, node_seed
-
-    if tag != "rw" and tag != "ar":
-        cfg = cfg or {
-            "rf": ForestConfig(),
-            "gbt": GbtConfig(),
-            "fc": MlpConfig(),
-            "deepnn": DEEPNN_CONFIG,
-        }.get(tag)
-        if cfg is None:
-            raise ValueError(f"unknown baseline tag {tag!r}")
+    entry = TAGS.get(tag)
+    if entry is None or entry.fit_node is None:
+        raise ValueError(f"unknown baseline tag {tag!r}")
+    cfg = cfg or entry.build({})[1]
 
     def fit(n):
-        if tag == "rw":
-            return n, RwModel(rho=rho), {"windows": None}
+        if entry.fixed_rule:
+            return n, entry.fit_node(None, rho, cfg), {"windows": None}
         windows = make_windows(panel, n, rho, "train")
         if not windows:
             warnings.warn(
@@ -468,19 +434,14 @@ def fit_baseline(
                 NodeSkippedWarning,
             )
             return n, None, {"windows": 0, "skipped": True}
-        if tag == "ar":
-            return n, fit_ar(windows, rho), {"windows": len(windows)}
+        if cfg is None:
+            return n, entry.fit_node(windows, rho, None), {"windows": len(windows)}
         seeded = replace(cfg, seed=node_seed(cfg.seed, n))
-        if tag == "rf":
-            model = fit_forest(windows, rho, seeded)
-        elif tag == "gbt":
-            model = fit_gbt(windows, rho, seeded)
-        else:
-            model = fit_mlp(windows, rho, seeded)
+        model = entry.fit_node(windows, rho, seeded)
         return n, model, {"windows": len(windows), "seed": seeded.seed}
 
     results = _pmap(fit, list(h.bfs_order()), jobs)
-    return BaselineBundle(
+    return ModelBundle(
         tag=tag,
         rho=rho,
         models={n: m for n, m, _ in results if m is not None},

@@ -28,17 +28,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import (
-    ArModel,
-    BaselineBundle,
-    MlpModel,
-    RwModel,
-    Tree,
-    TreeEnsemble,
-)
 from .errors import HiergruError
-from .gru import flatten, unflatten
 from .models import ModelBundle, TrainSpec
+from .registry import lookup
 
 MAGIC = b"HGRUCKPT"
 FORMAT_VERSION = 1
@@ -85,106 +77,14 @@ def read_checkpoint(path) -> dict:
 
 # -------------------------------------------------- model payload encoding
 
-def _encode_tree_ensemble(model: TreeEnsemble) -> np.ndarray:
-    out = [
-        1.0 if model.mode == "additive" else 0.0,
-        model.shrinkage,
-        model.base_value,
-        float(len(model.trees)),
-    ]
-    for t in model.trees:
-        out.append(float(len(t.value)))
-        for i in range(len(t.value)):
-            out.extend(
-                [
-                    float(t.feature[i]),
-                    float(t.threshold[i]),
-                    float(t.left[i]),
-                    float(t.right[i]),
-                    float(t.value[i]),
-                ]
-            )
-    return np.array(out, dtype=np.float64)
-
-
-def _decode_tree_ensemble(payload: np.ndarray, rho: int) -> TreeEnsemble:
-    mode = "additive" if payload[0] == 1.0 else "average"
-    shrinkage = float(payload[1])
-    base = float(payload[2])
-    n_trees = int(payload[3])
-    trees = []
-    at = 4
-    for _ in range(n_trees):
-        n_nodes = int(payload[at])
-        at += 1
-        block = payload[at: at + 5 * n_nodes].reshape(n_nodes, 5)
-        at += 5 * n_nodes
-        trees.append(
-            Tree(
-                feature=block[:, 0].astype(np.int64),
-                threshold=block[:, 1].copy(),
-                left=block[:, 2].astype(np.int64),
-                right=block[:, 3].astype(np.int64),
-                value=block[:, 4].copy(),
-            )
-        )
-    return TreeEnsemble(
-        trees=tuple(trees), mode=mode, shrinkage=shrinkage,
-        base_value=base, rho=rho,
-    )
-
-
-def _encode_mlp(model: MlpModel) -> np.ndarray:
-    sizes = model.sizes
-    header = [float(len(sizes))] + [float(s) for s in sizes]
-    parts = [np.array(header)]
-    for w, b in zip(model.weights, model.biases):
-        parts.append(w.ravel())
-        parts.append(b.ravel())
-    return np.concatenate(parts)
-
-
-def _decode_mlp(payload: np.ndarray) -> MlpModel:
-    n_sizes = int(payload[0])
-    sizes = tuple(int(s) for s in payload[1: 1 + n_sizes])
-    at = 1 + n_sizes
-    weights, biases = [], []
-    for a, b in zip(sizes[:-1], sizes[1:]):
-        weights.append(payload[at: at + a * b].reshape(a, b).copy())
-        at += a * b
-        biases.append(payload[at: at + b].copy())
-        at += b
-    return MlpModel(weights=tuple(weights), biases=tuple(biases))
-
-
 def encode_model(tag: str, model) -> tuple[np.ndarray, int, int]:
     """Returns (payload, hidden, input_dim) for any supported node model."""
-    if tag in ("sgru", "igru", "knngru", "hrnn", "bihrnn"):
-        return flatten(model), model.hidden, model.input_dim
-    if tag == "ar":
-        return model.coeffs.copy(), 0, 0
-    if tag == "rw":
-        return np.array([float(model.rho)]), 0, 0
-    if tag in ("rf", "gbt"):
-        return _encode_tree_ensemble(model), 0, 0
-    if tag in ("fc", "deepnn"):
-        return _encode_mlp(model), 0, 0
-    raise HiergruError(f"cannot encode model for tag {tag!r}")
+    return lookup(tag).encode(model)
 
 
 def decode_model(tag: str, payload: np.ndarray, *, hidden: int, input_dim: int,
                  rho: int):
-    if tag in ("sgru", "igru", "knngru", "hrnn", "bihrnn"):
-        return unflatten(payload, hidden, input_dim)
-    if tag == "ar":
-        return ArModel(coeffs=payload.copy())
-    if tag == "rw":
-        return RwModel(rho=int(payload[0]))
-    if tag in ("rf", "gbt"):
-        return _decode_tree_ensemble(payload, rho)
-    if tag in ("fc", "deepnn"):
-        return _decode_mlp(payload)
-    raise HiergruError(f"cannot decode model for tag {tag!r}")
+    return lookup(tag).decode(payload, hidden, input_dim, rho)
 
 
 # ------------------------------------------------------------------ bundles
@@ -207,15 +107,13 @@ def save_bundle(bundle, dirpath) -> None:
         "rho": bundle.rho,
         "nodes": {},
     }
-    if isinstance(bundle, ModelBundle):
+    if bundle.spec is not None:
         manifest["spec"] = asdict(bundle.spec)
-        if bundle.neighbors is not None:
-            manifest["neighbors"] = {
-                n: list(nbs) for n, nbs in bundle.neighbors.items()
-            }
+    if bundle.neighbors is not None:
+        manifest["neighbors"] = {n: list(nbs) for n, nbs in bundle.neighbors.items()}
     for i, node in enumerate(nodes):
         fname = f"node_{i:05d}.ckpt"
-        model = bundle.model_map[node]
+        model = bundle.models[node]
         payload, hidden, input_dim = encode_model(bundle.tag, model)
         write_checkpoint(
             out / fname, tag=bundle.tag, node=node, payload=payload,
@@ -228,8 +126,8 @@ def save_bundle(bundle, dirpath) -> None:
     _json_dump(manifest, out / "manifest.json")
 
 
-def load_bundle(dirpath):
-    """Rebuild a ModelBundle or BaselineBundle from a bundle directory."""
+def load_bundle(dirpath) -> ModelBundle:
+    """Rebuild a bundle from a bundle directory."""
     root = Path(dirpath)
     manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
     tag = manifest["tag"]
@@ -248,18 +146,16 @@ def load_bundle(dirpath):
         )
         provenance[node] = entry.get("provenance", {})
     label = manifest.get("label")
-    if label == tag:
-        label = None
-    if tag in ("sgru", "igru", "knngru", "hrnn", "bihrnn"):
-        spec = TrainSpec(**manifest["spec"])
-        neighbors = None
-        if "neighbors" in manifest:
-            neighbors = {n: tuple(v) for n, v in manifest["neighbors"].items()}
-        return ModelBundle(
-            tag=tag, spec=spec, params=models, provenance=provenance,
-            neighbors=neighbors, label=label,
-        )
-    return BaselineBundle(
-        tag=tag, rho=manifest["rho"], models=models, provenance=provenance,
-        label=label,
+    neighbors = manifest.get("neighbors")
+    return ModelBundle(
+        tag=tag,
+        rho=manifest["rho"],
+        models=models,
+        provenance=provenance,
+        spec=TrainSpec(**manifest["spec"]) if "spec" in manifest else None,
+        neighbors=(
+            None if neighbors is None
+            else {n: tuple(v) for n, v in neighbors.items()}
+        ),
+        label=None if label == tag else label,
     )

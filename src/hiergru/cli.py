@@ -20,14 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import (
-    BASELINE_TAGS,
-    DEEPNN_CONFIG,
-    ForestConfig,
-    GbtConfig,
-    MlpConfig,
-    fit_baseline,
-)
 from .checkpoint import save_bundle
 from .dataset import (
     DEFAULT_TRAIN_FRACTION,
@@ -45,41 +37,16 @@ from .evaluation import (
     write_report_files,
 )
 from .hierarchy import impute_weights, load_hierarchy, save_hierarchy
-from .models import (
-    RNN_TAGS,
-    TrainSpec,
-    node_seed,
-    train_bihrnn,
-    train_hrnn,
-    train_igru,
-    train_knn_gru,
-    train_sgru,
-)
+from .models import node_seed
+from .registry import TAGS
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_DIVERGED = 4
 
-KNOWN_TAGS = set(RNN_TAGS) | set(BASELINE_TAGS)
-
-_RNN_KEYS = {
-    "rho", "hidden", "lr", "epochs", "alpha", "lambda1", "lambda2",
-    "k_neighbors", "seed", "optimizer",
-}
-_MODEL_KEYS = {
-    "ar": {"rho"},
-    "rw": {"rho"},
-    "rf": {"rho", "n_trees", "max_depth", "min_leaf", "feature_frac", "seed"},
-    "gbt": {"rho", "n_trees", "max_depth", "shrinkage", "subsample", "seed"},
-    "fc": {"rho", "hidden", "lr", "epochs", "seed"},
-    "deepnn": {"rho", "lr", "epochs", "seed"},
-    **{tag: _RNN_KEYS for tag in RNN_TAGS},
-}
-_INT_KEYS = {"rho", "hidden", "epochs", "k_neighbors", "seed", "n_trees",
-             "max_depth", "min_leaf"}
-_FLOAT_KEYS = {"lr", "alpha", "lambda1", "lambda2", "feature_frac",
-               "shrinkage", "subsample"}
+_KINDS = {int: (int, "an integer"), float: ((int, float), "a number"),
+          str: (str, "a string")}
 
 
 class ConfigError(HiergruError):
@@ -160,109 +127,57 @@ def _parse_model_entry(entry) -> dict:
     _require(isinstance(entry, dict), f"model entry must be a tag or object: {entry!r}")
     tag = entry.get("tag")
     _require(
-        isinstance(tag, str) and tag in KNOWN_TAGS,
-        f"unknown model tag {tag!r}; registered tags: {', '.join(sorted(KNOWN_TAGS))}",
+        isinstance(tag, str) and tag in TAGS,
+        f"unknown model tag {tag!r}; registered tags: {', '.join(sorted(TAGS))}",
     )
+    keys = TAGS[tag].keys
     label = entry.get("label", tag)
     _require(isinstance(label, str) and label, "'label' must be a non-empty string")
     params = {
         k: v for k, v in entry.items() if k not in ("tag", "label", "grid")
     }
-    bad = sorted(set(params) - _MODEL_KEYS[tag])
+    bad = sorted(k for k in params if k not in keys)
     _require(
         not bad,
         f"model {label!r}: key(s) {', '.join(bad)} not valid for tag {tag!r}",
     )
     for k, v in params.items():
-        _check_param_type(label, k, v)
+        _check_param_type(label, k, v, keys[k])
     grid = entry.get("grid", {})
     _require(isinstance(grid, dict), f"model {label!r}: 'grid' must be an object")
     for k, values in grid.items():
         _require(
-            k in _MODEL_KEYS[tag] and isinstance(values, list) and values,
+            k in keys and isinstance(values, list) and values,
             f"model {label!r}: grid key {k!r} must name a valid parameter "
             "and list at least one value",
         )
         for v in values:
-            _check_param_type(label, k, v)
+            _check_param_type(label, k, v, keys[k])
     return {"tag": tag, "label": label, "params": params, "grid": grid}
 
 
-def _check_param_type(label: str, key: str, value) -> None:
-    if key in _INT_KEYS:
-        ok = isinstance(value, int) and not isinstance(value, bool)
-        kind = "an integer"
-    elif key in _FLOAT_KEYS:
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-        kind = "a number"
-    else:  # optimizer
-        ok = isinstance(value, str)
-        kind = "a string"
-    _require(ok, f"model {label!r}: {key!r} must be {kind}, got {value!r}")
+def _check_param_type(label: str, key: str, value, kind: type) -> None:
+    types, name = _KINDS[kind]
+    ok = isinstance(value, types) and not isinstance(value, bool)
+    _require(ok, f"model {label!r}: {key!r} must be {name}, got {value!r}")
 
 
 # ----------------------------------------------------------------- training
 
-def _train_spec(entry: dict, seed: int) -> TrainSpec:
-    params = dict(entry["params"])
-    params.setdefault("seed", seed)
-    return TrainSpec(**params)
-
-
-def _baseline_cfg(entry: dict, seed: int):
-    tag = entry["tag"]
-    params = dict(entry["params"])
-    rho = params.pop("rho", 4)
-    params.setdefault("seed", seed)
-    if tag in ("ar", "rw"):
-        return rho, None
-    if tag == "rf":
-        return rho, ForestConfig(**params)
-    if tag == "gbt":
-        return rho, GbtConfig(**params)
-    if tag == "fc":
-        hidden = params.pop("hidden", 100)
-        return rho, MlpConfig(hidden=(int(hidden),), **params)
-    if tag == "deepnn":
-        return rho, replace(DEEPNN_CONFIG, **params)
-    raise ConfigError(f"unreachable baseline tag {tag!r}")
-
-
 def fit_entry(entry: dict, panel, h, seed: int, jobs: int, anchors_cache: dict):
-    """Train one configured model; returns (bundle, extra_bundles_to_save)."""
-    tag, label = entry["tag"], entry["label"]
-    extras = []
-    if tag in BASELINE_TAGS:
-        rho, cfg = _baseline_cfg(entry, seed)
-        try:
-            rho = int(rho)
-        except (TypeError, ValueError):
-            raise ConfigError(f"model {label!r}: rho must be an integer")
-        bundle = fit_baseline(panel, h, tag, rho, cfg, label=label, jobs=jobs)
-        return bundle, extras
+    """Train one configured model; returns (bundle, extra_bundles_to_save).
+
+    The extras are the hrnn anchors a bihrnn entry trained for itself,
+    saved as ``<label>_anchors``; ``anchors_cache`` shares them with later
+    hrnn and bihrnn entries of the same spec."""
+    tag, label = TAGS[entry["tag"]], entry["label"]
     try:
-        spec = _train_spec(entry, seed)
+        config = tag.build({"seed": seed, **entry["params"]})
     except (TypeError, HiergruError) as exc:
         raise ConfigError(f"model {label!r}: {exc}") from exc
-    if tag == "sgru":
-        bundle = train_sgru(panel, h, spec)
-    elif tag == "igru":
-        bundle = train_igru(panel, h, spec, jobs=jobs)
-    elif tag == "knngru":
-        bundle = train_knn_gru(panel, h, spec, jobs=jobs)
-    elif tag == "hrnn":
-        key = ("hrnn", spec)
-        if key not in anchors_cache:
-            anchors_cache[key] = train_hrnn(panel, h, spec, jobs=jobs)
-        bundle = anchors_cache[key]
-    else:  # bihrnn: pretrain its anchors if no matching bundle exists yet
-        key = ("hrnn", spec)
-        if key not in anchors_cache:
-            anchors_cache[key] = train_hrnn(panel, h, spec, jobs=jobs)
-            extras.append((f"{label}_anchors", anchors_cache[key]))
-        bundle = train_bihrnn(panel, h, spec, anchors_cache[key], jobs=jobs)
-    bundle = replace(bundle, label=label)
-    return bundle, extras
+    bundle, anchors = tag.fit(panel, h, config, jobs, anchors_cache)
+    extras = [] if anchors is None else [(f"{label}_anchors", anchors)]
+    return replace(bundle, label=label), extras
 
 
 # -------------------------------------------------------------- grid search
@@ -281,7 +196,7 @@ def _validation_score(bundle, panel) -> float:
     """Mean over nodes of one-step RMSE on the sub-panel's test tail."""
     scores = []
     for n in sorted(panel.rates):
-        if n not in bundle.model_map:
+        if n not in bundle.models:
             continue
         errs = [
             (panel.rates[n][t] - bundle.forecast(panel, n, t, 0)[0]) ** 2
@@ -420,15 +335,12 @@ def cmd_run(args) -> int:
                 "params": e["params"],
                 "grid_trace": e.get("grid_trace"),
                 "node_seeds": (
-                    {
-                        n: node_seed(e["params"].get("seed", cfg["seed"]), n)
-                        for n in h.bfs_order()
-                    }
-                    if e["tag"] in RNN_TAGS
+                    {n: node_seed(b.spec.seed, n) for n in h.bfs_order()}
+                    if b.spec is not None
                     else None
                 ),
             }
-            for e in entries
+            for e, b in zip(entries, bundles)
         ],
     }
     (out / "manifest.json").write_text(

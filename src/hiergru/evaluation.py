@@ -9,7 +9,7 @@ nodes separately from the headline (root) series.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,13 +22,7 @@ from .errors import (
     MissingBaselineError,
 )
 from .hierarchy import Hierarchy, NodeId
-from .metrics import (
-    EvalRecord,
-    distance_correlation,
-    pearson,
-    relative_rmse,
-    rmse,
-)
+from .metrics import distance_correlation, pearson, relative_rmse, rmse
 
 MONTHLY_HORIZONS = (0, 1, 2, 3, 4, 8)
 DAILY_HORIZONS = (0, 1, 2, 3, 7, 14)
@@ -80,7 +74,6 @@ class EvalReport:
     level_rows: dict[tuple[str, int, int], dict[str, Cell]]
     level_counts: dict[int, int]
     node_metrics: dict[tuple[str, NodeId, int], dict[str, Cell]]
-    records: list[EvalRecord] = field(default_factory=list)
 
 
 def _metric_cell(fn, actuals, predictions) -> Cell:
@@ -117,23 +110,18 @@ def evaluate(
     panel: SeriesPanel,
     h: Hierarchy,
     horizons=MONTHLY_HORIZONS,
-    *,
-    aggregate: str = "mean",
-    keep_records: bool = False,
 ) -> EvalReport:
     """Rolling-origin evaluation of fitted bundles against the panel's test
     segments.
 
     An AR(1) reference is fit implicitly on every node as the RMSE
-    normalization denominator.  ``aggregate="mean"`` (default) averages
-    per-node coefficients over disaggregated nodes; ``"pooled"`` pools all
-    (origin, node) pairs before computing each metric.
+    normalization denominator.  Aggregate rows average the per-node values
+    over the disaggregated (non-root) nodes; headline columns are the
+    root's own.
     """
     horizons = tuple(sorted(set(int(j) for j in horizons)))
     if not horizons or horizons[0] < 0:
         raise HiergruError(f"invalid horizon list {horizons}")
-    if aggregate not in ("mean", "pooled"):
-        raise HiergruError(f"unknown aggregate mode {aggregate!r}")
     labels = [b.display_label for b in bundles]
     if len(set(labels)) != len(labels):
         raise HiergruError(f"duplicate model labels: {labels}")
@@ -153,8 +141,6 @@ def evaluate(
                 ref_rmse[(node, j)] = rmse(actuals, preds)
 
     node_metrics: dict[tuple[str, NodeId, int], dict[str, Cell]] = {}
-    records: list[EvalRecord] = []
-    pooled: dict[tuple[str, int, bool], tuple[list, list]] = {}
 
     for label, bundle in zip(labels, bundles):
         for node in h.bfs_order():
@@ -195,38 +181,22 @@ def evaluate(
                     "pearson": _metric_cell(pearson, actuals, preds),
                     "dist_corr": _metric_cell(distance_correlation, actuals, preds),
                 }
-                if keep_records:
-                    records.append(
-                        EvalRecord(
-                            node=node, model=label, horizon=j,
-                            actuals=actuals, predictions=preds,
-                        )
-                    )
-                if aggregate == "pooled":
-                    key = (label, j, node == h.root)
-                    pooled.setdefault(key, ([], []))[0].extend(preds)
-                    pooled[key][1].extend(actuals)
 
     rows = {}
     for label in labels:
         for j in horizons:
-            if aggregate == "pooled":
-                rows[(label, j)] = _pooled_row(pooled, ref_rmse, h, label, j)
-            else:
-                disagg = [
-                    node_metrics[(label, n, j)]
-                    for n in h.bfs_order()
-                    if n != h.root
-                ]
-                head = node_metrics[(label, h.root, j)]
-                rows[(label, j)] = {
-                    "avg_rel_rmse": _mean_cell([m["rel_rmse"] for m in disagg]),
-                    "avg_pearson": _mean_cell([m["pearson"] for m in disagg]),
-                    "avg_dist_corr": _mean_cell([m["dist_corr"] for m in disagg]),
-                    "headline_rel_rmse": head["rel_rmse"],
-                    "headline_pearson": head["pearson"],
-                    "headline_dist_corr": head["dist_corr"],
-                }
+            disagg = [
+                node_metrics[(label, n, j)] for n in h.bfs_order() if n != h.root
+            ]
+            head = node_metrics[(label, h.root, j)]
+            rows[(label, j)] = {
+                "avg_rel_rmse": _mean_cell([m["rel_rmse"] for m in disagg]),
+                "avg_pearson": _mean_cell([m["pearson"] for m in disagg]),
+                "avg_dist_corr": _mean_cell([m["dist_corr"] for m in disagg]),
+                "headline_rel_rmse": head["rel_rmse"],
+                "headline_pearson": head["pearson"],
+                "headline_dist_corr": head["dist_corr"],
+            }
 
     report = EvalReport(
         labels=tuple(labels),
@@ -235,33 +205,9 @@ def evaluate(
         level_rows={},
         level_counts={},
         node_metrics=node_metrics,
-        records=records,
     )
     per_level_table(report, h)
     return report
-
-
-def _pooled_row(pooled, ref_rmse, h, label, j):
-    def cells(is_root):
-        preds, actuals = pooled.get((label, j, is_root), ([], []))
-        if not actuals:
-            return Cell(None, "no-nodes"), Cell(None, "no-nodes"), Cell(None, "no-nodes")
-        p = np.array(preds)
-        a = np.array(actuals)
-        nodes = [h.root] if is_root else [n for n in h.bfs_order() if n != h.root]
-        refs = [ref_rmse[(n, j)] for n in nodes if (n, j) in ref_rmse]
-        pooled_ref = float(np.sqrt(np.mean(np.square(refs)))) if refs else 0.0
-        e = rmse(a, p)
-        rel = Cell(e / pooled_ref) if pooled_ref > 0 else Cell(None, "zero-baseline")
-        return rel, _metric_cell(pearson, a, p), _metric_cell(distance_correlation, a, p)
-
-    rel, phi, dc = cells(False)
-    hrel, hphi, hdc = cells(True)
-    return {
-        "avg_rel_rmse": rel, "avg_pearson": phi, "avg_dist_corr": dc,
-        "headline_rel_rmse": hrel, "headline_pearson": hphi,
-        "headline_dist_corr": hdc,
-    }
 
 
 def per_level_table(report: EvalReport, h: Hierarchy) -> dict:

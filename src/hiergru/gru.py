@@ -58,6 +58,9 @@ class GruParams:
         h, d = self.hidden, self.input_dim
         return 3 * (d * h + h * h + h) + h + 1
 
+    def predict(self, window) -> float:
+        return predict_sequence(self, window)
+
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=np.float64)
@@ -137,13 +140,18 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-x))
 
 
+def _step(p: GruParams, x: np.ndarray, s: np.ndarray):
+    """The recurrence, written once: gates z, r, v and the next state from
+    state ``s`` with input ``x``, for one row or a batch of rows."""
+    z = _sigmoid(x @ p.u_z + s @ p.w_z + p.b_z)
+    r = _sigmoid(x @ p.u_r + s @ p.w_r + p.b_r)
+    v = np.tanh(x @ p.u_v + (s * r) @ p.w_v + p.b_v)
+    return z, r, v, z * v + (1.0 - z) * s
+
+
 def gru_step(p: GruParams, s_prev: np.ndarray, x) -> np.ndarray:
     """One recurrence step from state ``s_prev`` with input ``x``."""
-    xv = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    z = _sigmoid(xv @ p.u_z + s_prev @ p.w_z + p.b_z)
-    r = _sigmoid(xv @ p.u_r + s_prev @ p.w_r + p.b_r)
-    v = np.tanh(xv @ p.u_v + (s_prev * r) @ p.w_v + p.b_v)
-    return z * v + (1.0 - z) * s_prev
+    return _step(p, np.atleast_1d(np.asarray(x, dtype=np.float64)), s_prev)[3]
 
 
 def predict_sequence(p: GruParams, inputs) -> float:
@@ -158,8 +166,8 @@ def predict_sequence(p: GruParams, inputs) -> float:
             f"window has {x.shape[1]} input channels, parameters expect {p.input_dim}"
         )
     s = np.zeros(p.hidden)
-    for t in range(x.shape[0]):
-        s = gru_step(p, s, x[t])
+    for xt in x:
+        s = _step(p, xt, s)[3]
     return float(s @ p.readout_w + p.readout_b)
 
 
@@ -178,14 +186,9 @@ def _as_batch(p: GruParams, inputs: np.ndarray) -> np.ndarray:
 def predict_batch(p: GruParams, inputs: np.ndarray) -> np.ndarray:
     """Vectorized :func:`predict_sequence` over a batch of windows."""
     x = _as_batch(p, inputs)
-    n, rho, _ = x.shape
-    s = np.zeros((n, p.hidden))
-    for t in range(rho):
-        xt = x[:, t, :]
-        z = _sigmoid(xt @ p.u_z + s @ p.w_z + p.b_z)
-        r = _sigmoid(xt @ p.u_r + s @ p.w_r + p.b_r)
-        v = np.tanh(xt @ p.u_v + (s * r) @ p.w_v + p.b_v)
-        s = z * v + (1.0 - z) * s
+    s = np.zeros((x.shape[0], p.hidden))
+    for t in range(x.shape[1]):
+        s = _step(p, x[:, t, :], s)[3]
     return s @ p.readout_w + p.readout_b
 
 
@@ -221,13 +224,7 @@ def loss_and_grad(
     rs = np.empty((rho, n, h))
     vs = np.empty((rho, n, h))
     for t in range(rho):
-        xt = x[:, t, :]
-        s_prev = states[t]
-        z = _sigmoid(xt @ p.u_z + s_prev @ p.w_z + p.b_z)
-        r = _sigmoid(xt @ p.u_r + s_prev @ p.w_r + p.b_r)
-        v = np.tanh(xt @ p.u_v + (s_prev * r) @ p.w_v + p.b_v)
-        zs[t], rs[t], vs[t] = z, r, v
-        states[t + 1] = z * v + (1.0 - z) * s_prev
+        zs[t], rs[t], vs[t], states[t + 1] = _step(p, x[:, t, :], states[t])
 
     pred = states[rho] @ p.readout_w + p.readout_b
     err = pred - y
@@ -357,42 +354,18 @@ def optimize(
     *,
     epochs: int,
     regularizers: tuple = (),
-    batch_size: int | None = None,
 ) -> tuple[GruParams, list[float]]:
-    """Train one unit; full-batch by default, deterministic throughout.
-
-    With ``batch_size`` set, each epoch sweeps contiguous slices in their
-    stored order (no shuffling) so results stay reproducible.
-    """
+    """Train one unit, full batch, deterministic throughout."""
     if epochs == 0:
         return p, []
     hidden, input_dim = p.hidden, p.input_dim
 
-    if batch_size is None:
-        def fn(vec):
-            return loss_and_grad(
-                unflatten(vec, hidden, input_dim), inputs, targets, regularizers
-            )
-        x, losses = run_optimizer(fn, flatten(p), opt, epochs)
-        return unflatten(x, hidden, input_dim), losses
-
-    x = flatten(p)
-    n = np.asarray(targets).shape[0]
-    losses = []
-    for _ in range(epochs):
-        for at in range(0, n, batch_size):
-            sl = slice(at, at + batch_size)
-            loss, grad = loss_and_grad(
-                unflatten(x, hidden, input_dim),
-                inputs[sl], targets[sl], regularizers,
-            )
-            if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
-                raise DivergenceError("loss became non-finite", last_params=x)
-            x = opt.update(x, grad)
-        epoch_loss, _ = loss_and_grad(
-            unflatten(x, hidden, input_dim), inputs, targets, regularizers
+    def fn(vec):
+        return loss_and_grad(
+            unflatten(vec, hidden, input_dim), inputs, targets, regularizers
         )
-        losses.append(epoch_loss)
+
+    x, losses = run_optimizer(fn, flatten(p), opt, epochs)
     return unflatten(x, hidden, input_dim), losses
 
 

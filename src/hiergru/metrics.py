@@ -4,7 +4,6 @@ correlation, and normalization relative to the AR(1) reference."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -15,31 +14,6 @@ from .errors import (
     LengthMismatchError,
     ZeroBaselineError,
 )
-
-
-@dataclass(frozen=True)
-class EvalRecord:
-    """Aligned actual/prediction vectors for one (node, model, horizon)."""
-
-    node: str
-    model: str
-    horizon: int
-    actuals: np.ndarray
-    predictions: np.ndarray
-    residuals: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        a = np.asarray(self.actuals, dtype=np.float64)
-        p = np.asarray(self.predictions, dtype=np.float64)
-        if a.shape != p.shape:
-            raise LengthMismatchError(
-                f"{a.shape[0]} actuals vs {p.shape[0]} predictions"
-            )
-        if a.size < 1:
-            raise EmptyInputError("empty evaluation record")
-        object.__setattr__(self, "actuals", a)
-        object.__setattr__(self, "predictions", p)
-        object.__setattr__(self, "residuals", a - p)
 
 
 def _pair(actuals, predictions) -> tuple[np.ndarray, np.ndarray]:

@@ -1,17 +1,25 @@
-"""Recurrent model family: one GRU per node (or shared), trained with
-optional quadratic anchoring toward related nodes' parameters.
+"""Recurrent model family, plus the bundle and recursive forecast that
+every model family shares.
 
-Five trainers share the same machinery and differ only in what anchors
-which node:
+The recurrent trainers fit one GRU per node (sgru: one shared unit) and
+differ only in what anchors each node.  They all run one loop,
+:func:`_train_nodes`, which visits groups of nodes (all nodes at once, or
+one tree level at a time for hrnn so that parents finish before their
+children start) and asks three things of each node:
 
-* ``train_sgru``     one unit fit on the pooled windows of every node
-* ``train_igru``     independent units, no anchoring
-* ``train_knn_gru``  independent units over (node + k correlated nodes) inputs
-* ``train_hrnn``     top-down pass; each node anchored to its already-trained
-                     parent with coefficient tau/2, tau = exp(alpha + C)
-* ``train_bihrnn``   per-node pass anchored to frozen pretrained parent and
-                     weighted children parameters (coefficients lambda1 and
-                     lambda2 * child share)
+* its training data: the node's own train windows, or (knngru)
+  multichannel windows stacking the node with its k most correlated nodes;
+* its initial parameters: a seeded uniform init, or (bihrnn) the node's
+  pretrained parameters;
+* its anchors, the (parameters, coefficient) pairs of the quadratic
+  penalty: none (sgru, igru, knngru); for hrnn a zero anchor at the root
+  with coefficient 1/2 and the trained parent elsewhere with tau/2, where
+  tau = exp(alpha + C), both scaled by ``prior_scale``; for bihrnn the
+  frozen pretrained parent with lambda1 and each pretrained child with
+  lambda2 times its basket share.
+
+sgru is the loop over the root alone, fed the pooled windows of every
+node; every node then shares the root's unit.
 
 Every trainer is a pure function of (panel, hierarchy, spec[, pretrained]):
 node seeds derive from a stable hash, batches are full and ordered, so
@@ -23,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -37,14 +45,7 @@ from .errors import (
     NodeSkippedWarning,
     NoTrainingDataError,
 )
-from .gru import (
-    GruParams,
-    OptimState,
-    init_params,
-    optimize,
-    predict_sequence,
-    zero_params,
-)
+from .gru import GruParams, OptimState, init_params, optimize, zero_params
 from .hierarchy import (
     Hierarchy,
     NodeId,
@@ -52,8 +53,6 @@ from .hierarchy import (
     child_weights,
     precision_schedule,
 )
-
-RNN_TAGS = ("sgru", "igru", "knngru", "hrnn", "bihrnn")
 
 
 @dataclass(frozen=True)
@@ -99,12 +98,15 @@ def node_seed(seed: int, node: NodeId) -> int:
 
 @dataclass(frozen=True)
 class ModelBundle:
-    """Per-node trained parameters plus training provenance."""
+    """One fitted model family: a node model per covered node (anything
+    with ``.predict(window)``), per-node provenance, and, for the recurrent
+    family, the training spec and knngru's neighbor lists."""
 
     tag: str
-    spec: TrainSpec
-    params: dict[NodeId, GruParams]
-    provenance: dict[NodeId, dict]
+    rho: int
+    models: dict[NodeId, object]
+    provenance: dict[NodeId, dict] = field(default_factory=dict)
+    spec: TrainSpec | None = None
     neighbors: dict[NodeId, tuple[NodeId, ...]] | None = None
     label: str | None = None
 
@@ -113,18 +115,18 @@ class ModelBundle:
         return self.label or self.tag
 
     @property
-    def rho(self) -> int:
-        return self.spec.rho
+    def params(self) -> dict:
+        return self.models
 
     @property
     def model_map(self) -> dict:
-        return self.params
+        return self.models
 
     def covered_nodes(self) -> tuple[NodeId, ...]:
-        return tuple(sorted(self.params))
+        return tuple(sorted(self.models))
 
     def predict_next(self, node: NodeId, window: np.ndarray) -> float:
-        return predict_sequence(self.params[node], window)
+        return self.models[node].predict(window)
 
     def forecast(
         self, panel: SeriesPanel, node: NodeId, origin: int, horizon: int
@@ -141,39 +143,79 @@ def _pmap(fn, items, jobs):
         return list(pool.map(fn, items))
 
 
-def _train_unit(init, inputs, targets, spec, regularizers=()):
-    """Optimize one unit; returns (params, losses)."""
-    opt = OptimState(lr=spec.lr, method=spec.optimizer)
-    return optimize(
-        init, inputs, targets, opt,
-        epochs=spec.epochs, regularizers=regularizers,
+def _train_nodes(tag, h, spec, data, *, init=None, anchors=None, groups=None,
+                 jobs=1, **fields) -> ModelBundle:
+    """The node-training loop every recurrent trainer runs.
+
+    ``groups`` are trained in order (default: all nodes in breadth-first
+    order as one group); the nodes of a group train independently, across
+    ``jobs`` threads.  Per node:
+
+    * ``data(n)`` gives ``(inputs, targets, notes)``, or None when the node
+      has no training window: it then keeps its initial parameters;
+    * ``init(n, seed)`` gives the initial parameters (default: seeded
+      uniform init);
+    * ``anchors(n, trained)`` gives ``(regularizers, notes)``, where
+      ``trained`` holds the parameters of the groups already trained
+      (default: no anchors).
+
+    Both ``notes`` dicts go into the node's provenance, the data notes only
+    when the node trained.
+    """
+    if init is None:
+        def init(n, seed):
+            return init_params(spec.hidden, np.random.default_rng(seed))
+    models: dict[NodeId, GruParams] = {}
+    provenance: dict[NodeId, dict] = {}
+
+    def fit(item):
+        rank, n = item
+        seed = node_seed(spec.seed, n)
+        params = init(n, seed)
+        regs, notes = anchors(n, models) if anchors else ((), {})
+        stacked = data(n)
+        losses = []
+        if stacked is None:
+            warnings.warn(
+                f"node {n!r} has no training windows; keeping initial parameters",
+                NodeSkippedWarning,
+            )
+        else:
+            inputs, targets, data_notes = stacked
+            opt = OptimState(lr=spec.lr, method=spec.optimizer)
+            params, losses = optimize(
+                params, inputs, targets, opt,
+                epochs=spec.epochs, regularizers=regs,
+            )
+            notes = {**data_notes, **notes}
+        return n, params, {
+            "train_order": rank,
+            "seed": seed,
+            "skipped": stacked is None,
+            "initial_loss": losses[0] if losses else None,
+            "final_loss": losses[-1] if losses else None,
+            **notes,
+        }
+
+    rank = 0
+    for group in groups or [h.bfs_order()]:
+        items = list(enumerate(group, start=rank))
+        rank += len(items)
+        for n, params, prov in _pmap(fit, items, jobs):
+            models[n] = params
+            provenance[n] = prov
+    return ModelBundle(
+        tag=tag, rho=spec.rho, models=models, provenance=provenance,
+        spec=spec, **fields,
     )
 
 
-def _node_provenance(order, seed, losses, **extra):
-    prov = {
-        "train_order": order,
-        "seed": seed,
-        "skipped": False,
-        "initial_loss": losses[0] if losses else None,
-        "final_loss": losses[-1] if losses else None,
-    }
-    prov.update(extra)
-    return prov
-
-
-def _skip(node, order, seed, init):
-    warnings.warn(
-        f"node {node!r} has no training windows; keeping initial parameters",
-        NodeSkippedWarning,
-    )
-    return init, {
-        "train_order": order,
-        "seed": seed,
-        "skipped": True,
-        "initial_loss": None,
-        "final_loss": None,
-    }
+def _own_windows(panel: SeriesPanel, rho: int):
+    """Training data: the node's own train windows."""
+    def data(n):
+        windows = make_windows(panel, n, rho, "train")
+        return (*stack_windows(windows), {}) if windows else None
+    return data
 
 
 def train_sgru(panel: SeriesPanel, h: Hierarchy, spec: TrainSpec) -> ModelBundle:
@@ -183,16 +225,12 @@ def train_sgru(panel: SeriesPanel, h: Hierarchy, spec: TrainSpec) -> ModelBundle
         windows.extend(make_windows(panel, n, spec.rho, "train"))
     if not windows:
         raise NoTrainingDataError("no node provides a training window")
-    inputs, targets = stack_windows(windows)
-    seed = node_seed(spec.seed, h.root)
-    init = init_params(spec.hidden, np.random.default_rng(seed))
-    params, losses = _train_unit(init, inputs, targets, spec)
-    prov = _node_provenance(0, seed, losses, pooled_windows=len(windows))
-    return ModelBundle(
-        tag="sgru",
-        spec=spec,
-        params={n: params for n in h.nodes},
-        provenance={n: prov for n in h.nodes},
+    pooled = (*stack_windows(windows), {"pooled_windows": len(windows)})
+    unit = _train_nodes("sgru", h, spec, lambda n: pooled, groups=[[h.root]])
+    return replace(
+        unit,
+        models={n: unit.models[h.root] for n in h.nodes},
+        provenance={n: unit.provenance[h.root] for n in h.nodes},
     )
 
 
@@ -200,26 +238,7 @@ def train_igru(
     panel: SeriesPanel, h: Hierarchy, spec: TrainSpec, *, jobs: int = 1
 ) -> ModelBundle:
     """Independent per-node units with zero regularization."""
-    order = h.bfs_order()
-
-    def fit(item):
-        rank, n = item
-        seed = node_seed(spec.seed, n)
-        init = init_params(spec.hidden, np.random.default_rng(seed))
-        windows = make_windows(panel, n, spec.rho, "train")
-        if not windows:
-            return n, *_skip(n, rank, seed, init)
-        inputs, targets = stack_windows(windows)
-        params, losses = _train_unit(init, inputs, targets, spec)
-        return n, params, _node_provenance(rank, seed, losses)
-
-    results = _pmap(fit, list(enumerate(order)), jobs)
-    return ModelBundle(
-        tag="igru",
-        spec=spec,
-        params={n: p for n, p, _ in results},
-        provenance={n: prov for n, _, prov in results},
-    )
+    return _train_nodes("igru", h, spec, _own_windows(panel, spec.rho), jobs=jobs)
 
 
 def train_hrnn(
@@ -239,47 +258,25 @@ def train_hrnn(
     anchoring and reproduces independent training bit for bit.
     """
     sched = precision_schedule(panel, h, spec.alpha, fallback=True)
-    params: dict[NodeId, GruParams] = {}
-    provenance: dict[NodeId, dict] = {}
     zero_anchor = zero_params(spec.hidden)
+
+    def anchors(n, trained):
+        if n == h.root:
+            tau = corr = None
+            coeff, anchor = 0.5 * prior_scale, zero_anchor
+        else:
+            tau, corr = sched.tau[n], sched.correlation[n]
+            coeff, anchor = 0.5 * tau * prior_scale, trained[h.parent[n]]
+        regs = ((anchor, coeff),) if coeff != 0.0 else ()
+        return regs, {"tau": tau, "correlation": corr, "anchor_coeff": coeff}
 
     levels: dict[int, list[NodeId]] = {}
     for n in h.bfs_order():
         levels.setdefault(h.level[n], []).append(n)
-
-    counter = 0
-    for level in sorted(levels):
-        def fit(item):
-            rank, n = item
-            seed = node_seed(spec.seed, n)
-            init = init_params(spec.hidden, np.random.default_rng(seed))
-            if n == h.root:
-                coeff = 0.5 * prior_scale
-                anchor = zero_anchor
-                tau = corr = None
-            else:
-                tau = sched.tau[n]
-                corr = sched.correlation[n]
-                coeff = 0.5 * tau * prior_scale
-                anchor = params[h.parent[n]]
-            regs = ((anchor, coeff),) if coeff != 0.0 else ()
-            windows = make_windows(panel, n, spec.rho, "train")
-            if not windows:
-                trained, prov = _skip(n, rank, seed, init)
-            else:
-                inputs, targets = stack_windows(windows)
-                trained, losses = _train_unit(init, inputs, targets, spec, regs)
-                prov = _node_provenance(rank, seed, losses)
-            prov.update({"tau": tau, "correlation": corr, "anchor_coeff": coeff})
-            return n, trained, prov
-
-        items = [(counter + i, n) for i, n in enumerate(levels[level])]
-        counter += len(items)
-        for n, trained, prov in _pmap(fit, items, jobs):
-            params[n] = trained
-            provenance[n] = prov
-
-    return ModelBundle(tag="hrnn", spec=spec, params=params, provenance=provenance)
+    return _train_nodes(
+        "hrnn", h, spec, _own_windows(panel, spec.rho), anchors=anchors,
+        groups=[levels[lv] for lv in sorted(levels)], jobs=jobs,
+    )
 
 
 def train_bihrnn(
@@ -302,49 +299,28 @@ def train_bihrnn(
     parent term, leaves no child term.  With ``epochs=0`` the output equals
     the pretrained bundle bit for bit.
     """
-    missing = [n for n in h.nodes if n not in pretrained.params]
+    missing = [n for n in h.nodes if n not in pretrained.models]
     if missing:
         raise MissingPretrainedError(
             f"pretrained bundle lacks node(s): {', '.join(sorted(missing))}"
         )
 
-    order = h.bfs_order()
-
-    def fit(item):
-        rank, n = item
+    def anchors(n, trained):
         regs = []
         if n in h.parent and spec.lambda1 != 0.0:
-            regs.append((pretrained.params[h.parent[n]], spec.lambda1))
+            regs.append((pretrained.models[h.parent[n]], spec.lambda1))
         kids = h.children.get(n, ())
         if kids and spec.lambda2 != 0.0:
             shares = child_weights(h, n)
             for c in kids:
                 coeff = spec.lambda2 * shares[c]
                 if coeff != 0.0:
-                    regs.append((pretrained.params[c], coeff))
-        init = pretrained.params[n]
-        seed = node_seed(spec.seed, n)
-        windows = make_windows(panel, n, spec.rho, "train")
-        if spec.epochs == 0 or not windows:
-            if not windows:
-                warnings.warn(
-                    f"node {n!r} has no training windows; keeping pretrained "
-                    "parameters",
-                    NodeSkippedWarning,
-                )
-            prov = _node_provenance(rank, seed, [], anchors=len(regs))
-            prov["skipped"] = not windows
-            return n, init, prov
-        inputs, targets = stack_windows(windows)
-        trained, losses = _train_unit(init, inputs, targets, spec, tuple(regs))
-        return n, trained, _node_provenance(rank, seed, losses, anchors=len(regs))
+                    regs.append((pretrained.models[c], coeff))
+        return tuple(regs), {"anchors": len(regs)}
 
-    results = _pmap(fit, list(enumerate(order)), jobs)
-    return ModelBundle(
-        tag="bihrnn",
-        spec=spec,
-        params={n: p for n, p, _ in results},
-        provenance={n: prov for n, _, prov in results},
+    return _train_nodes(
+        "bihrnn", h, spec, _own_windows(panel, spec.rho),
+        init=lambda n, seed: pretrained.models[n], anchors=anchors, jobs=jobs,
     )
 
 
@@ -425,31 +401,23 @@ def train_knn_gru(
     """Per-node units whose step input stacks the node with its k most
     Pearson-correlated nodes (correlations measured on training windows)."""
     grid = _train_value_grid(panel)
-    order = h.bfs_order()
-    neighbor_map = {n: select_neighbors(panel, h, n, spec.k_neighbors) for n in order}
+    neighbor_map = {
+        n: select_neighbors(panel, h, n, spec.k_neighbors) for n in h.bfs_order()
+    }
 
-    def fit(item):
-        rank, n = item
+    def data(n):
         nbs = neighbor_map[n]
-        channels = (n, *nbs)
-        seed = node_seed(spec.seed, n)
-        init = init_params(
-            spec.hidden, np.random.default_rng(seed), input_dim=len(channels)
-        )
-        stacked = _stacked_windows(panel, n, channels, grid, spec.rho)
-        if stacked is None:
-            return n, *_skip(n, rank, seed, init)
-        inputs, targets = stacked
-        params, losses = _train_unit(init, inputs, targets, spec)
-        return n, params, _node_provenance(rank, seed, losses, neighbors=list(nbs))
+        stacked = _stacked_windows(panel, n, (n, *nbs), grid, spec.rho)
+        return None if stacked is None else (*stacked, {"neighbors": list(nbs)})
 
-    results = _pmap(fit, list(enumerate(order)), jobs)
-    return ModelBundle(
-        tag="knngru",
-        spec=spec,
-        params={n: p for n, p, _ in results},
-        provenance={n: prov for n, _, prov in results},
-        neighbors=neighbor_map,
+    def init(n, seed):
+        return init_params(
+            spec.hidden, np.random.default_rng(seed),
+            input_dim=1 + len(neighbor_map[n]),
+        )
+
+    return _train_nodes(
+        "knngru", h, spec, data, init=init, jobs=jobs, neighbors=neighbor_map
     )
 
 
@@ -503,10 +471,9 @@ def initial_window(
             f"node {node!r}: origin {origin} beyond series length "
             f"{panel.length(node)}"
         )
-    neighbors = getattr(bundle, "neighbors", None)
-    if neighbors is None:
+    if bundle.neighbors is None:
         return panel.rates[node][origin - rho: origin].copy()
-    channels = (node, *neighbors[node])
+    channels = (node, *bundle.neighbors[node])
     span = panel.periods[node][origin - rho: origin]
     rows = [
         [_channel_value(panel, c, int(p)) for c in channels] for p in span
@@ -520,7 +487,7 @@ def forecast(
     """Recursive multi-horizon forecast; returns ``horizon + 1`` values."""
     if horizon < 0:
         raise InvalidSpecError(f"horizon must be >= 0, got {horizon}")
-    if node not in bundle.model_map:
+    if node not in bundle.models:
         raise HiergruError(f"bundle {bundle.tag!r} has no model for {node!r}")
     window = initial_window(bundle, panel, node, origin)
     return recursive_forecast(

@@ -16,9 +16,11 @@ from hiergru.checkpoint import (
     save_bundle,
     write_checkpoint,
 )
+from hiergru.cli import fit_entry
 from hiergru.errors import HiergruError
 from hiergru.gru import flatten, init_params
 from hiergru.models import TrainSpec, train_hrnn, train_knn_gru
+from hiergru.registry import TAGS
 
 
 class TestRawCheckpoint:
@@ -99,16 +101,28 @@ class TestBundleDirectories:
         )
 
     def test_baseline_roundtrip_forecasts_match(self, small_synth, tmp_path):
+        # every registered tag: fit small, save, reload, and compare the
+        # reloaded forecasts with the in-memory bundle's bit for bit
         h, panel = small_synth
-        bundle = fit_baseline(panel, h, "gbt", rho=2,
-                              cfg=GbtConfig(n_trees=8, max_depth=2))
-        save_bundle(bundle, tmp_path / "gbt")
-        back = load_bundle(tmp_path / "gbt")
-        origin = panel.split_index[h.root]
-        np.testing.assert_array_equal(
-            back.forecast(panel, h.root, origin, 3),
-            bundle.forecast(panel, h.root, origin, 3),
-        )
+        small = {"rho": 3, "hidden": 3, "epochs": 2, "n_trees": 3, "max_depth": 2}
+        for tag, entry in TAGS.items():
+            params = {k: v for k, v in small.items() if k in entry.keys}
+            model = {"tag": tag, "label": tag, "params": params, "grid": {}}
+            bundle, _ = fit_entry(model, panel, h, 6, 1, {})
+            save_bundle(bundle, tmp_path / tag)
+            back = load_bundle(tmp_path / tag)
+            assert (back.tag, back.rho, back.spec, back.neighbors) == (
+                tag, bundle.rho, bundle.spec, bundle.neighbors
+            )
+            assert back.covered_nodes() == bundle.covered_nodes() == tuple(
+                sorted(h.nodes)
+            )
+            for n in h.nodes:
+                origin = panel.split_index[n]
+                assert (
+                    back.forecast(panel, n, origin, 3).tobytes()
+                    == bundle.forecast(panel, n, origin, 3).tobytes()
+                ), f"{tag} {n}"
 
     def test_save_twice_byte_identical(self, small_synth, tmp_path):
         h, panel = small_synth

@@ -99,12 +99,6 @@ class TestEvaluate:
         with pytest.raises(HiergruError, match="duplicate"):
             evaluate([ar1, ar1], panel, h, horizons=(0,))
 
-    def test_pooled_aggregation_mode(self, small_synth):
-        h, panel = small_synth
-        ar1 = fit_baseline(panel, h, "ar", rho=1)
-        report = evaluate([ar1], panel, h, horizons=(0,), aggregate="pooled")
-        assert report.rows[("ar", 0)]["avg_rel_rmse"].value == pytest.approx(1.0)
-
     def test_horizon_presets(self):
         assert MONTHLY_HORIZONS == (0, 1, 2, 3, 4, 8)
         assert DAILY_HORIZONS == (0, 1, 2, 3, 7, 14)
@@ -162,9 +156,9 @@ class TestRendering:
             def predict(self, w):
                 return 0.5
 
-        from hiergru.baselines import BaselineBundle
+        from hiergru.models import ModelBundle
 
-        bundle = BaselineBundle(
+        bundle = ModelBundle(
             tag="const", rho=1, models={n: ConstantModel() for n in h.nodes}
         )
         report = evaluate([bundle], panel, h, horizons=(0,))

@@ -247,17 +247,6 @@ class TestOptimize:
         assert exc.value.last_params is not None
         assert np.all(np.isfinite(exc.value.last_params))
 
-    def test_minibatch_deterministic(self):
-        x, y = self._data(seed=9, n=17)
-        outs = []
-        for _ in range(2):
-            p = init_params(3, np.random.default_rng(10))
-            out, _ = optimize(
-                p, x, y, OptimState(lr=0.005), epochs=10, batch_size=5
-            )
-            outs.append(flatten(out).tobytes())
-        assert outs[0] == outs[1]
-
     def test_anchored_shrinkage_monotone(self):
         # stronger anchoring never ends farther from the anchor
         x, y = self._data(seed=11, n=20)

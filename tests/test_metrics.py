@@ -12,7 +12,6 @@ from hiergru.errors import (
     ZeroBaselineError,
 )
 from hiergru.metrics import (
-    EvalRecord,
     distance_correlation,
     pearson,
     relative_rmse,
@@ -127,16 +126,6 @@ class TestRelativeRmse:
     def test_zero_baseline(self):
         with pytest.raises(ZeroBaselineError):
             relative_rmse(1.0, 0.0)
-
-
-class TestEvalRecord:
-    def test_residuals_computed(self):
-        rec = EvalRecord("n", "m", 0, [1.0, 2.0], [0.5, 2.5])
-        np.testing.assert_allclose(rec.residuals, [0.5, -0.5])
-
-    def test_mismatch(self):
-        with pytest.raises(LengthMismatchError):
-            EvalRecord("n", "m", 0, [1.0], [1.0, 2.0])
 
 
 class TestCrossChecks:

@@ -263,9 +263,9 @@ class TestBihrnn:
         pre = train_igru(panel, h, spec)
         shared = pre.params["p"]
         pre_equal = ModelBundle(
-            tag="igru", spec=spec,
-            params={"p": shared, "c": shared},
-            provenance=pre.provenance,
+            tag="igru", rho=spec.rho,
+            models={"p": shared, "c": shared},
+            provenance=pre.provenance, spec=spec,
         )
         from hiergru.dataset import stack_windows
         from hiergru.gru import loss_and_grad
@@ -310,7 +310,7 @@ class TestBihrnn:
                               build_hierarchy([(n, None, 1.0)]), spec).params[n]
                 for n in s
             }
-            pre = ModelBundle(tag="igru", spec=spec, params=pre_params, provenance={})
+            pre = ModelBundle(tag="igru", rho=spec.rho, models=pre_params, spec=spec)
             return train_bihrnn(panel, h, spec, pre)
 
         clean = run(False)
@@ -330,9 +330,9 @@ class TestBihrnn:
         spec = TrainSpec(**FAST)
         pre = train_igru(panel, h, spec)
         broken = ModelBundle(
-            tag="igru", spec=spec,
-            params={k: v for k, v in pre.params.items() if k != "a"},
-            provenance={},
+            tag="igru", rho=spec.rho,
+            models={k: v for k, v in pre.params.items() if k != "a"},
+            spec=spec,
         )
         with pytest.raises(MissingPretrainedError, match="a"):
             train_bihrnn(panel, h, spec, broken)
@@ -353,9 +353,9 @@ class TestForecast:
         h, panel = two_level_panel
         spec = TrainSpec(**FAST)
         bundle = ModelBundle(
-            tag="igru", spec=spec,
-            params={n: zero_params(spec.hidden) for n in h.nodes},
-            provenance={},
+            tag="igru", rho=spec.rho,
+            models={n: zero_params(spec.hidden) for n in h.nodes},
+            spec=spec,
         )
         traj = bundle.forecast(panel, "a", panel.split_index["a"], 5)
         np.testing.assert_array_equal(traj, np.zeros(6))
