@@ -74,6 +74,7 @@ from .models import (
     ModelBundle,
     TrainSpec,
     forecast,
+    forecast_origins,
     node_seed,
     select_neighbors,
     train_bihrnn,

@@ -40,6 +40,10 @@ class ArModel:
             raise WrongLengthError(f"expected {self.rho} values, got shape {w.shape}")
         return float(self.coeffs[0] + self.coeffs[1:] @ w[::-1])
 
+    def predict_batch(self, windows: np.ndarray) -> np.ndarray:
+        x = _as_rows(windows, self.rho)
+        return self.coeffs[0] + x[:, ::-1] @ self.coeffs[1:]
+
 
 def fit_ar(windows: list[Window], rho: int) -> ArModel:
     """Least squares with intercept; slopes are the minimum-norm solution
@@ -79,12 +83,23 @@ class RwModel:
     def predict(self, window: np.ndarray) -> float:
         return predict_rw(window, self.rho)
 
+    def predict_batch(self, windows: np.ndarray) -> np.ndarray:
+        return _as_rows(windows, self.rho).mean(axis=1)
+
 
 def predict_rw(values, rho: int) -> float:
     v = np.asarray(values, dtype=np.float64)
     if v.shape != (rho,):
         raise WrongLengthError(f"expected exactly {rho} values, got shape {v.shape}")
     return float(v.mean())
+
+
+def _as_rows(windows, rho: int) -> np.ndarray:
+    """A batch of scalar windows as a float64 (batch, rho) array."""
+    x = np.asarray(windows, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != rho:
+        raise WrongLengthError(f"expected windows of {rho} values, got shape {x.shape}")
+    return x
 
 
 # -------------------------------------------------------------------- trees
@@ -106,7 +121,39 @@ class Tree:
         return float(self.value[i])
 
     def predict_batch(self, x: np.ndarray) -> np.ndarray:
-        return np.array([self.predict(row) for row in x])
+        rows = np.arange(x.shape[0])
+        return self.value[_descend(self, x, rows, np.zeros_like(rows))]
+
+
+def _descend(tree: Tree, x: np.ndarray, rows: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Leaf reached by each (row of ``x``, start node) pair: all pairs that
+    still sit on a split move down one level per pass, with the same
+    ``<=`` test as :meth:`Tree.predict`."""
+    at = start.copy()
+    active = np.flatnonzero(tree.feature[at] >= 0)
+    while active.size:
+        node = at[active]
+        go_left = x[rows[active], tree.feature[node]] <= tree.threshold[node]
+        at[active] = np.where(go_left, tree.left[node], tree.right[node])
+        active = active[tree.feature[at[active]] >= 0]
+    return at
+
+
+def _merge(trees) -> tuple[Tree, np.ndarray]:
+    """All trees as one flat tree, and the index of each tree's root.  Child
+    links are shifted by the tree's offset; a leaf's links are never read."""
+    sizes = np.array([t.feature.shape[0] for t in trees])
+    roots = np.cumsum(sizes) - sizes
+    shift = np.repeat(roots, sizes)
+
+    def cat(name):
+        return np.concatenate([getattr(t, name) for t in trees])
+
+    merged = Tree(
+        feature=cat("feature"), threshold=cat("threshold"),
+        left=cat("left") + shift, right=cat("right") + shift, value=cat("value"),
+    )
+    return merged, roots
 
 
 @dataclass(frozen=True)
@@ -128,6 +175,26 @@ class TreeEnsemble:
         return float(
             self.base_value + self.shrinkage * sum(t.predict(x) for t in self.trees)
         )
+
+    def predict_batch(self, windows: np.ndarray) -> np.ndarray:
+        """:meth:`predict` for a batch of windows, with the same arithmetic:
+        a (batch, trees) array of tree outputs, averaged along its contiguous
+        axis or summed tree by tree in tree order."""
+        x = _as_rows(windows, self.rho)
+        batch = x.shape[0]
+        if self.trees:
+            merged, roots = _merge(self.trees)
+            rows = np.repeat(np.arange(batch), roots.shape[0])
+            leaves = _descend(merged, x, rows, np.tile(roots, batch))
+            out = merged.value[leaves].reshape(batch, roots.shape[0])
+        else:
+            out = np.empty((batch, 0))
+        if self.mode == "average":
+            return out.mean(axis=1)
+        total = np.zeros(batch)
+        for column in out.T:
+            total = total + column
+        return self.base_value + self.shrinkage * total
 
 
 def _best_split(x: np.ndarray, y: np.ndarray, features, min_leaf: int):

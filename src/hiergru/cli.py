@@ -33,6 +33,7 @@ from .errors import DivergenceError, HiergruError
 from .evaluation import (
     DAILY_HORIZONS,
     MONTHLY_HORIZONS,
+    admissible_origins,
     evaluate,
     write_report_files,
 )
@@ -198,12 +199,10 @@ def _validation_score(bundle, panel) -> float:
     for n in sorted(panel.rates):
         if n not in bundle.models:
             continue
-        errs = [
-            (panel.rates[n][t] - bundle.forecast(panel, n, t, 0)[0]) ** 2
-            for t in panel.test_positions(n)
-            if t >= bundle.rho
-        ]
-        if errs:
+        origins = admissible_origins(panel, n, bundle.rho)
+        if origins.size:
+            preds = bundle.forecast_origins(panel, n, origins, 0)[:, 0]
+            errs = (panel.rates[n][origins] - preds) ** 2
             scores.append(float(np.sqrt(np.mean(errs))))
     return float(np.mean(scores)) if scores else float("inf")
 

@@ -187,13 +187,19 @@ def load_series_csv(
                 f"{path}: expected header columns node_id,period,value"
             )
         for rec in reader:
-            node = rec["node_id"].strip()
-            period = rec["period"].strip()
+            node = (rec["node_id"] or "").strip()
+            period = (rec["period"] or "").strip()
             if period in per_node[node]:
                 raise InvalidSpecError(
                     f"duplicate observation for node {node!r} period {period}"
                 )
-            per_node[node][period] = float(rec["value"])
+            try:
+                per_node[node][period] = float(rec["value"])
+            except (TypeError, ValueError):
+                raise InvalidSpecError(
+                    f"{path}, line {reader.line_num}: value {rec['value']!r} "
+                    f"is not a number"
+                ) from None
     if not per_node:
         raise EmptySeriesError(f"{path}: no observations")
 

@@ -1,6 +1,7 @@
 """Rolling-origin evaluation over the test split and report rendering.
 
-Every admissible test origin of every node produces a recursive forecast;
+Every admissible test origin of every node produces a recursive forecast
+(all origins of a node are rolled forward together);
 per-node RMSE at each horizon is normalized by the same node's AR(1) RMSE
 at the same horizon, and report rows aggregate disaggregated (non-root)
 nodes separately from the headline (root) series.
@@ -87,22 +88,28 @@ def _metric_cell(fn, actuals, predictions) -> Cell:
         return Cell(None, codes[type(exc)])
 
 
+def admissible_origins(panel, node, rho: int) -> np.ndarray:
+    """Test origins of ``node`` with at least ``rho`` observations before them."""
+    return np.arange(max(panel.split_index[node], rho), panel.length(node))
+
+
 def _collect_forecasts(bundle, panel, node, horizons):
-    """Predictions and matching actuals from every admissible test origin."""
+    """Predictions and matching actuals from every admissible test origin,
+    all origins forecast in one batch when the bundle supports it."""
     max_h = max(horizons)
     rates = panel.rates[node]
-    per_h = {j: ([], []) for j in horizons}
-    for origin in panel.test_positions(node):
-        if origin < bundle.rho:
-            continue
-        traj = bundle.forecast(panel, node, origin, max_h)
-        for j in horizons:
-            if origin + j < rates.shape[0]:
-                per_h[j][0].append(traj[j])
-                per_h[j][1].append(rates[origin + j])
-    return {
-        j: (np.array(p), np.array(a)) for j, (p, a) in per_h.items()
-    }
+    origins = admissible_origins(panel, node, bundle.rho)
+    if hasattr(bundle, "forecast_origins"):
+        trajs = bundle.forecast_origins(panel, node, origins, max_h)
+    else:
+        trajs = np.array(
+            [bundle.forecast(panel, node, o, max_h) for o in origins]
+        ).reshape(origins.shape[0], max_h + 1)
+    collected = {}
+    for j in horizons:
+        keep = origins + j < rates.shape[0]
+        collected[j] = (trajs[keep, j], rates[origins[keep] + j])
+    return collected
 
 
 def evaluate(

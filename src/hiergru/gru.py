@@ -61,6 +61,9 @@ class GruParams:
     def predict(self, window) -> float:
         return predict_sequence(self, window)
 
+    def predict_batch(self, windows) -> np.ndarray:
+        return predict_batch(self, windows)
+
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=np.float64)

@@ -178,7 +178,12 @@ def load_hierarchy(path) -> Hierarchy:
             node = (rec["node_id"] or "").strip()
             par = (rec["parent_id"] or "").strip() or None
             wtxt = (rec["weight"] or "").strip()
-            w = float(wtxt) if wtxt else None
+            try:
+                w = float(wtxt) if wtxt else None
+            except ValueError:
+                raise HierarchyError(
+                    f"{path}, line {reader.line_num}: weight {wtxt!r} is not a number"
+                ) from None
             rows.append((node, par, w))
     return build_hierarchy(rows)
 

@@ -133,6 +133,11 @@ class ModelBundle:
     ) -> np.ndarray:
         return forecast(self, panel, node, origin, horizon)
 
+    def forecast_origins(
+        self, panel: SeriesPanel, node: NodeId, origins, horizon: int
+    ) -> np.ndarray:
+        return forecast_origins(self, panel, node, origins, horizon)
+
 
 # ----------------------------------------------------------------- training
 
@@ -423,73 +428,70 @@ def train_knn_gru(
 
 # --------------------------------------------------------------- forecasting
 
-def roll_window(window: np.ndarray, prediction: float) -> np.ndarray:
-    """Advance a forecast window one step: drop the oldest row, append the
-    prediction.  Extra channels of multichannel windows persist their last
-    observed value."""
-    if window.ndim == 1:
-        return np.append(window[1:], prediction)
-    new_row = window[-1].copy()
-    new_row[0] = prediction
-    return np.vstack([window[1:], new_row])
+def _channel_values(panel: SeriesPanel, node: NodeId, periods: np.ndarray) -> np.ndarray:
+    """Rates of ``node`` at calendar ``periods``.  A period the node does not
+    cover takes the node's last earlier observation (carried forward), or
+    0.0 before its first observation."""
+    after = np.searchsorted(panel.periods[node], periods, side="right")
+    return np.where(after > 0, panel.rates[node][np.maximum(after - 1, 0)], 0.0)
 
 
-def recursive_forecast(predict, window: np.ndarray, horizon: int) -> np.ndarray:
-    """Iterate one-step forecasts forward; position 0 is the one-step-ahead
-    prediction, position j feeds the previous j predictions back in."""
-    preds = np.empty(horizon + 1)
-    for j in range(horizon + 1):
-        preds[j] = predict(window)
-        if j < horizon:
-            window = roll_window(window, preds[j])
-    return preds
-
-
-def _channel_value(panel: SeriesPanel, node: NodeId, period: int) -> float:
-    """Rate of ``node`` at a calendar period, carrying the last earlier
-    observation backward when the period is not covered."""
-    periods = panel.periods[node]
-    pos = int(np.searchsorted(periods, period))
-    if pos < len(periods) and periods[pos] == period:
-        return float(panel.rates[node][pos])
-    if pos > 0:
-        return float(panel.rates[node][pos - 1])
-    return 0.0
-
-
-def initial_window(
-    bundle, panel: SeriesPanel, node: NodeId, origin: int
+def initial_windows(
+    bundle, panel: SeriesPanel, node: NodeId, origins: np.ndarray
 ) -> np.ndarray:
-    """The window of the ``rho`` observations preceding ``origin``."""
+    """The windows of the ``rho`` observations preceding each origin, shape
+    (origins, rho); knngru windows stack the node with its neighbors,
+    shape (origins, rho, channels)."""
     rho = bundle.rho
-    if origin - rho < 0:
+    early = origins[origins < rho]
+    if early.size:
         raise InsufficientHistoryError(
-            f"node {node!r}: origin {origin} needs {rho} earlier observations"
+            f"node {node!r}: origin {early[0]} needs {rho} earlier observations"
         )
-    if origin > panel.length(node):
+    late = origins[origins > panel.length(node)]
+    if late.size:
         raise InsufficientHistoryError(
-            f"node {node!r}: origin {origin} beyond series length "
+            f"node {node!r}: origin {late[0]} beyond series length "
             f"{panel.length(node)}"
         )
+    span = origins[:, None] + np.arange(-rho, 0)
     if bundle.neighbors is None:
-        return panel.rates[node][origin - rho: origin].copy()
+        return panel.rates[node][span]
+    periods = panel.periods[node][span]
     channels = (node, *bundle.neighbors[node])
-    span = panel.periods[node][origin - rho: origin]
-    rows = [
-        [_channel_value(panel, c, int(p)) for c in channels] for p in span
-    ]
-    return np.array(rows, dtype=np.float64)
+    return np.stack([_channel_values(panel, c, periods) for c in channels], axis=-1)
+
+
+def forecast_origins(
+    bundle, panel: SeriesPanel, node: NodeId, origins, horizon: int
+) -> np.ndarray:
+    """Recursive multi-horizon forecasts from every origin at once; row i
+    holds the ``horizon + 1`` values from ``origins[i]``.  Position 0 is the
+    one-step-ahead prediction, position j feeds the previous j predictions
+    back in; extra channels of multichannel windows keep their last observed
+    values.  A node model without ``predict_batch`` predicts row by row."""
+    if horizon < 0:
+        raise InvalidSpecError(f"horizon must be >= 0, got {horizon}")
+    if node not in bundle.models:
+        raise HiergruError(f"bundle {bundle.tag!r} has no model for {node!r}")
+    model = bundle.models[node]
+    origins = np.asarray(origins, dtype=np.int64).reshape(-1)
+    windows = initial_windows(bundle, panel, node, origins)
+    predict = getattr(model, "predict_batch", None) or (
+        lambda ws: np.array([model.predict(w) for w in ws], dtype=np.float64)
+    )
+    newest = (slice(None), -1, 0)[: windows.ndim]  # channel 0 of the last row
+    preds = np.empty((origins.shape[0], horizon + 1))
+    for j in range(horizon + 1):
+        preds[:, j] = predict(windows)
+        if j < horizon:
+            windows[:, :-1] = windows[:, 1:]
+            windows[newest] = preds[:, j]
+    return preds
 
 
 def forecast(
     bundle, panel: SeriesPanel, node: NodeId, origin: int, horizon: int
 ) -> np.ndarray:
     """Recursive multi-horizon forecast; returns ``horizon + 1`` values."""
-    if horizon < 0:
-        raise InvalidSpecError(f"horizon must be >= 0, got {horizon}")
-    if node not in bundle.models:
-        raise HiergruError(f"bundle {bundle.tag!r} has no model for {node!r}")
-    window = initial_window(bundle, panel, node, origin)
-    return recursive_forecast(
-        lambda w: bundle.predict_next(node, w), window, horizon
-    )
+    return forecast_origins(bundle, panel, node, [origin], horizon)[0]

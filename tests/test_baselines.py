@@ -153,6 +153,44 @@ class TestForest:
         assert a.predict(probe) == b.predict(probe)
 
 
+class TestBatchedTrees:
+    @staticmethod
+    def probes(trees, rng, rho):
+        """Random rows, plus for every split a row sitting exactly on its
+        threshold, and one just above it."""
+        rows = list(rng.normal(size=(20, rho)))
+        for tree in trees:
+            for f, thr in zip(tree.feature, tree.threshold):
+                if f >= 0:
+                    for value in (thr, np.nextafter(thr, np.inf)):
+                        row = rng.normal(size=rho)
+                        row[f] = value
+                        rows.append(row)
+        return np.array(rows)
+
+    @pytest.mark.parametrize("fit, cfg", [
+        (fit_forest, ForestConfig(n_trees=15, max_depth=4, seed=1)),
+        (fit_gbt, GbtConfig(n_trees=15, max_depth=3, shrinkage=0.3)),
+        (fit_gbt, GbtConfig(n_trees=0)),
+    ])
+    def test_batch_equals_rows_bit_for_bit(self, fit, cfg):
+        rng = np.random.default_rng(12)
+        ws = windows_from_series(rng.normal(size=60), rho=3)
+        ens = fit(ws, 3, cfg)
+        x = self.probes(ens.trees, rng, 3)
+        for tree in ens.trees:
+            rows = np.array([tree.predict(r) for r in x])
+            assert tree.predict_batch(x).tobytes() == rows.tobytes()
+        rows = np.array([ens.predict(r) for r in x])
+        assert ens.predict_batch(x).tobytes() == rows.tobytes()
+
+    def test_wrong_width_rejected(self):
+        ens = fit_forest(windows_from_series(np.arange(10.0), 2), 2,
+                         ForestConfig(n_trees=2))
+        with pytest.raises(WrongLengthError):
+            ens.predict_batch(np.zeros((4, 3)))
+
+
 class TestGbt:
     def test_zero_trees_predicts_mean(self):
         rng = np.random.default_rng(8)

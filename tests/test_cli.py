@@ -162,6 +162,35 @@ class TestRun:
             ["run", "--config", str(cfg), "--out", str(tmp_path / "o")]
         ) == EXIT_DATA
 
+    @pytest.mark.parametrize("bad, shown", [("{n},{p},1.2x", "'1.2x'"), ("{n}", "None")])
+    def test_non_numeric_value_exit_3(self, synth_dir, tmp_path, capsys, bad, shown):
+        series = tmp_path / "series.csv"
+        lines = (synth_dir / "series.csv").read_text().splitlines()
+        node, period, _ = lines[5].split(",")
+        lines[5] = bad.format(n=node, p=period)
+        series.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path / "cfg.json", synth_dir, ["ar"], series=str(series))
+        assert main(
+            ["run", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        ) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "series.csv, line 6" in err and f"value {shown} is not a number" in err
+
+    def test_non_numeric_weight_exit_3(self, synth_dir, tmp_path, capsys):
+        hier = tmp_path / "hierarchy.csv"
+        lines = (synth_dir / "hierarchy.csv").read_text().splitlines()
+        node, parent, _ = lines[2].split(",")
+        lines[2] = f"{node},{parent},heavy"
+        hier.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path / "cfg.json", synth_dir, ["ar"], hierarchy=str(hier))
+        assert main(
+            ["run", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        ) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "hierarchy.csv, line 3" in err and "'heavy'" in err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_4(self, synth_dir, tmp_path):
         cfg = write_config(

@@ -2,22 +2,23 @@ import numpy as np
 import pytest
 
 from conftest import panel_from_rates
-from hiergru.dataset import SynthSpec, make_windows, synth_panel
+from hiergru.cli import fit_entry
+from hiergru.dataset import SynthSpec, build_panel, make_windows, synth_panel
 from hiergru.errors import (
     InsufficientHistoryError,
     InsufficientNeighborsWarning,
     MissingPretrainedError,
     NodeSkippedWarning,
 )
+from hiergru.evaluation import admissible_origins
 from hiergru.gru import flatten, predict_sequence, zero_params
 from hiergru.hierarchy import build_hierarchy
 from hiergru.models import (
     ModelBundle,
     TrainSpec,
     forecast,
+    forecast_origins,
     node_seed,
-    recursive_forecast,
-    roll_window,
     select_neighbors,
     train_bihrnn,
     train_hrnn,
@@ -25,6 +26,7 @@ from hiergru.models import (
     train_knn_gru,
     train_sgru,
 )
+from hiergru.registry import TAGS
 
 FAST = dict(rho=3, hidden=4, epochs=30, lr=0.005, seed=5)
 
@@ -338,6 +340,17 @@ class TestBihrnn:
             train_bihrnn(panel, h, spec, broken)
 
 
+class Recorder:
+    """Node model that records the windows it is asked about and predicts 99."""
+
+    def __init__(self):
+        self.seen = []
+
+    def predict_batch(self, windows):
+        self.seen.append(windows.copy())
+        return np.full(windows.shape[0], 99.0)
+
+
 class TestForecast:
     def test_horizon_zero_equals_predict_sequence(self, two_level_panel):
         h, panel = two_level_panel
@@ -361,28 +374,139 @@ class TestForecast:
         np.testing.assert_array_equal(traj, np.zeros(6))
 
     def test_hand_unrolled_recursion(self):
-        # a model that returns the mean of its window, unrolled by hand
+        # a model with only .predict, returning the mean of its window,
+        # unrolled by hand; the batch holds the origin twice
         class MeanModel:
             def predict(self, w):
                 return float(np.mean(w))
 
         window = np.array([1.0, 2.0, 3.0])
-        preds = recursive_forecast(MeanModel().predict, window.copy(), 3)
+        panel = panel_from_rates({"a": [1.0, 2.0, 3.0, 7.0]})
+        bundle = ModelBundle(tag="mean", rho=3, models={"a": MeanModel()})
+        preds = forecast_origins(bundle, panel, "a", [3, 3], 3)
         w = window.copy()
         expected = []
         for _ in range(4):
             p = w.mean()
             expected.append(p)
             w = np.append(w[1:], p)
-        np.testing.assert_allclose(preds, expected, atol=1e-15)
+        assert preds.shape == (2, 4)
+        np.testing.assert_allclose(preds, [expected, expected], atol=1e-15)
 
     def test_roll_window_multichannel(self):
-        w = np.array([[1.0, 10.0], [2.0, 20.0]])
-        rolled = roll_window(w, 99.0)
-        np.testing.assert_array_equal(rolled, [[2.0, 20.0], [99.0, 20.0]])
+        # the rolled window drops its oldest row and appends the prediction
+        # in channel 0; the neighbor channel keeps its last observed value
+        panel = panel_from_rates({"a": [1.0, 2.0, 3.0], "b": [10.0, 20.0, 30.0]})
+        recorder = Recorder()
+        bundle = ModelBundle(
+            tag="knngru", rho=2, models={"a": recorder}, neighbors={"a": ("b",)}
+        )
+        forecast_origins(bundle, panel, "a", [2], 1)
+        first, rolled = recorder.seen
+        np.testing.assert_array_equal(first, [[[1.0, 10.0], [2.0, 20.0]]])
+        np.testing.assert_array_equal(rolled, [[[2.0, 20.0], [99.0, 20.0]]])
+
+    def test_neighbor_cells_carry_forward_or_zero(self):
+        # b ends at period 1 and carries forward; c starts at period 4 and
+        # reads 0.0 before that
+        series = {"a": (0, np.arange(1.0, 7.0)), "b": (0, np.array([10.0, 20.0])),
+                  "c": (4, np.array([300.0, 400.0]))}
+        panel = build_panel([f"p{i}" for i in range(6)], series, 0.5)
+        recorder = Recorder()
+        bundle = ModelBundle(
+            tag="knngru", rho=3, models={"a": recorder}, neighbors={"a": ("b", "c")}
+        )
+        forecast_origins(bundle, panel, "a", [4, 6], 0)
+        np.testing.assert_array_equal(recorder.seen[0], [
+            [[2.0, 20.0, 0.0], [3.0, 20.0, 0.0], [4.0, 20.0, 0.0]],
+            [[4.0, 20.0, 0.0], [5.0, 20.0, 300.0], [6.0, 20.0, 400.0]],
+        ])
 
     def test_insufficient_history(self, two_level_panel):
         h, panel = two_level_panel
         bundle = train_igru(panel, h, TrainSpec(**FAST))
         with pytest.raises(InsufficientHistoryError):
             bundle.forecast(panel, "a", 1, 0)
+
+
+def per_window_forecast(bundle, panel, node, origin, horizon):
+    """Oracle: one window at a time through the node model's ``predict``,
+    neighbor channels filled cell by cell (last earlier observation, 0.0
+    before the first), rolled by hand."""
+    rho = bundle.rho
+    model = bundle.models[node]
+    span = panel.periods[node][origin - rho: origin]
+    channels = (node, *(bundle.neighbors or {}).get(node, ()))
+    rows = []
+    for period in span:
+        row = []
+        for c in channels:
+            earlier = np.flatnonzero(panel.periods[c] <= period)
+            row.append(panel.rates[c][earlier[-1]] if earlier.size else 0.0)
+        rows.append(row)
+    window = np.array(rows) if bundle.neighbors else np.array(rows)[:, 0]
+    preds = []
+    for _ in range(horizon + 1):
+        preds.append(model.predict(window))
+        window = np.concatenate([window[1:], window[-1:]])
+        if window.ndim == 1:
+            window[-1] = preds[-1]
+        else:
+            window[-1, 0] = preds[-1]
+    return np.array(preds)
+
+
+# families whose batched arithmetic is the per-window arithmetic exactly;
+# the others multiply matrices, where BLAS may sum a many-row product in a
+# different order than a one-row product
+BIT_EXACT_IN_BATCH = {"ar", "rw", "rf", "gbt"}
+
+
+class TestForecastOrigins:
+    @pytest.fixture(scope="class")
+    def fitted(self):
+        # root.1.1 ends early, so every knngru node (all others are its
+        # neighbors) carries its last observation forward at test origins
+        h, full = synth_panel(
+            SynthSpec(depth=2, branching=2, length=50, leaf_noise_sd=0.5, seed=4)
+        )
+        series = {n: (0, full.rates[n]) for n in full.rates}
+        series["root.1.1"] = (0, full.rates["root.1.1"][:42])
+        panel = build_panel(full.calendar, series, 0.75)
+        small = {"rho": 3, "hidden": 3, "epochs": 3, "n_trees": 4,
+                 "max_depth": 3, "k_neighbors": 6}
+        bundles = {}
+        for tag, entry in TAGS.items():
+            params = {k: v for k, v in small.items() if k in entry.keys}
+            model = {"tag": tag, "label": tag, "params": params, "grid": {}}
+            bundles[tag] = fit_entry(model, panel, h, 6, 1, {})[0]
+        return panel, bundles
+
+    @pytest.mark.parametrize("tag", sorted(TAGS))
+    def test_matches_per_origin_forecast(self, fitted, tag):
+        panel, bundles = fitted
+        bundle = bundles[tag]
+        if tag == "knngru":
+            assert all("root.1.1" in nbs for n, nbs in bundle.neighbors.items()
+                       if n != "root.1.1")
+        for node in bundle.covered_nodes():
+            origins = admissible_origins(panel, node, bundle.rho)
+            batch = bundle.forecast_origins(panel, node, origins, 3)
+            assert batch.shape == (origins.size, 4)
+            assert bundle.forecast_origins(panel, node, [], 3).shape == (0, 4)
+            for row, origin in zip(batch, origins):
+                one = bundle.forecast(panel, node, int(origin), 3)
+                oracle = per_window_forecast(bundle, panel, node, origin, 3)
+                assert one.tobytes() == oracle.tobytes(), (node, origin)
+                if tag in BIT_EXACT_IN_BATCH:
+                    assert row.tobytes() == one.tobytes(), (node, origin)
+                else:
+                    np.testing.assert_allclose(row, one, rtol=1e-10, atol=0)
+
+    def test_errors_name_the_bad_origin(self, fitted):
+        panel, bundles = fitted
+        node = "root.0"
+        with pytest.raises(InsufficientHistoryError, match="origin 2 needs 3"):
+            bundles["igru"].forecast_origins(panel, node, [5, 2, 1], 0)
+        with pytest.raises(InsufficientHistoryError, match="beyond series length"):
+            bundles["ar"].forecast_origins(panel, node, [5, 99], 0)
