@@ -197,37 +197,43 @@ class TreeEnsemble:
         return self.base_value + self.shrinkage * total
 
 
-def _best_split(x: np.ndarray, y: np.ndarray, features, min_leaf: int):
-    """Variance-reduction split: the (feature, threshold) pair minimizing the
-    summed child SSE, first-best on ties."""
-    n = y.shape[0]
-    best = None
-    best_score = np.inf
-    for f in features:
-        order = np.argsort(x[:, f], kind="stable")
-        xs = x[order, f]
-        ys = y[order]
-        csum = np.cumsum(ys)
-        csq = np.cumsum(ys * ys)
-        sizes = np.arange(1, n)
-        valid = (sizes >= min_leaf) & (n - sizes >= min_leaf) & (xs[1:] > xs[:-1])
-        if not valid.any():
-            continue
-        sse_l = csq[:-1] - csum[:-1] ** 2 / sizes
-        sse_r = (csq[-1] - csq[:-1]) - (csum[-1] - csum[:-1]) ** 2 / (n - sizes)
-        score = np.where(valid, sse_l + sse_r, np.inf)
-        i = int(np.argmin(score))
-        if score[i] < best_score:
-            best_score = score[i]
-            best = (f, 0.5 * (xs[i - 1] + xs[i]))
-    return best
+def _best_split(xs: np.ndarray, ys: np.ndarray, min_leaf: int):
+    """Variance-reduction split over all of a node's candidate features at
+    once.  Column ``j`` of the ``(m, k)`` arrays ``xs`` and ``ys`` holds the
+    node's values of the j-th candidate feature and its targets, both in
+    ascending order of that feature.  Returns ``(j, threshold)`` minimizing
+    the summed child SSE, first-best over columns in order and then over
+    positions within a column, or None when no column has a valid split."""
+    m = ys.shape[0]
+    if m < 2:  # a single row, reachable with min_leaf 0
+        return None
+    csum = np.cumsum(ys, axis=0)
+    csq = np.cumsum(ys * ys, axis=0)
+    sizes = np.arange(1, m)[:, None]
+    valid = (sizes >= min_leaf) & (m - sizes >= min_leaf) & (xs[1:] > xs[:-1])
+    sse_l = csq[:-1] - csum[:-1] ** 2 / sizes
+    sse_r = (csq[-1] - csq[:-1]) - (csum[-1] - csum[:-1]) ** 2 / (m - sizes)
+    score = np.where(valid, sse_l + sse_r, np.inf).T
+    j, i = np.unravel_index(np.argmin(score), score.shape)
+    if not np.isfinite(score[j, i]):
+        return None
+    return int(j), 0.5 * (xs[i - 1, j] + xs[i, j])
 
 
 def _grow_tree(x, y, *, max_depth, min_leaf, feature_count, rng) -> Tree:
+    """Depth-first CART growth from one presort per tree.
+
+    ``order[f]`` lists a node's rows in ascending order of feature ``f``
+    (stable, so ties keep ascending row ids); a split partitions every
+    feature's list with one boolean gather, and no node sorts again.  A
+    node's ``rows`` stay ascending because every partition keeps order, so
+    its slice of the presort equals a stable sort of the node's own rows,
+    ties included, and the tree is the one a per-node sort would grow.
+    """
     nodes: list[list] = []  # [feature, threshold, left, right, value]
     rho = x.shape[1]
 
-    def grow(rows: np.ndarray, depth: int) -> int:
+    def grow(rows: np.ndarray, order: np.ndarray, depth: int) -> int:
         idx = len(nodes)
         nodes.append([-1, 0.0, -1, -1, float(y[rows].mean())])
         if depth >= max_depth or rows.shape[0] < 2 * min_leaf:
@@ -235,21 +241,28 @@ def _grow_tree(x, y, *, max_depth, min_leaf, feature_count, rng) -> Tree:
         if np.all(y[rows] == y[rows][0]):
             return idx
         if feature_count >= rho:
-            features = range(rho)
+            features = np.arange(rho)
         else:
             features = np.sort(rng.choice(rho, size=feature_count, replace=False))
-        split = _best_split(x[rows], y[rows], features, min_leaf)
+        sorted_rows = order[features].T
+        split = _best_split(x[sorted_rows, features], y[sorted_rows], min_leaf)
         if split is None:
             return idx
-        f, thr = split
-        mask = x[rows, f] <= thr
+        j, thr = split
+        f = features[j]
+        go_left = x[:, f] <= thr
+        mask = go_left[rows]
+        keep = go_left[order]
+        n_left = int(mask.sum())
+        left = order[keep].reshape(rho, n_left)
+        right = order[~keep].reshape(rho, rows.shape[0] - n_left)
         nodes[idx][0] = int(f)
         nodes[idx][1] = float(thr)
-        nodes[idx][2] = grow(rows[mask], depth + 1)
-        nodes[idx][3] = grow(rows[~mask], depth + 1)
+        nodes[idx][2] = grow(rows[mask], left, depth + 1)
+        nodes[idx][3] = grow(rows[~mask], right, depth + 1)
         return idx
 
-    grow(np.arange(x.shape[0]), 0)
+    grow(np.arange(x.shape[0]), np.argsort(x, axis=0, kind="stable").T, 0)
     cols = list(zip(*nodes))
     return Tree(
         feature=np.array(cols[0], dtype=np.int64),

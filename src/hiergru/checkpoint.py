@@ -56,19 +56,42 @@ def write_checkpoint(
 
 
 def read_checkpoint(path) -> dict:
-    with open(path, "rb") as fh:
-        if fh.read(8) != MAGIC:
-            raise HiergruError(f"{path}: not a checkpoint file")
-        version, _ = struct.unpack("<HH", fh.read(4))
-        if version != FORMAT_VERSION:
-            raise HiergruError(f"{path}: unsupported format version {version}")
-        hidden, rho, input_dim = struct.unpack("<III", fh.read(12))
-        (tag_len,) = struct.unpack("<I", fh.read(4))
-        tag = fh.read(tag_len).decode("utf-8")
-        (node_len,) = struct.unpack("<I", fh.read(4))
-        node = fh.read(node_len).decode("utf-8")
-        (n,) = struct.unpack("<Q", fh.read(8))
-        payload = np.frombuffer(fh.read(8 * n), dtype="<f8").copy()
+    """Parse one ``.ckpt`` file.  Every declared length is checked against
+    the bytes present and trailing bytes are rejected, so a truncated or
+    padded file raises :class:`HiergruError` naming it instead of yielding
+    a shorter or longer payload."""
+    data = Path(path).read_bytes()
+    at = 0
+
+    def take(size: int, what: str) -> bytes:
+        nonlocal at
+        if size > len(data) - at:
+            raise HiergruError(
+                f"{path}: truncated {what}: needs {size} bytes at offset {at}, "
+                f"file has {len(data)}"
+            )
+        at += size
+        return data[at - size: at]
+
+    def text(what: str) -> str:
+        (size,) = struct.unpack("<I", take(4, f"{what} length"))
+        try:
+            return take(size, what).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise HiergruError(f"{path}: {what} is not UTF-8: {exc}") from exc
+
+    if take(8, "magic") != MAGIC:
+        raise HiergruError(f"{path}: not a checkpoint file")
+    version, _ = struct.unpack("<HH", take(4, "version"))
+    if version != FORMAT_VERSION:
+        raise HiergruError(f"{path}: unsupported format version {version}")
+    hidden, rho, input_dim = struct.unpack("<III", take(12, "shape fields"))
+    tag = text("tag")
+    node = text("node id")
+    (n,) = struct.unpack("<Q", take(8, "payload length"))
+    payload = np.frombuffer(take(8 * n, "payload"), dtype="<f8").copy()
+    if at != len(data):
+        raise HiergruError(f"{path}: {len(data) - at} trailing bytes after the payload")
     return {
         "tag": tag, "node": node, "hidden": hidden, "rho": rho,
         "input_dim": input_dim, "payload": payload,

@@ -11,6 +11,7 @@ import argparse
 import hashlib
 import itertools
 import json
+import re
 import shutil
 import sys
 import time
@@ -48,6 +49,8 @@ EXIT_DIVERGED = 4
 
 _KINDS = {int: (int, "an integer"), float: ((int, float), "a number"),
           str: (str, "a string")}
+# A label names the bundle directory checkpoints/<label>.
+_SAFE_LABEL = re.compile(r"[A-Za-z0-9_.-]+")
 
 
 class ConfigError(HiergruError):
@@ -106,7 +109,19 @@ def load_config(path) -> dict:
         len(set(labels)) == len(labels),
         f"duplicate model labels: {sorted(labels)}; add distinct 'label' fields",
     )
+    for m in cfg["models"]:
+        if TAGS[m["tag"]].saves_anchors:
+            anchors = _anchors_label(m["label"])
+            _require(
+                anchors not in labels,
+                f"model label {anchors!r} collides with the anchors bundle "
+                f"that {m['tag']} model {m['label']!r} saves under that name",
+            )
     return cfg
+
+
+def _anchors_label(label: str) -> str:
+    return f"{label}_anchors"
 
 
 def _parse_horizons(value):
@@ -134,6 +149,11 @@ def _parse_model_entry(entry) -> dict:
     keys = TAGS[tag].keys
     label = entry.get("label", tag)
     _require(isinstance(label, str) and label, "'label' must be a non-empty string")
+    _require(
+        _SAFE_LABEL.fullmatch(label) is not None and label not in (".", ".."),
+        f"model label {label!r} is not a safe directory name; use only "
+        "letters, digits, '_', '.' and '-', and not '.' or '..'",
+    )
     params = {
         k: v for k, v in entry.items() if k not in ("tag", "label", "grid")
     }
@@ -177,7 +197,7 @@ def fit_entry(entry: dict, panel, h, seed: int, jobs: int, anchors_cache: dict):
     except (TypeError, HiergruError) as exc:
         raise ConfigError(f"model {label!r}: {exc}") from exc
     bundle, anchors = tag.fit(panel, h, config, jobs, anchors_cache)
-    extras = [] if anchors is None else [(f"{label}_anchors", anchors)]
+    extras = [] if anchors is None else [(_anchors_label(label), anchors)]
     return replace(bundle, label=label), extras
 
 

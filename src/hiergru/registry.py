@@ -55,6 +55,7 @@ class TagEntry:
     decode: Callable  # (payload, hidden, input_dim, rho) -> node model
     fit_node: Callable | None = None  # baselines: (windows, rho, cfg) -> model
     fixed_rule: bool = False  # the same rule on every node, fitted on nothing
+    saves_anchors: bool = False  # fit may return anchors saved as <label>_anchors
 
 
 def lookup(tag: str) -> TagEntry:
@@ -160,10 +161,10 @@ _RNN_KEYS = {
 }
 
 
-def _recurrent(fit) -> TagEntry:
+def _recurrent(fit, saves_anchors=False) -> TagEntry:
     return TagEntry(
         keys=_RNN_KEYS, build=lambda params: TrainSpec(**params), fit=fit,
-        encode=_encode_gru, decode=_decode_gru,
+        encode=_encode_gru, decode=_decode_gru, saves_anchors=saves_anchors,
     )
 
 
@@ -239,5 +240,5 @@ TAGS: dict[str, TagEntry] = {
         )
     ),
     "hrnn": _recurrent(_fit_hrnn),
-    "bihrnn": _recurrent(_fit_bihrnn),
+    "bihrnn": _recurrent(_fit_bihrnn, saves_anchors=True),
 }

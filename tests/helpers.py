@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 
+from hiergru.baselines import Tree
+
 
 def fd_grad(loss_fn, x0, step=1e-5):
     """Central finite differences, one coordinate at a time."""
@@ -88,3 +90,68 @@ def gru_forward_oracle(params, inputs):
         v = np.tanh(xt @ params.u_v + (s * r) @ params.w_v + params.b_v)
         s = z * v + (1.0 - z) * s
     return float(s @ params.readout_w + params.readout_b)
+
+
+def best_split_oracle(x: np.ndarray, y: np.ndarray, features, min_leaf: int):
+    """Variance-reduction split: the (feature, threshold) pair minimizing the
+    summed child SSE, first-best on ties."""
+    n = y.shape[0]
+    best = None
+    best_score = np.inf
+    for f in features:
+        order = np.argsort(x[:, f], kind="stable")
+        xs = x[order, f]
+        ys = y[order]
+        csum = np.cumsum(ys)
+        csq = np.cumsum(ys * ys)
+        sizes = np.arange(1, n)
+        valid = (sizes >= min_leaf) & (n - sizes >= min_leaf) & (xs[1:] > xs[:-1])
+        if not valid.any():
+            continue
+        sse_l = csq[:-1] - csum[:-1] ** 2 / sizes
+        sse_r = (csq[-1] - csq[:-1]) - (csum[-1] - csum[:-1]) ** 2 / (n - sizes)
+        score = np.where(valid, sse_l + sse_r, np.inf)
+        i = int(np.argmin(score))
+        if score[i] < best_score:
+            best_score = score[i]
+            best = (f, 0.5 * (xs[i - 1] + xs[i]))
+    return best
+
+
+def grow_tree_oracle(x, y, *, max_depth, min_leaf, feature_count, rng) -> Tree:
+    """The tree grower before presorting: every node sorts its own rows
+    once per candidate feature, and features are searched one at a time."""
+    nodes: list[list] = []  # [feature, threshold, left, right, value]
+    rho = x.shape[1]
+
+    def grow(rows: np.ndarray, depth: int) -> int:
+        idx = len(nodes)
+        nodes.append([-1, 0.0, -1, -1, float(y[rows].mean())])
+        if depth >= max_depth or rows.shape[0] < 2 * min_leaf:
+            return idx
+        if np.all(y[rows] == y[rows][0]):
+            return idx
+        if feature_count >= rho:
+            features = range(rho)
+        else:
+            features = np.sort(rng.choice(rho, size=feature_count, replace=False))
+        split = best_split_oracle(x[rows], y[rows], features, min_leaf)
+        if split is None:
+            return idx
+        f, thr = split
+        mask = x[rows, f] <= thr
+        nodes[idx][0] = int(f)
+        nodes[idx][1] = float(thr)
+        nodes[idx][2] = grow(rows[mask], depth + 1)
+        nodes[idx][3] = grow(rows[~mask], depth + 1)
+        return idx
+
+    grow(np.arange(x.shape[0]), 0)
+    cols = list(zip(*nodes))
+    return Tree(
+        feature=np.array(cols[0], dtype=np.int64),
+        threshold=np.array(cols[1], dtype=np.float64),
+        left=np.array(cols[2], dtype=np.int64),
+        right=np.array(cols[3], dtype=np.int64),
+        value=np.array(cols[4], dtype=np.float64),
+    )

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import panel_from_rates
-from helpers import fd_grad, rel_err
+from helpers import fd_grad, grow_tree_oracle, rel_err
 from hiergru.baselines import (
     ArModel,
     DEEPNN_CONFIG,
@@ -15,6 +17,7 @@ from hiergru.baselines import (
     fit_forest,
     fit_gbt,
     fit_mlp,
+    _grow_tree,
     init_mlp,
     mlp_flatten,
     mlp_loss_and_grad,
@@ -189,6 +192,56 @@ class TestBatchedTrees:
                          ForestConfig(n_trees=2))
         with pytest.raises(WrongLengthError):
             ens.predict_batch(np.zeros((4, 3)))
+
+
+TREE_ARRAYS = ("feature", "threshold", "left", "right", "value")
+
+
+@st.composite
+def tree_inputs(draw):
+    """Training rows for one tree: one-decimal values so ties occur, and
+    optionally a constant column, bootstrap-duplicated rows or a constant
+    target, with every growth setting the fits use."""
+    n = draw(st.integers(1, 120))
+    rho = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = np.round(rng.normal(size=(n, rho)), 1)
+    y = np.round(rng.normal(size=n) * draw(st.sampled_from([1.0, 10.0])), 1)
+    if draw(st.booleans()):
+        x[:, draw(st.integers(0, rho - 1))] = 0.3
+    if draw(st.booleans()):
+        boot = rng.integers(0, n, size=n)
+        x, y = x[boot], y[boot]
+    if draw(st.booleans()):
+        y[:] = -1.5
+    growth = {
+        "max_depth": draw(st.integers(0, 6)),
+        "min_leaf": draw(st.sampled_from([1, 2])),
+        "feature_count": draw(st.integers(1, rho)),
+    }
+    return x, y, growth, draw(st.integers(0, 2**32 - 1))
+
+
+class TestTreeGrowth:
+    @settings(max_examples=300, deadline=None)
+    @given(tree_inputs())
+    def test_presorted_grower_equals_per_node_sort(self, case):
+        x, y, kw, seed = case
+        got = _grow_tree(x, y, rng=np.random.default_rng(seed), **kw)
+        want = grow_tree_oracle(x, y, rng=np.random.default_rng(seed), **kw)
+        for name in TREE_ARRAYS:
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+    def test_all_candidate_features_constant_gives_one_leaf(self):
+        x = np.tile([1.0, -2.0, 0.5], (9, 1))
+        y = np.arange(9.0)
+        tree = _grow_tree(
+            x, y, max_depth=4, min_leaf=1, feature_count=3,
+            rng=np.random.default_rng(0),
+        )
+        assert tree.feature.tolist() == [-1]
+        assert tree.value.tolist() == [4.0]
 
 
 class TestGbt:

@@ -49,6 +49,19 @@ class TestRawCheckpoint:
         with pytest.raises(HiergruError, match="not a checkpoint"):
             read_checkpoint(path)
 
+    def test_every_truncation_and_trailing_byte_rejected(self, tmp_path):
+        path = tmp_path / "x.ckpt"
+        write_checkpoint(path, tag="gbt", node="root.1", payload=np.arange(3.0), rho=2)
+        whole = path.read_bytes()
+        cut = tmp_path / "cut.ckpt"
+        for size in range(len(whole)):
+            cut.write_bytes(whole[:size])
+            with pytest.raises(HiergruError, match="cut.ckpt"):
+                read_checkpoint(cut)
+        cut.write_bytes(whole + b"\x00")
+        with pytest.raises(HiergruError, match="trailing"):
+            read_checkpoint(cut)
+
 
 class TestModelCodecs:
     def test_gru_params(self):

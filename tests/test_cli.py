@@ -148,6 +148,35 @@ class TestRun:
         ) == EXIT_CONFIG
         assert "bogus_knob" in capsys.readouterr().err
 
+    def test_label_escaping_checkpoints_exit_2(self, synth_dir, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "cfg.json", synth_dir,
+            [{"tag": "ar", "label": "../../escaped"}],
+        )
+        out = tmp_path / "a" / "b" / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "../../escaped" in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "a" / "escaped").exists()
+        assert not out.exists()
+
+    def test_label_colliding_with_anchors_bundle_exit_2(
+        self, synth_dir, tmp_path, capsys
+    ):
+        cfg = write_config(
+            tmp_path / "cfg.json", synth_dir,
+            [
+                {"tag": "bihrnn", "label": "b", "hidden": 4, "epochs": 2},
+                {"tag": "rw", "label": "b_anchors"},
+            ],
+        )
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "'b'" in err and "'b_anchors'" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     def test_missing_out_dir_exit_2(self, synth_dir, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", synth_dir, ["ar"])
         assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
