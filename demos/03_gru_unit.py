@@ -11,7 +11,7 @@ toward a reference parameter vector.
 import numpy as np
 
 from hiergru import OptimState, init_params, loss_and_grad, optimize, predict_sequence
-from hiergru.gru import finite_difference_grad, flatten, unflatten
+from hiergru.gru import flatten, unflatten
 
 rng = np.random.default_rng(1)
 params = init_params(hidden=6, rng=rng)
@@ -23,9 +23,14 @@ print("prediction from a random 5-step window:", predict_sequence(params, window
 x = rng.normal(size=(12, 5))
 y = rng.normal(size=12)
 loss, grad = loss_and_grad(params, x, y)
-fd = finite_difference_grad(
-    lambda v: loss_and_grad(unflatten(v, 6), x, y)[0], flatten(params)
-)
+theta, step = flatten(params), 1e-5
+fd = np.empty_like(theta)
+for i in range(theta.size):
+    e = np.zeros_like(theta)
+    e[i] = step
+    hi = loss_and_grad(unflatten(theta + e, 6), x, y)[0]
+    lo = loss_and_grad(unflatten(theta - e, 6), x, y)[0]
+    fd[i] = (hi - lo) / (2 * step)
 rel = np.linalg.norm(grad - fd) / np.linalg.norm(fd)
 print(f"loss {loss:.4f}; gradient vs finite differences: rel err {rel:.2e}")
 

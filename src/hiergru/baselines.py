@@ -12,6 +12,7 @@ import numpy as np
 
 from .dataset import SeriesPanel, Window, make_windows, stack_windows
 from .errors import (
+    InvalidSpecError,
     NodeSkippedWarning,
     NoTrainingDataError,
     ShapeMismatchError,
@@ -273,6 +274,22 @@ def _grow_tree(x, y, *, max_depth, min_leaf, feature_count, rng) -> Tree:
     )
 
 
+# (test, wording) pairs for the config field checks below
+_AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
+_AT_LEAST_0 = (lambda v: v >= 0, ">= 0")
+_POSITIVE = (lambda v: v > 0, "> 0")
+_FRACTION = (lambda v: 0 < v <= 1, "in (0, 1]")
+
+
+def _check_fields(cfg, **rules) -> None:
+    """Raise :class:`InvalidSpecError` naming the first field of ``cfg``
+    that fails its rule."""
+    for name, (ok, wanted) in rules.items():
+        value = getattr(cfg, name)
+        if not ok(value):
+            raise InvalidSpecError(f"{name} must be {wanted}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ForestConfig:
     n_trees: int = 100
@@ -280,6 +297,12 @@ class ForestConfig:
     min_leaf: int = 2
     feature_frac: float = 1.0 / 3.0
     seed: int = 0
+
+    def __post_init__(self):
+        _check_fields(
+            self, n_trees=_AT_LEAST_1, max_depth=_AT_LEAST_0,
+            min_leaf=_AT_LEAST_1, feature_frac=_FRACTION,
+        )
 
 
 def fit_forest(windows: list[Window], rho: int, cfg: ForestConfig) -> TreeEnsemble:
@@ -312,6 +335,12 @@ class GbtConfig:
     shrinkage: float = 0.1
     seed: int = 0
     subsample: float = 1.0
+
+    def __post_init__(self):
+        _check_fields(
+            self, n_trees=_AT_LEAST_0, max_depth=_AT_LEAST_0,
+            shrinkage=_POSITIVE, subsample=_FRACTION,
+        )
 
 
 def fit_gbt(windows: list[Window], rho: int, cfg: GbtConfig) -> TreeEnsemble:
@@ -346,21 +375,48 @@ def fit_gbt(windows: list[Window], rho: int, cfg: GbtConfig) -> TreeEnsemble:
 
 # ---------------------------------------------------------------------- MLP
 
+def _mlp_views(vec: np.ndarray, sizes: tuple[int, ...]):
+    """Per layer, the weight matrix and bias vector as views into ``vec``,
+    stored layer by layer, weights (row-major) before biases."""
+    if vec.shape != (_mlp_count(sizes),):
+        raise ShapeMismatchError(
+            f"flat vector of shape {vec.shape} does not match sizes {sizes}"
+        )
+    weights, biases = [], []
+    at = 0
+    for a, b in zip(sizes[:-1], sizes[1:]):
+        weights.append(vec[at: at + a * b].reshape(a, b))
+        at += a * b
+        biases.append(vec[at: at + b])
+        at += b
+    return tuple(weights), tuple(biases)
+
+
+def _mlp_count(sizes: tuple[int, ...]) -> int:
+    return sum(a * b + b for a, b in zip(sizes[:-1], sizes[1:]))
+
+
 @dataclass(frozen=True)
 class MlpModel:
     """Rectifier network with identity output; layer l maps sizes[l] to
-    sizes[l+1]."""
+    sizes[l+1].  Its parameters are one flat float64 vector ``vec``;
+    ``weights`` and ``biases`` are read-only views into it, and writing to
+    ``vec`` or to any view raises."""
 
-    weights: tuple[np.ndarray, ...]
-    biases: tuple[np.ndarray, ...]
+    vec: np.ndarray
+    sizes: tuple[int, ...]
 
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(w.shape[0] for w in self.weights) + (self.weights[-1].shape[1],)
+    def __post_init__(self):
+        vec = np.ascontiguousarray(self.vec, dtype=np.float64).view()
+        vec.flags.writeable = False
+        weights, biases = _mlp_views(vec, self.sizes)
+        object.__setattr__(self, "vec", vec)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "biases", biases)
 
     @property
     def rho(self) -> int:
-        return self.weights[0].shape[0]
+        return self.sizes[0]
 
     def predict_batch(self, x: np.ndarray) -> np.ndarray:
         a = np.asarray(x, dtype=np.float64)
@@ -386,32 +442,25 @@ class MlpConfig:
     seed: int = 0
     method: str = "adam"
 
+    def __post_init__(self):
+        _check_fields(
+            self, hidden=(lambda v: min(v, default=0) >= 1, "widths >= 1"),
+            epochs=_AT_LEAST_0, lr=_POSITIVE,
+        )
+
 
 # Ten rectifier layers of width 100, lr 0.005, 50 epochs.
 DEEPNN_CONFIG = MlpConfig(hidden=(100,) * 10, lr=0.005, epochs=50)
 
 
 def mlp_flatten(model: MlpModel) -> np.ndarray:
-    parts = []
-    for w, b in zip(model.weights, model.biases):
-        parts.append(w.ravel())
-        parts.append(b.ravel())
-    return np.concatenate(parts)
+    """A writable copy of the parameter vector."""
+    return model.vec.copy()
 
 
 def mlp_unflatten(vec: np.ndarray, sizes: tuple[int, ...]) -> MlpModel:
-    weights, biases = [], []
-    at = 0
-    for a, b in zip(sizes[:-1], sizes[1:]):
-        weights.append(vec[at: at + a * b].reshape(a, b).copy())
-        at += a * b
-        biases.append(vec[at: at + b].copy())
-        at += b
-    if at != vec.shape[0]:
-        raise ShapeMismatchError(
-            f"flat vector of length {vec.shape[0]} does not match sizes {sizes}"
-        )
-    return MlpModel(weights=tuple(weights), biases=tuple(biases))
+    """Inverse of :func:`mlp_flatten`; the model holds its own copy."""
+    return MlpModel(np.array(vec, dtype=np.float64), tuple(sizes))
 
 
 def mlp_loss_and_grad(
@@ -432,31 +481,26 @@ def mlp_loss_and_grad(
     loss = float(err @ err) / n
 
     dz = (2.0 / n) * err[:, None]
-    grads = []
+    grad = np.zeros(model.vec.shape[0])
+    g_weights, g_biases = _mlp_views(grad, model.sizes)
     for l in range(last, -1, -1):
-        gw = activations[l].T @ dz
-        gb = dz.sum(axis=0)
-        grads.append((gw, gb))
+        g_weights[l][:] = activations[l].T @ dz
+        g_biases[l][:] = dz.sum(axis=0)
         if l > 0:
             da = dz @ model.weights[l].T
             dz = da * (pre[l - 1] > 0.0)
-    grads.reverse()
-    flat = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
-    return loss, flat
+    return loss, grad
 
 
 def init_mlp(rho: int, hidden: tuple[int, ...], rng: np.random.Generator) -> MlpModel:
     """He-normal hidden layers; the output layer starts at zero so initial
     predictions are exactly zero."""
     sizes = (rho, *hidden, 1)
-    weights, biases = [], []
-    for l, (a, b) in enumerate(zip(sizes[:-1], sizes[1:])):
-        if l == len(sizes) - 2:
-            weights.append(np.zeros((a, b)))
-        else:
-            weights.append(rng.normal(0.0, math.sqrt(2.0 / a), size=(a, b)))
-        biases.append(np.zeros(b))
-    return MlpModel(weights=tuple(weights), biases=tuple(biases))
+    vec = np.zeros(_mlp_count(sizes))
+    weights, _ = _mlp_views(vec, sizes)
+    for a, w in zip(sizes, weights[:-1]):
+        w[:] = rng.normal(0.0, math.sqrt(2.0 / a), size=w.shape)
+    return MlpModel(vec, sizes)
 
 
 def fit_mlp(windows: list[Window], rho: int, cfg: MlpConfig) -> MlpModel:
@@ -468,11 +512,11 @@ def fit_mlp(windows: list[Window], rho: int, cfg: MlpConfig) -> MlpModel:
     sizes = model.sizes
 
     def fn(vec):
-        return mlp_loss_and_grad(mlp_unflatten(vec, sizes), x, y)
+        return mlp_loss_and_grad(MlpModel(vec, sizes), x, y)
 
     opt = OptimState(lr=cfg.lr, method=cfg.method)
-    final, _ = run_optimizer(fn, mlp_flatten(model), opt, cfg.epochs)
-    return mlp_unflatten(final, sizes)
+    final, _ = run_optimizer(fn, model.vec, opt, cfg.epochs)
+    return MlpModel(final, sizes)
 
 
 # ------------------------------------------------------------------ bundles

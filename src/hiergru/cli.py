@@ -164,6 +164,7 @@ def _parse_model_entry(entry) -> dict:
     )
     for k, v in params.items():
         _check_param_type(label, k, v, keys[k])
+    _build(tag, label, params)
     grid = entry.get("grid", {})
     _require(isinstance(grid, dict), f"model {label!r}: 'grid' must be an object")
     for k, values in grid.items():
@@ -174,7 +175,17 @@ def _parse_model_entry(entry) -> dict:
         )
         for v in values:
             _check_param_type(label, k, v, keys[k])
+            _build(tag, label, {**params, k: v})
     return {"tag": tag, "label": label, "params": params, "grid": grid}
+
+
+def _build(tag: str, label: str, params: dict):
+    """The tag's training config from ``params``, or a ConfigError naming
+    the model label and the failed check."""
+    try:
+        return TAGS[tag].build(params)
+    except (TypeError, HiergruError) as exc:
+        raise ConfigError(f"model {label!r}: {exc}") from exc
 
 
 def _check_param_type(label: str, key: str, value, kind: type) -> None:
@@ -192,10 +203,7 @@ def fit_entry(entry: dict, panel, h, seed: int, jobs: int, anchors_cache: dict):
     saved as ``<label>_anchors``; ``anchors_cache`` shares them with later
     hrnn and bihrnn entries of the same spec."""
     tag, label = TAGS[entry["tag"]], entry["label"]
-    try:
-        config = tag.build({"seed": seed, **entry["params"]})
-    except (TypeError, HiergruError) as exc:
-        raise ConfigError(f"model {label!r}: {exc}") from exc
+    config = _build(entry["tag"], label, {"seed": seed, **entry["params"]})
     bundle, anchors = tag.fit(panel, h, config, jobs, anchors_cache)
     extras = [] if anchors is None else [(_anchors_label(label), anchors)]
     return replace(bundle, label=label), extras

@@ -22,41 +22,57 @@ import numpy as np
 
 from .errors import DivergenceError, EmptyInputError, ShapeMismatchError
 
-_FIELDS = ("u_z", "u_r", "u_v", "w_z", "w_r", "w_v", "b_z", "b_r", "b_v")
+_FIELDS = ("u_z", "u_r", "u_v", "w_z", "w_r", "w_v", "b_z", "b_r", "b_v",
+           "readout_w")
+
+
+def _param_count(hidden: int, input_dim: int) -> int:
+    return 3 * (input_dim * hidden + hidden * hidden + hidden) + hidden + 1
+
+
+def _views(vec: np.ndarray, hidden: int, input_dim: int) -> list[np.ndarray]:
+    """The arrays named in ``_FIELDS`` as views into ``vec``, in its order;
+    the readout bias is the element after them."""
+    h, d = hidden, input_dim
+    views, at = [], 0
+    for shape in [(d, h)] * 3 + [(h, h)] * 3 + [(h,)] * 4:
+        size = int(np.prod(shape))
+        views.append(vec[at: at + size].reshape(shape))
+        at += size
+    return views
 
 
 @dataclass(frozen=True)
 class GruParams:
-    """The nine gate tensors plus the linear readout of one GRU unit.
+    """The parameters of one GRU unit as one flat float64 vector ``vec``.
 
-    Input weights ``u_*`` have shape (input_dim, hidden); with scalar
-    inputs that is (1, hidden).  Arrays are frozen after construction.
+    The nine gate tensors ``u_*``, ``w_*``, ``b_*`` and the readout weights
+    ``readout_w`` are read-only views into ``vec`` (gate tensors in z/r/v
+    order, then the readout), and ``readout_b`` is its last element.  Input
+    weights ``u_*`` have shape (input_dim, hidden); with scalar inputs that
+    is (1, hidden).  Writing to ``vec`` or to any view raises.
     """
 
-    u_z: np.ndarray
-    u_r: np.ndarray
-    u_v: np.ndarray
-    w_z: np.ndarray
-    w_r: np.ndarray
-    w_v: np.ndarray
-    b_z: np.ndarray
-    b_r: np.ndarray
-    b_v: np.ndarray
-    readout_w: np.ndarray
-    readout_b: float
+    vec: np.ndarray
+    hidden: int
+    input_dim: int = 1
 
-    @property
-    def hidden(self) -> int:
-        return self.w_z.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.u_z.shape[0]
+    def __post_init__(self):
+        expected = _param_count(self.hidden, self.input_dim)
+        vec = np.ascontiguousarray(self.vec, dtype=np.float64).view()
+        if vec.shape != (expected,):
+            raise ShapeMismatchError(
+                f"expected flat vector of length {expected}, got shape {vec.shape}"
+            )
+        vec.flags.writeable = False
+        object.__setattr__(self, "vec", vec)
+        for name, view in zip(_FIELDS, _views(vec, self.hidden, self.input_dim)):
+            object.__setattr__(self, name, view)
+        object.__setattr__(self, "readout_b", float(vec[-1]))
 
     @property
     def size(self) -> int:
-        h, d = self.hidden, self.input_dim
-        return 3 * (d * h + h * h + h) + h + 1
+        return self.vec.shape[0]
 
     def predict(self, window) -> float:
         return predict_sequence(self, window)
@@ -65,77 +81,31 @@ class GruParams:
         return predict_batch(self, windows)
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    a.flags.writeable = False
-    return a
-
-
-def _make_params(arrays: dict[str, np.ndarray], readout_b: float) -> GruParams:
-    return GruParams(
-        **{k: _freeze(v) for k, v in arrays.items()},
-        readout_b=float(readout_b),
-    )
-
-
 def init_params(
     hidden: int, rng: np.random.Generator, input_dim: int = 1
 ) -> GruParams:
-    """Uniform(-0.1, 0.1) initialization of every entry."""
+    """Uniform(-0.1, 0.1) initialization of every entry, drawn in
+    :func:`flatten` order."""
     if hidden < 1 or input_dim < 1:
         raise ShapeMismatchError(f"need hidden >= 1 and input_dim >= 1")
-    u = lambda *shape: rng.uniform(-0.1, 0.1, size=shape)
-    arrays = {
-        "u_z": u(input_dim, hidden), "u_r": u(input_dim, hidden),
-        "u_v": u(input_dim, hidden),
-        "w_z": u(hidden, hidden), "w_r": u(hidden, hidden),
-        "w_v": u(hidden, hidden),
-        "b_z": u(hidden), "b_r": u(hidden), "b_v": u(hidden),
-        "readout_w": u(hidden),
-    }
-    return _make_params(arrays, rng.uniform(-0.1, 0.1))
+    size = _param_count(hidden, input_dim)
+    return GruParams(rng.uniform(-0.1, 0.1, size), hidden, input_dim)
 
 
 def zero_params(hidden: int, input_dim: int = 1) -> GruParams:
-    arrays = {
-        "u_z": np.zeros((input_dim, hidden)), "u_r": np.zeros((input_dim, hidden)),
-        "u_v": np.zeros((input_dim, hidden)),
-        "w_z": np.zeros((hidden, hidden)), "w_r": np.zeros((hidden, hidden)),
-        "w_v": np.zeros((hidden, hidden)),
-        "b_z": np.zeros(hidden), "b_r": np.zeros(hidden), "b_v": np.zeros(hidden),
-        "readout_w": np.zeros(hidden),
-    }
-    return _make_params(arrays, 0.0)
+    return GruParams(np.zeros(_param_count(hidden, input_dim)), hidden, input_dim)
 
 
 def flatten(p: GruParams) -> np.ndarray:
-    """Concatenate all parameters into one float64 vector (gate tensors in
-    z/r/v order, then readout weights, then readout bias)."""
-    parts = [getattr(p, f).ravel() for f in _FIELDS]
-    parts.append(p.readout_w.ravel())
-    parts.append(np.array([p.readout_b]))
-    return np.concatenate(parts)
+    """A writable copy of the parameter vector (gate tensors in z/r/v
+    order, then readout weights, then readout bias)."""
+    return p.vec.copy()
 
 
 def unflatten(vec: np.ndarray, hidden: int, input_dim: int = 1) -> GruParams:
-    """Inverse of :func:`flatten`; bit-exact round trip."""
-    h, d = hidden, input_dim
-    expected = 3 * (d * h + h * h + h) + h + 1
-    vec = np.asarray(vec, dtype=np.float64)
-    if vec.shape != (expected,):
-        raise ShapeMismatchError(
-            f"expected flat vector of length {expected}, got shape {vec.shape}"
-        )
-    shapes = [(d, h)] * 3 + [(h, h)] * 3 + [(h,)] * 3
-    arrays = {}
-    at = 0
-    for name, shape in zip(_FIELDS, shapes):
-        size = int(np.prod(shape))
-        arrays[name] = vec[at: at + size].reshape(shape).copy()
-        at += size
-    arrays["readout_w"] = vec[at: at + h].copy()
-    at += h
-    return _make_params(arrays, float(vec[at]))
+    """Inverse of :func:`flatten`; bit-exact round trip.  The parameters
+    hold their own copy of ``vec``."""
+    return GruParams(np.array(vec, dtype=np.float64), hidden, input_dim)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -204,9 +174,9 @@ def loss_and_grad(
     """Mean-squared prediction error plus anchored quadratic penalties.
 
         loss = (1/N) sum (target - prediction)^2
-             + sum_j coeff_j * || flatten(p) - flatten(anchor_j) ||^2
+             + sum_j coeff_j * || p.vec - anchor_j.vec ||^2
 
-    Returns the loss and its exact gradient with respect to ``flatten(p)``,
+    Returns the loss and its exact gradient with respect to ``p.vec``,
     obtained by backpropagation through time.  ``regularizers`` is a
     sequence of (anchor: GruParams, coeff: float) pairs; zero-coefficient
     entries contribute nothing and are skipped outright.
@@ -234,13 +204,14 @@ def loss_and_grad(
     loss = float(err @ err) / n
 
     dpred = (2.0 / n) * err
-    g_readout_w = states[rho].T @ dpred
-    g_readout_b = float(dpred.sum())
+    grad = np.zeros(p.size)
+    gu_z, gu_r, gu_v, gw_z, gw_r, gw_v, gb_z, gb_r, gb_v, g_readout_w = _views(
+        grad, h, p.input_dim
+    )
+    g_readout_w[:] = states[rho].T @ dpred
+    grad[-1] = float(dpred.sum())
     ds = np.outer(dpred, p.readout_w)
 
-    g_u = [np.zeros_like(p.u_z) for _ in range(3)]
-    g_w = [np.zeros_like(p.w_z) for _ in range(3)]
-    g_b = [np.zeros_like(p.b_z) for _ in range(3)]
     for t in range(rho - 1, -1, -1):
         xt = x[:, t, :]
         s_prev, z, r, v = states[t], zs[t], rs[t], vs[t]
@@ -250,45 +221,37 @@ def loss_and_grad(
         ds_prev = ds * (1.0 - z)
 
         da_v = dv * (1.0 - v * v)
-        g_u[2] += xt.T @ da_v
-        g_w[2] += (s_prev * r).T @ da_v
-        g_b[2] += da_v.sum(axis=0)
+        gu_v += xt.T @ da_v
+        gw_v += (s_prev * r).T @ da_v
+        gb_v += da_v.sum(axis=0)
         dsr = da_v @ p.w_v.T
         dr = dsr * s_prev
         ds_prev += dsr * r
 
         da_r = dr * r * (1.0 - r)
-        g_u[1] += xt.T @ da_r
-        g_w[1] += s_prev.T @ da_r
-        g_b[1] += da_r.sum(axis=0)
+        gu_r += xt.T @ da_r
+        gw_r += s_prev.T @ da_r
+        gb_r += da_r.sum(axis=0)
         ds_prev += da_r @ p.w_r.T
 
         da_z = dz * z * (1.0 - z)
-        g_u[0] += xt.T @ da_z
-        g_w[0] += s_prev.T @ da_z
-        g_b[0] += da_z.sum(axis=0)
+        gu_z += xt.T @ da_z
+        gw_z += s_prev.T @ da_z
+        gb_z += da_z.sum(axis=0)
         ds_prev += da_z @ p.w_z.T
 
         ds = ds_prev
 
-    grad = np.concatenate(
-        [g.ravel() for g in (*g_u, *g_w, *g_b)]
-        + [g_readout_w.ravel(), np.array([g_readout_b])]
-    )
-
-    if regularizers:
-        flat = flatten(p)
-        for anchor, coeff in regularizers:
-            if coeff == 0.0:
-                continue
-            fa = flatten(anchor)
-            if fa.shape != flat.shape:
-                raise ShapeMismatchError(
-                    f"anchor has {fa.shape[0]} parameters, expected {flat.shape[0]}"
-                )
-            diff = flat - fa
-            loss += coeff * float(diff @ diff)
-            grad += (2.0 * coeff) * diff
+    for anchor, coeff in regularizers:
+        if coeff == 0.0:
+            continue
+        if anchor.vec.shape != p.vec.shape:
+            raise ShapeMismatchError(
+                f"anchor has {anchor.size} parameters, expected {p.size}"
+            )
+        diff = p.vec - anchor.vec
+        loss += coeff * float(diff @ diff)
+        grad += (2.0 * coeff) * diff
     return loss, grad
 
 
@@ -365,25 +328,8 @@ def optimize(
 
     def fn(vec):
         return loss_and_grad(
-            unflatten(vec, hidden, input_dim), inputs, targets, regularizers
+            GruParams(vec, hidden, input_dim), inputs, targets, regularizers
         )
 
-    x, losses = run_optimizer(fn, flatten(p), opt, epochs)
-    return unflatten(x, hidden, input_dim), losses
-
-
-def finite_difference_grad(loss_fn, x0: np.ndarray, step: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar function, one coordinate at
-    a time.  Used to verify the analytic gradients; it only ever calls the
-    forward loss."""
-    x = np.array(x0, dtype=np.float64)
-    g = np.empty_like(x)
-    for i in range(x.shape[0]):
-        orig = x[i]
-        x[i] = orig + step
-        hi = loss_fn(x)
-        x[i] = orig - step
-        lo = loss_fn(x)
-        x[i] = orig
-        g[i] = (hi - lo) / (2.0 * step)
-    return g
+    x, losses = run_optimizer(fn, p.vec, opt, epochs)
+    return GruParams(x, hidden, input_dim), losses

@@ -31,6 +31,7 @@ from .errors import (
     SingularDesignWarning,
     UnknownParentError,
 )
+from .metrics import pearson
 
 if TYPE_CHECKING:  # pragma: no cover
     from .dataset import SeriesPanel
@@ -223,28 +224,25 @@ def aligned_train_rates(panel: "SeriesPanel", nodes: Iterable[NodeId]) -> np.nda
     return np.column_stack(columns)
 
 
-def _pearson(x: np.ndarray, y: np.ndarray) -> float:
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sxx = float(np.dot(dx, dx))
-    syy = float(np.dot(dy, dy))
-    if sxx == 0.0 or syy == 0.0:
-        raise DegenerateVarianceError("constant series on the overlap")
-    r = float(np.dot(dx, dy)) / math.sqrt(sxx * syy)
-    return min(1.0, max(-1.0, r))
+def train_correlation(panel: "SeriesPanel", a: NodeId, b: NodeId) -> float:
+    """Pearson correlation between two nodes' training rates over the
+    periods both cover.  Raises :class:`InsufficientOverlapError` below 3
+    common periods and :class:`DegenerateVarianceError` for a constant
+    series."""
+    mat = aligned_train_rates(panel, [a, b])
+    if mat.shape[0] < 3:
+        raise InsufficientOverlapError(
+            f"nodes {a!r} and {b!r}: only {mat.shape[0]} aligned training "
+            "observations (need >= 3)"
+        )
+    return pearson(mat[:, 0], mat[:, 1])
 
 
 def parent_correlation(panel: "SeriesPanel", h: Hierarchy, n: NodeId) -> float:
     """Pearson correlation between a node's and its parent's training rates."""
     if n not in h.parent:
         raise HierarchyError(f"node {n!r} is the root and has no parent")
-    mat = aligned_train_rates(panel, [n, h.parent[n]])
-    if mat.shape[0] < 3:
-        raise InsufficientOverlapError(
-            f"node {n!r}: only {mat.shape[0]} aligned training observations "
-            "with its parent (need >= 3)"
-        )
-    return _pearson(mat[:, 0], mat[:, 1])
+    return train_correlation(panel, n, h.parent[n])
 
 
 def precision_schedule(

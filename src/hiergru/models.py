@@ -37,9 +37,11 @@ import numpy as np
 
 from .dataset import SeriesPanel, make_windows, stack_windows
 from .errors import (
+    DegenerateVarianceError,
     HiergruError,
     InsufficientHistoryError,
     InsufficientNeighborsWarning,
+    InsufficientOverlapError,
     InvalidSpecError,
     MissingPretrainedError,
     NodeSkippedWarning,
@@ -49,9 +51,9 @@ from .gru import GruParams, OptimState, init_params, optimize, zero_params
 from .hierarchy import (
     Hierarchy,
     NodeId,
-    aligned_train_rates,
     child_weights,
     precision_schedule,
+    train_correlation,
 )
 
 
@@ -331,19 +333,6 @@ def train_bihrnn(
 
 # ------------------------------------------------------- neighbor-augmented
 
-def _pairwise_train_correlation(panel, a: NodeId, b: NodeId) -> float | None:
-    mat = aligned_train_rates(panel, [a, b])
-    if mat.shape[0] < 3:
-        return None
-    x = mat[:, 0] - mat[:, 0].mean()
-    y = mat[:, 1] - mat[:, 1].mean()
-    sxx = float(x @ x)
-    syy = float(y @ y)
-    if sxx == 0.0 or syy == 0.0:
-        return None
-    return float(x @ y) / np.sqrt(sxx * syy)
-
-
 def select_neighbors(
     panel: SeriesPanel, h: Hierarchy, n: NodeId, k: int
 ) -> tuple[NodeId, ...]:
@@ -357,9 +346,10 @@ def select_neighbors(
     for other in sorted(h.nodes):
         if other == n:
             continue
-        c = _pairwise_train_correlation(panel, n, other)
-        if c is not None:
-            scored.append((-c, other))
+        try:
+            scored.append((-train_correlation(panel, n, other), other))
+        except (InsufficientOverlapError, DegenerateVarianceError):
+            continue
     scored.sort()
     chosen = tuple(node for _, node in scored[:k])
     if len(chosen) < k:

@@ -31,8 +31,10 @@ from .baselines import (
     fit_forest,
     fit_gbt,
     fit_mlp,
+    mlp_flatten,
+    mlp_unflatten,
 )
-from .errors import HiergruError
+from .errors import HiergruError, InvalidSpecError
 from .gru import flatten, unflatten
 from .models import (
     TrainSpec,
@@ -112,25 +114,14 @@ def _decode_trees(payload, hidden, input_dim, rho) -> TreeEnsemble:
 
 
 def _encode_mlp(model: MlpModel):
-    sizes = model.sizes
-    parts = [np.array([float(len(sizes))] + [float(s) for s in sizes])]
-    for w, b in zip(model.weights, model.biases):
-        parts.append(w.ravel())
-        parts.append(b.ravel())
-    return np.concatenate(parts), 0, 0
+    header = [float(len(model.sizes))] + [float(s) for s in model.sizes]
+    return np.concatenate([header, mlp_flatten(model)]), 0, 0
 
 
 def _decode_mlp(payload, hidden, input_dim, rho) -> MlpModel:
     n_sizes = int(payload[0])
     sizes = tuple(int(s) for s in payload[1: 1 + n_sizes])
-    at = 1 + n_sizes
-    weights, biases = [], []
-    for a, b in zip(sizes[:-1], sizes[1:]):
-        weights.append(payload[at: at + a * b].reshape(a, b).copy())
-        at += a * b
-        biases.append(payload[at: at + b].copy())
-        at += b
-    return MlpModel(weights=tuple(weights), biases=tuple(biases))
+    return mlp_unflatten(payload[1 + n_sizes:], sizes)
 
 
 # ------------------------------------------------------------------ fits
@@ -175,6 +166,8 @@ def _baseline(tag, keys, make_cfg, fit_node, encode, decode, fixed_rule=False):
     def build(params):
         params = dict(params)
         rho = params.pop("rho", 4)
+        if rho < 1:
+            raise InvalidSpecError(f"rho must be >= 1, got {rho}")
         return rho, make_cfg(params)
 
     def fit(panel, h, config, jobs, cache):

@@ -293,6 +293,17 @@ class TestMlp:
         model = init_mlp(3, (8, 8), np.random.default_rng(0))
         assert model.predict(np.array([1.0, -2.0, 0.5])) == 0.0
 
+    def test_arrays_are_read_only_views_of_vec(self):
+        model = init_mlp(3, (5, 4), np.random.default_rng(9))
+        arrays = (model.vec, *model.weights, *model.biases)
+        for a in arrays:
+            assert np.shares_memory(a, model.vec)
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+        copy = mlp_flatten(model)
+        copy[0] = 1.0
+        assert not np.shares_memory(copy, model.vec) and model.vec[0] != 1.0
+
     def test_flatten_roundtrip(self):
         model = init_mlp(4, (5,), np.random.default_rng(1))
         back = mlp_unflatten(mlp_flatten(model), model.sizes)

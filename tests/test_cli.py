@@ -177,6 +177,38 @@ class TestRun:
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "entry, key",
+        [
+            ({"tag": "ar", "rho": 0}, "rho"),
+            ({"tag": "rf", "n_trees": 0}, "n_trees"),
+            ({"tag": "rf", "n_trees": 2, "min_leaf": 0}, "min_leaf"),
+            ({"tag": "rf", "n_trees": 2, "max_depth": -1}, "max_depth"),
+            ({"tag": "rf", "n_trees": 2, "feature_frac": 0}, "feature_frac"),
+            ({"tag": "rf", "n_trees": 2, "feature_frac": 1.5}, "feature_frac"),
+            ({"tag": "gbt", "n_trees": 2, "max_depth": -1}, "max_depth"),
+            ({"tag": "gbt", "n_trees": 2, "subsample": 0.0}, "subsample"),
+            ({"tag": "gbt", "n_trees": 2, "subsample": 1.5}, "subsample"),
+            ({"tag": "gbt", "n_trees": 2, "shrinkage": 0.0}, "shrinkage"),
+            ({"tag": "fc", "epochs": 2, "hidden": 0}, "hidden"),
+            ({"tag": "fc", "epochs": -1}, "epochs"),
+            ({"tag": "fc", "epochs": 2, "lr": 0.0}, "lr"),
+            ({"tag": "deepnn", "epochs": 1, "lr": -0.1}, "lr"),
+        ],
+    )
+    def test_out_of_range_baseline_value_exit_2(
+        self, synth_dir, tmp_path, capsys, entry, key
+    ):
+        cfg = write_config(
+            tmp_path / "cfg.json", synth_dir, [{**entry, "label": "bad_model"}]
+        )
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "'bad_model'" in err and key in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     def test_missing_out_dir_exit_2(self, synth_dir, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", synth_dir, ["ar"])
         assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG

@@ -10,7 +10,6 @@ from hiergru.errors import (
 from hiergru.gru import (
     GruParams,
     OptimState,
-    finite_difference_grad,
     flatten,
     gru_step,
     init_params,
@@ -36,14 +35,12 @@ class TestStep:
         np.testing.assert_allclose(s, np.full(4, 0.5), atol=1e-15)
 
     def test_saturated_update_gate_passes_candidate(self):
-        vec = np.zeros(zero_params(1).size)
-        p = unflatten(vec, hidden=1)
-        big = {"u_z": np.array([[50.0]]), "w_z": np.array([[50.0]]),
-               "b_z": np.array([50.0]), "u_v": np.array([[1.0]])}
-        arrays = {f: getattr(p, f).copy() for f in
-                  ("u_z", "u_r", "u_v", "w_z", "w_r", "w_v", "b_z", "b_r", "b_v")}
-        arrays.update(big)
-        p = GruParams(**arrays, readout_w=p.readout_w, readout_b=0.0)
+        # hidden = input_dim = 1: one entry each for u_z, u_r, u_v, w_z,
+        # w_r, w_v, b_z, b_r, b_v, readout_w and readout_b, in that order
+        vec = np.zeros(11)
+        vec[[0, 3, 6]] = 50.0  # u_z, w_z, b_z
+        vec[2] = 1.0  # u_v
+        p = GruParams(vec, hidden=1)
         s = gru_step(p, np.array([0.2]), 1.0)
         v = np.tanh(1.0 * 1.0 + 0.2 * 0.5 * 0.0)  # r = sigmoid(0) = 0.5, w_v = 0
         assert s[0] == pytest.approx(v, abs=1e-6)
@@ -128,6 +125,21 @@ class TestFlatten:
         with pytest.raises(ShapeMismatchError):
             unflatten(np.zeros(10), hidden=4)
 
+    def test_arrays_are_read_only_views_of_vec(self):
+        p = init_params(3, np.random.default_rng(8), input_dim=2)
+        names = ("u_z", "u_r", "u_v", "w_z", "w_r", "w_v", "b_z", "b_r", "b_v",
+                 "readout_w")
+        for name in names:
+            assert np.shares_memory(getattr(p, name), p.vec), name
+        assert p.readout_b == p.vec[-1]
+        for a in (p.vec, *(getattr(p, name) for name in names)):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+        for fn in (flatten, lambda q: flatten(unflatten(flatten(q), 3, 2))):
+            copy = fn(p)
+            copy[0] = 1.0
+            assert not np.shares_memory(copy, p.vec) and p.vec[0] != 1.0
+
 
 class TestLossAndGrad:
     def test_perfect_fit_zero_loss_zero_grad(self):
@@ -183,9 +195,7 @@ class TestLossAndGrad:
         x = rng.normal(size=(4, 3))
         y = rng.normal(size=4)
         _, grad = loss_and_grad(p, x, y)
-        fd = finite_difference_grad(
-            lambda v: loss_and_grad(unflatten(v, 2), x, y)[0], flatten(p)
-        )
+        fd = fd_grad(lambda v: loss_and_grad(unflatten(v, 2), x, y)[0], flatten(p))
         assert rel_err(grad, fd) < 1e-6
 
     def test_shape_mismatch(self):
