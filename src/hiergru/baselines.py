@@ -204,10 +204,11 @@ def _best_split(xs: np.ndarray, ys: np.ndarray, min_leaf: int):
     node's values of the j-th candidate feature and its targets, both in
     ascending order of that feature.  Returns ``(j, threshold)`` minimizing
     the summed child SSE, first-best over columns in order and then over
-    positions within a column, or None when no column has a valid split."""
+    positions within a column, or None when no column has a valid split.
+    Score row ``i`` splits between sorted positions ``i`` and ``i + 1``; the
+    threshold lies in ``[xs[i, j], xs[i + 1, j])``, so ``x <= threshold``
+    sends exactly positions ``0..i`` left."""
     m = ys.shape[0]
-    if m < 2:  # a single row, reachable with min_leaf 0
-        return None
     csum = np.cumsum(ys, axis=0)
     csq = np.cumsum(ys * ys, axis=0)
     sizes = np.arange(1, m)[:, None]
@@ -218,7 +219,9 @@ def _best_split(xs: np.ndarray, ys: np.ndarray, min_leaf: int):
     j, i = np.unravel_index(np.argmin(score), score.shape)
     if not np.isfinite(score[j, i]):
         return None
-    return int(j), 0.5 * (xs[i - 1, j] + xs[i, j])
+    lo, hi = xs[i, j], xs[i + 1, j]
+    mid = 0.5 * (lo + hi)
+    return int(j), mid if mid < hi else lo
 
 
 def _grow_tree(x, y, *, max_depth, min_leaf, feature_count, rng) -> Tree:

@@ -114,7 +114,8 @@ def best_split_oracle(x: np.ndarray, y: np.ndarray, features, min_leaf: int):
         i = int(np.argmin(score))
         if score[i] < best_score:
             best_score = score[i]
-            best = (f, 0.5 * (xs[i - 1] + xs[i]))
+            mid = 0.5 * (xs[i] + xs[i + 1])  # between the scored positions
+            best = (f, mid if mid < xs[i + 1] else xs[i])
     return best
 
 

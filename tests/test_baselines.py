@@ -233,6 +233,37 @@ class TestTreeGrowth:
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
+    @settings(max_examples=200, deadline=None)
+    @given(tree_inputs())
+    def test_splits_partition_rows_as_scored(self, case):
+        # Each split must send its node's rows left or right exactly as the
+        # best cut on its feature does (the least summed child SSE among cuts
+        # between distinct values leaving >= min_leaf rows on each side).
+        x, y, kw, seed = case
+        tree = _grow_tree(x, y, rng=np.random.default_rng(seed), **kw)
+        min_leaf = kw["min_leaf"]
+
+        def sse(rows):
+            return float(((y[rows] - y[rows].mean()) ** 2).sum()) if rows.size else 0.0
+
+        def visit(i, rows):
+            f = tree.feature[i]
+            if f < 0:
+                return
+            go_left = x[rows, f] <= tree.threshold[i]
+            left, right = rows[go_left], rows[~go_left]
+            assert min(left.size, right.size) >= min_leaf
+            cuts = []
+            for v in np.unique(x[rows, f])[:-1]:
+                mask = x[rows, f] <= v
+                if min(mask.sum(), (~mask).sum()) >= min_leaf:
+                    cuts.append(sse(rows[mask]) + sse(rows[~mask]))
+            assert sse(left) + sse(right) == pytest.approx(min(cuts), rel=1e-9, abs=1e-9)
+            visit(tree.left[i], left)
+            visit(tree.right[i], right)
+
+        visit(0, np.arange(x.shape[0]))
+
     def test_all_candidate_features_constant_gives_one_leaf(self):
         x = np.tile([1.0, -2.0, 0.5], (9, 1))
         y = np.arange(9.0)
