@@ -16,6 +16,7 @@ in the test suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,7 @@ def _views(vec: np.ndarray, hidden: int, input_dim: int) -> list[np.ndarray]:
     h, d = hidden, input_dim
     views, at = [], 0
     for shape in [(d, h)] * 3 + [(h, h)] * 3 + [(h,)] * 4:
-        size = int(np.prod(shape))
+        size = math.prod(shape)
         views.append(vec[at: at + size].reshape(shape))
         at += size
     return views
