@@ -23,6 +23,15 @@ from .hierarchy import Hierarchy
 from .models import ModelBundle, _pmap, node_seed
 
 
+def _predict_one(model, window) -> float:
+    """``model.predict(window)`` for every node model here: the one-row case
+    of its ``predict_batch``.  Each class binds it in its own body."""
+    w = np.asarray(window, dtype=np.float64)
+    if w.shape != (model.rho,):
+        raise WrongLengthError(f"expected {model.rho} values, got shape {w.shape}")
+    return float(model.predict_batch(w[None])[0])
+
+
 # ------------------------------------------------------------------ AR / RW
 
 @dataclass(frozen=True)
@@ -35,15 +44,11 @@ class ArModel:
     def rho(self) -> int:
         return self.coeffs.shape[0] - 1
 
-    def predict(self, window: np.ndarray) -> float:
-        w = np.asarray(window, dtype=np.float64)
-        if w.shape != (self.rho,):
-            raise WrongLengthError(f"expected {self.rho} values, got shape {w.shape}")
-        return float(self.coeffs[0] + self.coeffs[1:] @ w[::-1])
-
     def predict_batch(self, windows: np.ndarray) -> np.ndarray:
         x = _as_rows(windows, self.rho)
         return self.coeffs[0] + x[:, ::-1] @ self.coeffs[1:]
+
+    predict = _predict_one
 
 
 def fit_ar(windows: list[Window], rho: int) -> ArModel:
@@ -81,18 +86,14 @@ class RwModel:
 
     rho: int
 
-    def predict(self, window: np.ndarray) -> float:
-        return predict_rw(window, self.rho)
-
     def predict_batch(self, windows: np.ndarray) -> np.ndarray:
         return _as_rows(windows, self.rho).mean(axis=1)
 
+    predict = _predict_one
+
 
 def predict_rw(values, rho: int) -> float:
-    v = np.asarray(values, dtype=np.float64)
-    if v.shape != (rho,):
-        raise WrongLengthError(f"expected exactly {rho} values, got shape {v.shape}")
-    return float(v.mean())
+    return RwModel(rho).predict(values)
 
 
 def _as_rows(windows, rho: int) -> np.ndarray:
@@ -167,20 +168,9 @@ class TreeEnsemble:
     base_value: float
     rho: int
 
-    def predict(self, window: np.ndarray) -> float:
-        x = np.asarray(window, dtype=np.float64)
-        if x.shape != (self.rho,):
-            raise WrongLengthError(f"expected {self.rho} values, got shape {x.shape}")
-        if self.mode == "average":
-            return float(np.mean([t.predict(x) for t in self.trees]))
-        return float(
-            self.base_value + self.shrinkage * sum(t.predict(x) for t in self.trees)
-        )
-
     def predict_batch(self, windows: np.ndarray) -> np.ndarray:
-        """:meth:`predict` for a batch of windows, with the same arithmetic:
-        a (batch, trees) array of tree outputs, averaged along its contiguous
-        axis or summed tree by tree in tree order."""
+        """A (batch, trees) array of tree outputs, averaged along its
+        contiguous axis or summed tree by tree in tree order."""
         x = _as_rows(windows, self.rho)
         batch = x.shape[0]
         if self.trees:
@@ -196,6 +186,8 @@ class TreeEnsemble:
         for column in out.T:
             total = total + column
         return self.base_value + self.shrinkage * total
+
+    predict = _predict_one
 
 
 def _best_split(xs: np.ndarray, ys: np.ndarray, min_leaf: int):
@@ -430,11 +422,7 @@ class MlpModel:
                 a = np.maximum(a, 0.0)
         return a[:, 0]
 
-    def predict(self, window: np.ndarray) -> float:
-        w = np.asarray(window, dtype=np.float64)
-        if w.shape != (self.rho,):
-            raise WrongLengthError(f"expected {self.rho} values, got shape {w.shape}")
-        return float(self.predict_batch(w[None, :])[0])
+    predict = _predict_one
 
 
 @dataclass(frozen=True)

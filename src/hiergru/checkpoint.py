@@ -98,18 +98,6 @@ def read_checkpoint(path) -> dict:
     }
 
 
-# -------------------------------------------------- model payload encoding
-
-def encode_model(tag: str, model) -> tuple[np.ndarray, int, int]:
-    """Returns (payload, hidden, input_dim) for any supported node model."""
-    return lookup(tag).encode(model)
-
-
-def decode_model(tag: str, payload: np.ndarray, *, hidden: int, input_dim: int,
-                 rho: int):
-    return lookup(tag).decode(payload, hidden, input_dim, rho)
-
-
 # ------------------------------------------------------------------ bundles
 
 def _json_dump(obj, path: Path) -> None:
@@ -137,7 +125,7 @@ def save_bundle(bundle, dirpath) -> None:
     for i, node in enumerate(nodes):
         fname = f"node_{i:05d}.ckpt"
         model = bundle.models[node]
-        payload, hidden, input_dim = encode_model(bundle.tag, model)
+        payload, hidden, input_dim = lookup(bundle.tag).encode(model)
         write_checkpoint(
             out / fname, tag=bundle.tag, node=node, payload=payload,
             hidden=hidden, rho=bundle.rho, input_dim=input_dim,
@@ -163,9 +151,8 @@ def load_bundle(dirpath) -> ModelBundle:
                 f"{entry['file']}: header ({ck['tag']}, {ck['node']}) does not "
                 f"match manifest ({tag}, {node})"
             )
-        models[node] = decode_model(
-            tag, ck["payload"], hidden=ck["hidden"],
-            input_dim=ck["input_dim"], rho=ck["rho"],
+        models[node] = lookup(tag).decode(
+            ck["payload"], ck["hidden"], ck["input_dim"], ck["rho"]
         )
         provenance[node] = entry.get("provenance", {})
     label = manifest.get("label")

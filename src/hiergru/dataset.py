@@ -58,9 +58,6 @@ class SeriesPanel:
     def length(self, n: NodeId) -> int:
         return int(self.rates[n].shape[0])
 
-    def train_rates(self, n: NodeId) -> np.ndarray:
-        return self.rates[n][: self.split_index[n]]
-
     def test_positions(self, n: NodeId) -> range:
         return range(self.split_index[n], self.length(n))
 

@@ -64,6 +64,17 @@ def _mean_cell(cells: list[Cell]) -> Cell:
     return Cell(float(np.mean(vals)))
 
 
+def _means(metrics: list[dict[str, Cell]]) -> dict[str, Cell]:
+    """Per :data:`LEVEL_COLUMNS` metric, its mean over per-node metrics."""
+    return {c: _mean_cell([m[c] for m in metrics]) for c in LEVEL_COLUMNS}
+
+
+def _na_metrics(code: str) -> dict[str, Cell]:
+    """A node and horizon without forecasts: n is 0, every metric n/a."""
+    cells = {c: Cell(None, code) for c in ("rmse", *LEVEL_COLUMNS)}
+    return {"n": Cell(0.0), **cells}
+
+
 @dataclass
 class EvalReport:
     """Aggregate rows keyed by (model label, horizon), a per-level
@@ -153,25 +164,13 @@ def evaluate(
         for node in h.bfs_order():
             if node not in bundle.model_map:
                 for j in horizons:
-                    node_metrics[(label, node, j)] = {
-                        "n": Cell(0.0),
-                        "rmse": Cell(None, "no-model"),
-                        "rel_rmse": Cell(None, "no-model"),
-                        "pearson": Cell(None, "no-model"),
-                        "dist_corr": Cell(None, "no-model"),
-                    }
+                    node_metrics[(label, node, j)] = _na_metrics("no-model")
                 continue
             collected = _collect_forecasts(bundle, panel, node, horizons)
             for j in horizons:
                 preds, actuals = collected[j]
                 if actuals.size == 0:
-                    node_metrics[(label, node, j)] = {
-                        "n": Cell(0.0),
-                        "rmse": Cell(None, "no-predictions"),
-                        "rel_rmse": Cell(None, "no-predictions"),
-                        "pearson": Cell(None, "no-predictions"),
-                        "dist_corr": Cell(None, "no-predictions"),
-                    }
+                    node_metrics[(label, node, j)] = _na_metrics("no-predictions")
                     continue
                 e = rmse(actuals, preds)
                 ref = ref_rmse.get((node, j))
@@ -197,12 +196,8 @@ def evaluate(
             ]
             head = node_metrics[(label, h.root, j)]
             rows[(label, j)] = {
-                "avg_rel_rmse": _mean_cell([m["rel_rmse"] for m in disagg]),
-                "avg_pearson": _mean_cell([m["pearson"] for m in disagg]),
-                "avg_dist_corr": _mean_cell([m["dist_corr"] for m in disagg]),
-                "headline_rel_rmse": head["rel_rmse"],
-                "headline_pearson": head["pearson"],
-                "headline_dist_corr": head["dist_corr"],
+                **{f"avg_{c}": cell for c, cell in _means(disagg).items()},
+                **{f"headline_{c}": head[c] for c in LEVEL_COLUMNS},
             }
 
     report = EvalReport(
@@ -228,12 +223,9 @@ def per_level_table(report: EvalReport, h: Hierarchy) -> dict:
     for label in report.labels:
         for j in report.horizons:
             for lv, nodes in by_level.items():
-                metrics = [report.node_metrics[(label, n, j)] for n in nodes]
-                report.level_rows[(label, j, lv)] = {
-                    "rel_rmse": _mean_cell([m["rel_rmse"] for m in metrics]),
-                    "pearson": _mean_cell([m["pearson"] for m in metrics]),
-                    "dist_corr": _mean_cell([m["dist_corr"] for m in metrics]),
-                }
+                report.level_rows[(label, j, lv)] = _means(
+                    [report.node_metrics[(label, n, j)] for n in nodes]
+                )
     return report.level_rows
 
 

@@ -129,20 +129,12 @@ def gru_step(p: GruParams, s_prev: np.ndarray, x) -> np.ndarray:
 
 
 def predict_sequence(p: GruParams, inputs) -> float:
-    """Run the unit over a window from the zero state; linear readout."""
+    """Run the unit over one window from the zero state; linear readout.
+    The one-row case of :func:`predict_batch`."""
     x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
     if x.shape[0] == 0:
         raise EmptyInputError("empty input window")
-    if x.shape[1] != p.input_dim:
-        raise ShapeMismatchError(
-            f"window has {x.shape[1]} input channels, parameters expect {p.input_dim}"
-        )
-    s = np.zeros(p.hidden)
-    for xt in x:
-        s = _step(p, xt, s)[3]
-    return float(s @ p.readout_w + p.readout_b)
+    return float(predict_batch(p, x[None])[0])
 
 
 def _as_batch(p: GruParams, inputs: np.ndarray) -> np.ndarray:
@@ -158,7 +150,8 @@ def _as_batch(p: GruParams, inputs: np.ndarray) -> np.ndarray:
 
 
 def predict_batch(p: GruParams, inputs: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`predict_sequence` over a batch of windows."""
+    """Run the unit over a batch of windows, shape (batch, rho) or
+    (batch, rho, input_dim), from the zero state; linear readout."""
     x = _as_batch(p, inputs)
     s = np.zeros((x.shape[0], p.hidden))
     for t in range(x.shape[1]):
@@ -295,16 +288,20 @@ def run_optimizer(loss_grad_fn, x0: np.ndarray, opt: OptimState, epochs: int):
     """
     x = np.array(x0, dtype=np.float64)
     losses = []
-    for _ in range(epochs):
-        loss, grad = loss_grad_fn(x)
-        if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
-            raise DivergenceError(
-                f"loss became non-finite after {len(losses)} epochs",
-                last_params=x,
-            )
-        losses.append(loss)
-        x = opt.update(x, grad)
-    final_loss, _ = loss_grad_fn(x)
+    # A diverging run overflows before its loss turns non-finite; that is
+    # detected here and raised as DivergenceError, so numpy's own overflow
+    # and invalid-value warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            loss, grad = loss_grad_fn(x)
+            if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
+                raise DivergenceError(
+                    f"loss became non-finite after {len(losses)} epochs",
+                    last_params=x,
+                )
+            losses.append(loss)
+            x = opt.update(x, grad)
+        final_loss, _ = loss_grad_fn(x)
     if not np.isfinite(final_loss):
         raise DivergenceError(
             f"loss became non-finite after {epochs} epochs", last_params=x

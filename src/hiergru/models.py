@@ -101,8 +101,8 @@ def node_seed(seed: int, node: NodeId) -> int:
 @dataclass(frozen=True)
 class ModelBundle:
     """One fitted model family: a node model per covered node (anything
-    with ``.predict(window)``), per-node provenance, and, for the recurrent
-    family, the training spec and knngru's neighbor lists."""
+    with ``.predict_batch(windows)``), per-node provenance, and, for the
+    recurrent family, the training spec and knngru's neighbor lists."""
 
     tag: str
     rho: int
@@ -459,7 +459,7 @@ def forecast_origins(
     holds the ``horizon + 1`` values from ``origins[i]``.  Position 0 is the
     one-step-ahead prediction, position j feeds the previous j predictions
     back in; extra channels of multichannel windows keep their last observed
-    values.  A node model without ``predict_batch`` predicts row by row."""
+    values."""
     if horizon < 0:
         raise InvalidSpecError(f"horizon must be >= 0, got {horizon}")
     if node not in bundle.models:
@@ -467,13 +467,10 @@ def forecast_origins(
     model = bundle.models[node]
     origins = np.asarray(origins, dtype=np.int64).reshape(-1)
     windows = initial_windows(bundle, panel, node, origins)
-    predict = getattr(model, "predict_batch", None) or (
-        lambda ws: np.array([model.predict(w) for w in ws], dtype=np.float64)
-    )
     newest = (slice(None), -1, 0)[: windows.ndim]  # channel 0 of the last row
     preds = np.empty((origins.shape[0], horizon + 1))
     for j in range(horizon + 1):
-        preds[:, j] = predict(windows)
+        preds[:, j] = model.predict_batch(windows)
         if j < horizon:
             windows[:, :-1] = windows[:, 1:]
             windows[newest] = preds[:, j]

@@ -184,8 +184,15 @@ class TestBatchedTrees:
         for tree in ens.trees:
             rows = np.array([tree.predict(r) for r in x])
             assert tree.predict_batch(x).tobytes() == rows.tobytes()
-        rows = np.array([ens.predict(r) for r in x])
+        # the ensemble rule applied row by row to Tree.predict outputs: their
+        # mean, or the base value plus the shrunk sum in tree order
+        outs = [[t.predict(r) for t in ens.trees] for r in x]
+        if ens.mode == "average":
+            rows = np.array([np.mean(o) for o in outs])
+        else:
+            rows = np.array([ens.base_value + ens.shrinkage * sum(o) for o in outs])
         assert ens.predict_batch(x).tobytes() == rows.tobytes()
+        assert np.array([ens.predict(r) for r in x]).tobytes() == rows.tobytes()
 
     def test_wrong_width_rejected(self):
         ens = fit_forest(windows_from_series(np.arange(10.0), 2), 2,

@@ -9,8 +9,6 @@ from hiergru.baselines import (
     mlp_flatten,
 )
 from hiergru.checkpoint import (
-    decode_model,
-    encode_model,
     load_bundle,
     read_checkpoint,
     save_bundle,
@@ -20,7 +18,7 @@ from hiergru.cli import fit_entry
 from hiergru.errors import HiergruError
 from hiergru.gru import flatten, init_params
 from hiergru.models import TrainSpec, train_hrnn, train_knn_gru
-from hiergru.registry import TAGS
+from hiergru.registry import TAGS, lookup
 
 
 class TestRawCheckpoint:
@@ -66,8 +64,8 @@ class TestRawCheckpoint:
 class TestModelCodecs:
     def test_gru_params(self):
         p = init_params(5, np.random.default_rng(1), input_dim=3)
-        payload, hidden, input_dim = encode_model("igru", p)
-        back = decode_model("igru", payload, hidden=hidden, input_dim=input_dim, rho=4)
+        payload, hidden, input_dim = lookup("igru").encode(p)
+        back = lookup("igru").decode(payload, hidden, input_dim, 4)
         assert flatten(back).tobytes() == flatten(p).tobytes()
 
     @pytest.mark.parametrize("tag,cfg", [
@@ -82,8 +80,8 @@ class TestModelCodecs:
         bundle = fit_baseline(panel, h, tag, rho=3, cfg=cfg)
         node = h.root
         model = bundle.models[node]
-        payload, hidden, input_dim = encode_model(tag, model)
-        back = decode_model(tag, payload, hidden=hidden, input_dim=input_dim, rho=3)
+        payload, hidden, input_dim = lookup(tag).encode(model)
+        back = lookup(tag).decode(payload, hidden, input_dim, 3)
         probe = np.random.default_rng(2).normal(size=3)
         assert back.predict(probe) == model.predict(probe)
 

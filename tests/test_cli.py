@@ -252,8 +252,7 @@ class TestRun:
         assert err.count("\n") == 1
         assert "hierarchy.csv, line 3" in err and "'heavy'" in err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_divergence_exit_4(self, synth_dir, tmp_path):
+    def test_divergence_exit_4(self, synth_dir, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "cfg.json", synth_dir,
             [{"tag": "igru", "lr": 1e18, "optimizer": "sgd", "epochs": 30,
@@ -262,6 +261,9 @@ class TestRun:
         assert main(
             ["run", "--config", str(cfg), "--out", str(tmp_path / "o")]
         ) == EXIT_DIVERGED
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("training diverged:")
 
     def test_grid_search_selects_and_records(self, synth_dir, tmp_path):
         cfg = write_config(

@@ -153,8 +153,8 @@ class TestRendering:
         h, panel = small_synth
 
         class ConstantModel:
-            def predict(self, w):
-                return 0.5
+            def predict_batch(self, windows):
+                return np.full(len(windows), 0.5)
 
         from hiergru.models import ModelBundle
 

@@ -248,7 +248,6 @@ class TestOptimize:
         assert out is p
         assert losses == []
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_carries_last_finite(self):
         x, y = self._data(seed=7)
         p = init_params(3, np.random.default_rng(8))

@@ -374,11 +374,11 @@ class TestForecast:
         np.testing.assert_array_equal(traj, np.zeros(6))
 
     def test_hand_unrolled_recursion(self):
-        # a model with only .predict, returning the mean of its window,
-        # unrolled by hand; the batch holds the origin twice
+        # a model returning the mean of its window, unrolled by hand; the
+        # batch holds the origin twice
         class MeanModel:
-            def predict(self, w):
-                return float(np.mean(w))
+            def predict_batch(self, windows):
+                return np.mean(windows, axis=1)
 
         window = np.array([1.0, 2.0, 3.0])
         panel = panel_from_rates({"a": [1.0, 2.0, 3.0, 7.0]})
