@@ -37,7 +37,6 @@ from .evaluation import (
     MONTHLY_HORIZONS,
     EvalReport,
     evaluate,
-    per_level_table,
     render_report,
     write_report_files,
 )

@@ -12,7 +12,6 @@ import numpy as np
 
 from .dataset import SeriesPanel, Window, make_windows, stack_windows
 from .errors import (
-    InvalidSpecError,
     NodeSkippedWarning,
     NoTrainingDataError,
     ShapeMismatchError,
@@ -20,7 +19,16 @@ from .errors import (
 )
 from .gru import OptimState, run_optimizer
 from .hierarchy import Hierarchy
-from .models import ModelBundle, _pmap, node_seed
+from .models import (
+    _AT_LEAST_0,
+    _AT_LEAST_1,
+    _FRACTION,
+    _POSITIVE,
+    ModelBundle,
+    _check_fields,
+    _pmap,
+    node_seed,
+)
 
 
 def _predict_one(model, window) -> float:
@@ -269,22 +277,6 @@ def _grow_tree(x, y, *, max_depth, min_leaf, feature_count, rng) -> Tree:
     )
 
 
-# (test, wording) pairs for the config field checks below
-_AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
-_AT_LEAST_0 = (lambda v: v >= 0, ">= 0")
-_POSITIVE = (lambda v: v > 0, "> 0")
-_FRACTION = (lambda v: 0 < v <= 1, "in (0, 1]")
-
-
-def _check_fields(cfg, **rules) -> None:
-    """Raise :class:`InvalidSpecError` naming the first field of ``cfg``
-    that fails its rule."""
-    for name, (ok, wanted) in rules.items():
-        value = getattr(cfg, name)
-        if not ok(value):
-            raise InvalidSpecError(f"{name} must be {wanted}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class ForestConfig:
     n_trees: int = 100
@@ -431,7 +423,6 @@ class MlpConfig:
     lr: float = 0.005
     epochs: int = 200
     seed: int = 0
-    method: str = "adam"
 
     def __post_init__(self):
         _check_fields(
@@ -505,7 +496,7 @@ def fit_mlp(windows: list[Window], rho: int, cfg: MlpConfig) -> MlpModel:
     def fn(vec):
         return mlp_loss_and_grad(MlpModel(vec, sizes), x, y)
 
-    opt = OptimState(lr=cfg.lr, method=cfg.method)
+    opt = OptimState(lr=cfg.lr)
     final, _ = run_optimizer(fn, model.vec, opt, cfg.epochs)
     return MlpModel(final, sizes)
 

@@ -64,13 +64,21 @@ class SeriesPanel:
     def period_label(self, n: NodeId, position: int) -> str:
         return self.calendar[int(self.periods[n][position])]
 
+    def train_grid(self, nodes) -> np.ndarray:
+        """The training-segment rates of ``nodes`` on the shared calendar:
+        a (calendar, len(nodes)) array, NaN where a node has no training
+        value.  Every train-only statistic reads its data from here."""
+        nodes = list(nodes)
+        grid = np.full((len(self.calendar), len(nodes)), np.nan)
+        for j, n in enumerate(nodes):
+            split = self.split_index[n]
+            grid[self.periods[n][:split], j] = self.rates[n][:split]
+        return grid
 
-def to_rates(levels, *, log_base: float = math.e) -> np.ndarray:
-    """Convert raw index levels to percent log-change rates.
 
-    rate(t) = 100 * log(x_t / x_{t-1}), natural log by default; pass
-    ``log_base`` to audit against another convention.
-    """
+def to_rates(levels) -> np.ndarray:
+    """Convert raw index levels to percent log-change rates:
+    rate(t) = 100 * ln(x_t / x_{t-1})."""
     x = np.asarray(levels, dtype=np.float64)
     if x.size < 2:
         raise EmptySeriesError(f"need at least 2 levels, got {x.size}")
@@ -79,10 +87,7 @@ def to_rates(levels, *, log_base: float = math.e) -> np.ndarray:
         raise NonPositiveLevelError(
             f"non-positive level at position(s) {', '.join(map(str, bad))}"
         )
-    rates = 100.0 * np.log(x[1:] / x[:-1])
-    if log_base != math.e:
-        rates = rates / math.log(log_base)
-    return rates
+    return 100.0 * np.log(x[1:] / x[:-1])
 
 
 def split_point(length: int, train_fraction: float) -> int:
@@ -167,7 +172,6 @@ def load_series_csv(
     *,
     already_rates: bool = False,
     train_fraction: float = DEFAULT_TRAIN_FRACTION,
-    log_base: float = math.e,
 ) -> SeriesPanel:
     """Load ``series.csv`` (header ``node_id,period,value``) into a panel.
 
@@ -226,7 +230,7 @@ def load_series_csv(
                     f"node {node!r}: non-positive level at period(s) "
                     f"{', '.join(labels[i] for i in bad)}"
                 )
-            rate_series[node] = (first + 1, to_rates(values, log_base=log_base))
+            rate_series[node] = (first + 1, to_rates(values))
     return build_panel(calendar, rate_series, train_fraction)
 
 
@@ -244,7 +248,8 @@ def save_series_csv(panel: SeriesPanel, path) -> None:
 
 @dataclass(frozen=True)
 class SynthSpec:
-    """Synthetic hierarchical panel: AR(1) root, noisy copies below.
+    """Synthetic hierarchical panel: AR(1) root with unit-variance
+    innovations, noisy copies below, split at the default train fraction.
 
     Every node at level L equals its parent's series plus independent
     Gaussian noise with standard deviation ``leaf_noise_sd * L``, so the
@@ -258,8 +263,6 @@ class SynthSpec:
     leaf_noise_sd: float
     seed: int
     ar_coeff: float = 0.6
-    innovation_sd: float = 1.0
-    train_fraction: float = DEFAULT_TRAIN_FRACTION
 
     def __post_init__(self):
         if self.depth < 1 or self.branching < 1 or self.length < 10:
@@ -278,13 +281,13 @@ def _month_labels(length: int) -> list[str]:
 def synth_panel(spec: SynthSpec) -> tuple[Hierarchy, SeriesPanel]:
     """Generate a deterministic synthetic hierarchy and rate panel."""
     rng = np.random.default_rng(spec.seed)
-    phi, sd = spec.ar_coeff, spec.innovation_sd
+    phi = spec.ar_coeff
 
     root_id = "root"
     series: dict[str, np.ndarray] = {}
     x = np.empty(spec.length)
-    x[0] = rng.normal(0.0, sd / math.sqrt(1.0 - phi * phi))
-    innov = rng.normal(0.0, sd, size=spec.length - 1)
+    x[0] = rng.normal(0.0, 1.0 / math.sqrt(1.0 - phi * phi))
+    innov = rng.normal(0.0, 1.0, size=spec.length - 1)
     for t in range(1, spec.length):
         x[t] = phi * x[t - 1] + innov[t - 1]
     series[root_id] = x
@@ -306,9 +309,5 @@ def synth_panel(spec: SynthSpec) -> tuple[Hierarchy, SeriesPanel]:
 
     h = build_hierarchy(rows)
     calendar = _month_labels(spec.length)
-    panel = build_panel(
-        calendar,
-        {n: (0, s) for n, s in series.items()},
-        spec.train_fraction,
-    )
+    panel = build_panel(calendar, {n: (0, s) for n, s in series.items()})
     return h, panel

@@ -75,10 +75,11 @@ def _na_metrics(code: str) -> dict[str, Cell]:
     return {"n": Cell(0.0), **cells}
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvalReport:
     """Aggregate rows keyed by (model label, horizon), a per-level
-    breakdown, and the underlying per-node metrics."""
+    breakdown keyed by (model label, horizon, level) with each level's node
+    count, and the underlying per-node metrics."""
 
     labels: tuple[str, ...]
     horizons: tuple[int, ...]
@@ -191,42 +192,28 @@ def evaluate(
     rows = {}
     for label in labels:
         for j in horizons:
-            disagg = [
-                node_metrics[(label, n, j)] for n in h.bfs_order() if n != h.root
-            ]
+            disagg = [node_metrics[(label, n, j)] for n in h.non_root_nodes()]
             head = node_metrics[(label, h.root, j)]
             rows[(label, j)] = {
                 **{f"avg_{c}": cell for c, cell in _means(disagg).items()},
                 **{f"headline_{c}": head[c] for c in LEVEL_COLUMNS},
             }
 
-    report = EvalReport(
+    # the same aggregation restricted to each level; level 0 is the headline
+    level_rows = {
+        (label, j, lv): _means([node_metrics[(label, n, j)] for n in nodes])
+        for label in labels
+        for j in horizons
+        for lv, nodes in enumerate(h.levels)
+    }
+    return EvalReport(
         labels=tuple(labels),
         horizons=horizons,
         rows=rows,
-        level_rows={},
-        level_counts={},
+        level_rows=level_rows,
+        level_counts={lv: len(nodes) for lv, nodes in enumerate(h.levels)},
         node_metrics=node_metrics,
     )
-    per_level_table(report, h)
-    return report
-
-
-def per_level_table(report: EvalReport, h: Hierarchy) -> dict:
-    """Fill (and return) the per-level breakdown: the same aggregation
-    restricted to the nodes of each level; level 0 is the headline."""
-    levels = sorted(set(h.level.values()))
-    by_level = {lv: [n for n in h.bfs_order() if h.level[n] == lv] for lv in levels}
-    report.level_counts.clear()
-    report.level_counts.update({lv: len(ns) for lv, ns in by_level.items()})
-    report.level_rows.clear()
-    for label in report.labels:
-        for j in report.horizons:
-            for lv, nodes in by_level.items():
-                report.level_rows[(label, j, lv)] = _means(
-                    [report.node_metrics[(label, n, j)] for n in nodes]
-                )
-    return report.level_rows
 
 
 # ---------------------------------------------------------------- rendering
@@ -262,26 +249,17 @@ def render_level_report(report: EvalReport, fmt: str = "csv") -> str:
 
 def render_raw(report: EvalReport) -> str:
     """Per-node values at full precision, for replays and diffing."""
-    lines = ["model,node,horizon,n,rmse,rel_rmse,pearson,dist_corr"]
-    for label in report.labels:
-        for (lab, node, j), m in sorted(report.node_metrics.items()):
-            if lab != label:
-                continue
-            lines.append(
-                ",".join(
-                    [
-                        label,
-                        _csv_quote(node),
-                        str(j),
-                        str(int(m["n"].value or 0)),
-                        m["rmse"].render_raw(),
-                        m["rel_rmse"].render_raw(),
-                        m["pearson"].render_raw(),
-                        m["dist_corr"].render_raw(),
-                    ]
-                )
-            )
-    return "\n".join(lines) + "\n"
+    metrics = ("rmse", *LEVEL_COLUMNS)
+    header = ["model", "node", "horizon", "n", *metrics]
+    items = sorted(report.node_metrics.items())
+    body = [
+        [label, node, str(j), str(int(m["n"].value or 0))]
+        + [m[c].render_raw() for c in metrics]
+        for label in report.labels
+        for (lab, node, j), m in items
+        if lab == label
+    ]
+    return _render_table(header, body, "csv")
 
 
 def render_gnuplot(report: EvalReport) -> str:

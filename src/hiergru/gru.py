@@ -251,15 +251,16 @@ def loss_and_grad(
 
 # ---------------------------------------------------------------- optimizer
 
+# Adam's moment decay rates and denominator guard
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class OptimState:
     """First-order optimizer state: Adam by default, plain SGD by config."""
 
     lr: float = 0.005
     method: str = "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
@@ -271,11 +272,11 @@ class OptimState:
             self.m = np.zeros_like(x)
             self.v = np.zeros_like(x)
         self.step += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
-        m_hat = self.m / (1.0 - self.beta1 ** self.step)
-        v_hat = self.v / (1.0 - self.beta2 ** self.step)
-        return x - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m = _BETA1 * self.m + (1.0 - _BETA1) * grad
+        self.v = _BETA2 * self.v + (1.0 - _BETA2) * grad * grad
+        m_hat = self.m / (1.0 - _BETA1 ** self.step)
+        v_hat = self.v / (1.0 - _BETA2 ** self.step)
+        return x - self.lr * m_hat / (np.sqrt(v_hat) + _EPS)
 
 
 def run_optimizer(loss_grad_fn, x0: np.ndarray, opt: OptimState, epochs: int):

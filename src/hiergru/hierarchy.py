@@ -11,8 +11,8 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from collections import deque
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -45,30 +45,31 @@ class Hierarchy:
 
     Treat all mapping fields as read-only; construction goes through
     :func:`build_hierarchy` which validates structure and computes levels.
+    ``levels[L]`` holds the nodes at depth L in breadth-first order: the
+    children of each node of level L - 1 in turn, siblings in id order.
     """
 
     nodes: tuple[NodeId, ...]
     root: NodeId
     parent: dict[NodeId, NodeId]
     weight: dict[NodeId, float]
-    level: dict[NodeId, int]
     children: dict[NodeId, tuple[NodeId, ...]]
+    levels: tuple[tuple[NodeId, ...], ...]
+
+    @cached_property
+    def level(self) -> dict[NodeId, int]:
+        """Each node's depth; the root is at 0."""
+        return {n: lv for lv, ns in enumerate(self.levels) for n in ns}
 
     def bfs_order(self) -> tuple[NodeId, ...]:
         """Nodes level by level from the root, siblings in id order."""
-        order = []
-        queue = deque([self.root])
-        while queue:
-            n = queue.popleft()
-            order.append(n)
-            queue.extend(self.children.get(n, ()))
-        return tuple(order)
+        return tuple(n for ns in self.levels for n in ns)
 
     def non_root_nodes(self) -> tuple[NodeId, ...]:
-        return tuple(n for n in self.bfs_order() if n != self.root)
+        return tuple(n for ns in self.levels[1:] for n in ns)
 
     def depth(self) -> int:
-        return max(self.level.values())
+        return len(self.levels) - 1
 
 
 @dataclass(frozen=True)
@@ -125,21 +126,17 @@ def build_hierarchy(rows: Iterable[tuple[str, str | None, float | None]]) -> Hie
         children[p].append(n)
     children_t = {n: tuple(sorted(cs)) for n, cs in children.items()}
 
-    level = {root: 0}
-    queue = deque([root])
-    while queue:
-        n = queue.popleft()
-        for c in children_t[n]:
-            level[c] = level[n] + 1
-            queue.append(c)
+    levels = [(root,)]
+    while below := tuple(c for n in levels[-1] for c in children_t[n]):
+        levels.append(below)
 
     return Hierarchy(
         nodes=tuple(sorted(nodes)),
         root=root,
         parent=dict(parent),
         weight=weight,
-        level=level,
         children=children_t,
+        levels=tuple(levels),
     )
 
 
@@ -204,24 +201,14 @@ def save_hierarchy(h: Hierarchy, path) -> None:
 def aligned_train_rates(panel: "SeriesPanel", nodes: Iterable[NodeId]) -> np.ndarray:
     """Stack the training-split rates of several nodes over common periods.
 
-    Returns an array of shape (T, k) where T is the number of calendar
-    periods covered by the training split of every requested node.  Only
-    training-segment observations participate, so anything computed from
-    the result is free of test-set leakage.
+    Returns an array of shape (T, k): the rows of
+    :meth:`~hiergru.dataset.SeriesPanel.train_grid` where every requested
+    node has a training value, in calendar order.  Only training-segment
+    observations participate, so anything computed from the result is free
+    of test-set leakage.
     """
-    node_list = list(nodes)
-    columns = []
-    common: np.ndarray | None = None
-    for n in node_list:
-        periods = panel.periods[n][: panel.split_index[n]]
-        common = periods if common is None else np.intersect1d(common, periods)
-    if common is None or common.size == 0:
-        return np.empty((0, len(node_list)))
-    for n in node_list:
-        periods = panel.periods[n][: panel.split_index[n]]
-        _, idx, _ = np.intersect1d(periods, common, return_indices=True)
-        columns.append(panel.rates[n][: panel.split_index[n]][idx])
-    return np.column_stack(columns)
+    grid = panel.train_grid(nodes)
+    return grid[np.isfinite(grid).all(axis=1)]
 
 
 def train_correlation(panel: "SeriesPanel", a: NodeId, b: NodeId) -> float:
@@ -246,17 +233,13 @@ def parent_correlation(panel: "SeriesPanel", h: Hierarchy, n: NodeId) -> float:
 
 
 def precision_schedule(
-    panel: "SeriesPanel",
-    h: Hierarchy,
-    alpha: float,
-    *,
-    fallback: bool = True,
+    panel: "SeriesPanel", h: Hierarchy, alpha: float
 ) -> PrecisionSchedule:
     """Prior precision tau(n) = exp(alpha + C(n)) for every non-root node.
 
-    With ``fallback`` enabled (the default), nodes whose parent correlation
-    is not computable (too little overlap or a constant series) use C = 0,
-    which yields the neutral precision exp(alpha).
+    Nodes whose parent correlation is not computable (too little overlap or
+    a constant series) use C = 0, which yields the neutral precision
+    exp(alpha).
     """
     tau: dict[NodeId, float] = {}
     corr: dict[NodeId, float] = {}
@@ -264,8 +247,6 @@ def precision_schedule(
         try:
             c = parent_correlation(panel, h, n)
         except (InsufficientOverlapError, DegenerateVarianceError):
-            if not fallback:
-                raise
             c = 0.0
         corr[n] = c
         tau[n] = math.exp(alpha + c)

@@ -29,6 +29,7 @@ repeated runs are bit-identical.
 from __future__ import annotations
 
 import hashlib
+import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -57,6 +58,32 @@ from .hierarchy import (
 )
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# (test, wording) pairs for the config field checks below
+_AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
+_AT_LEAST_0 = (lambda v: v >= 0, ">= 0")
+_POSITIVE = (lambda v: v > 0, "> 0")
+_FRACTION = (lambda v: 0 < v <= 1, "in (0, 1]")
+_INTEGER = (_is_int, "an integer")
+_COUNT = (lambda v: _is_int(v) and v >= 1, "an integer >= 1")
+_NONNEG_INT = (lambda v: _is_int(v) and v >= 0, "an integer >= 0")
+# exp(alpha + C) stays finite for every correlation C in [-1, 1]
+_ALPHA = (lambda v: math.isfinite(v) and v <= 708, "finite and <= 708")
+
+
+def _check_fields(cfg, **rules) -> None:
+    """Raise :class:`InvalidSpecError` naming the first field of ``cfg``
+    that fails its rule.  NaN fails every comparison, so every rule
+    rejects it."""
+    for name, (ok, wanted) in rules.items():
+        value = getattr(cfg, name)
+        if not ok(value):
+            raise InvalidSpecError(f"{name} must be {wanted}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrainSpec:
     """All training knobs shared by the recurrent family."""
@@ -73,23 +100,12 @@ class TrainSpec:
     optimizer: str = "adam"
 
     def __post_init__(self):
-        for name in ("rho", "hidden", "epochs", "k_neighbors", "seed"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise InvalidSpecError(f"{name} must be an integer, got {v!r}")
-        if self.rho < 1 or self.hidden < 1 or self.epochs < 0:
-            raise InvalidSpecError(
-                f"need rho >= 1, hidden >= 1, epochs >= 0; got "
-                f"rho={self.rho}, hidden={self.hidden}, epochs={self.epochs}"
-            )
-        if self.lr <= 0:
-            raise InvalidSpecError(f"learning rate must be positive, got {self.lr}")
-        if self.k_neighbors < 1:
-            raise InvalidSpecError(f"k_neighbors must be >= 1, got {self.k_neighbors}")
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise InvalidSpecError("lambda coefficients must be nonnegative")
-        if self.optimizer not in ("adam", "sgd"):
-            raise InvalidSpecError(f"unknown optimizer {self.optimizer!r}")
+        _check_fields(
+            self, rho=_COUNT, hidden=_COUNT, lr=_POSITIVE, epochs=_NONNEG_INT,
+            alpha=_ALPHA, lambda1=_AT_LEAST_0, lambda2=_AT_LEAST_0,
+            k_neighbors=_COUNT, seed=_INTEGER,
+            optimizer=(lambda v: v in ("adam", "sgd"), "'adam' or 'sgd'"),
+        )
 
 
 def node_seed(seed: int, node: NodeId) -> int:
@@ -264,7 +280,7 @@ def train_hrnn(
     the training-window parent correlation.  ``prior_scale=0`` removes all
     anchoring and reproduces independent training bit for bit.
     """
-    sched = precision_schedule(panel, h, spec.alpha, fallback=True)
+    sched = precision_schedule(panel, h, spec.alpha)
     zero_anchor = zero_params(spec.hidden)
 
     def anchors(n, trained):
@@ -277,12 +293,9 @@ def train_hrnn(
         regs = ((anchor, coeff),) if coeff != 0.0 else ()
         return regs, {"tau": tau, "correlation": corr, "anchor_coeff": coeff}
 
-    levels: dict[int, list[NodeId]] = {}
-    for n in h.bfs_order():
-        levels.setdefault(h.level[n], []).append(n)
     return _train_nodes(
         "hrnn", h, spec, _own_windows(panel, spec.rho), anchors=anchors,
-        groups=[levels[lv] for lv in sorted(levels)], jobs=jobs,
+        groups=h.levels, jobs=jobs,
     )
 
 
@@ -360,34 +373,18 @@ def select_neighbors(
     return chosen
 
 
-def _train_value_grid(panel: SeriesPanel) -> dict[NodeId, np.ndarray]:
-    """Per node: calendar-length array of train-segment rates, NaN elsewhere."""
-    grid = {}
-    size = len(panel.calendar)
-    for n in panel.rates:
-        g = np.full(size, np.nan)
-        split = panel.split_index[n]
-        g[panel.periods[n][:split]] = panel.rates[n][:split]
-        grid[n] = g
-    return grid
-
-
-def _stacked_windows(panel, n, channels, grid, rho):
-    """Multichannel train windows for node n; rows are time steps, column 0
-    is the node itself.  Windows touching any missing value are dropped."""
+def _stacked_windows(panel, n, channels, rho):
+    """Multichannel train windows for node n, shape (windows, rho,
+    channels), and their targets; rows are time steps, channel 0 is the
+    node itself.  Windows touching any missing training value are dropped;
+    None when no window is left."""
     split = panel.split_index[n]
-    periods = panel.periods[n]
-    rates = panel.rates[n]
-    inputs, targets = [], []
-    for t in range(rho, split):
-        span = periods[t - rho: t]
-        mat = np.column_stack([grid[c][span] for c in channels])
-        if np.all(np.isfinite(mat)):
-            inputs.append(mat)
-            targets.append(rates[t])
-    if not inputs:
+    span = panel.periods[n][np.arange(rho, split)[:, None] + np.arange(-rho, 0)]
+    inputs = panel.train_grid(channels)[span]
+    keep = np.isfinite(inputs).all(axis=(1, 2))
+    if not keep.any():
         return None
-    return np.stack(inputs), np.array(targets, dtype=np.float64)
+    return inputs[keep], panel.rates[n][rho:split][keep]
 
 
 def train_knn_gru(
@@ -395,14 +392,13 @@ def train_knn_gru(
 ) -> ModelBundle:
     """Per-node units whose step input stacks the node with its k most
     Pearson-correlated nodes (correlations measured on training windows)."""
-    grid = _train_value_grid(panel)
     neighbor_map = {
         n: select_neighbors(panel, h, n, spec.k_neighbors) for n in h.bfs_order()
     }
 
     def data(n):
         nbs = neighbor_map[n]
-        stacked = _stacked_windows(panel, n, (n, *nbs), grid, spec.rho)
+        stacked = _stacked_windows(panel, n, (n, *nbs), spec.rho)
         return None if stacked is None else (*stacked, {"neighbors": list(nbs)})
 
     def init(n, seed):

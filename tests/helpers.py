@@ -5,10 +5,13 @@ that tests compare two independent routes to the same quantity.
 """
 
 import math
+from collections import deque
 
 import numpy as np
+from hypothesis import strategies as st
 
 from hiergru.baselines import Tree
+from hiergru.dataset import build_panel
 
 
 def fd_grad(loss_fn, x0, step=1e-5):
@@ -156,3 +159,76 @@ def grow_tree_oracle(x, y, *, max_depth, min_leaf, feature_count, rng) -> Tree:
         right=np.array(cols[3], dtype=np.int64),
         value=np.array(cols[4], dtype=np.float64),
     )
+
+
+def bfs_oracle(root, parent):
+    """Breadth-first walk with a queue from the (child -> parent) map:
+    (visit order, {node: depth}), siblings in id order."""
+    children = {}
+    for child, par in parent.items():
+        children.setdefault(par, []).append(child)
+    order, level = [], {root: 0}
+    queue = deque([root])
+    while queue:
+        n = queue.popleft()
+        order.append(n)
+        for c in sorted(children.get(n, ())):
+            level[c] = level[n] + 1
+            queue.append(c)
+    return order, level
+
+
+def aligned_train_rates_oracle(panel, nodes):
+    """Training rates over the periods every node's training split covers,
+    found by intersecting the period lists."""
+    columns = []
+    common = None
+    for n in nodes:
+        periods = panel.periods[n][: panel.split_index[n]]
+        common = periods if common is None else np.intersect1d(common, periods)
+    if common is None or common.size == 0:
+        return np.empty((0, len(nodes)))
+    for n in nodes:
+        periods = panel.periods[n][: panel.split_index[n]]
+        _, idx, _ = np.intersect1d(periods, common, return_indices=True)
+        columns.append(panel.rates[n][: panel.split_index[n]][idx])
+    return np.column_stack(columns)
+
+
+def stacked_windows_oracle(panel, n, channels, rho):
+    """knngru training windows built one window at a time from per-node
+    calendar arrays of training rates; None when no window is complete."""
+    grid = {}
+    for c in panel.rates:
+        g = np.full(len(panel.calendar), np.nan)
+        split = panel.split_index[c]
+        g[panel.periods[c][:split]] = panel.rates[c][:split]
+        grid[c] = g
+    split = panel.split_index[n]
+    periods = panel.periods[n]
+    inputs, targets = [], []
+    for t in range(rho, split):
+        mat = np.column_stack([grid[c][periods[t - rho: t]] for c in channels])
+        if np.all(np.isfinite(mat)):
+            inputs.append(mat)
+            targets.append(panel.rates[n][t])
+    if not inputs:
+        return None
+    return np.stack(inputs), np.array(targets, dtype=np.float64)
+
+
+@st.composite
+def ragged_panels(draw, max_nodes=6, max_calendar=40):
+    """Panels whose nodes start late and end early on a shared calendar,
+    some too short for any window (split <= rho)."""
+    size = draw(st.integers(4, max_calendar))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    series = {}
+    for i in range(draw(st.integers(2, max_nodes))):
+        start = draw(st.integers(0, size - 2)) if draw(st.booleans()) else 0
+        length = size - start
+        if draw(st.booleans()):
+            length = draw(st.integers(2, length))
+        series[f"n{i}"] = (start, rng.normal(size=length))
+    fraction = draw(st.sampled_from([0.3, 0.5, 0.75, 0.9]))
+    return build_panel([f"p{t:03d}" for t in range(size)], series, fraction)

@@ -21,6 +21,20 @@ def write_config(path: Path, data_dir: Path, models, **overrides):
     return path
 
 
+def assert_one_line_config_error(data_dir, tmp_path, capsys, entry, key):
+    """``run`` with the one model ``entry`` exits 2 before writing anything,
+    with one stderr line naming the model label and ``key``."""
+    cfg = write_config(
+        tmp_path / "cfg.json", data_dir, [{**entry, "label": "bad_model"}]
+    )
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "'bad_model'" in err and key in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 @pytest.fixture
 def synth_dir(tmp_path):
     data = tmp_path / "data"
@@ -199,15 +213,25 @@ class TestRun:
     def test_out_of_range_baseline_value_exit_2(
         self, synth_dir, tmp_path, capsys, entry, key
     ):
-        cfg = write_config(
-            tmp_path / "cfg.json", synth_dir, [{**entry, "label": "bad_model"}]
-        )
-        out = tmp_path / "o"
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "'bad_model'" in err and key in err
-        assert len(err.strip().splitlines()) == 1
-        assert not out.exists()
+        assert_one_line_config_error(synth_dir, tmp_path, capsys, entry, key)
+
+    @pytest.mark.parametrize(
+        "entry, key",
+        [
+            ({"tag": "igru", "hidden": 0}, "hidden"),
+            ({"tag": "igru", "lr": float("nan")}, "lr"),
+            ({"tag": "igru", "epochs": -1}, "epochs"),
+            ({"tag": "igru", "optimizer": "rmsprop"}, "optimizer"),
+            ({"tag": "bihrnn", "epochs": 2, "lambda1": -1}, "lambda1"),
+            ({"tag": "bihrnn", "epochs": 2, "lambda2": float("nan")}, "lambda2"),
+            ({"tag": "hrnn", "epochs": 2, "alpha": 1000.0}, "alpha"),
+            ({"tag": "knngru", "k_neighbors": 0}, "k_neighbors"),
+        ],
+    )
+    def test_out_of_range_recurrent_value_exit_2(
+        self, synth_dir, tmp_path, capsys, entry, key
+    ):
+        assert_one_line_config_error(synth_dir, tmp_path, capsys, entry, key)
 
     def test_missing_out_dir_exit_2(self, synth_dir, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", synth_dir, ["ar"])

@@ -55,10 +55,6 @@ class TestToRates:
         rebuilt = levels[0] * np.exp(np.cumsum(rates) / 100.0)
         np.testing.assert_allclose(rebuilt, levels[1:], rtol=1e-9)
 
-    def test_alternate_base(self):
-        r = to_rates([100.0, 110.0], log_base=10.0)
-        assert r[0] == pytest.approx(100.0 * math.log10(1.1), abs=1e-12)
-
 
 class TestChronologicalSplit:
     def test_75_of_100(self):

@@ -8,7 +8,6 @@ from hiergru.evaluation import (
     DAILY_HORIZONS,
     MONTHLY_HORIZONS,
     evaluate,
-    per_level_table,
     render_level_report,
     render_raw,
     render_report,

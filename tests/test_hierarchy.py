@@ -2,9 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import panel_from_rates
-from helpers import pearson_oracle
+from helpers import (
+    aligned_train_rates_oracle,
+    bfs_oracle,
+    pearson_oracle,
+    ragged_panels,
+)
 from hiergru.errors import (
     AllZeroWeightsWarning,
     CycleDetectedError,
@@ -19,6 +26,7 @@ from hiergru.errors import (
     UnknownParentError,
 )
 from hiergru.hierarchy import (
+    aligned_train_rates,
     build_hierarchy,
     child_weights,
     impute_weights,
@@ -26,6 +34,52 @@ from hiergru.hierarchy import (
     parent_correlation,
     precision_schedule,
 )
+
+
+def us_shaped_rows():
+    """350 nodes spread over levels 0..8, mimicking a national CPI tree."""
+    rows = [("n0", None, 100.0)]
+    level_nodes = {0: ["n0"]}
+    count = 1
+    level = 0
+    while count < 350:
+        level += 1
+        level_nodes[level] = []
+        parents = level_nodes[level - 1]
+        want = min(350 - count, max(len(parents), 43 if level < 8 else 350))
+        for i in range(want):
+            node = f"n{count}"
+            rows.append((node, parents[i % len(parents)], 1.0))
+            level_nodes[level].append(node)
+            count += 1
+            if level == 8 and count == 350:
+                break
+    return rows
+
+
+@st.composite
+def random_tree_rows(draw):
+    """Rows of a random tree in random order; ids are a random relabelling,
+    so id order and insertion order disagree."""
+    size = draw(st.integers(1, 40))
+    ids = [f"n{k}" for k in draw(st.permutations(range(size)))]
+    rows = [(ids[0], None, 1.0)]
+    rows += [(ids[i], ids[draw(st.integers(0, i - 1))], 1.0) for i in range(1, size)]
+    return draw(st.permutations(rows))
+
+
+def assert_levels_match_bfs(rows):
+    h = build_hierarchy(rows)
+    root = next(n for n, p, _ in rows if not p)
+    order, level = bfs_oracle(root, {n: p for n, p, _ in rows if p})
+    depth = max(level.values())
+    assert h.levels == tuple(
+        tuple(n for n in order if level[n] == lv) for lv in range(depth + 1)
+    )
+    assert h.level == level
+    assert h.bfs_order() == tuple(order)
+    assert h.non_root_nodes() == tuple(order[1:])
+    assert h.depth() == depth
 
 
 class TestBuildAndLoad:
@@ -73,27 +127,33 @@ class TestBuildAndLoad:
             build_hierarchy([("A", None, 1.0), ("A", None, 1.0)])
 
     def test_us_shaped_fixture_has_nine_levels(self):
-        # 350 nodes spread over levels 0..8, mimicking a national CPI tree
-        rows = [("n0", None, 100.0)]
-        level_nodes = {0: ["n0"]}
-        count = 1
-        level = 0
-        while count < 350:
-            level += 1
-            level_nodes[level] = []
-            parents = level_nodes[level - 1]
-            want = min(350 - count, max(len(parents), 43 if level < 8 else 350))
-            for i in range(want):
-                node = f"n{count}"
-                rows.append((node, parents[i % len(parents)], 1.0))
-                level_nodes[level].append(node)
-                count += 1
-                if level == 8 and count == 350:
-                    break
-        h = build_hierarchy(rows)
+        h = build_hierarchy(us_shaped_rows())
         assert len(h.nodes) == 350
         assert h.depth() == 8
         assert sorted(set(h.level.values())) == list(range(9))
+
+
+class TestLevels:
+    def test_us_shaped_fixture_matches_bfs(self):
+        assert_levels_match_bfs(us_shaped_rows())
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_tree_rows())
+    def test_random_tree_matches_bfs(self, rows):
+        assert_levels_match_bfs(rows)
+
+
+class TestAlignedTrainRates:
+    @settings(max_examples=200, deadline=None)
+    @given(ragged_panels())
+    def test_matches_period_intersection(self, panel):
+        nodes = list(panel.nodes)
+        node_sets = [[a, b] for a in nodes for b in nodes if a != b] + [nodes]
+        for ns in node_sets:
+            got = aligned_train_rates(panel, ns)
+            want = aligned_train_rates_oracle(panel, ns)
+            assert (got.shape, got.dtype) == (want.shape, want.dtype)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestParentCorrelation:
@@ -187,8 +247,6 @@ class TestPrecisionSchedule:
         sched = precision_schedule(panel, h, alpha=1.5)
         assert sched.correlation["B"] == 0.0
         assert sched.tau["B"] == pytest.approx(math.exp(1.5), rel=1e-12)
-        with pytest.raises(DegenerateVarianceError):
-            precision_schedule(panel, h, alpha=1.5, fallback=False)
 
 
 class TestImputeWeights:

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import panel_from_rates
+from helpers import ragged_panels, stacked_windows_oracle
 from hiergru.cli import fit_entry
 from hiergru.dataset import SynthSpec, build_panel, make_windows, synth_panel
 from hiergru.errors import (
@@ -16,6 +19,7 @@ from hiergru.hierarchy import build_hierarchy
 from hiergru.models import (
     ModelBundle,
     TrainSpec,
+    _stacked_windows,
     forecast,
     forecast_origins,
     node_seed,
@@ -183,6 +187,22 @@ class TestKnnGru:
         traj = bundle.forecast(panel, "a", origin, horizon=2)
         assert traj.shape == (3,)
         assert np.all(np.isfinite(traj))
+
+    @settings(max_examples=200, deadline=None)
+    @given(ragged_panels(), st.integers(1, 5), st.data())
+    def test_windows_match_window_by_window_build(self, panel, rho, data):
+        for n in panel.nodes:
+            others = [c for c in panel.nodes if c != n]
+            k = data.draw(st.integers(1, 4))
+            channels = (n, *data.draw(st.permutations(others))[:k])
+            got = _stacked_windows(panel, n, channels, rho)
+            want = stacked_windows_oracle(panel, n, channels, rho)
+            if want is None:
+                assert got is None
+                continue
+            for g, w in zip(got, want, strict=True):
+                assert (g.shape, g.dtype) == (w.shape, w.dtype)
+                assert g.tobytes() == w.tobytes()
 
 
 class TestHrnn:
