@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,7 +27,6 @@ from .models import (
     _POSITIVE,
     ModelBundle,
     _check_fields,
-    _pmap,
     node_seed,
 )
 
@@ -493,15 +493,31 @@ def fit_mlp(windows: list[Window], rho: int, cfg: MlpConfig) -> MlpModel:
     model = init_mlp(rho, cfg.hidden, np.random.default_rng(cfg.seed))
     sizes = model.sizes
 
-    def fn(vec):
-        return mlp_loss_and_grad(MlpModel(vec, sizes), x, y)
+    # the one-row case of run_optimizer's (rows, size) parameter matrix
+    def loss_and_grad(X):
+        loss, grad = mlp_loss_and_grad(MlpModel(X[0], sizes), x, y)
+        return np.array([loss]), grad[None]
 
-    opt = OptimState(lr=cfg.lr)
-    final, _ = run_optimizer(fn, model.vec, opt, cfg.epochs)
-    return MlpModel(final, sizes)
+    def loss(X):
+        err = MlpModel(X[0], sizes).predict_batch(x) - y
+        return np.array([float(err @ err) / len(y)])
+
+    final, _, failures = run_optimizer(
+        loss_and_grad, loss, model.vec[None], OptimState(lr=cfg.lr), cfg.epochs
+    )
+    if failures:
+        raise failures[0]
+    return MlpModel(final[0], sizes)
 
 
 # ------------------------------------------------------------------ bundles
+
+def _pmap(fn, items, jobs):
+    if jobs <= 1:
+        return [fn(it) for it in items]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, items))
+
 
 # The former name of the baseline bundle class, kept because
 # perfbench/traced_run.py looks it up; drop it with that script's next change.

@@ -30,7 +30,7 @@ from .dataset import (
     save_series_csv,
     synth_panel,
 )
-from .errors import DivergenceError, HiergruError
+from .errors import DivergenceError, HiergruError, InvalidSpecError
 from .evaluation import (
     DAILY_HORIZONS,
     MONTHLY_HORIZONS,
@@ -266,16 +266,19 @@ def run_grid_search(entry: dict, panel, h, seed: int, jobs: int) -> dict:
 # ------------------------------------------------------------- subcommands
 
 def cmd_synth(args) -> int:
+    try:
+        spec = SynthSpec(
+            depth=args.depth,
+            branching=args.branching,
+            length=args.length,
+            leaf_noise_sd=args.leaf_noise_sd,
+            seed=args.seed,
+            ar_coeff=args.ar_coeff,
+        )
+    except InvalidSpecError as exc:
+        raise ConfigError(f"synth: {exc}") from exc
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    spec = SynthSpec(
-        depth=args.depth,
-        branching=args.branching,
-        length=args.length,
-        leaf_noise_sd=args.leaf_noise_sd,
-        seed=args.seed,
-        ar_coeff=args.ar_coeff,
-    )
     h, panel = synth_panel(spec)
     save_hierarchy(h, out / "hierarchy.csv")
     save_series_csv(panel, out / "series.csv")
@@ -410,7 +413,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True, help="JSON run configuration")
     run.add_argument("--out", help="output directory (overrides config)")
     run.add_argument("--seed", type=int, help="global seed (overrides config)")
-    run.add_argument("--jobs", type=int, default=1, help="worker threads")
+    run.add_argument(
+        "--jobs", type=int, default=1,
+        help="worker threads for baseline fitting; recurrent training does "
+        "not use threads (each group of nodes trains as one stacked "
+        "optimisation)",
+    )
     run.add_argument(
         "--already-rates", action="store_true",
         help="treat the series file as rates regardless of config",

@@ -272,6 +272,10 @@ class SynthSpec:
             )
         if not 0.0 < abs(self.ar_coeff) < 1.0:
             raise InvalidSpecError("ar_coeff must be in (0, 1) for stationarity")
+        if not 0.0 <= self.leaf_noise_sd < math.inf:
+            raise InvalidSpecError(
+                f"leaf_noise_sd must be finite and >= 0, got {self.leaf_noise_sd!r}"
+            )
 
 
 def _month_labels(length: int) -> list[str]:

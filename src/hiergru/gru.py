@@ -12,11 +12,20 @@ neighbor-augmented variant) to one scalar prediction through
 run from a zero state, followed by ``readout_w . s_final + readout_b``.
 Gradients are hand-derived and verified against central finite differences
 in the test suite.
+
+Training runs on stacks of units: N units of one shape, each with its own
+batch of equally many windows and its own anchors, as an (N, size)
+parameter matrix.  Every product is a batched ``np.matmul`` over per-unit
+views of that matrix and every sum runs within one unit, so each unit gets
+the bits it would get trained alone.  :func:`loss_and_grad` and
+:func:`optimize` are the one-unit case of :func:`optimize_stack`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,16 +40,32 @@ def _param_count(hidden: int, input_dim: int) -> int:
     return 3 * (input_dim * hidden + hidden * hidden + hidden) + hidden + 1
 
 
-def _views(vec: np.ndarray, hidden: int, input_dim: int) -> list[np.ndarray]:
-    """The arrays named in ``_FIELDS`` as views into ``vec``, in its order;
-    the readout bias is the element after them."""
+@functools.cache
+def _layout(hidden: int, input_dim: int, stacked: bool) -> tuple:
+    """(slice, shape) of every array named in ``_FIELDS`` within a
+    parameter vector, in its order.  ``stacked`` shapes the biases (1, h)
+    and the readout weights (h, 1), for batched matmul."""
     h, d = hidden, input_dim
-    views, at = [], 0
-    for shape in [(d, h)] * 3 + [(h, h)] * 3 + [(h,)] * 4:
+    bias, readout = ((1, h), (h, 1)) if stacked else ((h,), (h,))
+    layout, at = [], 0
+    for shape in [(d, h)] * 3 + [(h, h)] * 3 + [bias] * 3 + [readout]:
         size = math.prod(shape)
-        views.append(vec[at: at + size].reshape(shape))
+        layout.append((slice(at, at + size), shape))
         at += size
-    return views
+    return tuple(layout)
+
+
+def _views(
+    vec: np.ndarray, hidden: int, input_dim: int, stacked: bool = False
+) -> list[np.ndarray]:
+    """The arrays named in ``_FIELDS`` as views into the last axis of
+    ``vec`` (one parameter vector, or a stack of them), in its order; the
+    readout bias is the element after them."""
+    lead = vec.shape[:-1]
+    return [
+        vec[..., part].reshape(lead + shape)
+        for part, shape in _layout(hidden, input_dim, stacked)
+    ]
 
 
 @dataclass(frozen=True)
@@ -114,9 +139,11 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-x))
 
 
-def _step(p: GruParams, x: np.ndarray, s: np.ndarray):
+def _step(p, x: np.ndarray, s: np.ndarray):
     """The recurrence, written once: gates z, r, v and the next state from
-    state ``s`` with input ``x``, for one row or a batch of rows."""
+    state ``s`` with input ``x``, for one row or a batch of rows of one unit
+    (``p`` a :class:`GruParams`), or for a stack of units (``p`` a
+    :class:`_Stack`)."""
     z = _sigmoid(x @ p.u_z + s @ p.w_z + p.b_z)
     r = _sigmoid(x @ p.u_r + s @ p.w_r + p.b_r)
     v = np.tanh(x @ p.u_v + (s * r) @ p.w_v + p.b_v)
@@ -149,14 +176,188 @@ def _as_batch(p: GruParams, inputs: np.ndarray) -> np.ndarray:
     return x
 
 
+def _final_state(p, x: np.ndarray) -> np.ndarray:
+    """The state after the last step of every window, from the zero state;
+    ``x[..., t, :]`` is step t of every window."""
+    s = np.zeros(x.shape[:-2] + (p.hidden,))
+    for t in range(x.shape[-2]):
+        s = _step(p, x[..., t, :], s)[3]
+    return s
+
+
 def predict_batch(p: GruParams, inputs: np.ndarray) -> np.ndarray:
     """Run the unit over a batch of windows, shape (batch, rho) or
     (batch, rho, input_dim), from the zero state; linear readout."""
-    x = _as_batch(p, inputs)
-    s = np.zeros((x.shape[0], p.hidden))
-    for t in range(x.shape[1]):
-        s = _step(p, x[:, t, :], s)[3]
-    return s @ p.readout_w + p.readout_b
+    return _final_state(p, _as_batch(p, inputs)) @ p.readout_w + p.readout_b
+
+
+# ----------------------------------------------------------- stacked units
+
+# Per-unit views of an (N, size) parameter matrix, shaped for batched matmul
+# against per-unit batches: gate weights (N, d, h) and (N, h, h), biases
+# (N, 1, h), readout weights (N, h, 1) and readout bias (N, 1).
+_Stack = namedtuple("_Stack", (*_FIELDS, "readout_b", "hidden"))
+
+
+def _stack(P: np.ndarray, hidden: int, input_dim: int) -> _Stack:
+    return _Stack(*_views(P, hidden, input_dim, stacked=True), P[:, -1:], hidden)
+
+
+def _batches(p: GruParams, inputs, targets) -> tuple[np.ndarray, np.ndarray]:
+    """Per-unit windows stacked to (N, n, rho, input_dim), and targets to
+    (N, n)."""
+    x = np.stack([_as_batch(p, a) for a in inputs])
+    if x.shape[1] == 0:
+        raise EmptyInputError("empty training batch")
+    y = np.stack([np.asarray(b, dtype=np.float64) for b in targets])
+    if y.shape != x.shape[:2]:
+        raise ShapeMismatchError(
+            f"targets shape {y.shape[1:]} does not match batch size {x.shape[1]}"
+        )
+    return x, y
+
+
+def _penalty_terms(regularizers, size: int) -> list:
+    """Each unit's nonzero (anchor, coeff) pairs grouped by position j:
+    the rows that have a j-th pair (an index array, or a slice when every
+    row has one), their anchors (k, size) and their coeffs (k,).  Adding
+    the groups in order adds every unit's terms in its own order, and a
+    unit without a j-th pair gets no term at all."""
+    kept = []
+    for regs in regularizers:
+        pairs = [(anchor, coeff) for anchor, coeff in regs if coeff != 0.0]
+        for anchor, _ in pairs:
+            if anchor.vec.shape != (size,):
+                raise ShapeMismatchError(
+                    f"anchor has {anchor.size} parameters, expected {size}"
+                )
+        kept.append(pairs)
+    terms = []
+    for j in range(max(map(len, kept), default=0)):
+        rows = [i for i, pairs in enumerate(kept) if len(pairs) > j]
+        terms.append((
+            slice(None) if len(rows) == len(kept) else np.array(rows),
+            np.stack([kept[i][j][0].vec for i in rows]),
+            np.array([kept[i][j][1] for i in rows], dtype=np.float64),
+        ))
+    return terms
+
+
+def _row_dots(a: np.ndarray) -> np.ndarray:
+    """``a[i] @ a[i]`` for every row i."""
+    return (a[:, None, :] @ a[:, :, None])[:, 0, 0]
+
+
+def _add_penalties(P, terms, loss, grad=None) -> np.ndarray:
+    """Add ``coeff * ||P[i] - anchor||^2`` to ``loss[i]``, and its gradient
+    to ``grad[i]`` when given, for every term of every unit."""
+    for rows, anchors, coeffs in terms:
+        diff = P[rows] - anchors
+        loss[rows] += coeffs * _row_dots(diff)
+        if grad is not None:
+            grad[rows] += (2.0 * coeffs)[:, None] * diff
+    return loss
+
+
+def _readout(w: _Stack, s: np.ndarray) -> np.ndarray:
+    return (s @ w.readout_w)[..., 0] + w.readout_b
+
+
+# Windows per pass over a stack of units: enough units per pass to spread
+# numpy's per-call overhead, few enough that the activations a backward
+# pass stores stay well under a megabyte.
+_PASS_WINDOWS = 512
+
+
+def _passes(units: int, windows: int) -> list[slice]:
+    """The row slices of a stack of ``units`` units with ``windows``
+    windows each, one slice per pass."""
+    rows = max(1, _PASS_WINDOWS // windows)
+    return [slice(lo, lo + rows) for lo in range(0, units, rows)]
+
+
+def _stack_loss(P, hidden, x, y, terms) -> np.ndarray:
+    """The losses of :func:`_stack_loss_and_grad` from a forward pass
+    alone, bit for bit."""
+    loss = np.empty(P.shape[0])
+    for part in _passes(*x.shape[:2]):
+        w = _stack(P[part], hidden, x.shape[3])
+        err = _readout(w, _final_state(w, x[part])) - y[part]
+        loss[part] = _row_dots(err) / x.shape[1]
+    return _add_penalties(P, terms, loss)
+
+
+def _stack_loss_and_grad(P, hidden, x, y, terms):
+    """The one backward pass: for every unit i, the mean-squared error of
+    its windows ``x[i]`` against ``y[i]`` plus its anchor penalties, and the
+    exact gradient of that loss with respect to ``P[i]`` by
+    backpropagation through time.  Returns losses (N,) and gradients
+    (N, size).  The units run in passes of about ``_PASS_WINDOWS``
+    windows."""
+    loss = np.empty(P.shape[0])
+    grad = np.zeros_like(P)
+    for part in _passes(*x.shape[:2]):
+        loss[part] = _bptt(P[part], hidden, x[part], y[part], grad[part])
+    return _add_penalties(P, terms, loss, grad), grad
+
+
+def _bptt(P, hidden, x, y, grad) -> np.ndarray:
+    """The data losses of the units of ``P``; their gradients are added
+    into ``grad``, which holds zeros."""
+    N, n, rho, d = x.shape
+    h = hidden
+    w = _stack(P, h, d)
+    states = np.zeros((rho + 1, N, n, h))
+    zs = np.empty((rho, N, n, h))
+    rs = np.empty((rho, N, n, h))
+    vs = np.empty((rho, N, n, h))
+    for t in range(rho):
+        zs[t], rs[t], vs[t], states[t + 1] = _step(w, x[:, :, t, :], states[t])
+
+    err = _readout(w, states[rho]) - y
+    loss = _row_dots(err) / n
+
+    dpred = (2.0 / n) * err
+    gu_z, gu_r, gu_v, gw_z, gw_r, gw_v, gb_z, gb_r, gb_v, g_readout_w = _views(
+        grad, h, d
+    )
+    g_readout_w[:] = (states[rho].swapaxes(1, 2) @ dpred[..., None])[..., 0]
+    grad[:, -1] = dpred.sum(axis=1)
+    ds = dpred[..., None] * w.readout_w.swapaxes(1, 2)
+    # transposed views, taken once per call
+    xT = x.transpose(2, 0, 3, 1)
+    sT = states.swapaxes(2, 3)
+    w_zT, w_rT, w_vT = (m.swapaxes(1, 2) for m in (w.w_z, w.w_r, w.w_v))
+
+    for t in range(rho - 1, -1, -1):
+        s_prev, z, r, v = states[t], zs[t], rs[t], vs[t]
+
+        dz = ds * (v - s_prev)
+        dv = ds * z
+        ds_prev = ds * (1.0 - z)
+
+        da_v = dv * (1.0 - v * v)
+        gu_v += xT[t] @ da_v
+        gw_v += (s_prev * r).swapaxes(1, 2) @ da_v
+        gb_v += da_v.sum(axis=1)
+        dsr = da_v @ w_vT
+        dr = dsr * s_prev
+        ds_prev += dsr * r
+
+        da_r = dr * r * (1.0 - r)
+        gu_r += xT[t] @ da_r
+        gw_r += sT[t] @ da_r
+        gb_r += da_r.sum(axis=1)
+        ds_prev += da_r @ w_rT
+
+        da_z = dz * z * (1.0 - z)
+        gu_z += xT[t] @ da_z
+        gw_z += sT[t] @ da_z
+        gb_z += da_z.sum(axis=1)
+        ds_prev += da_z @ w_zT
+
+        ds = ds_prev
+    return loss
 
 
 def loss_and_grad(
@@ -171,82 +372,16 @@ def loss_and_grad(
              + sum_j coeff_j * || p.vec - anchor_j.vec ||^2
 
     Returns the loss and its exact gradient with respect to ``p.vec``,
-    obtained by backpropagation through time.  ``regularizers`` is a
-    sequence of (anchor: GruParams, coeff: float) pairs; zero-coefficient
-    entries contribute nothing and are skipped outright.
+    obtained by backpropagation through time: the one-unit case of the
+    stacked kernel.  ``regularizers`` is a sequence of (anchor: GruParams,
+    coeff: float) pairs; zero-coefficient entries contribute nothing and
+    are skipped outright.
     """
-    x = _as_batch(p, inputs)
-    y = np.asarray(targets, dtype=np.float64)
-    n, rho, _ = x.shape
-    if n == 0:
-        raise EmptyInputError("empty training batch")
-    if y.shape != (n,):
-        raise ShapeMismatchError(
-            f"targets shape {y.shape} does not match batch size {n}"
-        )
-
-    h = p.hidden
-    states = np.zeros((rho + 1, n, h))
-    zs = np.empty((rho, n, h))
-    rs = np.empty((rho, n, h))
-    vs = np.empty((rho, n, h))
-    for t in range(rho):
-        zs[t], rs[t], vs[t], states[t + 1] = _step(p, x[:, t, :], states[t])
-
-    pred = states[rho] @ p.readout_w + p.readout_b
-    err = pred - y
-    loss = float(err @ err) / n
-
-    dpred = (2.0 / n) * err
-    grad = np.zeros(p.size)
-    gu_z, gu_r, gu_v, gw_z, gw_r, gw_v, gb_z, gb_r, gb_v, g_readout_w = _views(
-        grad, h, p.input_dim
+    x, y = _batches(p, [inputs], [targets])
+    loss, grad = _stack_loss_and_grad(
+        p.vec[None], p.hidden, x, y, _penalty_terms([regularizers], p.size)
     )
-    g_readout_w[:] = states[rho].T @ dpred
-    grad[-1] = float(dpred.sum())
-    ds = np.outer(dpred, p.readout_w)
-
-    for t in range(rho - 1, -1, -1):
-        xt = x[:, t, :]
-        s_prev, z, r, v = states[t], zs[t], rs[t], vs[t]
-
-        dz = ds * (v - s_prev)
-        dv = ds * z
-        ds_prev = ds * (1.0 - z)
-
-        da_v = dv * (1.0 - v * v)
-        gu_v += xt.T @ da_v
-        gw_v += (s_prev * r).T @ da_v
-        gb_v += da_v.sum(axis=0)
-        dsr = da_v @ p.w_v.T
-        dr = dsr * s_prev
-        ds_prev += dsr * r
-
-        da_r = dr * r * (1.0 - r)
-        gu_r += xt.T @ da_r
-        gw_r += s_prev.T @ da_r
-        gb_r += da_r.sum(axis=0)
-        ds_prev += da_r @ p.w_r.T
-
-        da_z = dz * z * (1.0 - z)
-        gu_z += xt.T @ da_z
-        gw_z += s_prev.T @ da_z
-        gb_z += da_z.sum(axis=0)
-        ds_prev += da_z @ p.w_z.T
-
-        ds = ds_prev
-
-    for anchor, coeff in regularizers:
-        if coeff == 0.0:
-            continue
-        if anchor.vec.shape != p.vec.shape:
-            raise ShapeMismatchError(
-                f"anchor has {anchor.size} parameters, expected {p.size}"
-            )
-        diff = p.vec - anchor.vec
-        loss += coeff * float(diff @ diff)
-        grad += (2.0 * coeff) * diff
-    return loss, grad
+    return float(loss[0]), grad[0]
 
 
 # ---------------------------------------------------------------- optimizer
@@ -279,36 +414,80 @@ class OptimState:
         return x - self.lr * m_hat / (np.sqrt(v_hat) + _EPS)
 
 
-def run_optimizer(loss_grad_fn, x0: np.ndarray, opt: OptimState, epochs: int):
-    """Iterate first-order updates; abort on a non-finite loss.
+def run_optimizer(loss_grad_fn, loss_fn, x0: np.ndarray, opt: OptimState,
+                  epochs: int):
+    """Iterate first-order updates on the rows of ``x0``, shape (N, size):
+    N independent problems sharing one optimizer.
 
-    Returns (final_x, losses) where ``losses`` has ``epochs + 1`` entries:
-    the loss at the initial point through the loss at the final point.
-    On divergence raises :class:`DivergenceError` carrying the last
-    parameter vector that produced a finite loss.
+    ``loss_grad_fn(X)`` gives the (N,) losses and (N, size) gradients at
+    ``X``; ``loss_fn(X)`` gives the losses alone, for the final point.
+    Returns (X, losses, failures): ``losses`` holds the (N,) losses at the
+    initial point through the final point, ``epochs + 1`` of them.  A row
+    whose loss or gradient turns non-finite freezes where it is, and
+    ``failures`` maps it to the :class:`DivergenceError` it would raise
+    optimized alone, carrying the parameters it froze at.  The run stops
+    early once row 0 has failed.
     """
-    x = np.array(x0, dtype=np.float64)
-    losses = []
+    X = np.array(x0, dtype=np.float64)
+    losses, failures = [], {}
+    frozen = np.zeros(X.shape[0], dtype=bool)
+
+    def fail(bad, epoch):
+        for i in np.flatnonzero(bad & ~frozen):
+            failures[int(i)] = DivergenceError(
+                f"loss became non-finite after {epoch} epochs",
+                last_params=X[i].copy(),
+            )
+        frozen[bad] = True
+
     # A diverging run overflows before its loss turns non-finite; that is
-    # detected here and raised as DivergenceError, so numpy's own overflow
+    # detected here and reported as DivergenceError, so numpy's own overflow
     # and invalid-value warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(epochs):
-            loss, grad = loss_grad_fn(x)
-            if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
-                raise DivergenceError(
-                    f"loss became non-finite after {len(losses)} epochs",
-                    last_params=x,
-                )
+        for epoch in range(epochs):
+            loss, grad = loss_grad_fn(X)
             losses.append(loss)
-            x = opt.update(x, grad)
-        final_loss, _ = loss_grad_fn(x)
-    if not np.isfinite(final_loss):
-        raise DivergenceError(
-            f"loss became non-finite after {epochs} epochs", last_params=x
-        )
+            finite = np.isfinite(loss) & np.isfinite(grad).all(axis=1)
+            if not finite.all():
+                fail(~finite, epoch)
+                if frozen[0]:
+                    return X, losses, failures
+            step = opt.update(X, grad)
+            X = np.where(frozen[:, None], X, step) if failures else step
+        final_loss = loss_fn(X)
+    fail(~np.isfinite(final_loss), epochs)
     losses.append(final_loss)
-    return x, losses
+    return X, losses, failures
+
+
+def optimize_stack(
+    params: list[GruParams],
+    inputs: list,
+    targets: list,
+    opt: OptimState,
+    *,
+    epochs: int,
+    regularizers: list | None = None,
+) -> tuple[list[GruParams], list[np.ndarray], dict[int, DivergenceError]]:
+    """Train units of one shape at once, full batch: unit i on windows
+    ``inputs[i]`` (equally many for every unit) against targets
+    ``targets[i]`` and anchors ``regularizers[i]`` (default: none).
+
+    Every unit ends with the bits :func:`optimize` gives it alone.  Returns
+    the trained units, the losses and the failures of
+    :func:`run_optimizer`; a failed unit's parameters are meaningless.
+    """
+    if epochs == 0:
+        return list(params), [], {}
+    hidden, input_dim = params[0].hidden, params[0].input_dim
+    x, y = _batches(params[0], inputs, targets)
+    terms = _penalty_terms(regularizers or [()] * len(params), params[0].size)
+    P, losses, failures = run_optimizer(
+        lambda P: _stack_loss_and_grad(P, hidden, x, y, terms),
+        lambda P: _stack_loss(P, hidden, x, y, terms),
+        np.stack([p.vec for p in params]), opt, epochs,
+    )
+    return [GruParams(row, hidden, input_dim) for row in P], losses, failures
 
 
 def optimize(
@@ -320,15 +499,12 @@ def optimize(
     epochs: int,
     regularizers: tuple = (),
 ) -> tuple[GruParams, list[float]]:
-    """Train one unit, full batch, deterministic throughout."""
-    if epochs == 0:
-        return p, []
-    hidden, input_dim = p.hidden, p.input_dim
-
-    def fn(vec):
-        return loss_and_grad(
-            GruParams(vec, hidden, input_dim), inputs, targets, regularizers
-        )
-
-    x, losses = run_optimizer(fn, p.vec, opt, epochs)
-    return GruParams(x, hidden, input_dim), losses
+    """Train one unit, full batch, deterministic throughout: the one-unit
+    case of :func:`optimize_stack`.  Raises :class:`DivergenceError` when
+    the loss turns non-finite."""
+    (trained,), losses, failures = optimize_stack(
+        [p], [inputs], [targets], opt, epochs=epochs, regularizers=[regularizers]
+    )
+    if failures:
+        raise failures[0]
+    return trained, [float(loss[0]) for loss in losses]

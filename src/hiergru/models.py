@@ -21,6 +21,13 @@ children start) and asks three things of each node:
 sgru is the loop over the root alone, fed the pooled windows of every
 node; every node then shares the root's unit.
 
+The nodes of a group train independently, so a group is split into
+buckets of nodes with equally many windows and the same input width, and
+each bucket trains as one stacked optimisation
+(:func:`~hiergru.gru.optimize_stack`).  Nothing is padded, and every node
+ends with the bits it would get trained alone.  The trainers accept a
+``jobs`` count and ignore it: recurrent training does not use threads.
+
 Every trainer is a pure function of (panel, hierarchy, spec[, pretrained]):
 node seeds derive from a stable hash, batches are full and ordered, so
 repeated runs are bit-identical.
@@ -31,7 +38,7 @@ from __future__ import annotations
 import hashlib
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -42,36 +49,41 @@ from .errors import (
     HiergruError,
     InsufficientHistoryError,
     InsufficientNeighborsWarning,
-    InsufficientOverlapError,
     InvalidSpecError,
     MissingPretrainedError,
     NodeSkippedWarning,
     NoTrainingDataError,
 )
-from .gru import GruParams, OptimState, init_params, optimize, zero_params
+from .gru import GruParams, OptimState, init_params, optimize_stack, zero_params
 from .hierarchy import (
     Hierarchy,
     NodeId,
     child_weights,
     precision_schedule,
-    train_correlation,
 )
+from .metrics import pearson
 
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _finite(test, wanted: str) -> tuple:
+    """A range rule that also rejects infinity (NaN fails every test)."""
+    return (lambda v: (_is_int(v) or math.isfinite(v)) and test(v),
+            f"finite and {wanted}")
+
+
 # (test, wording) pairs for the config field checks below
-_AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
-_AT_LEAST_0 = (lambda v: v >= 0, ">= 0")
-_POSITIVE = (lambda v: v > 0, "> 0")
+_AT_LEAST_1 = _finite(lambda v: v >= 1, ">= 1")
+_AT_LEAST_0 = _finite(lambda v: v >= 0, ">= 0")
+_POSITIVE = _finite(lambda v: v > 0, "> 0")
 _FRACTION = (lambda v: 0 < v <= 1, "in (0, 1]")
 _INTEGER = (_is_int, "an integer")
 _COUNT = (lambda v: _is_int(v) and v >= 1, "an integer >= 1")
 _NONNEG_INT = (lambda v: _is_int(v) and v >= 0, "an integer >= 0")
 # exp(alpha + C) stays finite for every correlation C in [-1, 1]
-_ALPHA = (lambda v: math.isfinite(v) and v <= 708, "finite and <= 708")
+_ALPHA = _finite(lambda v: v <= 708, "<= 708")
 
 
 def _check_fields(cfg, **rules) -> None:
@@ -159,20 +171,49 @@ class ModelBundle:
 
 # ----------------------------------------------------------------- training
 
-def _pmap(fn, items, jobs):
-    if jobs <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+# One node of a group, ready to train; ``data`` is ``(inputs, targets,
+# notes)``, or None when the node has no training window.
+_Pending = namedtuple("_Pending", "node seed params regularizers notes data")
+
+
+def _train_group(pending: list[_Pending], spec: TrainSpec) -> dict[int, tuple]:
+    """Train the pending nodes that have data: one stacked optimisation per
+    bucket of nodes with equally many windows and the same input width, so
+    nothing is padded.  Returns {index in ``pending``: (params, losses)},
+    ``losses`` being the initial and final loss.  Raises the divergence of
+    the first node, in order, that diverged: the error a node-by-node loop
+    would raise."""
+    buckets: dict[tuple, list[int]] = {}
+    for i, node in enumerate(pending):
+        if node.data is not None:
+            key = (len(node.data[1]), node.params.input_dim)
+            buckets.setdefault(key, []).append(i)
+    trained, failures = {}, {}
+    for members in buckets.values():
+        picked = [pending[i] for i in members]
+        params, losses, failed = optimize_stack(
+            [node.params for node in picked],
+            [node.data[0] for node in picked],
+            [node.data[1] for node in picked],
+            OptimState(lr=spec.lr, method=spec.optimizer),
+            epochs=spec.epochs,
+            regularizers=[node.regularizers for node in picked],
+        )
+        ends = losses[:1] + losses[-1:]
+        for row, i in enumerate(members):
+            trained[i] = params[row], [float(loss[row]) for loss in ends]
+        failures.update((members[row], err) for row, err in failed.items())
+    if failures:
+        raise failures[min(failures)]
+    return trained
 
 
 def _train_nodes(tag, h, spec, data, *, init=None, anchors=None, groups=None,
-                 jobs=1, **fields) -> ModelBundle:
+                 **fields) -> ModelBundle:
     """The node-training loop every recurrent trainer runs.
 
     ``groups`` are trained in order (default: all nodes in breadth-first
-    order as one group); the nodes of a group train independently, across
-    ``jobs`` threads.  Per node:
+    order as one group), each by :func:`_train_group`.  Per node:
 
     * ``data(n)`` gives ``(inputs, targets, notes)``, or None when the node
       has no training window: it then keeps its initial parameters;
@@ -190,43 +231,33 @@ def _train_nodes(tag, h, spec, data, *, init=None, anchors=None, groups=None,
             return init_params(spec.hidden, np.random.default_rng(seed))
     models: dict[NodeId, GruParams] = {}
     provenance: dict[NodeId, dict] = {}
-
-    def fit(item):
-        rank, n = item
-        seed = node_seed(spec.seed, n)
-        params = init(n, seed)
-        regs, notes = anchors(n, models) if anchors else ((), {})
-        stacked = data(n)
-        losses = []
-        if stacked is None:
-            warnings.warn(
-                f"node {n!r} has no training windows; keeping initial parameters",
-                NodeSkippedWarning,
-            )
-        else:
-            inputs, targets, data_notes = stacked
-            opt = OptimState(lr=spec.lr, method=spec.optimizer)
-            params, losses = optimize(
-                params, inputs, targets, opt,
-                epochs=spec.epochs, regularizers=regs,
-            )
-            notes = {**data_notes, **notes}
-        return n, params, {
-            "train_order": rank,
-            "seed": seed,
-            "skipped": stacked is None,
-            "initial_loss": losses[0] if losses else None,
-            "final_loss": losses[-1] if losses else None,
-            **notes,
-        }
-
     rank = 0
     for group in groups or [h.bfs_order()]:
-        items = list(enumerate(group, start=rank))
-        rank += len(items)
-        for n, params, prov in _pmap(fit, items, jobs):
-            models[n] = params
-            provenance[n] = prov
+        pending = []
+        for n in group:
+            seed = node_seed(spec.seed, n)
+            params = init(n, seed)
+            regs, notes = anchors(n, models) if anchors else ((), {})
+            stacked = data(n)
+            if stacked is None:
+                warnings.warn(
+                    f"node {n!r} has no training windows; keeping initial parameters",
+                    NodeSkippedWarning,
+                )
+            pending.append(_Pending(n, seed, params, regs, notes, stacked))
+        trained = _train_group(pending, spec)
+        for i, node in enumerate(pending):
+            models[node.node], losses = trained.get(i, (node.params, []))
+            notes = node.notes if node.data is None else {**node.data[2], **node.notes}
+            provenance[node.node] = {
+                "train_order": rank + i,
+                "seed": node.seed,
+                "skipped": node.data is None,
+                "initial_loss": losses[0] if losses else None,
+                "final_loss": losses[-1] if losses else None,
+                **notes,
+            }
+        rank += len(pending)
     return ModelBundle(
         tag=tag, rho=spec.rho, models=models, provenance=provenance,
         spec=spec, **fields,
@@ -261,7 +292,7 @@ def train_igru(
     panel: SeriesPanel, h: Hierarchy, spec: TrainSpec, *, jobs: int = 1
 ) -> ModelBundle:
     """Independent per-node units with zero regularization."""
-    return _train_nodes("igru", h, spec, _own_windows(panel, spec.rho), jobs=jobs)
+    return _train_nodes("igru", h, spec, _own_windows(panel, spec.rho))
 
 
 def train_hrnn(
@@ -295,7 +326,7 @@ def train_hrnn(
 
     return _train_nodes(
         "hrnn", h, spec, _own_windows(panel, spec.rho), anchors=anchors,
-        groups=h.levels, jobs=jobs,
+        groups=h.levels,
     )
 
 
@@ -340,36 +371,49 @@ def train_bihrnn(
 
     return _train_nodes(
         "bihrnn", h, spec, _own_windows(panel, spec.rho),
-        init=lambda n, seed: pretrained.models[n], anchors=anchors, jobs=jobs,
+        init=lambda n, seed: pretrained.models[n], anchors=anchors,
     )
 
 
 # ------------------------------------------------------- neighbor-augmented
 
 def select_neighbors(
-    panel: SeriesPanel, h: Hierarchy, n: NodeId, k: int
-) -> tuple[NodeId, ...]:
-    """The k nodes most correlated with n on the training window.
+    panel: SeriesPanel, h: Hierarchy, k: int
+) -> dict[NodeId, tuple[NodeId, ...]]:
+    """Each node's k most correlated other nodes on the training window, in
+    breadth-first node order.
 
-    Ties break toward the lexicographically smaller node id; nodes without
-    a computable correlation are not candidates.  When fewer than k
-    candidates exist, all of them are used and a warning is emitted.
+    Each pair is scored once, on the calendar rows of one
+    :meth:`~hiergru.dataset.SeriesPanel.train_grid` where both nodes have a
+    training value (Pearson correlation is symmetric bit for bit).  Ties
+    break toward the lexicographically smaller node id; a pair with fewer
+    than 3 common values or a constant side is not a candidate.  When fewer
+    than k candidates exist, all of them are used and a warning is emitted.
     """
-    scored = []
-    for other in sorted(h.nodes):
-        if other == n:
-            continue
-        try:
-            scored.append((-train_correlation(panel, n, other), other))
-        except (InsufficientOverlapError, DegenerateVarianceError):
-            continue
-    scored.sort()
-    chosen = tuple(node for _, node in scored[:k])
-    if len(chosen) < k:
-        warnings.warn(
-            f"node {n!r}: only {len(chosen)} usable neighbors of {k} requested",
-            InsufficientNeighborsWarning,
-        )
+    nodes = sorted(h.nodes)
+    grid = panel.train_grid(nodes)
+    finite = np.isfinite(grid)
+    scored: dict[NodeId, list] = {n: [] for n in nodes}
+    for i, a in enumerate(nodes):
+        for j in range(i + 1, len(nodes)):
+            both = finite[:, i] & finite[:, j]
+            if np.count_nonzero(both) < 3:
+                continue
+            try:
+                r = pearson(grid[both, i], grid[both, j])
+            except DegenerateVarianceError:
+                continue
+            scored[a].append((-r, nodes[j]))
+            scored[nodes[j]].append((-r, a))
+    chosen = {}
+    for n in h.bfs_order():
+        chosen[n] = tuple(node for _, node in sorted(scored[n])[:k])
+        if len(chosen[n]) < k:
+            warnings.warn(
+                f"node {n!r}: only {len(chosen[n])} usable neighbors of {k} "
+                "requested",
+                InsufficientNeighborsWarning,
+            )
     return chosen
 
 
@@ -392,9 +436,7 @@ def train_knn_gru(
 ) -> ModelBundle:
     """Per-node units whose step input stacks the node with its k most
     Pearson-correlated nodes (correlations measured on training windows)."""
-    neighbor_map = {
-        n: select_neighbors(panel, h, n, spec.k_neighbors) for n in h.bfs_order()
-    }
+    neighbor_map = select_neighbors(panel, h, spec.k_neighbors)
 
     def data(n):
         nbs = neighbor_map[n]
@@ -408,7 +450,7 @@ def train_knn_gru(
         )
 
     return _train_nodes(
-        "knngru", h, spec, data, init=init, jobs=jobs, neighbors=neighbor_map
+        "knngru", h, spec, data, init=init, neighbors=neighbor_map
     )
 
 

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from hiergru.baselines import Tree
 from hiergru.dataset import build_panel
+from hiergru.errors import DegenerateVarianceError, InsufficientOverlapError
+from hiergru.hierarchy import train_correlation
 
 
 def fd_grad(loss_fn, x0, step=1e-5):
@@ -93,6 +95,67 @@ def gru_forward_oracle(params, inputs):
         v = np.tanh(xt @ params.u_v + (s * r) @ params.w_v + params.b_v)
         s = z * v + (1.0 - z) * s
     return float(s @ params.readout_w + params.readout_b)
+
+
+def bptt_oracle(p, inputs, targets, regularizers=()):
+    """Loss and gradient of one unit by backpropagation through time, one
+    unit at a time with two-dimensional products: the per-node kernel the
+    stacked kernel must match bit for bit."""
+    x = np.asarray(inputs, dtype=np.float64)
+    if x.ndim == 2:
+        x = x[:, :, None]
+    y = np.asarray(targets, dtype=np.float64)
+    n, rho, _ = x.shape
+    h = p.hidden
+
+    def sig(v):
+        with np.errstate(over="ignore"):
+            return 1.0 / (1.0 + np.exp(-v))
+
+    states = np.zeros((rho + 1, n, h))
+    zs, rs, vs = (np.empty((rho, n, h)) for _ in range(3))
+    for t in range(rho):
+        s = states[t]
+        zs[t] = sig(x[:, t, :] @ p.u_z + s @ p.w_z + p.b_z)
+        rs[t] = sig(x[:, t, :] @ p.u_r + s @ p.w_r + p.b_r)
+        vs[t] = np.tanh(x[:, t, :] @ p.u_v + (s * rs[t]) @ p.w_v + p.b_v)
+        states[t + 1] = zs[t] * vs[t] + (1.0 - zs[t]) * s
+    err = states[rho] @ p.readout_w + p.readout_b - y
+    loss = float(err @ err) / n
+    dpred = (2.0 / n) * err
+    grads = {name: np.zeros_like(getattr(p, name)) for name in (
+        "u_z", "u_r", "u_v", "w_z", "w_r", "w_v", "b_z", "b_r", "b_v")}
+    g_readout_w = states[rho].T @ dpred
+    ds = np.outer(dpred, p.readout_w)
+    for t in range(rho - 1, -1, -1):
+        xt, s_prev, z, r, v = x[:, t, :], states[t], zs[t], rs[t], vs[t]
+        dz = ds * (v - s_prev)
+        ds_prev = ds * (1.0 - z)
+        da_v = ds * z * (1.0 - v * v)
+        grads["u_v"] += xt.T @ da_v
+        grads["w_v"] += (s_prev * r).T @ da_v
+        grads["b_v"] += da_v.sum(axis=0)
+        dsr = da_v @ p.w_v.T
+        ds_prev += dsr * r
+        da_r = dsr * s_prev * r * (1.0 - r)
+        grads["u_r"] += xt.T @ da_r
+        grads["w_r"] += s_prev.T @ da_r
+        grads["b_r"] += da_r.sum(axis=0)
+        ds_prev += da_r @ p.w_r.T
+        da_z = dz * z * (1.0 - z)
+        grads["u_z"] += xt.T @ da_z
+        grads["w_z"] += s_prev.T @ da_z
+        grads["b_z"] += da_z.sum(axis=0)
+        ds_prev += da_z @ p.w_z.T
+        ds = ds_prev
+    grad = np.concatenate([g.ravel() for g in grads.values()]
+                          + [g_readout_w, [float(dpred.sum())]])
+    for anchor, coeff in regularizers:
+        if coeff != 0.0:
+            diff = p.vec - anchor.vec
+            loss += coeff * float(diff @ diff)
+            grad += (2.0 * coeff) * diff
+    return loss, grad
 
 
 def best_split_oracle(x: np.ndarray, y: np.ndarray, features, min_leaf: int):
@@ -232,3 +295,17 @@ def ragged_panels(draw, max_nodes=6, max_calendar=40):
         series[f"n{i}"] = (start, rng.normal(size=length))
     fraction = draw(st.sampled_from([0.3, 0.5, 0.75, 0.9]))
     return build_panel([f"p{t:03d}" for t in range(size)], series, fraction)
+
+
+def select_neighbors_oracle(panel, n, k):
+    """knngru's neighbors of n scored pair by pair from n's side: the k
+    highest training correlations, ties to the smaller node id."""
+    scored = []
+    for other in sorted(panel.nodes):
+        if other == n:
+            continue
+        try:
+            scored.append((-train_correlation(panel, n, other), other))
+        except (InsufficientOverlapError, DegenerateVarianceError):
+            continue
+    return tuple(node for _, node in sorted(scored)[:k])

@@ -25,7 +25,7 @@ from hiergru.baselines import (
     predict_rw,
 )
 from hiergru.dataset import Window, make_windows
-from hiergru.errors import NoTrainingDataError, WrongLengthError
+from hiergru.errors import InvalidSpecError, NoTrainingDataError, WrongLengthError
 from hiergru.hierarchy import build_hierarchy
 
 
@@ -385,6 +385,21 @@ class TestMlp:
         a = fit_mlp(ws, 3, MlpConfig(hidden=(10,), epochs=30, seed=6))
         b = fit_mlp(ws, 3, MlpConfig(hidden=(10,), epochs=30, seed=6))
         assert mlp_flatten(a).tobytes() == mlp_flatten(b).tobytes()
+
+
+@pytest.mark.parametrize(
+    "make, key",
+    [
+        (lambda v: ForestConfig(max_depth=v), "max_depth"),
+        (lambda v: GbtConfig(n_trees=v), "n_trees"),
+        (lambda v: GbtConfig(shrinkage=v), "shrinkage"),
+        (lambda v: MlpConfig(epochs=v), "epochs"),
+        (lambda v: MlpConfig(lr=v), "lr"),
+    ],
+)
+def test_infinite_config_value_rejected(make, key):
+    with pytest.raises(InvalidSpecError, match=key):
+        make(float("inf"))
 
 
 class TestBaselineBundle:

@@ -78,6 +78,17 @@ class TestSynth:
         assert len({tuple(v) for v in by_node.values()}) == 1
 
 
+    @pytest.mark.parametrize("sd", ["-1", "inf", "nan"])
+    def test_invalid_leaf_noise_sd_exit_2(self, tmp_path, capsys, sd):
+        out = tmp_path / "d"
+        assert main(
+            ["synth", "--out", str(out), "--leaf-noise-sd", sd]
+        ) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "leaf_noise_sd" in err
+        assert not out.exists()
+
+
 class TestPrepare:
     def test_levels_to_rates_row_count(self, tmp_path):
         src = tmp_path / "levels.csv"
@@ -208,6 +219,8 @@ class TestRun:
             ({"tag": "fc", "epochs": -1}, "epochs"),
             ({"tag": "fc", "epochs": 2, "lr": 0.0}, "lr"),
             ({"tag": "deepnn", "epochs": 1, "lr": -0.1}, "lr"),
+            ({"tag": "gbt", "n_trees": 2, "shrinkage": float("inf")}, "shrinkage"),
+            ({"tag": "fc", "epochs": 2, "lr": float("inf")}, "lr"),
         ],
     )
     def test_out_of_range_baseline_value_exit_2(
@@ -226,6 +239,8 @@ class TestRun:
             ({"tag": "bihrnn", "epochs": 2, "lambda2": float("nan")}, "lambda2"),
             ({"tag": "hrnn", "epochs": 2, "alpha": 1000.0}, "alpha"),
             ({"tag": "knngru", "k_neighbors": 0}, "k_neighbors"),
+            ({"tag": "igru", "epochs": 2, "lr": float("inf")}, "lr"),
+            ({"tag": "bihrnn", "epochs": 2, "lambda1": float("inf")}, "lambda1"),
         ],
     )
     def test_out_of_range_recurrent_value_exit_2(

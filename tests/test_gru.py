@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from helpers import fd_grad, gru_forward_oracle, rel_err
+from helpers import bptt_oracle, fd_grad, gru_forward_oracle, rel_err
 from hiergru.errors import (
     DivergenceError,
     EmptyInputError,
     ShapeMismatchError,
 )
+from hiergru import gru
 from hiergru.gru import (
     GruParams,
     OptimState,
@@ -15,6 +16,7 @@ from hiergru.gru import (
     init_params,
     loss_and_grad,
     optimize,
+    optimize_stack,
     predict_batch,
     predict_sequence,
     unflatten,
@@ -269,3 +271,91 @@ class TestOptimize:
             )
             dists.append(np.linalg.norm(flatten(out) - flatten(anchor)))
         assert all(a >= b - 1e-9 for a, b in zip(dists, dists[1:]))
+
+
+class TestOptimizeStack:
+    @staticmethod
+    def _units(rng, count, n, rho, d, h):
+        """Units of one shape with their own windows and anchor lists of
+        different lengths, zero and negative-zero coefficients included."""
+        params, inputs, targets, regs = [], [], [], []
+        for i in range(count):
+            params.append(init_params(h, rng, input_dim=d))
+            x = rng.normal(size=(n, rho) if d == 1 else (n, rho, d))
+            x.flat[::5] = 0.0
+            x.flat[1::7] = -0.0
+            inputs.append(x)
+            targets.append(rng.normal(size=n))
+            coeffs = [0.7, 0.0, 2.5, -0.0][: i % 5]
+            regs.append(tuple((init_params(h, rng, input_dim=d), c) for c in coeffs))
+        return params, inputs, targets, regs
+
+    @pytest.mark.parametrize(
+        "count, n, rho, d, h, method",
+        [
+            (5, 30, 4, 1, 8, "adam"),
+            (4, 7, 12, 1, 8, "sgd"),
+            (5, 2, 1, 3, 4, "adam"),
+            (3, 1, 3, 1, 5, "adam"),
+            (1, 12, 4, 6, 3, "sgd"),
+        ],
+    )
+    def test_each_unit_gets_its_bits_alone(self, count, n, rho, d, h, method):
+        rng = np.random.default_rng(count * 100 + n)
+        params, inputs, targets, regs = self._units(rng, count, n, rho, d, h)
+        trained, losses, failures = optimize_stack(
+            params, inputs, targets, OptimState(lr=0.01, method=method),
+            epochs=6, regularizers=regs,
+        )
+        assert failures == {} and len(losses) == 7
+        for i in range(count):
+            alone, alone_losses = optimize(
+                params[i], inputs[i], targets[i], OptimState(lr=0.01, method=method),
+                epochs=6, regularizers=regs[i],
+            )
+            assert flatten(trained[i]).tobytes() == flatten(alone).tobytes()
+            assert np.array([loss[i] for loss in losses]).tobytes() == (
+                np.array(alone_losses).tobytes()
+            )
+
+    @pytest.mark.parametrize(
+        "count, n, rho, d, h",
+        [(15, 86, 4, 1, 8), (13, 86, 4, 6, 8), (1, 1290, 4, 1, 8),
+         (4, 7, 12, 1, 8), (3, 86, 4, 1, 16), (5, 2, 1, 3, 4), (4, 1, 3, 1, 5)],
+    )
+    def test_kernel_matches_per_unit_oracle(self, count, n, rho, d, h):
+        # one pass, several passes (15 units of 86 windows) and one unit
+        rng = np.random.default_rng(count * 1000 + n)
+        params, inputs, targets, regs = self._units(rng, count, n, rho, d, h)
+        x, y = gru._batches(params[0], inputs, targets)
+        loss, grad = gru._stack_loss_and_grad(
+            np.stack([p.vec for p in params]), h, x, y,
+            gru._penalty_terms(regs, params[0].size),
+        )
+        for i in range(count):
+            want_loss, want_grad = bptt_oracle(params[i], inputs[i], targets[i], regs[i])
+            assert np.float64(want_loss).tobytes() == loss[i].tobytes()
+            assert want_grad.tobytes() == grad[i].tobytes()
+            one_loss, one_grad = loss_and_grad(params[i], inputs[i], targets[i], regs[i])
+            assert (one_loss, one_grad.tobytes()) == (want_loss, want_grad.tobytes())
+
+    def test_final_loss_is_the_loss_of_loss_and_grad(self):
+        # the last loss comes from a forward pass alone
+        rng = np.random.default_rng(31)
+        for d, coeffs in ((1, ()), (1, (0.5, 2.0)), (3, (1.5,))):
+            p = init_params(4, rng, input_dim=d)
+            x = rng.normal(size=(9, 5) if d == 1 else (9, 5, d))
+            y = rng.normal(size=9)
+            regs = tuple((init_params(4, rng, input_dim=d), c) for c in coeffs)
+            out, losses = optimize(p, x, y, OptimState(lr=0.01), epochs=3, regularizers=regs)
+            want, _ = loss_and_grad(out, x, y, regs)
+            assert np.float64(losses[-1]).tobytes() == np.float64(want).tobytes()
+
+    def test_epochs_zero_returns_inputs(self):
+        rng = np.random.default_rng(32)
+        params, inputs, targets, _ = self._units(rng, 3, 4, 2, 1, 3)
+        trained, losses, failures = optimize_stack(
+            params, inputs, targets, OptimState(), epochs=0
+        )
+        assert all(a is b for a, b in zip(trained, params))
+        assert (losses, failures) == ([], {})

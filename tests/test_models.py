@@ -1,21 +1,40 @@
+import re
+import warnings
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import panel_from_rates
-from helpers import ragged_panels, stacked_windows_oracle
+from helpers import ragged_panels, select_neighbors_oracle, stacked_windows_oracle
 from hiergru.cli import fit_entry
-from hiergru.dataset import SynthSpec, build_panel, make_windows, synth_panel
+from hiergru.dataset import (
+    SynthSpec,
+    build_panel,
+    make_windows,
+    stack_windows,
+    synth_panel,
+)
 from hiergru.errors import (
+    DivergenceError,
     InsufficientHistoryError,
     InsufficientNeighborsWarning,
     MissingPretrainedError,
     NodeSkippedWarning,
 )
 from hiergru.evaluation import admissible_origins
-from hiergru.gru import flatten, predict_sequence, zero_params
-from hiergru.hierarchy import build_hierarchy
+from hiergru.gru import (
+    OptimState,
+    flatten,
+    init_params,
+    optimize,
+    predict_sequence,
+    zero_params,
+)
+from hiergru.hierarchy import build_hierarchy, child_weights, precision_schedule
 from hiergru.models import (
     ModelBundle,
     TrainSpec,
@@ -159,14 +178,14 @@ class TestKnnGru:
         base = np.sin(np.arange(40) / 3.0)
         panel = panel_from_rates({"a": base, "b": base.copy(), "c": base.copy()})
         h = build_hierarchy([("a", None, 1.0), ("b", "a", 1.0), ("c", "a", 1.0)])
-        nbs = select_neighbors(panel, h, "a", k=1)
+        nbs = select_neighbors(panel, h, k=1)["a"]
         assert nbs == ("b",)  # b and c tie at correlation 1; b sorts first
-        assert "a" not in select_neighbors(panel, h, "a", k=2)
+        assert "a" not in select_neighbors(panel, h, k=2)["a"]
 
     def test_k_clamped_with_warning(self, two_level_panel):
         h, panel = two_level_panel
         with pytest.warns(InsufficientNeighborsWarning):
-            nbs = select_neighbors(panel, h, "top", k=10)
+            nbs = select_neighbors(panel, h, k=10)["top"]
         assert len(nbs) == 2
 
     def test_training_uses_multichannel_windows(self, two_level_panel):
@@ -203,6 +222,19 @@ class TestKnnGru:
             for g, w in zip(got, want, strict=True):
                 assert (g.shape, g.dtype) == (w.shape, w.dtype)
                 assert g.tobytes() == w.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(ragged_panels(), st.integers(1, 5))
+    def test_neighbors_match_scoring_every_ordered_pair(self, panel, k):
+        nodes = sorted(panel.nodes)
+        h = build_hierarchy(
+            [(nodes[0], None, 1.0)] + [(n, nodes[0], 1.0) for n in nodes[1:]]
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", InsufficientNeighborsWarning)
+            got = select_neighbors(panel, h, k)
+        assert tuple(got) == h.bfs_order()
+        assert got == {n: select_neighbors_oracle(panel, n, k) for n in nodes}
 
 
 class TestHrnn:
@@ -358,6 +390,126 @@ class TestBihrnn:
         )
         with pytest.raises(MissingPretrainedError, match="a"):
             train_bihrnn(panel, h, spec, broken)
+
+
+def own_data(panel, n, rho):
+    return stack_windows(make_windows(panel, n, rho, "train"))
+
+
+def seeded_init(spec, n, input_dim=1):
+    rng = np.random.default_rng(node_seed(spec.seed, n))
+    return init_params(spec.hidden, rng, input_dim=input_dim)
+
+
+def alone(spec, params, data, regs=()):
+    """One node trained on its own through :func:`optimize`."""
+    opt = OptimState(lr=spec.lr, method=spec.optimizer)
+    return optimize(params, *data, opt, epochs=spec.epochs, regularizers=regs)
+
+
+def assert_trained_alone(bundle, n, spec, params, data, regs=()):
+    trained, losses = alone(spec, params, data, regs)
+    assert flatten(bundle.params[n]).tobytes() == flatten(trained).tobytes()
+    prov = bundle.provenance[n]
+    assert (prov["initial_loss"], prov["final_loss"]) == (losses[0], losses[-1])
+
+
+class TestStackedGroups:
+    """A node trained inside a stacked group gets the bits it gets trained
+    on its own."""
+
+    SPEC = TrainSpec(rho=3, hidden=4, epochs=15, lr=0.01, seed=3)
+
+    def test_igru_group(self, small_synth):
+        h, panel = small_synth
+        bundle = train_igru(panel, h, self.SPEC)
+        for n in h.nodes:
+            data = own_data(panel, n, self.SPEC.rho)
+            assert_trained_alone(bundle, n, self.SPEC, seeded_init(self.SPEC, n), data)
+
+    def test_hrnn_levels(self, small_synth):
+        h, panel = small_synth
+        spec = self.SPEC
+        assert max(len(level) for level in h.levels) > 1
+        bundle = train_hrnn(panel, h, spec)
+        tau = precision_schedule(panel, h, spec.alpha).tau
+        for n in h.nodes:
+            if n == h.root:
+                regs = ((zero_params(spec.hidden), 0.5),)
+            else:
+                regs = ((bundle.params[h.parent[n]], 0.5 * tau[n]),)
+            data = own_data(panel, n, spec.rho)
+            assert_trained_alone(bundle, n, spec, seeded_init(spec, n), data, regs)
+
+    def test_bihrnn_parent_and_child_anchors(self, small_synth):
+        h, panel = small_synth
+        spec = replace(self.SPEC, lambda1=0.7, lambda2=1.3)
+        pre = train_hrnn(panel, h, spec)
+        bundle = train_bihrnn(panel, h, spec, pre)
+        both = 0
+        for n in h.nodes:
+            regs = []
+            if n in h.parent:
+                regs.append((pre.params[h.parent[n]], spec.lambda1))
+            kids = h.children.get(n, ())
+            if kids:
+                shares = child_weights(h, n)
+                regs += [(pre.params[c], spec.lambda2 * shares[c]) for c in kids]
+            both += n in h.parent and bool(kids)
+            data = own_data(panel, n, spec.rho)
+            assert_trained_alone(bundle, n, spec, pre.params[n], data, tuple(regs))
+        assert both > 1
+
+    def test_knngru_ragged_panel_in_several_buckets(self):
+        rng = np.random.default_rng(17)
+        base = rng.normal(size=60)
+        series = {n: (0, base + 0.5 * rng.normal(size=60)) for n in "rabce"}
+        series["c"] = (12, series["c"][1][12:])  # starts late
+        series["e"] = (0, series["e"][1][:40])  # ends early
+        panel = build_panel([f"p{t:03d}" for t in range(60)], series, 0.75)
+        h = build_hierarchy(
+            [("r", None, 1.0)] + [(n, "r", 0.25) for n in "abce"]
+        )
+        spec = replace(self.SPEC, k_neighbors=2)
+        bundle = train_knn_gru(panel, h, spec)
+        buckets = Counter()
+        for n in h.nodes:
+            channels = (n, *bundle.neighbors[n])
+            data = stacked_windows_oracle(panel, n, channels, spec.rho)
+            init = seeded_init(spec, n, input_dim=len(channels))
+            assert_trained_alone(bundle, n, spec, init, data)
+            buckets[len(data[1]), len(channels)] += 1
+        assert len(buckets) > 1 and max(buckets.values()) > 1
+
+    @pytest.mark.parametrize("scale_b", [1e50, 1e40])
+    def test_first_diverging_node_in_training_order_raises(self, scale_b):
+        # "a" trains first and never diverges; "b" diverges late (at the
+        # final loss with scale 1e40); "c", trained after "b", diverges
+        # earlier in epochs.  A node-by-node loop raises for "b".
+        rng = np.random.default_rng(23)
+        panel = panel_from_rates({
+            "a": rng.normal(size=40),
+            "b": scale_b * rng.normal(size=40),
+            "c": 1e100 * rng.normal(size=40),
+        })
+        h = build_hierarchy([("a", None, 1.0), ("b", "a", 0.5), ("c", "a", 0.5)])
+        spec = TrainSpec(rho=3, hidden=4, epochs=60, lr=10.0, seed=2, optimizer="sgd")
+        errors = {}
+        for n in "abc":
+            try:
+                alone(spec, seeded_init(spec, n), own_data(panel, n, spec.rho))
+            except DivergenceError as exc:
+                errors[n] = exc
+        assert "a" not in errors
+
+        def epochs(n):
+            return int(re.search(r"after (\d+) epochs", str(errors[n])).group(1))
+
+        assert epochs("c") < epochs("b")
+        with pytest.raises(DivergenceError) as exc:
+            train_igru(panel, h, spec)
+        assert str(exc.value) == str(errors["b"])
+        assert exc.value.last_params.tobytes() == errors["b"].last_params.tobytes()
 
 
 class Recorder:

@@ -16,8 +16,10 @@ Both sides run ``hiergru run --jobs 1`` on the same inputs, written once by
   or are too short to give a knngru window.
 
 Every output file is compared byte for byte, except the ``created_utc``
-line of the run manifest.  One line is printed per run; the exit status is
-1 if any run differs or fails on either side.
+line of the run manifest.  One more check runs on the working tree alone:
+the deep-gru workload at panel seed 0 must write the same bytes with
+``--jobs 2`` as with ``--jobs 1``.  One line is printed per run; the exit
+status is 1 if any run differs or fails on either side.
 """
 
 from __future__ import annotations
@@ -136,12 +138,13 @@ def extract_src(rev: str, dest: Path) -> Path:
     return dest / "src"
 
 
-def run_side(src: Path, config: Path, flags: list[str], out: Path) -> str | None:
+def run_side(src: Path, config: Path, flags: list[str], out: Path,
+             jobs: int = 1) -> str | None:
     """Run one side; None on success, else the tail of its stderr."""
     env = dict(os.environ, PYTHONPATH=str(src), **{v: "1" for v in THREAD_VARS})
     proc = subprocess.run(
         [sys.executable, "-m", "hiergru.cli", "run", "--config", str(config),
-         "--out", str(out), "--jobs", "1", *flags],
+         "--out", str(out), "--jobs", str(jobs), *flags],
         env=env, capture_output=True, text=True,
     )
     if proc.returncode == 0:
@@ -163,6 +166,21 @@ def differences(a: Path, b: Path) -> tuple[int, list[str]]:
     return len(files_a | files_b), diff
 
 
+def report(name: str, errors: dict, a: Path, b: Path) -> bool:
+    """Print one run's line; True when it failed or differs."""
+    errors = {side: err for side, err in errors.items() if err}
+    if errors:
+        print(f"{name}: FAILED {errors}")
+        return True
+    count, diff = differences(a, b)
+    if diff:
+        print(f"{name}: DIFFERENT {len(diff)} of {count} files: "
+              f"{', '.join(diff[:5])}{' ...' if len(diff) > 5 else ''}")
+        return True
+    print(f"{name}: identical ({count} files)")
+    return False
+
+
 def main(argv: list[str]) -> int:
     rev = argv[0] if argv else "HEAD"
     failed = False
@@ -170,6 +188,7 @@ def main(argv: list[str]) -> int:
         tmp = Path(tmp)
         base_src = extract_src(rev, tmp / "base")
         sides = {"base": base_src, "work": ROOT / "src"}
+        work_outs = {}
         for name, config, flags in write_runs(tmp / "inputs"):
             slug = re.sub(r"\W+", "-", name)
             outs = {side: tmp / side / "out" / slug for side in sides}
@@ -177,18 +196,13 @@ def main(argv: list[str]) -> int:
                 side: run_side(src, config, flags, outs[side])
                 for side, src in sides.items()
             }
-            errors = {side: err for side, err in errors.items() if err}
-            if errors:
-                failed = True
-                print(f"{name}: FAILED {errors}")
-                continue
-            count, diff = differences(outs["base"], outs["work"])
-            if diff:
-                failed = True
-                print(f"{name}: DIFFERENT {len(diff)} of {count} files: "
-                      f"{', '.join(diff[:5])}{' ...' if len(diff) > 5 else ''}")
-            else:
-                print(f"{name}: identical ({count} files)")
+            failed |= report(name, errors, outs["base"], outs["work"])
+            work_outs[name] = config, outs["work"]
+        config, jobs1 = work_outs["deep-gru seed 0"]
+        jobs2 = tmp / "work" / "jobs2"
+        error = run_side(ROOT / "src", config, [], jobs2, jobs=2)
+        failed |= report("deep-gru seed 0, --jobs 2 against --jobs 1",
+                         {"work": error}, jobs1, jobs2)
     return 1 if failed else 0
 
 
