@@ -39,7 +39,7 @@ config = {
 cfg_path = work / "config.json"
 cfg_path.write_text(json.dumps(config, indent=2))
 
-assert main(["run", "--config", str(cfg_path), "--out", str(out), "--jobs", "2"]) == 0
+assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
 
 print("\n--- report.csv (horizon 0 rows) ---")
 for line in (out / "report.csv").read_text().splitlines():

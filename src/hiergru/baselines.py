@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -512,16 +511,7 @@ def fit_mlp(windows: list[Window], rho: int, cfg: MlpConfig) -> MlpModel:
 
 # ------------------------------------------------------------------ bundles
 
-def _pmap(fn, items, jobs):
-    if jobs <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
-# The former name of the baseline bundle class, kept because
-# perfbench/traced_run.py looks it up; drop it with that script's next change.
-BaselineBundle = ModelBundle
+BaselineBundle = ModelBundle  # former name; only perfbench/traced_run.py reads it
 
 
 def fit_baseline(
@@ -532,7 +522,7 @@ def fit_baseline(
     cfg=None,
     *,
     label: str | None = None,
-    jobs: int = 1,
+    jobs: int = 1,  # ignored; only perfbench/traced_run.py still passes it
 ) -> ModelBundle:
     """Fit one baseline family on every node's training windows.
 
@@ -562,7 +552,7 @@ def fit_baseline(
         model = entry.fit_node(windows, rho, seeded)
         return n, model, {"windows": len(windows), "seed": seeded.seed}
 
-    results = _pmap(fit, list(h.bfs_order()), jobs)
+    results = [fit(n) for n in h.bfs_order()]
     return ModelBundle(
         tag=tag,
         rho=rho,

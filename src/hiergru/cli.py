@@ -98,7 +98,11 @@ def load_config(path) -> dict:
         "models": [_parse_model_entry(m) for m in raw["models"]],
     }
     _require(isinstance(cfg["already_rates"], bool), "'already_rates' must be a bool")
-    _require(isinstance(cfg["seed"], int), "'seed' must be an integer")
+    _require(_is_int(cfg["seed"]), "'seed' must be an integer")
+    _require(
+        cfg["out"] is None or (isinstance(cfg["out"], str) and cfg["out"]),
+        "'out' must be a non-empty string or null",
+    )
     _require(
         isinstance(cfg["split_fraction"], (int, float))
         and 0.0 < cfg["split_fraction"] < 1.0,
@@ -131,7 +135,7 @@ def _parse_horizons(value):
         return list(DAILY_HORIZONS)
     _require(
         isinstance(value, list) and value
-        and all(isinstance(v, int) and v >= 0 for v in value),
+        and all(_is_int(v) and v >= 0 for v in value),
         "'horizons' must be 'monthly', 'daily', or a list of nonnegative integers",
     )
     return sorted(set(value))
@@ -188,6 +192,11 @@ def _build(tag: str, label: str, params: dict):
         raise ConfigError(f"model {label!r}: {exc}") from exc
 
 
+def _is_int(value) -> bool:
+    """An integer, and not a bool (JSON true/false load as bools)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_param_type(label: str, key: str, value, kind: type) -> None:
     types, name = _KINDS[kind]
     ok = isinstance(value, types) and not isinstance(value, bool)
@@ -196,7 +205,7 @@ def _check_param_type(label: str, key: str, value, kind: type) -> None:
 
 # ----------------------------------------------------------------- training
 
-def fit_entry(entry: dict, panel, h, seed: int, jobs: int, anchors_cache: dict):
+def fit_entry(entry: dict, panel, h, seed: int, anchors_cache: dict):
     """Train one configured model; returns (bundle, extra_bundles_to_save).
 
     The extras are the hrnn anchors a bihrnn entry trained for itself,
@@ -204,7 +213,7 @@ def fit_entry(entry: dict, panel, h, seed: int, jobs: int, anchors_cache: dict):
     hrnn and bihrnn entries of the same spec."""
     tag, label = TAGS[entry["tag"]], entry["label"]
     config = _build(entry["tag"], label, {"seed": seed, **entry["params"]})
-    bundle, anchors = tag.fit(panel, h, config, jobs, anchors_cache)
+    bundle, anchors = tag.fit(panel, h, config, anchors_cache)
     extras = [] if anchors is None else [(_anchors_label(label), anchors)]
     return replace(bundle, label=label), extras
 
@@ -235,7 +244,7 @@ def _validation_score(bundle, panel) -> float:
     return float(np.mean(scores)) if scores else float("inf")
 
 
-def run_grid_search(entry: dict, panel, h, seed: int, jobs: int) -> dict:
+def run_grid_search(entry: dict, panel, h, seed: int) -> dict:
     """Exhaustive search over the entry's listed values; candidates train on
     the head of the training segment and are scored by RMSE on its tail.
     Returns the winning entry (grid removed, parameters merged)."""
@@ -253,7 +262,7 @@ def run_grid_search(entry: dict, panel, h, seed: int, jobs: int) -> dict:
             "params": {**entry["params"], **dict(zip(keys, combo))},
             "grid": {},
         }
-        bundle, _ = fit_entry(candidate, inner, h, seed, jobs, {})
+        bundle, _ = fit_entry(candidate, inner, h, seed, {})
         score = _validation_score(bundle, inner)
         choices.append({"params": dict(zip(keys, combo)), "score": score})
         if best is None or score < best[0]:
@@ -329,15 +338,13 @@ def cmd_run(args) -> int:
 
     entries = cfg["models"]
     if args.grid:
-        entries = [
-            run_grid_search(e, panel, h, cfg["seed"], args.jobs) for e in entries
-        ]
+        entries = [run_grid_search(e, panel, h, cfg["seed"]) for e in entries]
 
     anchors_cache: dict = {}
     bundles = []
     saved = []
     for entry in entries:
-        bundle, extras = fit_entry(entry, panel, h, cfg["seed"], args.jobs, anchors_cache)
+        bundle, extras = fit_entry(entry, panel, h, cfg["seed"], anchors_cache)
         bundles.append(bundle)
         saved.append((entry["label"], bundle))
         saved.extend(extras)
@@ -415,9 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, help="global seed (overrides config)")
     run.add_argument(
         "--jobs", type=int, default=1,
-        help="worker threads for baseline fitting; recurrent training does "
-        "not use threads (each group of nodes trains as one stacked "
-        "optimisation)",
+        help="accepted for compatibility and has no effect: every model "
+        "trains in the calling thread",
     )
     run.add_argument(
         "--already-rates", action="store_true",

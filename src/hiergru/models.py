@@ -25,8 +25,8 @@ The nodes of a group train independently, so a group is split into
 buckets of nodes with equally many windows and the same input width, and
 each bucket trains as one stacked optimisation
 (:func:`~hiergru.gru.optimize_stack`).  Nothing is padded, and every node
-ends with the bits it would get trained alone.  The trainers accept a
-``jobs`` count and ignore it: recurrent training does not use threads.
+ends with the bits it would get trained alone.  Training runs in the
+calling thread.
 
 Every trainer is a pure function of (panel, hierarchy, spec[, pretrained]):
 node seeds derive from a stable hash, batches are full and ordered, so
@@ -154,9 +154,6 @@ class ModelBundle:
 
     def covered_nodes(self) -> tuple[NodeId, ...]:
         return tuple(sorted(self.models))
-
-    def predict_next(self, node: NodeId, window: np.ndarray) -> float:
-        return self.models[node].predict(window)
 
     def forecast(
         self, panel: SeriesPanel, node: NodeId, origin: int, horizon: int
@@ -289,7 +286,11 @@ def train_sgru(panel: SeriesPanel, h: Hierarchy, spec: TrainSpec) -> ModelBundle
 
 
 def train_igru(
-    panel: SeriesPanel, h: Hierarchy, spec: TrainSpec, *, jobs: int = 1
+    panel: SeriesPanel,
+    h: Hierarchy,
+    spec: TrainSpec,
+    *,
+    jobs: int = 1,  # ignored; only perfbench/traced_run.py still passes it
 ) -> ModelBundle:
     """Independent per-node units with zero regularization."""
     return _train_nodes("igru", h, spec, _own_windows(panel, spec.rho))
@@ -301,7 +302,7 @@ def train_hrnn(
     spec: TrainSpec,
     *,
     prior_scale: float = 1.0,
-    jobs: int = 1,
+    jobs: int = 1,  # ignored; only perfbench/traced_run.py still passes it
 ) -> ModelBundle:
     """Top-down pass with each node anchored to its trained parent.
 
@@ -335,8 +336,6 @@ def train_bihrnn(
     h: Hierarchy,
     spec: TrainSpec,
     pretrained: ModelBundle,
-    *,
-    jobs: int = 1,
 ) -> ModelBundle:
     """Refit every node against frozen pretrained parent and child anchors.
 
@@ -431,9 +430,7 @@ def _stacked_windows(panel, n, channels, rho):
     return inputs[keep], panel.rates[n][rho:split][keep]
 
 
-def train_knn_gru(
-    panel: SeriesPanel, h: Hierarchy, spec: TrainSpec, *, jobs: int = 1
-) -> ModelBundle:
+def train_knn_gru(panel: SeriesPanel, h: Hierarchy, spec: TrainSpec) -> ModelBundle:
     """Per-node units whose step input stacks the node with its k most
     Pearson-correlated nodes (correlations measured on training windows)."""
     neighbor_map = select_neighbors(panel, h, spec.k_neighbors)

@@ -52,7 +52,7 @@ class TagEntry:
 
     keys: dict[str, type]  # accepted config keys: int, float (any number) or str
     build: Callable  # validated params, seed included -> training config
-    fit: Callable  # (panel, h, config, jobs, hrnn cache) -> (bundle, new anchors)
+    fit: Callable  # (panel, h, config, hrnn cache) -> (bundle, new anchors)
     encode: Callable  # node model -> (payload, hidden, input_dim)
     decode: Callable  # (payload, hidden, input_dim, rho) -> node model
     fit_node: Callable | None = None  # baselines: (windows, rho, cfg) -> model
@@ -126,22 +126,22 @@ def _decode_mlp(payload, hidden, input_dim, rho) -> MlpModel:
 
 # ------------------------------------------------------------------ fits
 
-def _hrnn_anchors(panel, h, spec, jobs, cache):
+def _hrnn_anchors(panel, h, spec, cache):
     """The run's hrnn bundle for ``spec``, trained at most once and shared
     by hrnn and bihrnn entries; also says whether this call trained it."""
     fresh = spec not in cache
     if fresh:
-        cache[spec] = train_hrnn(panel, h, spec, jobs=jobs)
+        cache[spec] = train_hrnn(panel, h, spec)
     return cache[spec], fresh
 
 
-def _fit_hrnn(panel, h, spec, jobs, cache):
-    return _hrnn_anchors(panel, h, spec, jobs, cache)[0], None
+def _fit_hrnn(panel, h, spec, cache):
+    return _hrnn_anchors(panel, h, spec, cache)[0], None
 
 
-def _fit_bihrnn(panel, h, spec, jobs, cache):
-    anchors, fresh = _hrnn_anchors(panel, h, spec, jobs, cache)
-    bundle = train_bihrnn(panel, h, spec, anchors, jobs=jobs)
+def _fit_bihrnn(panel, h, spec, cache):
+    anchors, fresh = _hrnn_anchors(panel, h, spec, cache)
+    bundle = train_bihrnn(panel, h, spec, anchors)
     return bundle, anchors if fresh else None
 
 
@@ -170,9 +170,9 @@ def _baseline(tag, keys, make_cfg, fit_node, encode, decode, fixed_rule=False):
             raise InvalidSpecError(f"rho must be >= 1, got {rho}")
         return rho, make_cfg(params)
 
-    def fit(panel, h, config, jobs, cache):
+    def fit(panel, h, config, cache):
         rho, cfg = config
-        return fit_baseline(panel, h, tag, rho, cfg, jobs=jobs), None
+        return fit_baseline(panel, h, tag, rho, cfg), None
 
     return TagEntry(
         keys={"rho": int, **keys}, build=build, fit=fit, encode=encode,
@@ -220,17 +220,13 @@ TAGS: dict[str, TagEntry] = {
         lambda w, rho, cfg: fit_mlp(w, rho, cfg), _encode_mlp, _decode_mlp,
     ),
     "sgru": _recurrent(
-        lambda panel, h, spec, jobs, cache: (train_sgru(panel, h, spec), None)
+        lambda panel, h, spec, cache: (train_sgru(panel, h, spec), None)
     ),
     "igru": _recurrent(
-        lambda panel, h, spec, jobs, cache: (
-            train_igru(panel, h, spec, jobs=jobs), None
-        )
+        lambda panel, h, spec, cache: (train_igru(panel, h, spec), None)
     ),
     "knngru": _recurrent(
-        lambda panel, h, spec, jobs, cache: (
-            train_knn_gru(panel, h, spec, jobs=jobs), None
-        )
+        lambda panel, h, spec, cache: (train_knn_gru(panel, h, spec), None)
     ),
     "hrnn": _recurrent(_fit_hrnn),
     "bihrnn": _recurrent(_fit_bihrnn, saves_anchors=True),

@@ -119,7 +119,7 @@ class TestBundleDirectories:
         for tag, entry in TAGS.items():
             params = {k: v for k, v in small.items() if k in entry.keys}
             model = {"tag": tag, "label": tag, "params": params, "grid": {}}
-            bundle, _ = fit_entry(model, panel, h, 6, 1, {})
+            bundle, _ = fit_entry(model, panel, h, 6, {})
             save_bundle(bundle, tmp_path / tag)
             back = load_bundle(tmp_path / tag)
             assert (back.tag, back.rho, back.spec, back.neighbors) == (

@@ -1,4 +1,5 @@
 import json
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -146,6 +147,65 @@ class TestRun:
         assert ck_a == ck_b and ck_a
         for rel in ck_a:
             assert (a / rel).read_bytes() == (b / rel).read_bytes()
+
+    def test_no_thread_started_regardless_of_jobs(
+        self, synth_dir, tmp_path, monkeypatch
+    ):
+        cfg = write_config(
+            tmp_path / "cfg.json", synth_dir,
+            [
+                {"tag": "rf", "n_trees": 3},
+                {"tag": "gbt", "n_trees": 3},
+                {"tag": "fc", "hidden": 4, "epochs": 3},
+                {"tag": "igru", "hidden": 4, "epochs": 3},
+            ],
+        )
+        one, four = tmp_path / "jobs1", tmp_path / "jobs4"
+        assert main(
+            ["run", "--config", str(cfg), "--out", str(one), "--jobs", "1"]
+        ) == EXIT_OK
+
+        def refuse(thread):
+            raise AssertionError(f"thread {thread.name!r} started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert main(
+            ["run", "--config", str(cfg), "--out", str(four), "--jobs", "4"]
+        ) == EXIT_OK
+        files = sorted(p.relative_to(one) for p in one.rglob("*.ckpt"))
+        assert files == sorted(p.relative_to(four) for p in four.rglob("*.ckpt"))
+        assert files
+        for rel in [Path("report_raw.csv"), *files]:
+            assert (one / rel).read_bytes() == (four / rel).read_bytes()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("out", 5),
+            ("out", ""),
+            ("out", ["o"]),
+            ("seed", True),
+            ("seed", 1.5),
+            ("seed", "3"),
+            ("horizons", [0, True]),
+            ("horizons", [0, 1.0]),
+            ("horizons", [-1]),
+            ("already_rates", "yes"),
+            ("split_fraction", 1.0),
+        ],
+    )
+    def test_bad_top_level_value_exit_2(self, tmp_path, capsys, key, value):
+        # the data paths do not exist: a check made after loading data
+        # would exit 3 instead
+        cfg = write_config(
+            tmp_path / "cfg.json", tmp_path / "no_data", ["ar"], **{key: value}
+        )
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"'{key}'" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
 
     def test_unknown_tag_exit_2(self, synth_dir, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", synth_dir, ["prophet"])

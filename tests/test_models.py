@@ -106,8 +106,8 @@ class TestSgru:
         b1 = train_sgru(p1, h1, spec)
         b2 = train_sgru(p2, h2, spec)
         probe = rng.normal(size=spec.rho)
-        assert b1.predict_next("x", probe) == pytest.approx(
-            b2.predict_next("x", probe), abs=1e-10
+        assert b1.models["x"].predict(probe) == pytest.approx(
+            b2.models["x"].predict(probe), abs=1e-10
         )
 
 
@@ -651,7 +651,7 @@ class TestForecastOrigins:
         for tag, entry in TAGS.items():
             params = {k: v for k, v in small.items() if k in entry.keys}
             model = {"tag": tag, "label": tag, "params": params, "grid": {}}
-            bundles[tag] = fit_entry(model, panel, h, 6, 1, {})[0]
+            bundles[tag] = fit_entry(model, panel, h, 6, {})[0]
         return panel, bundles
 
     @pytest.mark.parametrize("tag", sorted(TAGS))

@@ -17,9 +17,10 @@ Both sides run ``hiergru run --jobs 1`` on the same inputs, written once by
 
 Every output file is compared byte for byte, except the ``created_utc``
 line of the run manifest.  One more check runs on the working tree alone:
-the deep-gru workload at panel seed 0 must write the same bytes with
-``--jobs 2`` as with ``--jobs 1``.  One line is printed per run; the exit
-status is 1 if any run differs or fails on either side.
+the panel-s workload at panel seed 0, whose rf, gbt and fc families once
+fitted on a thread pool, must write the same bytes with ``--jobs 4`` as
+with ``--jobs 1``.  One line is printed per run; the exit status is 1 if
+any run differs or fails on either side.
 """
 
 from __future__ import annotations
@@ -198,11 +199,11 @@ def main(argv: list[str]) -> int:
             }
             failed |= report(name, errors, outs["base"], outs["work"])
             work_outs[name] = config, outs["work"]
-        config, jobs1 = work_outs["deep-gru seed 0"]
-        jobs2 = tmp / "work" / "jobs2"
-        error = run_side(ROOT / "src", config, [], jobs2, jobs=2)
-        failed |= report("deep-gru seed 0, --jobs 2 against --jobs 1",
-                         {"work": error}, jobs1, jobs2)
+        config, jobs1 = work_outs["panel-s seed 0"]
+        jobs4 = tmp / "work" / "jobs4"
+        error = run_side(ROOT / "src", config, [], jobs4, jobs=4)
+        failed |= report("panel-s seed 0, --jobs 4 against --jobs 1",
+                         {"work": error}, jobs1, jobs4)
     return 1 if failed else 0
 
 
