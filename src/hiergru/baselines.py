@@ -4,6 +4,7 @@ stagewise boosted trees, and fully connected networks."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -197,34 +198,53 @@ class TreeEnsemble:
     predict = _predict_one
 
 
-def _best_split(xs: np.ndarray, ys: np.ndarray, min_leaf: int):
-    """Variance-reduction split over all of a node's candidate features at
-    once.  Column ``j`` of the ``(m, k)`` arrays ``xs`` and ``ys`` holds the
-    node's values of the j-th candidate feature and its targets, both in
-    ascending order of that feature.  Returns ``(j, threshold)`` minimizing
-    the summed child SSE, first-best over columns in order and then over
-    positions within a column, or None when no column has a valid split.
-    Score row ``i`` splits between sorted positions ``i`` and ``i + 1``; the
-    threshold lies in ``[xs[i, j], xs[i + 1, j])``, so ``x <= threshold``
-    sends exactly positions ``0..i`` left."""
-    m = ys.shape[0]
-    csum = np.cumsum(ys, axis=0)
-    csq = np.cumsum(ys * ys, axis=0)
-    sizes = np.arange(1, m)[:, None]
-    valid = (sizes >= min_leaf) & (m - sizes >= min_leaf) & (xs[1:] > xs[:-1])
-    sse_l = csq[:-1] - csum[:-1] ** 2 / sizes
-    sse_r = (csq[-1] - csq[:-1]) - (csum[-1] - csum[:-1]) ** 2 / (m - sizes)
-    score = np.where(valid, sse_l + sse_r, np.inf).T
-    j, i = np.unravel_index(np.argmin(score), score.shape)
-    if not np.isfinite(score[j, i]):
-        return None
-    lo, hi = xs[i, j], xs[i + 1, j]
+def _split_scores(xs: np.ndarray, ys: np.ndarray, m: np.ndarray, min_leaf: int):
+    """Variance-reduction split scores of many nodes at once, each over all
+    of its candidate features.  Column ``j`` of node c's slices of the
+    ``(nodes, width, k)`` arrays ``xs`` and ``ys`` holds the node's values
+    of its j-th candidate feature and its targets, both in ascending order
+    of that feature, at positions ``0..m[c] - 1``; later positions are
+    padding, with zero targets, and never score.  Cumsums run down each
+    node's own columns, so a node's scores have the bits of a search over
+    that node alone, and their last row holds its totals.
+
+    Returns the summed child SSE as ``(nodes, k * (width - 1))``, inf where
+    a split is invalid, candidate-major: entry ``j * (width - 1) + i`` of
+    node c splits its j-th candidate between sorted positions ``i`` and
+    ``i + 1``, so the first minimum is first-best over candidates in order
+    and then over positions.  The split needs at least ``min_leaf`` rows
+    on each side and distinct values at ``i`` and ``i + 1``."""
+    nodes, width, _ = xs.shape
+    csum = np.cumsum(ys, axis=1)
+    csq = np.cumsum(ys * ys, axis=1)
+    sizes = np.arange(1, width)[:, None]
+    rest = m[:, None, None] - sizes
+    valid = (sizes >= min_leaf) & (rest >= min_leaf) & (xs[:, 1:] > xs[:, :-1])
+    # left SSE + right SSE, each operation as in the one-node formula but
+    # in place, so that a pass holds few temporaries
+    score = csum[:, :-1] ** 2
+    score /= sizes
+    np.subtract(csq[:, :-1], score, out=score)
+    right = csum[:, -1:] - csum[:, :-1]
+    right **= 2
+    right /= np.maximum(rest, 1)  # padding has no row to its right: / 1, not / 0
+    np.subtract(csq[:, -1:] - csq[:, :-1], right, out=right)
+    score += right
+    score[~valid] = np.inf
+    del csum, csq, right
+    return score.transpose(0, 2, 1).reshape(nodes, -1)
+
+
+def _threshold(lo, hi):
+    """The threshold of a split between sorted values ``lo < hi``: their
+    midpoint, or ``lo`` where the midpoint rounds up to ``hi``, so that
+    ``x <= threshold`` sends exactly the rows up to ``lo`` left."""
     mid = 0.5 * (lo + hi)
-    return int(j), mid if mid < hi else lo
+    return np.where(mid < hi, mid, lo)
 
 
-def _grow_tree(x, y, *, max_depth, min_leaf, feature_count, rng) -> Tree:
-    """Depth-first CART growth from one presort per tree.
+def _grow_tree(x, y, *, max_depth, min_leaf) -> Tree:
+    """Depth-first CART growth over every feature from one presort.
 
     ``order[f]`` lists a node's rows in ascending order of feature ``f``
     (stable, so ties keep ascending row ids); a split partitions every
@@ -235,24 +255,26 @@ def _grow_tree(x, y, *, max_depth, min_leaf, feature_count, rng) -> Tree:
     """
     nodes: list[list] = []  # [feature, threshold, left, right, value]
     rho = x.shape[1]
+    features = np.arange(rho)
 
     def grow(rows: np.ndarray, order: np.ndarray, depth: int) -> int:
         idx = len(nodes)
-        nodes.append([-1, 0.0, -1, -1, float(y[rows].mean())])
+        targets = y[rows]
+        nodes.append([-1, 0.0, -1, -1, float(targets.mean())])
         if depth >= max_depth or rows.shape[0] < 2 * min_leaf:
             return idx
-        if np.all(y[rows] == y[rows][0]):
+        if np.all(targets == targets[0]):
             return idx
-        if feature_count >= rho:
-            features = np.arange(rho)
-        else:
-            features = np.sort(rng.choice(rho, size=feature_count, replace=False))
-        sorted_rows = order[features].T
-        split = _best_split(x[sorted_rows, features], y[sorted_rows], min_leaf)
-        if split is None:
+        sorted_rows = order.T
+        xs = x[sorted_rows, features]
+        score = _split_scores(
+            xs[None], y[sorted_rows][None], np.array([rows.shape[0]]), min_leaf
+        )[0]
+        best = int(np.argmin(score))
+        if not np.isfinite(score[best]):
             return idx
-        j, thr = split
-        f = features[j]
+        f, i = divmod(best, rows.shape[0] - 1)
+        thr = _threshold(xs[i, f], xs[i + 1, f])
         go_left = x[:, f] <= thr
         mask = go_left[rows]
         keep = go_left[order]
@@ -276,6 +298,149 @@ def _grow_tree(x, y, *, max_depth, min_leaf, feature_count, rng) -> Tree:
     )
 
 
+# Bootstrap rows per group of trees grown together, and cells (nodes x
+# candidate features x padded rows) per scoring pass over a level's nodes:
+# enough nodes per numpy call to spread its per-call overhead, while the
+# grower's index and scoring arrays stay well under a megabyte whatever
+# the number of trees.
+_GROUP_ROWS = 2048
+_PASS_CELLS = 2048
+
+
+def _grow_forest(x, y, boots, *, max_depth, min_leaf, feature_count, rng) -> list[Tree]:
+    """One tree on rows ``x[b], y[b]`` for each index array ``b`` of
+    ``boots``, all grown together level by level.
+
+    A level lists every tree's open nodes, tree by tree and left to right.
+    The nodes that may split (below ``max_depth``, at least ``2 * min_leaf``
+    rows, targets not all equal) draw their candidate features in that
+    order: the ``feature_count`` first of one row of
+    ``rng.random((nodes, rho)).argsort(axis=1)`` each, ascending; nothing is
+    drawn when every feature is a candidate.  Node values, the split search
+    and the threshold rule are those of :func:`_grow_tree`, so with every
+    feature a candidate each tree is the one it grows, numbered depth-first
+    as it numbers nodes.
+
+    The open nodes' rows are the columns of ``idx``: each node's run of
+    columns lists its row ids (into ``x``) in ascending order of feature
+    ``f`` in row ``f``, stable as in :func:`_grow_tree`, and in bootstrap
+    order in the last row.  A level is scored in passes of nodes sorted by
+    size, each padded to its largest node, and partitioned in place.
+    """
+    rho = x.shape[1]
+    k = min(feature_count, rho)
+    sizes = np.array([b.shape[0] for b in boots])
+    idx = np.empty((rho + 1, sizes.sum()), dtype=np.int64)
+    for b, lo in zip(boots, np.cumsum(sizes) - sizes):
+        idx[:rho, lo: lo + b.shape[0]] = b[np.argsort(x[b], axis=0, kind="stable").T]
+        idx[rho, lo: lo + b.shape[0]] = b
+    tree = np.arange(len(boots))
+    rank = tree  # each open node's place in its level's order
+    levels, links = [], []  # per level (tree, value, feature, threshold)
+    first = 0  # number of the level's first node, counted over all levels
+    for depth in itertools.count():
+        starts = np.cumsum(sizes) - sizes
+        value, same = _node_means(y, idx[rho], starts, sizes)
+        feature = np.full(sizes.size, -1, dtype=np.int64)
+        threshold = np.zeros(sizes.size)
+        levels.append((tree, value, feature, threshold))
+        if depth >= max_depth:
+            break
+        cand = np.flatnonzero(~same & (sizes >= 2 * min_leaf))
+        cand = cand[np.argsort(rank[cand])]
+        if k < rho:
+            feats = np.sort(rng.random((cand.size, rho)).argsort(axis=1)[:, :k], axis=1)
+        else:
+            feats = np.broadcast_to(np.arange(rho), (cand.size, rho))
+        by_size = np.argsort(-sizes[cand], kind="stable")
+        at = 0
+        while at < cand.size:
+            width = sizes[cand[by_size[at]]]
+            part = by_size[at: at + max(1, _PASS_CELLS // (k * width))]
+            at += part.size
+            nodes, f = cand[part], feats[part]
+            m = sizes[nodes]
+            cols = starts[nodes, None] + np.minimum(np.arange(width), m[:, None] - 1)
+            rows = idx[f[:, None, :], cols[:, :, None]]
+            xs, ys = x[rows, f[:, None, :]], y[rows]
+            ys[np.arange(width) >= m[:, None]] = 0.0
+            score = _split_scores(xs, ys, m, min_leaf)
+            best = np.argmin(score, axis=1)
+            found = np.flatnonzero(np.isfinite(score[np.arange(part.size), best]))
+            j, i = np.divmod(best[found], width - 1)
+            feature[nodes[found]] = f[found, j]
+            threshold[nodes[found]] = _threshold(xs[found, i, j], xs[found, i + 1, j])
+        split = np.flatnonzero(feature >= 0)
+        if not split.size:
+            break
+        # children, in place: every left child, then every right child, in
+        # split order; the leaves' columns drop out
+        node_of = np.repeat(np.arange(sizes.size), sizes)
+        on = feature[node_of] >= 0
+        feature_of, threshold_of = np.maximum(feature, 0)[node_of], threshold[node_of]
+        go_left = (x[idx[rho], feature_of] <= threshold_of) & on
+        n_left = np.bincount(node_of[go_left], minlength=sizes.size)[split]
+        left, kept = go_left.sum(), on.sum()
+        for row in idx:
+            go_left = x[row, feature_of] <= threshold_of
+            row[:left], row[left: kept] = row[go_left & on], row[~go_left & on]
+        idx = idx[:, :kept]
+        children = first + sizes.size + np.arange(split.size)
+        links.append((first + split, children, children + split.size))
+        place = np.empty(split.size, dtype=np.int64)
+        place[np.argsort(rank[split])] = np.arange(split.size)
+        first += sizes.size
+        sizes = np.concatenate([n_left, sizes[split] - n_left])
+        tree = np.tile(tree[split], 2)
+        rank = np.concatenate([2 * place, 2 * place + 1])
+    return _depth_first(levels, links, len(boots))
+
+
+def _node_means(y, rows, starts, sizes):
+    """Each node's target mean and whether its targets are all equal; node
+    c's ``sizes[c]`` row ids start at ``rows[starts[c]]``.  Nodes of one
+    size share a row-wise sum, which adds each row as the node's own
+    one-dimensional mean does."""
+    ys = y[rows]
+    same = np.minimum.reduceat(ys, starts) == np.maximum.reduceat(ys, starts)
+    value = np.empty(sizes.size)
+    by_size = np.argsort(sizes, kind="stable")
+    lo = 0
+    for hi in np.append(np.flatnonzero(np.diff(sizes[by_size])) + 1, sizes.size):
+        nodes = by_size[lo:hi]
+        m = sizes[nodes[0]]
+        value[nodes] = np.add.reduce(ys[starts[nodes, None] + np.arange(m)], axis=1) / m
+        lo = hi
+    return value, same
+
+
+def _depth_first(levels, links, count) -> list[Tree]:
+    """The ``count`` trees grown level by level, each numbered in
+    depth-first preorder: ``levels`` holds every level's (tree, value,
+    feature, threshold) and ``links`` the split nodes of each level with
+    their left and right children, all numbered over the levels in turn;
+    the first level holds the roots in tree order."""
+    tree, value, feature, threshold = (np.concatenate(a) for a in zip(*levels))
+    left = np.full(tree.size, -1, dtype=np.int64)
+    right = np.full(tree.size, -1, dtype=np.int64)
+    size = np.ones(tree.size, dtype=np.int64)  # nodes in each subtree
+    for parent, lo, hi in reversed(links):
+        size[parent] += size[lo] + size[hi]
+    pre = np.zeros(tree.size, dtype=np.int64)  # preorder number in its tree
+    for parent, lo, hi in links:
+        pre[lo] = pre[parent] + 1
+        pre[hi] = pre[lo] + size[lo]
+        left[parent], right[parent] = pre[lo], pre[hi]
+    nodes = size[:count]
+    base = np.cumsum(nodes) - nodes
+    at = base[tree] + pre
+    arrays = (feature, threshold, left, right, value)
+    placed = [np.empty_like(a) for a in arrays]
+    for out, a in zip(placed, arrays):
+        out[at] = a
+    return [Tree(*(a[lo: lo + n] for a in placed)) for lo, n in zip(base, nodes)]
+
+
 @dataclass(frozen=True)
 class ForestConfig:
     n_trees: int = 100
@@ -293,21 +458,26 @@ class ForestConfig:
 
 def fit_forest(windows: list[Window], rho: int, cfg: ForestConfig) -> TreeEnsemble:
     """Bootstrap-resampled trees with per-split feature subsampling; the
-    ensemble prediction is the plain mean of tree outputs."""
+    ensemble prediction is the plain mean of tree outputs.
+
+    Every bootstrap is drawn first, one row of ``rng.integers`` per tree.
+    The trees then grow in groups of as many trees as fit in
+    ``_GROUP_ROWS`` bootstrap rows (at least one), each group level by
+    level by :func:`_grow_forest`, whose feature draws come from the same
+    generator."""
     if not windows:
         raise NoTrainingDataError("no training windows for forest fit")
     x, y = stack_windows(windows)
+    n = x.shape[0]
     rng = np.random.default_rng(cfg.seed)
-    k = max(1, math.ceil(cfg.feature_frac * rho))
+    boots = rng.integers(0, n, size=(cfg.n_trees, n))
+    per_group = max(1, _GROUP_ROWS // n)
     trees = []
-    for _ in range(cfg.n_trees):
-        boot = rng.integers(0, x.shape[0], size=x.shape[0])
-        trees.append(
-            _grow_tree(
-                x[boot], y[boot],
-                max_depth=cfg.max_depth, min_leaf=cfg.min_leaf,
-                feature_count=k, rng=rng,
-            )
+    for lo in range(0, cfg.n_trees, per_group):
+        trees += _grow_forest(
+            x, y, boots[lo: lo + per_group],
+            max_depth=cfg.max_depth, min_leaf=cfg.min_leaf,
+            feature_count=max(1, math.ceil(cfg.feature_frac * rho)), rng=rng,
         )
     return TreeEnsemble(
         trees=tuple(trees), mode="average", shrinkage=1.0, base_value=0.0, rho=rho
@@ -347,10 +517,7 @@ def fit_gbt(windows: list[Window], rho: int, cfg: GbtConfig) -> TreeEnsemble:
             rows = np.sort(rng.permutation(n)[:m])
         else:
             rows = np.arange(n)
-        tree = _grow_tree(
-            x[rows], residual[rows],
-            max_depth=cfg.max_depth, min_leaf=1, feature_count=rho, rng=rng,
-        )
+        tree = _grow_tree(x[rows], residual[rows], max_depth=cfg.max_depth, min_leaf=1)
         trees.append(tree)
         current = current + cfg.shrinkage * tree.predict_batch(x)
     return TreeEnsemble(

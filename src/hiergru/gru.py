@@ -204,17 +204,38 @@ def _stack(P: np.ndarray, hidden: int, input_dim: int) -> _Stack:
 
 
 def _batches(p: GruParams, inputs, targets) -> tuple[np.ndarray, np.ndarray]:
-    """Per-unit windows stacked to (N, n, rho, input_dim), and targets to
-    (N, n)."""
-    x = np.stack([_as_batch(p, a) for a in inputs])
+    """Per-unit windows as one (N, n, rho, input_dim) array, and targets as
+    (N, n).  ``inputs`` and ``targets`` are sequences of per-unit arrays,
+    stacked here, or arrays already stacked, used without a copy when they
+    are contiguous float64."""
+    x = np.ascontiguousarray(inputs, dtype=np.float64)
+    if x.ndim == 3:
+        x = x[..., None]
+    if x.ndim != 4 or x.shape[3] != p.input_dim:
+        raise ShapeMismatchError(
+            f"batch inputs of shape {x.shape[1:]} incompatible with "
+            f"input_dim {p.input_dim}"
+        )
     if x.shape[1] == 0:
         raise EmptyInputError("empty training batch")
-    y = np.stack([np.asarray(b, dtype=np.float64) for b in targets])
+    y = np.ascontiguousarray(targets, dtype=np.float64)
     if y.shape != x.shape[:2]:
         raise ShapeMismatchError(
             f"targets shape {y.shape[1:]} does not match batch size {x.shape[1]}"
         )
     return x, y
+
+
+def _anchor_pairs(regularizers, size: int) -> list:
+    """A unit's nonzero (anchor, coeff) pairs, each anchor checked against
+    the unit's parameter count."""
+    pairs = [(anchor, coeff) for anchor, coeff in regularizers if coeff != 0.0]
+    for anchor, _ in pairs:
+        if anchor.vec.shape != (size,):
+            raise ShapeMismatchError(
+                f"anchor has {anchor.size} parameters, expected {size}"
+            )
+    return pairs
 
 
 def _penalty_terms(regularizers, size: int) -> list:
@@ -223,15 +244,7 @@ def _penalty_terms(regularizers, size: int) -> list:
     row has one), their anchors (k, size) and their coeffs (k,).  Adding
     the groups in order adds every unit's terms in its own order, and a
     unit without a j-th pair gets no term at all."""
-    kept = []
-    for regs in regularizers:
-        pairs = [(anchor, coeff) for anchor, coeff in regs if coeff != 0.0]
-        for anchor, _ in pairs:
-            if anchor.vec.shape != (size,):
-                raise ShapeMismatchError(
-                    f"anchor has {anchor.size} parameters, expected {size}"
-                )
-        kept.append(pairs)
+    kept = [_anchor_pairs(regs, size) for regs in regularizers]
     terms = []
     for j in range(max(map(len, kept), default=0)):
         rows = [i for i, pairs in enumerate(kept) if len(pairs) > j]
@@ -377,10 +390,17 @@ def loss_and_grad(
     coeff: float) pairs; zero-coefficient entries contribute nothing and
     are skipped outright.
     """
-    x, y = _batches(p, [inputs], [targets])
-    loss, grad = _stack_loss_and_grad(
-        p.vec[None], p.hidden, x, y, _penalty_terms([regularizers], p.size)
+    x, y = _batches(
+        p,
+        np.asarray(inputs, dtype=np.float64)[None],
+        np.asarray(targets, dtype=np.float64)[None],
     )
+    # the one unit's terms of _penalty_terms, built without stacking
+    terms = [
+        (slice(None), anchor.vec[None], np.array([coeff], dtype=np.float64))
+        for anchor, coeff in _anchor_pairs(regularizers, p.size)
+    ]
+    loss, grad = _stack_loss_and_grad(p.vec[None], p.hidden, x, y, terms)
     return float(loss[0]), grad[0]
 
 
@@ -472,6 +492,7 @@ def optimize_stack(
     """Train units of one shape at once, full batch: unit i on windows
     ``inputs[i]`` (equally many for every unit) against targets
     ``targets[i]`` and anchors ``regularizers[i]`` (default: none).
+    ``inputs`` and ``targets`` may be stacked arrays, which are not copied.
 
     Every unit ends with the bits :func:`optimize` gives it alone.  Returns
     the trained units, the losses and the failures of

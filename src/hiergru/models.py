@@ -168,33 +168,35 @@ class ModelBundle:
 
 # ----------------------------------------------------------------- training
 
-# One node of a group, ready to train; ``data`` is ``(inputs, targets,
-# notes)``, or None when the node has no training window.
-_Pending = namedtuple("_Pending", "node seed params regularizers notes data")
+# One node of a group, ready to train; ``notes`` go into its provenance.
+_Pending = namedtuple("_Pending", "node seed params regularizers notes")
 
 
-def _train_group(pending: list[_Pending], spec: TrainSpec) -> dict[int, tuple]:
+def _train_group(
+    pending: list[_Pending], windows: dict, spec: TrainSpec
+) -> dict[int, tuple]:
     """Train the pending nodes that have data: one stacked optimisation per
     bucket of nodes with equally many windows and the same input width, so
-    nothing is padded.  Returns {index in ``pending``: (params, losses)},
-    ``losses`` being the initial and final loss.  Raises the divergence of
-    the first node, in order, that diverged: the error a node-by-node loop
-    would raise."""
+    nothing is padded.  ``windows`` maps the index in ``pending`` of each
+    node with data to its ``(inputs, targets, notes)``; each bucket's
+    entries are popped as they are stacked, so that a node's windows are
+    held once, by its bucket's stack.  Returns {index in ``pending``:
+    (params, losses)}, ``losses`` being the initial and final loss.  Raises
+    the divergence of the first node, in order, that diverged: the error a
+    node-by-node loop would raise."""
     buckets: dict[tuple, list[int]] = {}
-    for i, node in enumerate(pending):
-        if node.data is not None:
-            key = (len(node.data[1]), node.params.input_dim)
-            buckets.setdefault(key, []).append(i)
+    for i in sorted(windows):
+        key = (len(windows[i][1]), pending[i].params.input_dim)
+        buckets.setdefault(key, []).append(i)
     trained, failures = {}, {}
     for members in buckets.values():
-        picked = [pending[i] for i in members]
+        inputs = np.stack([windows[i][0] for i in members])
+        targets = np.stack([windows.pop(i)[1] for i in members])
         params, losses, failed = optimize_stack(
-            [node.params for node in picked],
-            [node.data[0] for node in picked],
-            [node.data[1] for node in picked],
+            [pending[i].params for i in members], inputs, targets,
             OptimState(lr=spec.lr, method=spec.optimizer),
             epochs=spec.epochs,
-            regularizers=[node.regularizers for node in picked],
+            regularizers=[pending[i].regularizers for i in members],
         )
         ends = losses[:1] + losses[-1:]
         for row, i in enumerate(members):
@@ -230,29 +232,31 @@ def _train_nodes(tag, h, spec, data, *, init=None, anchors=None, groups=None,
     provenance: dict[NodeId, dict] = {}
     rank = 0
     for group in groups or [h.bfs_order()]:
-        pending = []
-        for n in group:
+        pending, windows = [], {}
+        for i, n in enumerate(group):
             seed = node_seed(spec.seed, n)
             params = init(n, seed)
             regs, notes = anchors(n, models) if anchors else ((), {})
-            stacked = data(n)
-            if stacked is None:
+            windows[i] = data(n)
+            if windows[i] is None:
+                del windows[i]
                 warnings.warn(
                     f"node {n!r} has no training windows; keeping initial parameters",
                     NodeSkippedWarning,
                 )
-            pending.append(_Pending(n, seed, params, regs, notes, stacked))
-        trained = _train_group(pending, spec)
+            else:
+                notes = {**windows[i][2], **notes}
+            pending.append(_Pending(n, seed, params, regs, notes))
+        trained = _train_group(pending, windows, spec)
         for i, node in enumerate(pending):
             models[node.node], losses = trained.get(i, (node.params, []))
-            notes = node.notes if node.data is None else {**node.data[2], **node.notes}
             provenance[node.node] = {
                 "train_order": rank + i,
                 "seed": node.seed,
-                "skipped": node.data is None,
+                "skipped": i not in trained,
                 "initial_loss": losses[0] if losses else None,
                 "final_loss": losses[-1] if losses else None,
-                **notes,
+                **node.notes,
             }
         rank += len(pending)
     return ModelBundle(

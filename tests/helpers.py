@@ -185,35 +185,59 @@ def best_split_oracle(x: np.ndarray, y: np.ndarray, features, min_leaf: int):
     return best
 
 
-def grow_tree_oracle(x, y, *, max_depth, min_leaf, feature_count, rng) -> Tree:
-    """The tree grower before presorting: every node sorts its own rows
-    once per candidate feature, and features are searched one at a time."""
-    nodes: list[list] = []  # [feature, threshold, left, right, value]
+def grow_forest_oracle(x, y, boots, *, max_depth, min_leaf, feature_count, rng):
+    """Trees on rows ``x[b], y[b]`` for each ``b`` in ``boots``, grown one
+    node at a time, breadth-first across the trees: a level lists every
+    tree's open nodes, tree by tree and left to right.  The level's nodes
+    that may split draw their candidate features in that order, one row of
+    ``rng.random((nodes, rho))`` each, whose ``feature_count`` smallest
+    entries name the candidates (no draw when every feature is one); every
+    node then sorts its own rows once per candidate feature.  Each tree's
+    nodes are numbered depth-first at the end."""
     rho = x.shape[1]
-
-    def grow(rows: np.ndarray, depth: int) -> int:
-        idx = len(nodes)
-        nodes.append([-1, 0.0, -1, -1, float(y[rows].mean())])
-        if depth >= max_depth or rows.shape[0] < 2 * min_leaf:
-            return idx
-        if np.all(y[rows] == y[rows][0]):
-            return idx
+    roots = [{} for _ in boots]
+    level = [(root, x[b], y[b], np.arange(len(b))) for root, b in zip(roots, boots)]
+    depth = 0
+    while level:
+        may_split = []
+        for node, xt, yt, rows in level:
+            node["value"] = float(yt[rows].mean())
+            if (depth < max_depth and rows.shape[0] >= 2 * min_leaf
+                    and not np.all(yt[rows] == yt[rows][0])):
+                may_split.append((node, xt, yt, rows))
         if feature_count >= rho:
-            features = range(rho)
+            subsets = [range(rho)] * len(may_split)
         else:
-            features = np.sort(rng.choice(rho, size=feature_count, replace=False))
-        split = best_split_oracle(x[rows], y[rows], features, min_leaf)
-        if split is None:
-            return idx
-        f, thr = split
-        mask = x[rows, f] <= thr
-        nodes[idx][0] = int(f)
-        nodes[idx][1] = float(thr)
-        nodes[idx][2] = grow(rows[mask], depth + 1)
-        nodes[idx][3] = grow(rows[~mask], depth + 1)
+            draws = rng.random((len(may_split), rho))
+            subsets = [np.sort(np.argsort(row)[:feature_count]) for row in draws]
+        level = []
+        for (node, xt, yt, rows), features in zip(may_split, subsets):
+            split = best_split_oracle(xt[rows], yt[rows], features, min_leaf)
+            if split is None:
+                continue
+            node["feature"], node["threshold"] = int(split[0]), float(split[1])
+            node["children"] = ({}, {})
+            mask = xt[rows, split[0]] <= split[1]
+            level.append((node["children"][0], xt, yt, rows[mask]))
+            level.append((node["children"][1], xt, yt, rows[~mask]))
+        depth += 1
+    return [_preorder_tree(root) for root in roots]
+
+
+def _preorder_tree(root) -> Tree:
+    """A tree of nested node dicts as flat arrays, numbered depth-first."""
+    nodes: list[list] = []  # [feature, threshold, left, right, value]
+
+    def visit(node) -> int:
+        idx = len(nodes)
+        nodes.append([-1, 0.0, -1, -1, node["value"]])
+        if "children" in node:
+            nodes[idx][:2] = node["feature"], node["threshold"]
+            nodes[idx][2] = visit(node["children"][0])
+            nodes[idx][3] = visit(node["children"][1])
         return idx
 
-    grow(np.arange(x.shape[0]), 0)
+    visit(root)
     cols = list(zip(*nodes))
     return Tree(
         feature=np.array(cols[0], dtype=np.int64),

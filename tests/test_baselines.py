@@ -1,10 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import panel_from_rates
-from helpers import fd_grad, grow_tree_oracle, rel_err
+from helpers import fd_grad, grow_forest_oracle, rel_err
+from hiergru import baselines
 from hiergru.baselines import (
     ArModel,
     DEEPNN_CONFIG,
@@ -17,6 +20,7 @@ from hiergru.baselines import (
     fit_forest,
     fit_gbt,
     fit_mlp,
+    _grow_forest,
     _grow_tree,
     init_mlp,
     mlp_flatten,
@@ -204,82 +208,193 @@ class TestBatchedTrees:
 TREE_ARRAYS = ("feature", "threshold", "left", "right", "value")
 
 
-@st.composite
-def tree_inputs(draw):
-    """Training rows for one tree: one-decimal values so ties occur, and
-    optionally a constant column, bootstrap-duplicated rows or a constant
-    target, with every growth setting the fits use."""
-    n = draw(st.integers(1, 120))
-    rho = draw(st.integers(1, 12))
+def assert_same_tree(got, want):
+    for name in TREE_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def training_rows(draw, n, rho):
+    """One-decimal values so ties occur, optionally a constant column or a
+    constant target."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = np.round(rng.normal(size=(n, rho)), 1)
     y = np.round(rng.normal(size=n) * draw(st.sampled_from([1.0, 10.0])), 1)
     if draw(st.booleans()):
         x[:, draw(st.integers(0, rho - 1))] = 0.3
     if draw(st.booleans()):
-        boot = rng.integers(0, n, size=n)
-        x, y = x[boot], y[boot]
-    if draw(st.booleans()):
         y[:] = -1.5
-    growth = {
+    return x, y, rng
+
+
+def growth_settings(draw, rho):
+    return {
         "max_depth": draw(st.integers(0, 6)),
         "min_leaf": draw(st.sampled_from([1, 2])),
         "feature_count": draw(st.integers(1, rho)),
     }
-    return x, y, growth, draw(st.integers(0, 2**32 - 1))
+
+
+@st.composite
+def tree_inputs(draw):
+    """Training rows for one tree, optionally bootstrap-duplicated, with
+    every growth setting the fits use."""
+    n = draw(st.integers(1, 120))
+    rho = draw(st.integers(1, 12))
+    x, y, rng = training_rows(draw, n, rho)
+    if draw(st.booleans()):
+        boot = rng.integers(0, n, size=n)
+        x, y = x[boot], y[boot]
+    return x, y, growth_settings(draw, rho), draw(st.integers(0, 2**32 - 1))
+
+
+@st.composite
+def forest_inputs(draw):
+    """Shared rows and one to four bootstrap samples of unequal sizes (with
+    duplicates), the growth settings, a seed, and a scoring pass size from
+    one node per pass up to every node of a level at once."""
+    n = draw(st.integers(1, 80))
+    rho = draw(st.integers(1, 10))
+    x, y, rng = training_rows(draw, n, rho)
+    boots = [rng.integers(0, n, size=draw(st.integers(1, n)))
+             for _ in range(draw(st.integers(1, 4)))]
+    cells = draw(st.sampled_from([1, 64, baselines._PASS_CELLS]))
+    return x, y, boots, growth_settings(draw, rho), draw(st.integers(0, 2**32 - 1)), cells
+
+
+def grown_trees(x, y, kw, seed):
+    """(rows, targets, tree) for the depth-first grower on all rows and for
+    a level-wise forest on all rows and on one bootstrap sample."""
+    rng = np.random.default_rng(seed)
+    n = x.shape[0]
+    cases = [(x, y, _grow_tree(x, y, max_depth=kw["max_depth"], min_leaf=kw["min_leaf"]))]
+    boots = [np.arange(n), rng.integers(0, n, size=n)]
+    forest = _grow_forest(x, y, boots, rng=rng, **kw)
+    return cases + [(x[b], y[b], tree) for b, tree in zip(boots, forest)]
+
+
+def assert_splits_as_scored(x, y, tree, min_leaf):
+    """Each split sends its node's rows left or right exactly as the best
+    cut on its feature does: the least summed child SSE among cuts between
+    distinct values leaving >= min_leaf rows on each side."""
+
+    def sse(rows):
+        return float(((y[rows] - y[rows].mean()) ** 2).sum()) if rows.size else 0.0
+
+    def visit(i, rows):
+        f = tree.feature[i]
+        if f < 0:
+            return
+        go_left = x[rows, f] <= tree.threshold[i]
+        left, right = rows[go_left], rows[~go_left]
+        assert min(left.size, right.size) >= min_leaf
+        cuts = []
+        for v in np.unique(x[rows, f])[:-1]:
+            mask = x[rows, f] <= v
+            if min(mask.sum(), (~mask).sum()) >= min_leaf:
+                cuts.append(sse(rows[mask]) + sse(rows[~mask]))
+        assert sse(left) + sse(right) == pytest.approx(min(cuts), rel=1e-9, abs=1e-9)
+        visit(tree.left[i], left)
+        visit(tree.right[i], right)
+
+    visit(0, np.arange(x.shape[0]))
 
 
 class TestTreeGrowth:
     @settings(max_examples=300, deadline=None)
     @given(tree_inputs())
     def test_presorted_grower_equals_per_node_sort(self, case):
-        x, y, kw, seed = case
-        got = _grow_tree(x, y, rng=np.random.default_rng(seed), **kw)
-        want = grow_tree_oracle(x, y, rng=np.random.default_rng(seed), **kw)
-        for name in TREE_ARRAYS:
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        x, y, kw, _ = case
+        got = _grow_tree(x, y, max_depth=kw["max_depth"], min_leaf=kw["min_leaf"])
+        (want,) = grow_forest_oracle(
+            x, y, [np.arange(x.shape[0])], max_depth=kw["max_depth"],
+            min_leaf=kw["min_leaf"], feature_count=x.shape[1], rng=None,
+        )
+        assert_same_tree(got, want)
+
+    @settings(max_examples=600, deadline=None)
+    @given(forest_inputs())
+    def test_level_wise_forest_equals_per_node_oracle(self, case):
+        # every tree byte for byte, whatever the scoring pass size; with
+        # every feature a candidate, also the depth-first grower's tree
+        x, y, boots, kw, seed, cells = case
+        with mock.patch.object(baselines, "_PASS_CELLS", cells):
+            got = _grow_forest(x, y, boots, rng=np.random.default_rng(seed), **kw)
+        want = grow_forest_oracle(x, y, boots, rng=np.random.default_rng(seed), **kw)
+        assert len(got) == len(want) == len(boots)
+        for a, b in zip(got, want):
+            assert_same_tree(a, b)
+        if kw["feature_count"] == x.shape[1]:
+            for b, tree in zip(boots, got):
+                assert_same_tree(tree, _grow_tree(
+                    x[b], y[b], max_depth=kw["max_depth"], min_leaf=kw["min_leaf"]
+                ))
 
     @settings(max_examples=200, deadline=None)
     @given(tree_inputs())
     def test_splits_partition_rows_as_scored(self, case):
-        # Each split must send its node's rows left or right exactly as the
-        # best cut on its feature does (the least summed child SSE among cuts
-        # between distinct values leaving >= min_leaf rows on each side).
+        # in depth-first and in level-wise trees alike
         x, y, kw, seed = case
-        tree = _grow_tree(x, y, rng=np.random.default_rng(seed), **kw)
-        min_leaf = kw["min_leaf"]
+        for xt, yt, tree in grown_trees(x, y, kw, seed):
+            assert_splits_as_scored(xt, yt, tree, kw["min_leaf"])
 
-        def sse(rows):
-            return float(((y[rows] - y[rows].mean()) ** 2).sum()) if rows.size else 0.0
+    @pytest.mark.parametrize("fit, cfg", [
+        (fit_forest, ForestConfig(n_trees=30, max_depth=6, min_leaf=1, seed=4)),
+        (fit_forest, ForestConfig(n_trees=5, max_depth=3, feature_frac=1.0, seed=5)),
+        (fit_gbt, GbtConfig(n_trees=10, max_depth=4, subsample=0.8, seed=6)),
+    ])
+    def test_trees_are_depth_first_preorder(self, fit, cfg):
+        # the layout checkpoints and _descend rely on, whatever the growth
+        # order: root 0, each left child right after its parent, each right
+        # child right after its left subtree; leaves hold -1, 0.0, -1, -1
+        rng = np.random.default_rng(13)
+        ens = fit(windows_from_series(np.round(rng.normal(size=90), 1), rho=4), 4, cfg)
+        for tree in ens.trees:
 
-        def visit(i, rows):
-            f = tree.feature[i]
-            if f < 0:
-                return
-            go_left = x[rows, f] <= tree.threshold[i]
-            left, right = rows[go_left], rows[~go_left]
-            assert min(left.size, right.size) >= min_leaf
-            cuts = []
-            for v in np.unique(x[rows, f])[:-1]:
-                mask = x[rows, f] <= v
-                if min(mask.sum(), (~mask).sum()) >= min_leaf:
-                    cuts.append(sse(rows[mask]) + sse(rows[~mask]))
-            assert sse(left) + sse(right) == pytest.approx(min(cuts), rel=1e-9, abs=1e-9)
-            visit(tree.left[i], left)
-            visit(tree.right[i], right)
+            def visit(i) -> int:
+                """Node i's subtree checked; returns the number after it."""
+                if tree.feature[i] < 0:
+                    assert (tree.threshold[i], tree.left[i], tree.right[i]) == (0.0, -1, -1)
+                    return i + 1
+                assert tree.left[i] == i + 1
+                assert tree.right[i] == visit(i + 1)
+                return visit(tree.right[i])
 
-        visit(0, np.arange(x.shape[0]))
+            assert visit(0) == tree.feature.shape[0]
+
+    def test_fit_forest_draws_bootstraps_then_grows_groups(self):
+        # all bootstraps first, one row per tree; then each group of trees
+        # that fits the row budget grows level-wise from the same generator
+        rng = np.random.default_rng(14)
+        ws = windows_from_series(np.round(rng.normal(size=50), 1), rho=5)
+        x = np.stack([w.inputs for w in ws])
+        y = np.array([w.target for w in ws])
+        cfg = ForestConfig(n_trees=7, max_depth=4, seed=8)
+        with mock.patch.object(baselines, "_GROUP_ROWS", 3 * len(ws)):
+            got = fit_forest(ws, 5, cfg).trees
+        draws = np.random.default_rng(cfg.seed)
+        boots = draws.integers(0, len(ws), size=(7, len(ws)))
+        want = []
+        for group in (boots[:3], boots[3:6], boots[6:]):
+            want += grow_forest_oracle(
+                x, y, list(group), max_depth=4, min_leaf=cfg.min_leaf,
+                feature_count=2, rng=draws,
+            )
+        assert len(got) == 7
+        for a, b in zip(got, want):
+            assert_same_tree(a, b)
 
     def test_all_candidate_features_constant_gives_one_leaf(self):
         x = np.tile([1.0, -2.0, 0.5], (9, 1))
         y = np.arange(9.0)
-        tree = _grow_tree(
-            x, y, max_depth=4, min_leaf=1, feature_count=3,
+        tree = _grow_tree(x, y, max_depth=4, min_leaf=1)
+        (forest_tree,) = _grow_forest(
+            x, y, [np.arange(9)], max_depth=4, min_leaf=1, feature_count=2,
             rng=np.random.default_rng(0),
         )
-        assert tree.feature.tolist() == [-1]
-        assert tree.value.tolist() == [4.0]
+        for t in (tree, forest_tree):
+            assert t.feature.tolist() == [-1]
+            assert t.value.tolist() == [4.0]
 
 
 class TestGbt:

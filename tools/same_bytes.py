@@ -19,8 +19,12 @@ Every output file is compared byte for byte, except the ``created_utc``
 line of the run manifest.  One more check runs on the working tree alone:
 the panel-s workload at panel seed 0, whose rf, gbt and fc families once
 fitted on a thread pool, must write the same bytes with ``--jobs 4`` as
-with ``--jobs 1``.  One line is printed per run; the exit status is 1 if
-any run differs or fails on either side.
+with ``--jobs 1``.  One line is printed per run.  Under a run that differs
+follows one line per checkpoint bundle directory naming every file of it
+that differs, and one line per report file naming the models whose rows
+(or ``report.dat`` blocks) differ, so that a change meant to touch one
+model's outputs can be seen to touch nothing else.  The exit status is 1
+if any run differs or fails on either side.
 """
 
 from __future__ import annotations
@@ -167,16 +171,59 @@ def differences(a: Path, b: Path) -> tuple[int, list[str]]:
     return len(files_a | files_b), diff
 
 
+def _models(path: Path) -> dict[str, list]:
+    """A report file's lines by the model they belong to: a csv row's first
+    field, a markdown table row's first cell, or the ``# model "<label>"``
+    block of report.dat that the line sits in; for the run manifest, each
+    model's entry.  Everything else goes under ``(header)``."""
+    if path.suffix == ".json":
+        data = json.loads(path.read_text(encoding="utf-8"))
+        data.pop("created_utc", None)
+        return {"(header)": [data], **{m["label"]: [m] for m in data.pop("models")}}
+    lines: dict[str, list] = {}
+    model = "(header)"
+    for i, line in enumerate(path.read_text(encoding="utf-8").splitlines()):
+        if path.suffix == ".csv":
+            model = line.split(",", 1)[0] if i else "(header)"
+        elif path.suffix == ".md":
+            model = line.split("|")[1].strip() if line.startswith("|") else "(header)"
+        elif line.startswith("# model "):
+            model = line[len("# model "):].strip('"')
+        lines.setdefault(model, []).append(line)
+    return lines
+
+
+def describe(a: Path, b: Path, diff: list[str]) -> list[str]:
+    """One line per checkpoint bundle directory listing every file of it
+    that differs, and one per other file: for a report file or the run
+    manifest present on both sides, the models whose lines differ."""
+    bundles: dict[str, list[str]] = {}
+    out = []
+    for rel in diff:
+        parts = Path(rel).parts
+        if parts[0] == "checkpoints" and len(parts) > 2:
+            bundles.setdefault("/".join(parts[:2]), []).append("/".join(parts[2:]))
+        elif (rel.startswith("report") or rel == "manifest.json") and (
+            (a / rel).is_file() and (b / rel).is_file()
+        ):
+            x, y = _models(a / rel), _models(b / rel)
+            models = [m for m in {**x, **y} if x.get(m) != y.get(m)]
+            out.append(f"  {rel}: lines of {', '.join(models)}")
+        else:
+            out.append(f"  {rel}")
+    return [f"  {d}/: {', '.join(files)}" for d, files in bundles.items()] + out
+
+
 def report(name: str, errors: dict, a: Path, b: Path) -> bool:
-    """Print one run's line; True when it failed or differs."""
+    """Print one run's lines; True when it failed or differs."""
     errors = {side: err for side, err in errors.items() if err}
     if errors:
         print(f"{name}: FAILED {errors}")
         return True
     count, diff = differences(a, b)
     if diff:
-        print(f"{name}: DIFFERENT {len(diff)} of {count} files: "
-              f"{', '.join(diff[:5])}{' ...' if len(diff) > 5 else ''}")
+        print(f"{name}: DIFFERENT {len(diff)} of {count} files")
+        print("\n".join(describe(a, b, diff)))
         return True
     print(f"{name}: identical ({count} files)")
     return False
