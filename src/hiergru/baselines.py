@@ -8,6 +8,8 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import Iterable
 
 import numpy as np
 
@@ -182,7 +184,7 @@ class TreeEnsemble:
         x = _as_rows(windows, self.rho)
         batch = x.shape[0]
         if self.trees:
-            merged, roots = _merge(self.trees)
+            merged, roots = self._merged
             rows = np.repeat(np.arange(batch), roots.shape[0])
             leaves = _descend(merged, x, rows, np.tile(roots, batch))
             out = merged.value[leaves].reshape(batch, roots.shape[0])
@@ -196,6 +198,11 @@ class TreeEnsemble:
         return self.base_value + self.shrinkage * total
 
     predict = _predict_one
+
+    @cached_property
+    def _merged(self) -> tuple[Tree, np.ndarray]:
+        """:func:`_merge` of the trees, built on the first prediction."""
+        return _merge(self.trees)
 
 
 def _split_scores(xs: np.ndarray, ys: np.ndarray, m: np.ndarray, min_leaf: int):
@@ -243,89 +250,34 @@ def _threshold(lo, hi):
     return np.where(mid < hi, mid, lo)
 
 
-def _grow_tree(x, y, *, max_depth, min_leaf) -> Tree:
-    """Depth-first CART growth over every feature from one presort.
-
-    ``order[f]`` lists a node's rows in ascending order of feature ``f``
-    (stable, so ties keep ascending row ids); a split partitions every
-    feature's list with one boolean gather, and no node sorts again.  A
-    node's ``rows`` stay ascending because every partition keeps order, so
-    its slice of the presort equals a stable sort of the node's own rows,
-    ties included, and the tree is the one a per-node sort would grow.
-    """
-    nodes: list[list] = []  # [feature, threshold, left, right, value]
-    rho = x.shape[1]
-    features = np.arange(rho)
-
-    def grow(rows: np.ndarray, order: np.ndarray, depth: int) -> int:
-        idx = len(nodes)
-        targets = y[rows]
-        nodes.append([-1, 0.0, -1, -1, float(targets.mean())])
-        if depth >= max_depth or rows.shape[0] < 2 * min_leaf:
-            return idx
-        if np.all(targets == targets[0]):
-            return idx
-        sorted_rows = order.T
-        xs = x[sorted_rows, features]
-        score = _split_scores(
-            xs[None], y[sorted_rows][None], np.array([rows.shape[0]]), min_leaf
-        )[0]
-        best = int(np.argmin(score))
-        if not np.isfinite(score[best]):
-            return idx
-        f, i = divmod(best, rows.shape[0] - 1)
-        thr = _threshold(xs[i, f], xs[i + 1, f])
-        go_left = x[:, f] <= thr
-        mask = go_left[rows]
-        keep = go_left[order]
-        n_left = int(mask.sum())
-        left = order[keep].reshape(rho, n_left)
-        right = order[~keep].reshape(rho, rows.shape[0] - n_left)
-        nodes[idx][0] = int(f)
-        nodes[idx][1] = float(thr)
-        nodes[idx][2] = grow(rows[mask], left, depth + 1)
-        nodes[idx][3] = grow(rows[~mask], right, depth + 1)
-        return idx
-
-    grow(np.arange(x.shape[0]), np.argsort(x, axis=0, kind="stable").T, 0)
-    cols = list(zip(*nodes))
-    return Tree(
-        feature=np.array(cols[0], dtype=np.int64),
-        threshold=np.array(cols[1], dtype=np.float64),
-        left=np.array(cols[2], dtype=np.int64),
-        right=np.array(cols[3], dtype=np.int64),
-        value=np.array(cols[4], dtype=np.float64),
-    )
-
-
-# Bootstrap rows per group of trees grown together, and cells (nodes x
-# candidate features x padded rows) per scoring pass over a level's nodes:
-# enough nodes per numpy call to spread its per-call overhead, while the
-# grower's index and scoring arrays stay well under a megabyte whatever
-# the number of trees.
+# Bootstrap rows per group of trees grown together (forest trees, or the
+# nodes boosted together), and cells (nodes x candidate features x padded
+# rows) per scoring pass over a level's nodes: enough nodes per numpy call
+# to spread its per-call overhead, while the grower's index and scoring
+# arrays stay well under a megabyte whatever the number of trees or nodes.
 _GROUP_ROWS = 2048
 _PASS_CELLS = 2048
 
 
 def _grow_forest(x, y, boots, *, max_depth, min_leaf, feature_count, rng) -> list[Tree]:
-    """One tree on rows ``x[b], y[b]`` for each index array ``b`` of
-    ``boots``, all grown together level by level.
+    """One CART tree on rows ``x[b], y[b]`` for each index array ``b`` of
+    ``boots``, all grown together level by level (forests and boosting).
 
     A level lists every tree's open nodes, tree by tree and left to right.
     The nodes that may split (below ``max_depth``, at least ``2 * min_leaf``
     rows, targets not all equal) draw their candidate features in that
     order: the ``feature_count`` first of one row of
     ``rng.random((nodes, rho)).argsort(axis=1)`` each, ascending; nothing is
-    drawn when every feature is a candidate.  Node values, the split search
-    and the threshold rule are those of :func:`_grow_tree`, so with every
-    feature a candidate each tree is the one it grows, numbered depth-first
-    as it numbers nodes.
+    drawn, and ``rng`` may be None, when every feature is a candidate.  A
+    node holds its targets' mean and splits at the first best cut of
+    :func:`_split_scores`; each tree is numbered in depth-first preorder.
 
     The open nodes' rows are the columns of ``idx``: each node's run of
     columns lists its row ids (into ``x``) in ascending order of feature
-    ``f`` in row ``f``, stable as in :func:`_grow_tree`, and in bootstrap
-    order in the last row.  A level is scored in passes of nodes sorted by
-    size, each padded to its largest node, and partitioned in place.
+    ``f`` in row ``f``, and in bootstrap order in the last row.  It is one
+    stable presort per tree, and partitions keep order, so no node sorts
+    again.  A level is scored in passes of nodes sorted by size, each
+    padded to its largest node, and partitioned in place.
     """
     rho = x.shape[1]
     k = min(feature_count, rho)
@@ -495,35 +447,72 @@ class GbtConfig:
     def __post_init__(self):
         _check_fields(
             self, n_trees=_AT_LEAST_0, max_depth=_AT_LEAST_0,
-            shrinkage=_POSITIVE, subsample=_FRACTION,
+            shrinkage=_FRACTION, subsample=_FRACTION,
         )
 
 
 def fit_gbt(windows: list[Window], rho: int, cfg: GbtConfig) -> TreeEnsemble:
     """Stagewise least-squares boosting: the first stage is the global mean,
-    then each tree fits the residual of everything before it."""
-    if not windows:
-        raise NoTrainingDataError("no training windows for boosting fit")
-    x, y = stack_windows(windows)
-    rng = np.random.default_rng(cfg.seed)
-    n = x.shape[0]
-    base = float(y.mean())
-    current = np.full(n, base)
-    trees = []
+    then each tree fits the residual of everything before it.  The one-node
+    case of :func:`fit_gbt_nodes`."""
+    return fit_gbt_nodes([(windows, cfg)], rho)[0]
+
+
+def fit_gbt_nodes(
+    nodes: Iterable[tuple[list[Window], GbtConfig]], rho: int
+) -> list[TreeEnsemble]:
+    """:func:`fit_gbt` of each node's ``(windows, cfg)``, the configs equal
+    but for their seeds.  Nodes are boosted in groups of at most
+    ``_GROUP_ROWS`` training rows (at least one node each); a group runs
+    all its stages, each grown by one :func:`_grow_forest` call."""
+    models, group, rows = [], [], 0
+    for w, cfg in nodes:
+        if not w:
+            raise NoTrainingDataError("no training windows for boosting fit")
+        if group and rows + len(w) > _GROUP_ROWS:
+            models += _boost(group, rho)
+            group, rows = [], 0
+        group.append((*stack_windows(w), cfg))
+        rows += len(w)
+    return models + (_boost(group, rho) if group else [])
+
+
+def _boost(group, rho: int) -> list[TreeEnsemble]:
+    """The boosted ensembles of the nodes' ``(x, y, cfg)``.  The nodes' rows
+    are stacked into one ``x``; each stage's rows of a node (all of them,
+    or a sorted ``subsample`` draw from the node's own generator) are one
+    bootstrap of :func:`_grow_forest`, with every feature a candidate, and
+    one descent of the stage's merged trees updates every node's fit."""
+    xs, ys, cfgs = zip(*group)
+    x, y = np.concatenate(xs), np.concatenate(ys)
+    sizes = np.array([t.shape[0] for t in ys])
+    starts = np.cumsum(sizes) - sizes
+    base = [float(t.mean()) for t in ys]
+    cfg = cfgs[0]
+    rngs = [np.random.default_rng(c.seed) for c in cfgs]
+    current = np.repeat(base, sizes)
+    stages = []
     for _ in range(cfg.n_trees):
         residual = y - current
         if cfg.subsample < 1.0:
-            m = max(1, int(cfg.subsample * n))
-            rows = np.sort(rng.permutation(n)[:m])
+            boots = [
+                lo + np.sort(rng.permutation(n)[: max(1, int(cfg.subsample * n))])
+                for rng, lo, n in zip(rngs, starts, sizes)
+            ]
         else:
-            rows = np.arange(n)
-        tree = _grow_tree(x[rows], residual[rows], max_depth=cfg.max_depth, min_leaf=1)
-        trees.append(tree)
-        current = current + cfg.shrinkage * tree.predict_batch(x)
-    return TreeEnsemble(
-        trees=tuple(trees), mode="additive", shrinkage=cfg.shrinkage,
-        base_value=base, rho=rho,
-    )
+            boots = [lo + np.arange(n) for lo, n in zip(starts, sizes)]
+        trees = _grow_forest(
+            x, residual, boots, max_depth=cfg.max_depth, min_leaf=1,
+            feature_count=rho, rng=None,
+        )
+        merged, roots = _merge(trees)
+        leaves = _descend(merged, x, np.arange(x.shape[0]), np.repeat(roots, sizes))
+        current = current + cfg.shrinkage * merged.value[leaves]
+        stages.append(trees)
+    return [
+        TreeEnsemble(tuple(s[i] for s in stages), "additive", cfg.shrinkage, b, rho)
+        for i, b in enumerate(base)
+    ]
 
 
 # ---------------------------------------------------------------------- MLP
@@ -691,7 +680,8 @@ def fit_baseline(
     label: str | None = None,
     jobs: int = 1,  # ignored; only perfbench/traced_run.py still passes it
 ) -> ModelBundle:
-    """Fit one baseline family on every node's training windows.
+    """Fit one baseline family on every node's training windows, in one
+    call of the family's fit that draws each node's windows as it goes.
 
     Seeded configs are re-derived per node (stable hash of config seed and
     node id) so any single node's fit can be replayed in isolation.
@@ -699,31 +689,34 @@ def fit_baseline(
     from .registry import TAGS  # the registry imports this module
 
     entry = TAGS.get(tag)
-    if entry is None or entry.fit_node is None:
+    if entry is None or entry.fit_nodes is None:
         raise ValueError(f"unknown baseline tag {tag!r}")
     cfg = cfg or entry.build({})[1]
+    fitted, provenance = [], {}  # the nodes given to the family fit, in order
 
-    def fit(n):
-        if entry.fixed_rule:
-            return n, entry.fit_node(None, rho, cfg), {"windows": None}
-        windows = make_windows(panel, n, rho, "train")
-        if not windows:
-            warnings.warn(
-                f"node {n!r} has no training windows; {tag} model unavailable",
-                NodeSkippedWarning,
-            )
-            return n, None, {"windows": 0, "skipped": True}
-        if cfg is None:
-            return n, entry.fit_node(windows, rho, None), {"windows": len(windows)}
-        seeded = replace(cfg, seed=node_seed(cfg.seed, n))
-        model = entry.fit_node(windows, rho, seeded)
-        return n, model, {"windows": len(windows), "seed": seeded.seed}
+    def nodes():
+        for n in h.bfs_order():
+            w = None if entry.fixed_rule else make_windows(panel, n, rho, "train")
+            provenance[n] = {"windows": None if w is None else len(w)}
+            if w is not None and not w:
+                warnings.warn(
+                    f"node {n!r} has no training windows; {tag} model unavailable",
+                    NodeSkippedWarning,
+                )
+                provenance[n]["skipped"] = True
+                continue
+            node_cfg = cfg
+            if w is not None and cfg is not None:
+                node_cfg = replace(cfg, seed=node_seed(cfg.seed, n))
+                provenance[n]["seed"] = node_cfg.seed
+            fitted.append(n)
+            yield w, node_cfg
 
-    results = [fit(n) for n in h.bfs_order()]
+    models = entry.fit_nodes(nodes(), rho)
     return ModelBundle(
         tag=tag,
         rho=rho,
-        models={n: m for n, m, _ in results if m is not None},
-        provenance={n: prov for n, _, prov in results},
+        models=dict(zip(fitted, models)),
+        provenance=provenance,
         label=label,
     )

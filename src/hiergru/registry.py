@@ -1,7 +1,8 @@
 """The model tags, one entry each: the config keys a tag accepts and their
 types, the builder that turns validated keys into a training config, the
 function that fits a bundle, and the codec that stores one node model as a
-float64 checkpoint payload.
+float64 checkpoint payload.  A baseline's fit is one call over all of its
+nodes: gbt boosts them together, the other families fit them one by one.
 
 The CLI, :func:`~hiergru.baselines.fit_baseline` and the checkpoint reader
 and writer look tags up here and nowhere else.  Fit functions are called
@@ -29,7 +30,7 @@ from .baselines import (
     fit_ar,
     fit_baseline,
     fit_forest,
-    fit_gbt,
+    fit_gbt_nodes,
     fit_mlp,
     mlp_flatten,
     mlp_unflatten,
@@ -55,7 +56,7 @@ class TagEntry:
     fit: Callable  # (panel, h, config, hrnn cache) -> (bundle, new anchors)
     encode: Callable  # node model -> (payload, hidden, input_dim)
     decode: Callable  # (payload, hidden, input_dim, rho) -> node model
-    fit_node: Callable | None = None  # baselines: (windows, rho, cfg) -> model
+    fit_nodes: Callable | None = None  # baselines: (iter of (windows, cfg), rho) -> models
     fixed_rule: bool = False  # the same rule on every node, fitted on nothing
     saves_anchors: bool = False  # fit may return anchors saved as <label>_anchors
 
@@ -159,7 +160,12 @@ def _recurrent(fit, saves_anchors=False) -> TagEntry:
     )
 
 
-def _baseline(tag, keys, make_cfg, fit_node, encode, decode, fixed_rule=False):
+def _per_node(fit):
+    """A family fit that fits each node alone with ``fit(windows, rho, cfg)``."""
+    return lambda nodes, rho: [fit(w, rho, cfg) for w, cfg in nodes]
+
+
+def _baseline(tag, keys, make_cfg, fit_nodes, encode, decode, fixed_rule=False):
     """A baseline family: its config holds ``rho`` (default 4) and the
     family config that ``make_cfg`` builds from the remaining keys."""
 
@@ -176,7 +182,7 @@ def _baseline(tag, keys, make_cfg, fit_node, encode, decode, fixed_rule=False):
 
     return TagEntry(
         keys={"rho": int, **keys}, build=build, fit=fit, encode=encode,
-        decode=decode, fit_node=fit_node, fixed_rule=fixed_rule,
+        decode=decode, fit_nodes=fit_nodes, fixed_rule=fixed_rule,
     )
 
 
@@ -189,12 +195,12 @@ _TREE_KEYS = {"n_trees": int, "max_depth": int, "seed": int}
 
 TAGS: dict[str, TagEntry] = {
     "ar": _baseline(
-        "ar", {}, lambda p: None, lambda w, rho, cfg: fit_ar(w, rho),
+        "ar", {}, lambda p: None, _per_node(lambda w, rho, cfg: fit_ar(w, rho)),
         lambda m: (m.coeffs.copy(), 0, 0),
         lambda payload, *_: ArModel(coeffs=payload.copy()),
     ),
     "rw": _baseline(
-        "rw", {}, lambda p: None, lambda w, rho, cfg: RwModel(rho=rho),
+        "rw", {}, lambda p: None, _per_node(lambda w, rho, cfg: RwModel(rho=rho)),
         lambda m: (np.array([float(m.rho)]), 0, 0),
         lambda payload, *_: RwModel(rho=int(payload[0])),
         fixed_rule=True,
@@ -202,22 +208,22 @@ TAGS: dict[str, TagEntry] = {
     "rf": _baseline(
         "rf", {**_TREE_KEYS, "min_leaf": int, "feature_frac": float},
         lambda p: ForestConfig(**p),
-        lambda w, rho, cfg: fit_forest(w, rho, cfg), _encode_trees, _decode_trees,
+        _per_node(lambda *a: fit_forest(*a)), _encode_trees, _decode_trees,
     ),
     "gbt": _baseline(
         "gbt", {**_TREE_KEYS, "shrinkage": float, "subsample": float},
         lambda p: GbtConfig(**p),
-        lambda w, rho, cfg: fit_gbt(w, rho, cfg), _encode_trees, _decode_trees,
+        lambda *a: fit_gbt_nodes(*a), _encode_trees, _decode_trees,
     ),
     "fc": _baseline(
         "fc", {"hidden": int, "lr": float, "epochs": int, "seed": int},
-        _fc_config, lambda w, rho, cfg: fit_mlp(w, rho, cfg),
+        _fc_config, _per_node(lambda *a: fit_mlp(*a)),
         _encode_mlp, _decode_mlp,
     ),
     "deepnn": _baseline(
         "deepnn", {"lr": float, "epochs": int, "seed": int},
         lambda p: replace(DEEPNN_CONFIG, **p),
-        lambda w, rho, cfg: fit_mlp(w, rho, cfg), _encode_mlp, _decode_mlp,
+        _per_node(lambda *a: fit_mlp(*a)), _encode_mlp, _decode_mlp,
     ),
     "sgru": _recurrent(
         lambda panel, h, spec, cache: (train_sgru(panel, h, spec), None)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -19,9 +20,9 @@ from hiergru.baselines import (
     fit_baseline,
     fit_forest,
     fit_gbt,
+    fit_gbt_nodes,
     fit_mlp,
     _grow_forest,
-    _grow_tree,
     init_mlp,
     mlp_flatten,
     mlp_loss_and_grad,
@@ -29,8 +30,14 @@ from hiergru.baselines import (
     predict_rw,
 )
 from hiergru.dataset import Window, make_windows
-from hiergru.errors import InvalidSpecError, NoTrainingDataError, WrongLengthError
+from hiergru.errors import (
+    InvalidSpecError,
+    NodeSkippedWarning,
+    NoTrainingDataError,
+    WrongLengthError,
+)
 from hiergru.hierarchy import build_hierarchy
+from hiergru.models import node_seed
 
 
 def windows_from_series(series, rho):
@@ -262,12 +269,22 @@ def forest_inputs(draw):
     return x, y, boots, growth_settings(draw, rho), draw(st.integers(0, 2**32 - 1)), cells
 
 
+def grow_tree(x, y, *, max_depth, min_leaf):
+    """One tree on every row of ``x`` with every feature a candidate, as
+    each boosting stage grows it."""
+    (tree,) = _grow_forest(
+        x, y, [np.arange(x.shape[0])], max_depth=max_depth, min_leaf=min_leaf,
+        feature_count=x.shape[1], rng=None,
+    )
+    return tree
+
+
 def grown_trees(x, y, kw, seed):
-    """(rows, targets, tree) for the depth-first grower on all rows and for
-    a level-wise forest on all rows and on one bootstrap sample."""
+    """(rows, targets, tree) for one tree on all rows over every feature
+    and for a forest on all rows and on one bootstrap sample."""
     rng = np.random.default_rng(seed)
     n = x.shape[0]
-    cases = [(x, y, _grow_tree(x, y, max_depth=kw["max_depth"], min_leaf=kw["min_leaf"]))]
+    cases = [(x, y, grow_tree(x, y, max_depth=kw["max_depth"], min_leaf=kw["min_leaf"]))]
     boots = [np.arange(n), rng.integers(0, n, size=n)]
     forest = _grow_forest(x, y, boots, rng=rng, **kw)
     return cases + [(x[b], y[b], tree) for b, tree in zip(boots, forest)]
@@ -305,7 +322,7 @@ class TestTreeGrowth:
     @given(tree_inputs())
     def test_presorted_grower_equals_per_node_sort(self, case):
         x, y, kw, _ = case
-        got = _grow_tree(x, y, max_depth=kw["max_depth"], min_leaf=kw["min_leaf"])
+        got = grow_tree(x, y, max_depth=kw["max_depth"], min_leaf=kw["min_leaf"])
         (want,) = grow_forest_oracle(
             x, y, [np.arange(x.shape[0])], max_depth=kw["max_depth"],
             min_leaf=kw["min_leaf"], feature_count=x.shape[1], rng=None,
@@ -316,7 +333,8 @@ class TestTreeGrowth:
     @given(forest_inputs())
     def test_level_wise_forest_equals_per_node_oracle(self, case):
         # every tree byte for byte, whatever the scoring pass size; with
-        # every feature a candidate, also the depth-first grower's tree
+        # every feature a candidate, also the tree grown alone on the
+        # bootstrap's rows
         x, y, boots, kw, seed, cells = case
         with mock.patch.object(baselines, "_PASS_CELLS", cells):
             got = _grow_forest(x, y, boots, rng=np.random.default_rng(seed), **kw)
@@ -326,14 +344,14 @@ class TestTreeGrowth:
             assert_same_tree(a, b)
         if kw["feature_count"] == x.shape[1]:
             for b, tree in zip(boots, got):
-                assert_same_tree(tree, _grow_tree(
+                assert_same_tree(tree, grow_tree(
                     x[b], y[b], max_depth=kw["max_depth"], min_leaf=kw["min_leaf"]
                 ))
 
     @settings(max_examples=200, deadline=None)
     @given(tree_inputs())
     def test_splits_partition_rows_as_scored(self, case):
-        # in depth-first and in level-wise trees alike
+        # in trees over every feature and in forests alike
         x, y, kw, seed = case
         for xt, yt, tree in grown_trees(x, y, kw, seed):
             assert_splits_as_scored(xt, yt, tree, kw["min_leaf"])
@@ -387,7 +405,7 @@ class TestTreeGrowth:
     def test_all_candidate_features_constant_gives_one_leaf(self):
         x = np.tile([1.0, -2.0, 0.5], (9, 1))
         y = np.arange(9.0)
-        tree = _grow_tree(x, y, max_depth=4, min_leaf=1)
+        tree = grow_tree(x, y, max_depth=4, min_leaf=1)
         (forest_tree,) = _grow_forest(
             x, y, [np.arange(9)], max_depth=4, min_leaf=1, feature_count=2,
             rng=np.random.default_rng(0),
@@ -397,7 +415,129 @@ class TestTreeGrowth:
             assert t.value.tolist() == [4.0]
 
 
+def boost_oracle(windows, rho, cfg):
+    """Stagewise boosting of one node, each stage's tree grown node by node
+    by ``grow_forest_oracle`` and applied row by row with ``Tree.predict``."""
+    x = np.stack([w.inputs for w in windows])
+    y = np.array([w.target for w in windows])
+    rng = np.random.default_rng(cfg.seed)
+    n = x.shape[0]
+    base = float(y.mean())
+    current = np.full(n, base)
+    trees = []
+    for _ in range(cfg.n_trees):
+        residual = y - current
+        rows = np.arange(n)
+        if cfg.subsample < 1.0:
+            rows = np.sort(rng.permutation(n)[: max(1, int(cfg.subsample * n))])
+        (tree,) = grow_forest_oracle(
+            x[rows], residual[rows], [np.arange(rows.size)], max_depth=cfg.max_depth,
+            min_leaf=1, feature_count=rho, rng=None,
+        )
+        trees.append(tree)
+        current = current + cfg.shrinkage * np.array([tree.predict(r) for r in x])
+    return base, trees
+
+
+@st.composite
+def boosted_nodes(draw):
+    """One to four nodes' windows of unequal counts, one gbt config for all
+    (zero trees and depth zero included, subsample below 1 or not) with a
+    seed per node, and a group row budget from one row (a group per node)
+    up to every node in one group."""
+    rho = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    windows = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, 40))
+        x = np.round(rng.normal(size=(n, rho)), 1)
+        y = np.round(rng.normal(size=n) * draw(st.sampled_from([1.0, 10.0])), 1)
+        windows.append([Window(inputs=a, target=float(t)) for a, t in zip(x, y)])
+    cfg = GbtConfig(
+        n_trees=draw(st.integers(0, 6)), max_depth=draw(st.integers(0, 4)),
+        shrinkage=draw(st.sampled_from([0.1, 0.3, 1.0])),
+        subsample=draw(st.sampled_from([1.0, 0.7, 0.2])),
+    )
+    cfgs = [replace(cfg, seed=draw(st.integers(0, 2**32 - 1))) for _ in windows]
+    return windows, rho, cfgs, draw(st.sampled_from([1, 40, baselines._GROUP_ROWS]))
+
+
+def assert_same_ensemble(got, want):
+    assert np.float64(got.base_value).tobytes() == np.float64(want.base_value).tobytes()
+    assert (got.mode, got.shrinkage, got.rho) == (want.mode, want.shrinkage, want.rho)
+    assert len(got.trees) == len(want.trees)
+    for a, b in zip(got.trees, want.trees):
+        assert_same_tree(a, b)
+
+
 class TestGbt:
+    @settings(max_examples=200, deadline=None)
+    @given(boosted_nodes())
+    def test_joint_fit_equals_one_node_fits(self, case):
+        # every tree and base value byte for byte, whether the nodes share
+        # one group or split across several
+        windows, rho, cfgs, group_rows = case
+        with mock.patch.object(baselines, "_GROUP_ROWS", group_rows):
+            got = fit_gbt_nodes(list(zip(windows, cfgs)), rho)
+        assert len(got) == len(windows)
+        for ens, w, cfg in zip(got, windows, cfgs):
+            assert_same_ensemble(ens, fit_gbt(w, rho, cfg))
+            base, trees = boost_oracle(w, rho, cfg)
+            assert np.float64(ens.base_value).tobytes() == np.float64(base).tobytes()
+            assert len(ens.trees) == len(trees) == cfg.n_trees
+            for a, b in zip(ens.trees, trees):
+                assert_same_tree(a, b)
+
+    def test_nodes_boosted_in_groups_within_row_budget(self):
+        # consecutive nodes share a group while their rows fit the budget;
+        # each group grows all its stages, one grower call per stage
+        rng = np.random.default_rng(16)
+        counts = [5, 7, 4, 9]
+        windows = [windows_from_series(rng.normal(size=m + 2), rho=2) for m in counts]
+        with mock.patch.object(baselines, "_GROUP_ROWS", 12), mock.patch.object(
+            baselines, "_grow_forest", wraps=baselines._grow_forest
+        ) as grower:
+            fit_gbt_nodes([(w, GbtConfig(n_trees=2, seed=i))
+                           for i, w in enumerate(windows)], 2)
+        calls = [[b.size for b in c.args[2]] for c in grower.call_args_list]
+        assert calls == [[5, 7], [5, 7], [4], [4], [9], [9]]
+
+    def test_joint_fit_rejects_nodes_without_windows(self):
+        ws = windows_from_series(np.arange(12.0), rho=2)
+        with pytest.raises(NoTrainingDataError):
+            fit_gbt_nodes([(ws, GbtConfig()), ([], GbtConfig(seed=1))], 2)
+
+    def test_fit_baseline_skips_nodes_and_fits_the_rest_jointly(self):
+        # nodes B and E have no training windows: each warns, in bfs order,
+        # and the others' models are their one-node fits under node seeds
+        h = build_hierarchy([
+            ("A", None, 1.0), ("B", "A", 0.5), ("C", "A", 0.5),
+            ("D", "C", 0.5), ("E", "C", 0.5),
+        ])
+        rng = np.random.default_rng(15)
+        lengths = {"A": 60, "B": 3, "C": 41, "D": 25, "E": 2}
+        panel = panel_from_rates(
+            {n: np.round(rng.normal(size=m), 1) for n, m in lengths.items()}
+        )
+        cfg = GbtConfig(n_trees=6, max_depth=3, subsample=0.7, seed=3)
+        with pytest.warns(NodeSkippedWarning) as record:
+            bundle = fit_baseline(panel, h, "gbt", rho=3, cfg=cfg)
+        assert [str(w.message) for w in record] == [
+            f"node {n!r} has no training windows; gbt model unavailable"
+            for n in ("B", "E")
+        ]
+        want_prov = []
+        for n in h.bfs_order():
+            ws = make_windows(panel, n, 3, "train")
+            if not ws:
+                want_prov.append((n, [("windows", 0), ("skipped", True)]))
+                continue
+            seeded = replace(cfg, seed=node_seed(cfg.seed, n))
+            want_prov.append((n, [("windows", len(ws)), ("seed", seeded.seed)]))
+            assert_same_ensemble(bundle.models[n], fit_gbt(ws, 3, seeded))
+        assert [(n, list(p.items())) for n, p in bundle.provenance.items()] == want_prov
+        assert list(bundle.models) == ["A", "C", "D"]
+
     def test_zero_trees_predicts_mean(self):
         rng = np.random.default_rng(8)
         ws = windows_from_series(rng.normal(size=30), rho=2)

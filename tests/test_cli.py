@@ -281,6 +281,8 @@ class TestRun:
             ({"tag": "deepnn", "epochs": 1, "lr": -0.1}, "lr"),
             ({"tag": "gbt", "n_trees": 2, "shrinkage": float("inf")}, "shrinkage"),
             ({"tag": "fc", "epochs": 2, "lr": float("inf")}, "lr"),
+            ({"tag": "gbt", "n_trees": 2, "shrinkage": 5}, "shrinkage"),
+            ({"tag": "gbt", "n_trees": 2, "shrinkage": 1e308}, "shrinkage"),
         ],
     )
     def test_out_of_range_baseline_value_exit_2(

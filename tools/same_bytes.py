@@ -9,8 +9,9 @@ Both sides run ``hiergru run --jobs 1`` on the same inputs, written once by
 ``perfbench/workloads.make_inputs``:
 
 * the panel-s, deep-gru and long-eval workloads at panel seeds 0-2;
-* a config listing every model tag (two specs of ar, rf and gbt, a bihrnn
-  before its hrnn, a second bihrnn with sgd);
+* a config listing every model tag (two specs of ar and rf, four of gbt
+  with one of no trees and one of depth 0, a bihrnn before its hrnn, a
+  second bihrnn with sgd);
 * a ``--grid`` config;
 * a ragged panel with blank non-root weights: nodes start late, end early,
   or are too short to give a knngru window.
@@ -59,6 +60,9 @@ ALL_TAGS = [
     {"tag": "gbt", "rho": 6, "n_trees": 5},
     {"tag": "gbt", "rho": 4, "n_trees": 5, "subsample": 0.7, "shrinkage": 0.2,
      "label": "gbt_b"},
+    {"tag": "gbt", "rho": 3, "n_trees": 0, "label": "gbt_0"},
+    {"tag": "gbt", "rho": 5, "n_trees": 4, "max_depth": 0, "subsample": 0.5,
+     "label": "gbt_d0"},
     {"tag": "fc", "rho": 6, "hidden": 8, "epochs": 10},
     {"tag": "deepnn", "epochs": 2},
     {"tag": "sgru", "epochs": 10},
