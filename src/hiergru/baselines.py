@@ -23,12 +23,14 @@ from .errors import (
 from .gru import OptimState, run_optimizer
 from .hierarchy import Hierarchy
 from .models import (
-    _AT_LEAST_0,
-    _AT_LEAST_1,
+    _COUNT,
     _FRACTION,
+    _INTEGER,
+    _NONNEG_INT,
     _POSITIVE,
     ModelBundle,
     _check_fields,
+    _is_int,
     node_seed,
 )
 
@@ -403,8 +405,8 @@ class ForestConfig:
 
     def __post_init__(self):
         _check_fields(
-            self, n_trees=_AT_LEAST_1, max_depth=_AT_LEAST_0,
-            min_leaf=_AT_LEAST_1, feature_frac=_FRACTION,
+            vars(self), n_trees=_COUNT, max_depth=_NONNEG_INT, min_leaf=_COUNT,
+            feature_frac=_FRACTION, seed=_INTEGER,
         )
 
 
@@ -446,8 +448,8 @@ class GbtConfig:
 
     def __post_init__(self):
         _check_fields(
-            self, n_trees=_AT_LEAST_0, max_depth=_AT_LEAST_0,
-            shrinkage=_FRACTION, subsample=_FRACTION,
+            vars(self), n_trees=_NONNEG_INT, max_depth=_NONNEG_INT,
+            shrinkage=_FRACTION, seed=_INTEGER, subsample=_FRACTION,
         )
 
 
@@ -581,8 +583,11 @@ class MlpConfig:
 
     def __post_init__(self):
         _check_fields(
-            self, hidden=(lambda v: min(v, default=0) >= 1, "widths >= 1"),
-            epochs=_AT_LEAST_0, lr=_POSITIVE,
+            vars(self), hidden=(
+                lambda v: isinstance(v, tuple) and v
+                and all(_is_int(w) and w >= 1 for w in v),
+                "a non-empty tuple of integers >= 1",
+            ), lr=_POSITIVE, epochs=_NONNEG_INT, seed=_INTEGER,
         )
 
 

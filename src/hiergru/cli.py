@@ -39,7 +39,7 @@ from .evaluation import (
     write_report_files,
 )
 from .hierarchy import impute_weights, load_hierarchy, save_hierarchy
-from .models import node_seed
+from .models import _is_int, node_seed
 from .registry import TAGS
 
 EXIT_OK = 0
@@ -47,8 +47,6 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_DIVERGED = 4
 
-_KINDS = {int: (int, "an integer"), float: ((int, float), "a number"),
-          str: (str, "a string")}
 # A label names the bundle directory checkpoints/<label>.
 _SAFE_LABEL = re.compile(r"[A-Za-z0-9_.-]+")
 
@@ -166,8 +164,6 @@ def _parse_model_entry(entry) -> dict:
         not bad,
         f"model {label!r}: key(s) {', '.join(bad)} not valid for tag {tag!r}",
     )
-    for k, v in params.items():
-        _check_param_type(label, k, v, keys[k])
     _build(tag, label, params)
     grid = entry.get("grid", {})
     _require(isinstance(grid, dict), f"model {label!r}: 'grid' must be an object")
@@ -178,29 +174,17 @@ def _parse_model_entry(entry) -> dict:
             "and list at least one value",
         )
         for v in values:
-            _check_param_type(label, k, v, keys[k])
             _build(tag, label, {**params, k: v})
     return {"tag": tag, "label": label, "params": params, "grid": grid}
 
 
 def _build(tag: str, label: str, params: dict):
     """The tag's training config from ``params``, or a ConfigError naming
-    the model label and the failed check."""
+    the model label and the key that failed its kind or range check."""
     try:
         return TAGS[tag].build(params)
-    except (TypeError, HiergruError) as exc:
+    except HiergruError as exc:
         raise ConfigError(f"model {label!r}: {exc}") from exc
-
-
-def _is_int(value) -> bool:
-    """An integer, and not a bool (JSON true/false load as bools)."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _check_param_type(label: str, key: str, value, kind: type) -> None:
-    types, name = _KINDS[kind]
-    ok = isinstance(value, types) and not isinstance(value, bool)
-    _require(ok, f"model {label!r}: {key!r} must be {name}, got {value!r}")
 
 
 # ----------------------------------------------------------------- training

@@ -101,6 +101,8 @@ def build_hierarchy(rows: Iterable[tuple[str, str | None, float | None]]) -> Hie
         if parent_id:
             parent[node_id] = parent_id
         if w is not None:
+            if not math.isfinite(w):
+                raise HierarchyError(f"weight for node {node_id!r} is not finite: {w}")
             if w < 0:
                 raise NegativeWeightError(f"negative weight for node {node_id!r}: {w}")
             weight[node_id] = float(w)

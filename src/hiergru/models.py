@@ -65,35 +65,34 @@ from .metrics import pearson
 
 
 def _is_int(v) -> bool:
+    """An int, and not a bool (JSON true/false load as bools)."""
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _finite(test, wanted: str) -> tuple:
-    """A range rule that also rejects infinity (NaN fails every test)."""
-    return (lambda v: (_is_int(v) or math.isfinite(v)) and test(v),
-            f"finite and {wanted}")
+def _number(test, wanted: str) -> tuple:
+    """A rule for an int or a finite float (never a bool) passing ``test``."""
+    return (lambda v: (_is_int(v) or isinstance(v, float) and math.isfinite(v))
+            and test(v), f"a finite number {wanted}")
 
 
-# (test, wording) pairs for the config field checks below
-_AT_LEAST_1 = _finite(lambda v: v >= 1, ">= 1")
-_AT_LEAST_0 = _finite(lambda v: v >= 0, ">= 0")
-_POSITIVE = _finite(lambda v: v > 0, "> 0")
-_FRACTION = (lambda v: 0 < v <= 1, "in (0, 1]")
+# (test, wording) pairs for the config field checks below; each rule checks
+# the value's kind as well as its range
+_POSITIVE = _number(lambda v: v > 0, "> 0")
+_NONNEG = _number(lambda v: v >= 0, ">= 0")
+_FRACTION = _number(lambda v: 0 < v <= 1, "in (0, 1]")
 _INTEGER = (_is_int, "an integer")
 _COUNT = (lambda v: _is_int(v) and v >= 1, "an integer >= 1")
 _NONNEG_INT = (lambda v: _is_int(v) and v >= 0, "an integer >= 0")
 # exp(alpha + C) stays finite for every correlation C in [-1, 1]
-_ALPHA = _finite(lambda v: v <= 708, "<= 708")
+_ALPHA = _number(lambda v: v <= 708, "<= 708")
 
 
-def _check_fields(cfg, **rules) -> None:
-    """Raise :class:`InvalidSpecError` naming the first field of ``cfg``
-    that fails its rule.  NaN fails every comparison, so every rule
-    rejects it."""
+def _check_fields(values: dict, **rules) -> None:
+    """Raise :class:`InvalidSpecError` naming the first field, in ``rules``
+    order, whose value in ``values`` (a config's ``vars``) fails its rule."""
     for name, (ok, wanted) in rules.items():
-        value = getattr(cfg, name)
-        if not ok(value):
-            raise InvalidSpecError(f"{name} must be {wanted}, got {value!r}")
+        if not ok(values[name]):
+            raise InvalidSpecError(f"{name} must be {wanted}, got {values[name]!r}")
 
 
 @dataclass(frozen=True)
@@ -113,8 +112,8 @@ class TrainSpec:
 
     def __post_init__(self):
         _check_fields(
-            self, rho=_COUNT, hidden=_COUNT, lr=_POSITIVE, epochs=_NONNEG_INT,
-            alpha=_ALPHA, lambda1=_AT_LEAST_0, lambda2=_AT_LEAST_0,
+            vars(self), rho=_COUNT, hidden=_COUNT, lr=_POSITIVE, epochs=_NONNEG_INT,
+            alpha=_ALPHA, lambda1=_NONNEG, lambda2=_NONNEG,
             k_neighbors=_COUNT, seed=_INTEGER,
             optimizer=(lambda v: v in ("adam", "sgd"), "'adam' or 'sgd'"),
         )
@@ -426,6 +425,8 @@ def _stacked_windows(panel, n, channels, rho):
     node itself.  Windows touching any missing training value are dropped;
     None when no window is left."""
     split = panel.split_index[n]
+    if split <= rho:
+        return None
     span = panel.periods[n][np.arange(rho, split)[:, None] + np.arange(-rho, 0)]
     inputs = panel.train_grid(channels)[span]
     keep = np.isfinite(inputs).all(axis=(1, 2))
@@ -505,6 +506,9 @@ def forecast_origins(
         raise HiergruError(f"bundle {bundle.tag!r} has no model for {node!r}")
     model = bundle.models[node]
     origins = np.asarray(origins, dtype=np.int64).reshape(-1)
+    if not origins.size:
+        # no window to build: a rho longer than the series must cost nothing
+        return np.empty((0, horizon + 1))
     windows = initial_windows(bundle, panel, node, origins)
     newest = (slice(None), -1, 0)[: windows.ndim]  # channel 0 of the last row
     preds = np.empty((origins.shape[0], horizon + 1))

@@ -1,8 +1,10 @@
-"""The model tags, one entry each: the config keys a tag accepts and their
-types, the builder that turns validated keys into a training config, the
-function that fits a bundle, and the codec that stores one node model as a
-float64 checkpoint payload.  A baseline's fit is one call over all of its
-nodes: gbt boosts them together, the other families fit them one by one.
+"""The model tags, one entry each: the config keys a tag accepts, the
+builder that turns them into a training config, the function that fits a
+bundle, and the codec that stores one node model as a float64 checkpoint
+payload.  A tag's schema is its config dataclass: the keys are its field
+names (a baseline adds ``rho``), and building it checks every value's kind
+and range.  A baseline's fit is one call over all of its nodes: gbt boosts
+them together, the other families fit them one by one.
 
 The CLI, :func:`~hiergru.baselines.fit_baseline` and the checkpoint reader
 and writer look tags up here and nowhere else.  Fit functions are called
@@ -12,7 +14,7 @@ a wrapper installed on, say, ``fit_forest`` sees every call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -35,10 +37,12 @@ from .baselines import (
     mlp_flatten,
     mlp_unflatten,
 )
-from .errors import HiergruError, InvalidSpecError
+from .errors import HiergruError
 from .gru import flatten, unflatten
 from .models import (
+    _COUNT,
     TrainSpec,
+    _check_fields,
     train_bihrnn,
     train_hrnn,
     train_igru,
@@ -51,8 +55,8 @@ from .models import (
 class TagEntry:
     """Everything the package knows about one model tag."""
 
-    keys: dict[str, type]  # accepted config keys: int, float (any number) or str
-    build: Callable  # validated params, seed included -> training config
+    keys: frozenset[str]  # accepted config keys: the config's field names
+    build: Callable  # params, seed included -> checked training config
     fit: Callable  # (panel, h, config, hrnn cache) -> (bundle, new anchors)
     encode: Callable  # node model -> (payload, hidden, input_dim)
     decode: Callable  # (payload, hidden, input_dim, rho) -> node model
@@ -146,17 +150,14 @@ def _fit_bihrnn(panel, h, spec, cache):
     return bundle, anchors if fresh else None
 
 
-_RNN_KEYS = {
-    "rho": int, "hidden": int, "lr": float, "epochs": int, "alpha": float,
-    "lambda1": float, "lambda2": float, "k_neighbors": int, "seed": int,
-    "optimizer": str,
-}
+def _keys(config_type) -> frozenset[str]:
+    return frozenset(f.name for f in fields(config_type))
 
 
 def _recurrent(fit, saves_anchors=False) -> TagEntry:
     return TagEntry(
-        keys=_RNN_KEYS, build=lambda params: TrainSpec(**params), fit=fit,
-        encode=_encode_gru, decode=_decode_gru, saves_anchors=saves_anchors,
+        keys=_keys(TrainSpec), build=lambda params: TrainSpec(**params),
+        fit=fit, encode=_encode_gru, decode=_decode_gru, saves_anchors=saves_anchors,
     )
 
 
@@ -172,8 +173,7 @@ def _baseline(tag, keys, make_cfg, fit_nodes, encode, decode, fixed_rule=False):
     def build(params):
         params = dict(params)
         rho = params.pop("rho", 4)
-        if rho < 1:
-            raise InvalidSpecError(f"rho must be >= 1, got {rho}")
+        _check_fields({"rho": rho}, rho=_COUNT)
         return rho, make_cfg(params)
 
     def fit(panel, h, config, cache):
@@ -181,47 +181,42 @@ def _baseline(tag, keys, make_cfg, fit_nodes, encode, decode, fixed_rule=False):
         return fit_baseline(panel, h, tag, rho, cfg), None
 
     return TagEntry(
-        keys={"rho": int, **keys}, build=build, fit=fit, encode=encode,
+        keys=frozenset({"rho", *keys}), build=build, fit=fit, encode=encode,
         decode=decode, fit_nodes=fit_nodes, fixed_rule=fixed_rule,
     )
 
 
 def _fc_config(params):
     hidden = params.pop("hidden", 100)
-    return MlpConfig(hidden=(int(hidden),), **params)
+    return MlpConfig(hidden=(hidden,), **params)
 
-
-_TREE_KEYS = {"n_trees": int, "max_depth": int, "seed": int}
 
 TAGS: dict[str, TagEntry] = {
     "ar": _baseline(
-        "ar", {}, lambda p: None, _per_node(lambda w, rho, cfg: fit_ar(w, rho)),
+        "ar", (), lambda p: None, _per_node(lambda w, rho, cfg: fit_ar(w, rho)),
         lambda m: (m.coeffs.copy(), 0, 0),
         lambda payload, *_: ArModel(coeffs=payload.copy()),
     ),
     "rw": _baseline(
-        "rw", {}, lambda p: None, _per_node(lambda w, rho, cfg: RwModel(rho=rho)),
+        "rw", (), lambda p: None, _per_node(lambda w, rho, cfg: RwModel(rho=rho)),
         lambda m: (np.array([float(m.rho)]), 0, 0),
         lambda payload, *_: RwModel(rho=int(payload[0])),
         fixed_rule=True,
     ),
     "rf": _baseline(
-        "rf", {**_TREE_KEYS, "min_leaf": int, "feature_frac": float},
-        lambda p: ForestConfig(**p),
+        "rf", _keys(ForestConfig), lambda p: ForestConfig(**p),
         _per_node(lambda *a: fit_forest(*a)), _encode_trees, _decode_trees,
     ),
     "gbt": _baseline(
-        "gbt", {**_TREE_KEYS, "shrinkage": float, "subsample": float},
-        lambda p: GbtConfig(**p),
+        "gbt", _keys(GbtConfig), lambda p: GbtConfig(**p),
         lambda *a: fit_gbt_nodes(*a), _encode_trees, _decode_trees,
     ),
     "fc": _baseline(
-        "fc", {"hidden": int, "lr": float, "epochs": int, "seed": int},
-        _fc_config, _per_node(lambda *a: fit_mlp(*a)),
+        "fc", _keys(MlpConfig), _fc_config, _per_node(lambda *a: fit_mlp(*a)),
         _encode_mlp, _decode_mlp,
     ),
     "deepnn": _baseline(
-        "deepnn", {"lr": float, "epochs": int, "seed": int},
+        "deepnn", _keys(MlpConfig) - {"hidden"},
         lambda p: replace(DEEPNN_CONFIG, **p),
         _per_node(lambda *a: fit_mlp(*a)), _encode_mlp, _decode_mlp,
     ),

@@ -1,11 +1,18 @@
 import json
 import threading
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from hiergru.baselines import ForestConfig, GbtConfig, MlpConfig
 from hiergru.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, EXIT_OK, main
+from hiergru.errors import InvalidSpecError
+from hiergru.models import TrainSpec
+from hiergru.registry import TAGS
 
 
 def write_config(path: Path, data_dir: Path, models, **overrides):
@@ -34,6 +41,30 @@ def assert_one_line_config_error(data_dir, tmp_path, capsys, entry, key):
     assert "'bad_model'" in err and key in err
     assert len(err.strip().splitlines()) == 1
     assert not out.exists()
+
+
+# Each tag's config dataclass (None: the tag has no config beyond rho);
+# a tag not listed here takes a TrainSpec.
+CONFIG_TYPES = {"ar": None, "rw": None, "rf": ForestConfig, "gbt": GbtConfig,
+                "fc": MlpConfig, "deepnn": MlpConfig}
+INTEGER_KEYS = {"rho", "hidden", "epochs", "k_neighbors", "seed", "n_trees",
+                "max_depth", "min_leaf"}
+# wrong for every accepted key: no key takes a bool, a string other than
+# 'adam' or 'sgd', a list, an object, null, NaN or an infinity
+HOSTILE = [True, False, "1", "x", [1], {"a": 1}, None, float("nan"),
+           float("inf"), float("-inf")]
+
+
+@st.composite
+def hostile_params(draw):
+    """(tag, key, value): an accepted key of a registered tag and a value of
+    the wrong kind for it; integer keys also get floats."""
+    tag = draw(st.sampled_from(sorted(TAGS)))
+    key = draw(st.sampled_from(sorted(TAGS[tag].keys)))
+    values = st.sampled_from(HOSTILE)
+    if key in INTEGER_KEYS:
+        values |= st.floats()
+    return tag, key, draw(values)
 
 
 @pytest.fixture
@@ -310,6 +341,33 @@ class TestRun:
     ):
         assert_one_line_config_error(synth_dir, tmp_path, capsys, entry, key)
 
+    @settings(
+        max_examples=300, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(hostile_params(), st.booleans())
+    def test_hostile_value_exit_2(self, tmp_path, capsys, case, in_grid):
+        tag, key, value = case
+        placed = {"grid": {key: [value]}} if in_grid else {key: value}
+        # the data paths do not exist: the entry is checked before loading
+        assert_one_line_config_error(
+            tmp_path / "no_data", tmp_path, capsys, {"tag": tag, **placed}, key
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(hostile_params())
+    def test_hostile_value_rejected_by_config(self, case):
+        tag, key, value = case
+        match = rf"^{key} must be"
+        with pytest.raises(InvalidSpecError, match=match):
+            TAGS[tag].build({key: value})
+        config = CONFIG_TYPES.get(tag, TrainSpec)
+        if config is not None and key in {f.name for f in fields(config)}:
+            if config is MlpConfig and key == "hidden":
+                value = (value,)
+            with pytest.raises(InvalidSpecError, match=match):
+                config(**{key: value})
+
     def test_missing_out_dir_exit_2(self, synth_dir, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", synth_dir, ["ar"])
         assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
@@ -352,6 +410,23 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "hierarchy.csv, line 3" in err and "'heavy'" in err
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    def test_non_finite_weight_exit_3(self, synth_dir, tmp_path, capsys, weight):
+        hier = tmp_path / "hierarchy.csv"
+        lines = (synth_dir / "hierarchy.csv").read_text().splitlines()
+        node, parent, _ = lines[2].split(",")
+        lines[2] = f"{node},{parent},{weight}"
+        hier.write_text("\n".join(lines) + "\n")
+        cfg = write_config(
+            tmp_path / "cfg.json", synth_dir, ["bihrnn"], hierarchy=str(hier)
+        )
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert repr(node) in err and "not finite" in err
+        assert not out.exists()
 
     def test_divergence_exit_4(self, synth_dir, tmp_path, capsys):
         cfg = write_config(

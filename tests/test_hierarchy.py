@@ -122,6 +122,11 @@ class TestBuildAndLoad:
         with pytest.raises(NegativeWeightError, match="B"):
             build_hierarchy([("A", None, 1.0), ("B", "A", -0.1)])
 
+    @pytest.mark.parametrize("w", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_weight(self, w):
+        with pytest.raises(HierarchyError, match="'B'.*not finite"):
+            build_hierarchy([("A", None, 1.0), ("B", "A", w)])
+
     def test_duplicate_node(self):
         with pytest.raises(HierarchyError, match="duplicate"):
             build_hierarchy([("A", None, 1.0), ("A", None, 1.0)])

@@ -12,6 +12,7 @@ from conftest import panel_from_rates
 from helpers import ragged_panels, select_neighbors_oracle, stacked_windows_oracle
 from hiergru.cli import fit_entry
 from hiergru.dataset import (
+    SeriesPanel,
     SynthSpec,
     build_panel,
     make_windows,
@@ -222,6 +223,17 @@ class TestKnnGru:
             for g, w in zip(got, want, strict=True):
                 assert (g.shape, g.dtype) == (w.shape, w.dtype)
                 assert g.tobytes() == w.tobytes()
+
+    def test_no_window_built_when_split_at_most_rho(self, monkeypatch):
+        panel = panel_from_rates({"a": np.arange(1.0, 9.0), "b": np.ones(8)})
+        split = panel.split_index["a"]
+
+        def refuse(self, nodes):
+            raise AssertionError("train_grid read with no window to fill")
+
+        monkeypatch.setattr(SeriesPanel, "train_grid", refuse)
+        assert _stacked_windows(panel, "a", ("a", "b"), split) is None
+        assert _stacked_windows(panel, "a", ("a", "b"), split + 1) is None
 
     @settings(max_examples=100, deadline=None)
     @given(ragged_panels(), st.integers(1, 5))
@@ -564,6 +576,19 @@ class TestForecast:
             w = np.append(w[1:], p)
         assert preds.shape == (2, 4)
         np.testing.assert_allclose(preds, [expected, expected], atol=1e-15)
+
+    def test_no_origins_predict_nothing(self):
+        # a rho longer than the series leaves no origin: the model is not
+        # stepped over an empty batch once per horizon step
+        class Refuses:
+            def predict_batch(self, windows):
+                raise AssertionError("predict_batch called with no origin")
+
+        panel = panel_from_rates({"a": [1.0, 2.0, 3.0]})
+        bundle = ModelBundle(tag="igru", rho=5, models={"a": Refuses()})
+        for horizon in (0, 3):
+            preds = forecast_origins(bundle, panel, "a", [], horizon)
+            assert preds.shape == (0, horizon + 1) and preds.dtype == np.float64
 
     def test_roll_window_multichannel(self):
         # the rolled window drops its oldest row and appends the prediction

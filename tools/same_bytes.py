@@ -11,7 +11,8 @@ Both sides run ``hiergru run --jobs 1`` on the same inputs, written once by
 * the panel-s, deep-gru and long-eval workloads at panel seeds 0-2;
 * a config listing every model tag (two specs of ar and rf, four of gbt
   with one of no trees and one of depth 0, a bihrnn before its hrnn, a
-  second bihrnn with sgd);
+  second bihrnn with sgd, and an igru, a knngru and an rw whose rho is
+  longer than every series, so that no node has an origin);
 * a ``--grid`` config;
 * a ragged panel with blank non-root weights: nodes start late, end early,
   or are too short to give a knngru window.
@@ -72,6 +73,10 @@ ALL_TAGS = [
     {"tag": "hrnn", "epochs": 10},
     {"tag": "bihrnn", "epochs": 10, "optimizer": "sgd", "lr": 0.01,
      "label": "bihrnn_sgd"},
+    {"tag": "igru", "rho": 200, "epochs": 10, "label": "igru_long"},
+    {"tag": "knngru", "rho": 200, "epochs": 10, "k_neighbors": 3,
+     "label": "knngru_long"},
+    {"tag": "rw", "rho": 200, "label": "rw_long"},
 ]
 
 GRID = [
