@@ -395,6 +395,17 @@ def _depth_first(levels, links, count) -> list[Tree]:
     return [Tree(*(a[lo: lo + n] for a in placed)) for lo, n in zip(base, nodes)]
 
 
+def _seeded_rng(seed: int) -> np.random.Generator:
+    """The generator of a config's integer seed.  A seed >= 0 gives
+    ``np.random.default_rng(seed)``, numpy's own stream; a negative seed,
+    which numpy rejects, gives the stream of ``SeedSequence(-seed,
+    spawn_key=(1,))``: the same fit on every run, and not the fit of
+    ``-seed``."""
+    if seed >= 0:
+        return np.random.default_rng(seed)
+    return np.random.default_rng(np.random.SeedSequence(-seed, spawn_key=(1,)))
+
+
 @dataclass(frozen=True)
 class ForestConfig:
     n_trees: int = 100
@@ -423,7 +434,7 @@ def fit_forest(windows: list[Window], rho: int, cfg: ForestConfig) -> TreeEnsemb
         raise NoTrainingDataError("no training windows for forest fit")
     x, y = stack_windows(windows)
     n = x.shape[0]
-    rng = np.random.default_rng(cfg.seed)
+    rng = _seeded_rng(cfg.seed)
     boots = rng.integers(0, n, size=(cfg.n_trees, n))
     per_group = max(1, _GROUP_ROWS // n)
     trees = []
@@ -491,7 +502,7 @@ def _boost(group, rho: int) -> list[TreeEnsemble]:
     starts = np.cumsum(sizes) - sizes
     base = [float(t.mean()) for t in ys]
     cfg = cfgs[0]
-    rngs = [np.random.default_rng(c.seed) for c in cfgs]
+    rngs = [_seeded_rng(c.seed) for c in cfgs]
     current = np.repeat(base, sizes)
     stages = []
     for _ in range(cfg.n_trees):
@@ -650,7 +661,7 @@ def fit_mlp(windows: list[Window], rho: int, cfg: MlpConfig) -> MlpModel:
     if not windows:
         raise NoTrainingDataError("no training windows for MLP fit")
     x, y = stack_windows(windows)
-    model = init_mlp(rho, cfg.hidden, np.random.default_rng(cfg.seed))
+    model = init_mlp(rho, cfg.hidden, _seeded_rng(cfg.seed))
     sizes = model.sizes
 
     # the one-row case of run_optimizer's (rows, size) parameter matrix

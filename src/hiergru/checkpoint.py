@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import HiergruError
-from .models import ModelBundle, TrainSpec
+from .models import ModelBundle, TrainSpec, _is_int
 from .registry import lookup
 
 MAGIC = b"HGRUCKPT"
@@ -137,15 +137,54 @@ def save_bundle(bundle, dirpath) -> None:
     _json_dump(manifest, out / "manifest.json")
 
 
+def _read_manifest(path: Path) -> dict:
+    """A bundle's manifest, checked for the fields :func:`load_bundle` needs."""
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise HiergruError(f"{path}: not a JSON manifest: {exc}") from exc
+    if not (
+        isinstance(manifest, dict) and isinstance(manifest.get("tag"), str)
+        and _is_int(manifest.get("rho")) and isinstance(manifest.get("nodes"), dict)
+        and all(isinstance(entry, dict) for entry in manifest["nodes"].values())
+    ):
+        raise HiergruError(
+            f"{path}: a manifest needs a string 'tag', an integer 'rho' and a "
+            "'nodes' object of objects"
+        )
+    return manifest
+
+
+def _checkpoint_path(root: Path, manifest: Path, node: str, name) -> Path:
+    """The checkpoint a manifest entry names: only a bare file name of a
+    regular file in the bundle directory, so no entry reads outside it."""
+    if not (isinstance(name, str) and name != ".." and Path(name).name == name):
+        raise HiergruError(
+            f"{manifest}: node {node!r} file {name!r} is not a bare file name"
+        )
+    path = root / name
+    if path.is_symlink() or not path.is_file():
+        raise HiergruError(
+            f"{manifest}: node {node!r} file {name!r} is not a regular file "
+            "in the bundle directory"
+        )
+    return path
+
+
 def load_bundle(dirpath) -> ModelBundle:
-    """Rebuild a bundle from a bundle directory."""
+    """Rebuild a bundle from a bundle directory.  A malformed manifest, or
+    a node file that is not a regular file inside the directory, raises
+    :class:`HiergruError` naming the manifest."""
     root = Path(dirpath)
-    manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
+    manifest_path = root / "manifest.json"
+    manifest = _read_manifest(manifest_path)
     tag = manifest["tag"]
     models = {}
     provenance = {}
     for node, entry in manifest["nodes"].items():
-        ck = read_checkpoint(root / entry["file"])
+        ck = read_checkpoint(
+            _checkpoint_path(root, manifest_path, node, entry.get("file"))
+        )
         if ck["node"] != node or ck["tag"] != tag:
             raise HiergruError(
                 f"{entry['file']}: header ({ck['tag']}, {ck['node']}) does not "

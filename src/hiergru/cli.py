@@ -25,7 +25,6 @@ from .checkpoint import save_bundle
 from .dataset import (
     DEFAULT_TRAIN_FRACTION,
     SynthSpec,
-    build_panel,
     load_series_csv,
     save_series_csv,
     synth_panel,
@@ -34,7 +33,6 @@ from .errors import DivergenceError, HiergruError, InvalidSpecError
 from .evaluation import (
     DAILY_HORIZONS,
     MONTHLY_HORIZONS,
-    admissible_origins,
     evaluate,
     write_report_files,
 )
@@ -204,23 +202,13 @@ def fit_entry(entry: dict, panel, h, seed: int, anchors_cache: dict):
 
 # -------------------------------------------------------------- grid search
 
-def _truncate_to_train(panel):
-    """Sub-panel containing only training-segment observations, re-split
-    with the default fraction so its tail becomes a validation segment."""
-    series = {}
-    for n in panel.rates:
-        split = panel.split_index[n]
-        series[n] = (int(panel.periods[n][0]), panel.rates[n][:split])
-    return build_panel(panel.calendar, series, DEFAULT_TRAIN_FRACTION)
-
-
 def _validation_score(bundle, panel) -> float:
     """Mean over nodes of one-step RMSE on the sub-panel's test tail."""
     scores = []
     for n in sorted(panel.rates):
         if n not in bundle.models:
             continue
-        origins = admissible_origins(panel, n, bundle.rho)
+        origins = panel.test_origins(n, bundle.rho)
         if origins.size:
             preds = bundle.forecast_origins(panel, n, origins, 0)[:, 0]
             errs = (panel.rates[n][origins] - preds) ** 2
@@ -235,7 +223,7 @@ def run_grid_search(entry: dict, panel, h, seed: int) -> dict:
     grid = entry["grid"]
     if not grid:
         return entry
-    inner = _truncate_to_train(panel)
+    inner = panel.train_segment(DEFAULT_TRAIN_FRACTION)
     keys = sorted(grid)
     best = None
     choices = []

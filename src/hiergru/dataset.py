@@ -1,8 +1,9 @@
 """Series ingestion, log-change transform, chronological split, windowing.
 
 A :class:`SeriesPanel` holds one rate series per node, aligned on a shared
-calendar of period labels.  Everything downstream (correlations, training
-windows, evaluation origins) indexes into these per-node arrays.
+calendar of period labels.  Its methods are the only code that reads a
+node's train/test boundary: every training window, test origin and
+forecast window, and the training-only grid and sub-panel, is cut here.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 
 from .errors import (
     EmptySeriesError,
+    InsufficientHistoryError,
     InvalidSpecError,
     NonPositiveLevelError,
     SeriesGapError,
@@ -74,6 +76,61 @@ class SeriesPanel:
             split = self.split_index[n]
             grid[self.periods[n][:split], j] = self.rates[n][:split]
         return grid
+
+    def train_windows(self, n: NodeId, rho: int, channels=None):
+        """``(inputs, targets)`` for each training target of ``n`` after its
+        first ``rho`` rates: inputs (windows, rho, channels) hold the
+        :meth:`train_grid` rates of ``channels`` (default ``n``) at the ``rho``
+        periods before it, less windows with a missing value; None if none."""
+        split = self.split_index[n]
+        if split <= rho:
+            return None
+        span = self.periods[n][np.arange(rho, split)[:, None] + np.arange(-rho, 0)]
+        inputs = self.train_grid(channels or (n,))[span]
+        keep = np.isfinite(inputs).all(axis=(1, 2))
+        if not keep.any():
+            return None
+        return inputs[keep], self.rates[n][rho:split][keep]
+
+    def test_origins(self, n: NodeId, rho: int) -> np.ndarray:
+        """Test positions of ``n`` with at least ``rho`` observations before."""
+        return np.arange(max(self.split_index[n], rho), self.length(n))
+
+    def forecast_windows(self, n: NodeId, origins, rho: int, channels=None):
+        """The ``rho`` rates of ``n`` before each origin, (origins, rho); with
+        ``channels``, (origins, rho, channels), each channel carrying its last
+        earlier rate forward (0.0 before its first)."""
+        early = origins[origins < rho]
+        if early.size:
+            raise InsufficientHistoryError(
+                f"node {n!r}: origin {early[0]} needs {rho} earlier observations"
+            )
+        late = origins[origins > self.length(n)]
+        if late.size:
+            raise InsufficientHistoryError(
+                f"node {n!r}: origin {late[0]} beyond series length {self.length(n)}"
+            )
+        if not origins.size:
+            # no window to cut: a rho longer than the series must cost nothing
+            return np.empty((0, rho) if channels is None else (0, rho, len(channels)))
+        span = origins[:, None] + np.arange(-rho, 0)
+        if channels is None:
+            return self.rates[n][span]
+        periods = self.periods[n][span]
+        columns = []
+        for c in channels:
+            after = np.searchsorted(self.periods[c], periods, side="right")
+            columns.append(
+                np.where(after > 0, self.rates[c][np.maximum(after - 1, 0)], 0.0)
+            )
+        return np.stack(columns, axis=-1)
+
+    def train_segment(self, train_fraction: float) -> "SeriesPanel":
+        """The sub-panel of training-segment observations only, re-split at
+        ``train_fraction`` so that its tail becomes a validation segment."""
+        series = {n: (int(self.periods[n][0]), r[: self.split_index[n]])
+                  for n, r in self.rates.items()}
+        return build_panel(self.calendar, series, train_fraction)
 
 
 def to_rates(levels) -> np.ndarray:
@@ -147,13 +204,13 @@ def make_windows(
         raise InvalidSpecError(f"rho must be >= 1, got {rho}")
     if segment not in ("train", "test"):
         raise InvalidSpecError(f"segment must be 'train' or 'test', got {segment!r}")
-    r = panel.rates[n]
-    split = panel.split_index[n]
     if segment == "train":
-        targets = range(rho, split)
+        inputs, targets = panel.train_windows(n, rho) or ((), ())
     else:
-        targets = range(max(rho, split), r.shape[0])
-    return [Window(inputs=r[t - rho: t].copy(), target=float(r[t])) for t in targets]
+        origins = panel.test_origins(n, rho)
+        inputs = panel.forecast_windows(n, origins, rho)
+        targets = panel.rates[n][origins]
+    return [Window(x.reshape(rho), float(t)) for x, t in zip(inputs, targets)]
 
 
 def stack_windows(windows: list[Window]) -> tuple[np.ndarray, np.ndarray]:

@@ -1,7 +1,8 @@
 """Rolling-origin evaluation over the test split and report rendering.
 
-Every admissible test origin of every node produces a recursive forecast
-(all origins of a node are rolled forward together);
+Every test origin of every node, as
+:meth:`~hiergru.dataset.SeriesPanel.test_origins` gives them, produces a
+recursive forecast (all origins of a node are rolled forward together);
 per-node RMSE at each horizon is normalized by the same node's AR(1) RMSE
 at the same horizon, and report rows aggregate disaggregated (non-root)
 nodes separately from the headline (root) series.
@@ -100,17 +101,12 @@ def _metric_cell(fn, actuals, predictions) -> Cell:
         return Cell(None, codes[type(exc)])
 
 
-def admissible_origins(panel, node, rho: int) -> np.ndarray:
-    """Test origins of ``node`` with at least ``rho`` observations before them."""
-    return np.arange(max(panel.split_index[node], rho), panel.length(node))
-
-
 def _collect_forecasts(bundle, panel, node, horizons):
     """Predictions and matching actuals from every admissible test origin,
     all origins forecast in one batch when the bundle supports it."""
     max_h = max(horizons)
     rates = panel.rates[node]
-    origins = admissible_origins(panel, node, bundle.rho)
+    origins = panel.test_origins(node, bundle.rho)
     if hasattr(bundle, "forecast_origins"):
         trajs = bundle.forecast_origins(panel, node, origins, max_h)
     else:

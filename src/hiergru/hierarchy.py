@@ -213,18 +213,25 @@ def aligned_train_rates(panel: "SeriesPanel", nodes: Iterable[NodeId]) -> np.nda
     return grid[np.isfinite(grid).all(axis=1)]
 
 
-def train_correlation(panel: "SeriesPanel", a: NodeId, b: NodeId) -> float:
-    """Pearson correlation between two nodes' training rates over the
-    periods both cover.  Raises :class:`InsufficientOverlapError` below 3
-    common periods and :class:`DegenerateVarianceError` for a constant
-    series."""
-    mat = aligned_train_rates(panel, [a, b])
+def pair_correlation(pair: np.ndarray, a: NodeId, b: NodeId) -> float:
+    """Pearson correlation of nodes ``a`` and ``b`` from ``pair``, their two
+    columns of a :meth:`~hiergru.dataset.SeriesPanel.train_grid`, over the
+    rows where both have a value.  Raises :class:`InsufficientOverlapError`
+    below 3 common rows and :class:`DegenerateVarianceError` for a constant
+    side."""
+    mat = pair[np.isfinite(pair).all(axis=1)]
     if mat.shape[0] < 3:
         raise InsufficientOverlapError(
             f"nodes {a!r} and {b!r}: only {mat.shape[0]} aligned training "
             "observations (need >= 3)"
         )
     return pearson(mat[:, 0], mat[:, 1])
+
+
+def train_correlation(panel: "SeriesPanel", a: NodeId, b: NodeId) -> float:
+    """Pearson correlation between two nodes' training rates over the
+    periods both cover (:func:`pair_correlation`)."""
+    return pair_correlation(panel.train_grid([a, b]), a, b)
 
 
 def parent_correlation(panel: "SeriesPanel", h: Hierarchy, n: NodeId) -> float:

@@ -7,8 +7,8 @@ differ only in what anchors each node.  They all run one loop,
 one tree level at a time for hrnn so that parents finish before their
 children start) and asks three things of each node:
 
-* its training data: the node's own train windows, or (knngru)
-  multichannel windows stacking the node with its k most correlated nodes;
+* its training data (:meth:`~hiergru.dataset.SeriesPanel.train_windows`):
+  the node's own, or (knngru) stacked with its k most correlated nodes;
 * its initial parameters: a seeded uniform init, or (bihrnn) the node's
   pretrained parameters;
 * its anchors, the (parameters, coefficient) pairs of the quadratic
@@ -20,6 +20,9 @@ children start) and asks three things of each node:
 
 sgru is the loop over the root alone, fed the pooled windows of every
 node; every node then shares the root's unit.
+
+Every family forecasts from the windows that
+:meth:`~hiergru.dataset.SeriesPanel.forecast_windows` cuts.
 
 The nodes of a group train independently, so a group is split into
 buckets of nodes with equally many windows and the same input width, and
@@ -43,12 +46,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataset import SeriesPanel, make_windows, stack_windows
+from .dataset import SeriesPanel
 from .errors import (
     DegenerateVarianceError,
     HiergruError,
-    InsufficientHistoryError,
     InsufficientNeighborsWarning,
+    InsufficientOverlapError,
     InvalidSpecError,
     MissingPretrainedError,
     NodeSkippedWarning,
@@ -59,9 +62,9 @@ from .hierarchy import (
     Hierarchy,
     NodeId,
     child_weights,
+    pair_correlation,
     precision_schedule,
 )
-from .metrics import pearson
 
 
 def _is_int(v) -> bool:
@@ -267,19 +270,18 @@ def _train_nodes(tag, h, spec, data, *, init=None, anchors=None, groups=None,
 def _own_windows(panel: SeriesPanel, rho: int):
     """Training data: the node's own train windows."""
     def data(n):
-        windows = make_windows(panel, n, rho, "train")
-        return (*stack_windows(windows), {}) if windows else None
+        stacked = panel.train_windows(n, rho)
+        return None if stacked is None else (*stacked, {})
     return data
 
 
 def train_sgru(panel: SeriesPanel, h: Hierarchy, spec: TrainSpec) -> ModelBundle:
     """One shared unit fit on the pooled train windows of every node."""
-    windows = []
-    for n in sorted(h.nodes):
-        windows.extend(make_windows(panel, n, spec.rho, "train"))
-    if not windows:
+    stacks = [s for n in sorted(h.nodes) if (s := panel.train_windows(n, spec.rho))]
+    if not stacks:
         raise NoTrainingDataError("no node provides a training window")
-    pooled = (*stack_windows(windows), {"pooled_windows": len(windows)})
+    inputs, targets = (np.concatenate(part) for part in zip(*stacks))
+    pooled = (inputs, targets, {"pooled_windows": len(targets)})
     unit = _train_nodes("sgru", h, spec, lambda n: pooled, groups=[[h.root]])
     return replace(
         unit,
@@ -385,25 +387,22 @@ def select_neighbors(
     """Each node's k most correlated other nodes on the training window, in
     breadth-first node order.
 
-    Each pair is scored once, on the calendar rows of one
-    :meth:`~hiergru.dataset.SeriesPanel.train_grid` where both nodes have a
-    training value (Pearson correlation is symmetric bit for bit).  Ties
-    break toward the lexicographically smaller node id; a pair with fewer
-    than 3 common values or a constant side is not a candidate.  When fewer
-    than k candidates exist, all of them are used and a warning is emitted.
+    Each pair is scored once, by :func:`~hiergru.hierarchy.pair_correlation`
+    on its two columns of one
+    :meth:`~hiergru.dataset.SeriesPanel.train_grid` (Pearson correlation is
+    symmetric bit for bit).  Ties break toward the lexicographically
+    smaller node id; a pair with fewer than 3 common values or a constant
+    side is not a candidate.  When fewer than k candidates exist, all of
+    them are used and a warning is emitted.
     """
     nodes = sorted(h.nodes)
     grid = panel.train_grid(nodes)
-    finite = np.isfinite(grid)
     scored: dict[NodeId, list] = {n: [] for n in nodes}
     for i, a in enumerate(nodes):
         for j in range(i + 1, len(nodes)):
-            both = finite[:, i] & finite[:, j]
-            if np.count_nonzero(both) < 3:
-                continue
             try:
-                r = pearson(grid[both, i], grid[both, j])
-            except DegenerateVarianceError:
+                r = pair_correlation(grid[:, [i, j]], a, nodes[j])
+            except (InsufficientOverlapError, DegenerateVarianceError):
                 continue
             scored[a].append((-r, nodes[j]))
             scored[nodes[j]].append((-r, a))
@@ -419,22 +418,6 @@ def select_neighbors(
     return chosen
 
 
-def _stacked_windows(panel, n, channels, rho):
-    """Multichannel train windows for node n, shape (windows, rho,
-    channels), and their targets; rows are time steps, channel 0 is the
-    node itself.  Windows touching any missing training value are dropped;
-    None when no window is left."""
-    split = panel.split_index[n]
-    if split <= rho:
-        return None
-    span = panel.periods[n][np.arange(rho, split)[:, None] + np.arange(-rho, 0)]
-    inputs = panel.train_grid(channels)[span]
-    keep = np.isfinite(inputs).all(axis=(1, 2))
-    if not keep.any():
-        return None
-    return inputs[keep], panel.rates[n][rho:split][keep]
-
-
 def train_knn_gru(panel: SeriesPanel, h: Hierarchy, spec: TrainSpec) -> ModelBundle:
     """Per-node units whose step input stacks the node with its k most
     Pearson-correlated nodes (correlations measured on training windows)."""
@@ -442,7 +425,7 @@ def train_knn_gru(panel: SeriesPanel, h: Hierarchy, spec: TrainSpec) -> ModelBun
 
     def data(n):
         nbs = neighbor_map[n]
-        stacked = _stacked_windows(panel, n, (n, *nbs), spec.rho)
+        stacked = panel.train_windows(n, spec.rho, (n, *nbs))
         return None if stacked is None else (*stacked, {"neighbors": list(nbs)})
 
     def init(n, seed):
@@ -457,40 +440,6 @@ def train_knn_gru(panel: SeriesPanel, h: Hierarchy, spec: TrainSpec) -> ModelBun
 
 
 # --------------------------------------------------------------- forecasting
-
-def _channel_values(panel: SeriesPanel, node: NodeId, periods: np.ndarray) -> np.ndarray:
-    """Rates of ``node`` at calendar ``periods``.  A period the node does not
-    cover takes the node's last earlier observation (carried forward), or
-    0.0 before its first observation."""
-    after = np.searchsorted(panel.periods[node], periods, side="right")
-    return np.where(after > 0, panel.rates[node][np.maximum(after - 1, 0)], 0.0)
-
-
-def initial_windows(
-    bundle, panel: SeriesPanel, node: NodeId, origins: np.ndarray
-) -> np.ndarray:
-    """The windows of the ``rho`` observations preceding each origin, shape
-    (origins, rho); knngru windows stack the node with its neighbors,
-    shape (origins, rho, channels)."""
-    rho = bundle.rho
-    early = origins[origins < rho]
-    if early.size:
-        raise InsufficientHistoryError(
-            f"node {node!r}: origin {early[0]} needs {rho} earlier observations"
-        )
-    late = origins[origins > panel.length(node)]
-    if late.size:
-        raise InsufficientHistoryError(
-            f"node {node!r}: origin {late[0]} beyond series length "
-            f"{panel.length(node)}"
-        )
-    span = origins[:, None] + np.arange(-rho, 0)
-    if bundle.neighbors is None:
-        return panel.rates[node][span]
-    periods = panel.periods[node][span]
-    channels = (node, *bundle.neighbors[node])
-    return np.stack([_channel_values(panel, c, periods) for c in channels], axis=-1)
-
 
 def forecast_origins(
     bundle, panel: SeriesPanel, node: NodeId, origins, horizon: int
@@ -509,7 +458,8 @@ def forecast_origins(
     if not origins.size:
         # no window to build: a rho longer than the series must cost nothing
         return np.empty((0, horizon + 1))
-    windows = initial_windows(bundle, panel, node, origins)
+    channels = None if bundle.neighbors is None else (node, *bundle.neighbors[node])
+    windows = panel.forecast_windows(node, origins, bundle.rho, channels)
     newest = (slice(None), -1, 0)[: windows.ndim]  # channel 0 of the last row
     preds = np.empty((origins.shape[0], horizon + 1))
     for j in range(horizon + 1):

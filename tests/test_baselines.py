@@ -38,6 +38,7 @@ from hiergru.errors import (
 )
 from hiergru.hierarchy import build_hierarchy
 from hiergru.models import node_seed
+from hiergru.registry import TAGS
 
 
 def windows_from_series(series, rho):
@@ -655,6 +656,35 @@ class TestMlp:
 def test_infinite_config_value_rejected(make, key):
     with pytest.raises(InvalidSpecError, match=key):
         make(float("inf"))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32, 2**63, 2**64 - 1])
+def test_non_negative_seed_keeps_numpy_stream(seed):
+    got = baselines._seeded_rng(seed).bit_generator.state
+    assert got == np.random.default_rng(seed).bit_generator.state
+
+
+@pytest.mark.parametrize("tag, fit, cfg", [
+    ("rf", fit_forest, ForestConfig(n_trees=4, max_depth=3)),
+    ("gbt", fit_gbt, GbtConfig(n_trees=4, max_depth=2)),
+    ("gbt", fit_gbt, GbtConfig(n_trees=4, max_depth=2, subsample=0.5)),
+    ("fc", fit_mlp, MlpConfig(hidden=(4,), epochs=5)),
+])
+def test_negative_seed_fits_repeatably(tag, fit, cfg):
+    """Every integer seed fits, the same bytes each time; a negative seed
+    draws another stream than its absolute value (gbt at subsample 1 draws
+    nothing, so its seed never matters)."""
+    ws = windows_from_series(np.random.default_rng(3).normal(size=40), 3)
+    encode = TAGS[tag].encode
+    payload = {}
+    for seed in (-1, -3, 0, 1, 3):
+        runs = [encode(fit(ws, 3, replace(cfg, seed=seed)))[0] for _ in range(2)]
+        assert runs[0].tobytes() == runs[1].tobytes()
+        payload[seed] = runs[0].tobytes()
+    draws = tag != "gbt" or cfg.subsample < 1.0
+    assert (payload[-1] != payload[1]) == draws
+    assert (payload[-3] != payload[3]) == draws
+    assert (payload[-1] != payload[-3]) == draws
 
 
 class TestBaselineBundle:

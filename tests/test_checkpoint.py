@@ -1,3 +1,6 @@
+import json
+import shutil
+
 import numpy as np
 import pytest
 
@@ -143,3 +146,66 @@ class TestBundleDirectories:
         save_bundle(bundle, tmp_path / "b")
         for f in sorted((tmp_path / "a").iterdir()):
             assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes()
+
+
+
+_DROP, _ABSOLUTE = object(), object()
+_OUTSIDE = "outside.ckpt"  # a regular file next to the bundle directory
+
+# manifest text, or {key: value} edits of the manifest ("file": of its
+# first node entry); _DROP deletes the key, _ABSOLUTE is the outside file's
+# absolute path
+MALFORMED = {
+    "not-json": "{not json",
+    "not-object": "[]",
+    "no-nodes": {"nodes": _DROP},
+    "no-rho": {"rho": _DROP},
+    "string-rho": {"rho": "3"},
+    "no-tag": {"tag": _DROP},
+    "nodes-list": {"nodes": ["root"]},
+    "entry-string": {"nodes": {"root": "node_00000.ckpt"}},
+    "no-file": {"file": _DROP},
+    "file-number": {"file": 7},
+    "file-empty": {"file": ""},
+    "file-dot": {"file": "."},
+    "file-dotdot": {"file": ".."},
+    "file-missing": {"file": "missing.ckpt"},
+    "file-parent": {"file": f"../{_OUTSIDE}"},
+    "file-absolute": {"file": _ABSOLUTE},
+}
+
+
+class TestMalformedManifest:
+    @pytest.fixture
+    def bundle_dir(self, small_synth, tmp_path):
+        h, panel = small_synth
+        save_bundle(fit_baseline(panel, h, "ar", rho=2), tmp_path / "ar")
+        shutil.copyfile(tmp_path / "ar" / "node_00000.ckpt", tmp_path / _OUTSIDE)
+        return tmp_path / "ar"
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_raises_naming_the_manifest(self, bundle_dir, case):
+        path = bundle_dir / "manifest.json"
+        edit = MALFORMED[case]
+        if not isinstance(edit, str):
+            manifest = json.loads(path.read_text(encoding="utf-8"))
+            for key, value in edit.items():
+                at = manifest
+                if key == "file":
+                    at = next(iter(manifest["nodes"].values()))
+                if value is _DROP:
+                    del at[key]
+                elif value is _ABSOLUTE:
+                    at[key] = str(bundle_dir.parent / _OUTSIDE)
+                else:
+                    at[key] = value
+            edit = json.dumps(manifest)
+        path.write_text(edit, encoding="utf-8")
+        with pytest.raises(HiergruError, match="manifest.json"):
+            load_bundle(bundle_dir)
+
+    def test_symlinked_file_rejected(self, bundle_dir):
+        (bundle_dir / "node_00000.ckpt").unlink()
+        (bundle_dir / "node_00000.ckpt").symlink_to(bundle_dir.parent / _OUTSIDE)
+        with pytest.raises(HiergruError, match="manifest.json"):
+            load_bundle(bundle_dir)

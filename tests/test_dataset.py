@@ -1,9 +1,16 @@
+import ast
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hiergru
 from conftest import panel_from_rates
+from helpers import ragged_panels
 from hiergru.dataset import (
     SynthSpec,
     chronological_split,
@@ -133,6 +140,59 @@ class TestMakeWindows:
         x, y = stack_windows(make_windows(panel, "A", 3, "train"))
         assert x.shape == (panel.split_index["A"] - 3, 3)
         assert y.shape == (x.shape[0],)
+
+
+class TestTrainTestBoundary:
+    @settings(max_examples=150, deadline=None)
+    @given(ragged_panels(), st.integers(1, 5), st.floats(0.5, 1e3), st.data())
+    def test_test_rates_reach_no_training_cut(self, panel, rho, shift, data):
+        """Moving every test-segment rate leaves every training cut, byte
+        for byte: a cut reading one target past a split sees the move."""
+        rates = {}
+        for n, r in panel.rates.items():
+            rates[n] = r.copy()
+            rates[n][panel.test_positions(n).start:] += shift
+        moved = replace(panel, rates=rates)
+        nodes = list(panel.nodes)
+        assert moved.train_grid(nodes).tobytes() == panel.train_grid(nodes).tobytes()
+        for n in nodes:
+            others = [c for c in nodes if c != n]
+            k = data.draw(st.integers(1, len(others)))
+            channels = (n, *data.draw(st.permutations(others))[:k])
+            for chans in (None, channels):
+                got = moved.train_windows(n, rho, chans)
+                want = panel.train_windows(n, rho, chans)
+                assert (got is None) == (want is None)
+                for g, w in zip(got or (), want or (), strict=True):
+                    assert (g.shape, g.tobytes()) == (w.shape, w.tobytes())
+        fraction = data.draw(st.sampled_from([0.5, 0.75]))
+        try:
+            want = panel.train_segment(fraction)
+        except EmptySeriesError:
+            with pytest.raises(EmptySeriesError):
+                moved.train_segment(fraction)
+            return
+        got = moved.train_segment(fraction)
+        assert got.calendar == want.calendar
+        assert got.split_index == want.split_index
+        for n in nodes:
+            assert got.rates[n].tobytes() == want.rates[n].tobytes()
+            assert got.periods[n].tobytes() == want.periods[n].tobytes()
+
+    def test_only_dataset_reads_the_split(self):
+        """No module but dataset.py reads a node's train/test boundary or
+        its calendar positions; the SeriesPanel methods cut for them."""
+        package = Path(hiergru.__file__).parent
+        readers = []
+        for path in sorted(package.rglob("*.py")):
+            if path.name == "dataset.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Attribute) and node.attr in (
+                    "split_index", "periods"
+                ):
+                    readers.append(f"{path.name}:{node.lineno} .{node.attr}")
+        assert readers == []
 
 
 class TestSynthPanel:

@@ -26,7 +26,6 @@ from hiergru.errors import (
     MissingPretrainedError,
     NodeSkippedWarning,
 )
-from hiergru.evaluation import admissible_origins
 from hiergru.gru import (
     OptimState,
     flatten,
@@ -39,7 +38,6 @@ from hiergru.hierarchy import build_hierarchy, child_weights, precision_schedule
 from hiergru.models import (
     ModelBundle,
     TrainSpec,
-    _stacked_windows,
     forecast,
     forecast_origins,
     node_seed,
@@ -215,7 +213,7 @@ class TestKnnGru:
             others = [c for c in panel.nodes if c != n]
             k = data.draw(st.integers(1, 4))
             channels = (n, *data.draw(st.permutations(others))[:k])
-            got = _stacked_windows(panel, n, channels, rho)
+            got = panel.train_windows(n, rho, channels)
             want = stacked_windows_oracle(panel, n, channels, rho)
             if want is None:
                 assert got is None
@@ -232,8 +230,8 @@ class TestKnnGru:
             raise AssertionError("train_grid read with no window to fill")
 
         monkeypatch.setattr(SeriesPanel, "train_grid", refuse)
-        assert _stacked_windows(panel, "a", ("a", "b"), split) is None
-        assert _stacked_windows(panel, "a", ("a", "b"), split + 1) is None
+        assert panel.train_windows("a", split, ("a", "b")) is None
+        assert panel.train_windows("a", split + 1, ("a", "b")) is None
 
     @settings(max_examples=100, deadline=None)
     @given(ragged_panels(), st.integers(1, 5))
@@ -687,7 +685,7 @@ class TestForecastOrigins:
             assert all("root.1.1" in nbs for n, nbs in bundle.neighbors.items()
                        if n != "root.1.1")
         for node in bundle.covered_nodes():
-            origins = admissible_origins(panel, node, bundle.rho)
+            origins = panel.test_origins(node, bundle.rho)
             batch = bundle.forecast_origins(panel, node, origins, 3)
             assert batch.shape == (origins.size, 4)
             assert bundle.forecast_origins(panel, node, [], 3).shape == (0, 4)

@@ -9,10 +9,12 @@ Both sides run ``hiergru run --jobs 1`` on the same inputs, written once by
 ``perfbench/workloads.make_inputs``:
 
 * the panel-s, deep-gru and long-eval workloads at panel seeds 0-2;
-* a config listing every model tag (two specs of ar and rf, four of gbt
+* a config listing every model tag (three specs of ar, two of rf, four of gbt
   with one of no trees and one of depth 0, a bihrnn before its hrnn, a
-  second bihrnn with sgd, and an igru, a knngru and an rw whose rho is
-  longer than every series, so that no node has an origin);
+  second bihrnn with sgd, an igru, a knngru and an rw whose rho is
+  longer than every series, so that no node has an origin, and an igru, a
+  knngru and an ar at the window boundary: rho 89 leaves each node one
+  training window, and an igru at rho 90 none);
 * a ``--grid`` config;
 * a ragged panel with blank non-root weights: nodes start late, end early,
   or are too short to give a knngru window.
@@ -77,6 +79,14 @@ ALL_TAGS = [
     {"tag": "knngru", "rho": 200, "epochs": 10, "k_neighbors": 3,
      "label": "knngru_long"},
     {"tag": "rw", "rho": 200, "label": "rw_long"},
+    # every panel-s node has 120 rates split at 90: rho 89 leaves one
+    # training window per node, rho 90 none (igru keeps its initial
+    # parameters and still forecasts all 30 test origins)
+    {"tag": "igru", "rho": 89, "epochs": 5, "label": "igru_89"},
+    {"tag": "knngru", "rho": 89, "epochs": 5, "k_neighbors": 3,
+     "label": "knngru_89"},
+    {"tag": "ar", "rho": 89, "label": "ar_89"},
+    {"tag": "igru", "rho": 90, "epochs": 5, "label": "igru_90"},
 ]
 
 GRID = [
