@@ -13,7 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .dataset import SeriesPanel, Window, make_windows, stack_windows
+from .dataset import SeriesPanel, Window, _seeded_rng, make_windows, stack_windows
 from .errors import (
     NodeSkippedWarning,
     NoTrainingDataError,
@@ -393,17 +393,6 @@ def _depth_first(levels, links, count) -> list[Tree]:
     for out, a in zip(placed, arrays):
         out[at] = a
     return [Tree(*(a[lo: lo + n] for a in placed)) for lo, n in zip(base, nodes)]
-
-
-def _seeded_rng(seed: int) -> np.random.Generator:
-    """The generator of a config's integer seed.  A seed >= 0 gives
-    ``np.random.default_rng(seed)``, numpy's own stream; a negative seed,
-    which numpy rejects, gives the stream of ``SeedSequence(-seed,
-    spawn_key=(1,))``: the same fit on every run, and not the fit of
-    ``-seed``."""
-    if seed >= 0:
-        return np.random.default_rng(seed)
-    return np.random.default_rng(np.random.SeedSequence(-seed, spawn_key=(1,)))
 
 
 @dataclass(frozen=True)

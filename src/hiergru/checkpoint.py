@@ -141,7 +141,7 @@ def _read_manifest(path: Path) -> dict:
     """A bundle's manifest, checked for the fields :func:`load_bundle` needs."""
     try:
         manifest = json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise HiergruError(f"{path}: not a JSON manifest: {exc}") from exc
     if not (
         isinstance(manifest, dict) and isinstance(manifest.get("tag"), str)
@@ -151,6 +151,18 @@ def _read_manifest(path: Path) -> dict:
         raise HiergruError(
             f"{path}: a manifest needs a string 'tag', an integer 'rho' and a "
             "'nodes' object of objects"
+        )
+    nodes, neighbors = manifest["nodes"], manifest.get("neighbors")
+    if neighbors is not None and not (
+        isinstance(neighbors, dict) and all(
+            n in nodes and isinstance(nbs, list)
+            and all(isinstance(c, str) and c in nodes for c in nbs)
+            for n, nbs in neighbors.items()
+        )
+    ):
+        raise HiergruError(
+            f"{path}: 'neighbors' must be an object mapping the bundle's node "
+            "ids to lists of its node ids"
         )
     return manifest
 
@@ -172,9 +184,10 @@ def _checkpoint_path(root: Path, manifest: Path, node: str, name) -> Path:
 
 
 def load_bundle(dirpath) -> ModelBundle:
-    """Rebuild a bundle from a bundle directory.  A malformed manifest, or
-    a node file that is not a regular file inside the directory, raises
-    :class:`HiergruError` naming the manifest."""
+    """Rebuild a bundle from a bundle directory.  A malformed manifest (its
+    ``spec`` and ``neighbors`` included), or a node file that is not a
+    regular file inside the directory, raises :class:`HiergruError` naming
+    the manifest."""
     root = Path(dirpath)
     manifest_path = root / "manifest.json"
     manifest = _read_manifest(manifest_path)
@@ -194,6 +207,10 @@ def load_bundle(dirpath) -> ModelBundle:
             ck["payload"], ck["hidden"], ck["input_dim"], ck["rho"]
         )
         provenance[node] = entry.get("provenance", {})
+    try:
+        spec = TrainSpec(**manifest["spec"]) if "spec" in manifest else None
+    except (TypeError, HiergruError) as exc:
+        raise HiergruError(f"{manifest_path}: invalid 'spec': {exc}") from exc
     label = manifest.get("label")
     neighbors = manifest.get("neighbors")
     return ModelBundle(
@@ -201,7 +218,7 @@ def load_bundle(dirpath) -> ModelBundle:
         rho=manifest["rho"],
         models=models,
         provenance=provenance,
-        spec=TrainSpec(**manifest["spec"]) if "spec" in manifest else None,
+        spec=spec,
         neighbors=(
             None if neighbors is None
             else {n: tuple(v) for n, v in neighbors.items()}

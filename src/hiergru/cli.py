@@ -37,7 +37,7 @@ from .evaluation import (
     write_report_files,
 )
 from .hierarchy import impute_weights, load_hierarchy, save_hierarchy
-from .models import _is_int, node_seed
+from .models import _is_int
 from .registry import TAGS
 
 EXIT_OK = 0
@@ -66,8 +66,10 @@ def load_config(path) -> dict:
     _require(p.exists(), f"config file not found: {p}")
     try:
         raw = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {p} is not UTF-8: {exc}") from exc
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ConfigError(f"config {p} is not valid JSON: {exc}") from exc
     _require(isinstance(raw, dict), "config root must be a JSON object")
 
     known_top = {
@@ -343,11 +345,9 @@ def cmd_run(args) -> int:
                 "label": e["label"],
                 "params": e["params"],
                 "grid_trace": e.get("grid_trace"),
-                "node_seeds": (
-                    {n: node_seed(b.spec.seed, n) for n in h.bfs_order()}
-                    if b.spec is not None
-                    else None
-                ),
+                "node_seeds": {
+                    n: p["seed"] for n, p in b.provenance.items() if "seed" in p
+                } or None,
             }
             for e, b in zip(entries, bundles)
         ],
@@ -409,19 +409,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(kind: str, exc: Exception, code: int) -> int:
+    """Print ``kind: exc`` as one stderr line and return ``code``.  A line
+    break inside the message (a node id read from a file may hold one) is
+    shown as ``\\n``."""
+    print(f"{kind}: " + "\\n".join(str(exc).splitlines()), file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail("config error", exc, EXIT_CONFIG)
     except DivergenceError as exc:
-        print(f"training diverged: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
+        return _fail("training diverged", exc, EXIT_DIVERGED)
     except (HiergruError, OSError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return _fail("data error", exc, EXIT_DATA)
 
 
 if __name__ == "__main__":

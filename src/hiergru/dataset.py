@@ -22,7 +22,7 @@ from .errors import (
     NonPositiveLevelError,
     SeriesGapError,
 )
-from .hierarchy import Hierarchy, NodeId, build_hierarchy
+from .hierarchy import Hierarchy, NodeId, build_hierarchy, csv_records
 
 DEFAULT_TRAIN_FRACTION = 0.75
 
@@ -237,27 +237,19 @@ def load_series_csv(
     and each node must cover a contiguous run of the shared calendar.
     """
     per_node: dict[str, dict[str, float]] = defaultdict(dict)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"node_id", "period", "value"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+    for line, rec in csv_records(path, ("node_id", "period", "value")):
+        node = (rec["node_id"] or "").strip()
+        period = (rec["period"] or "").strip()
+        if period in per_node[node]:
             raise InvalidSpecError(
-                f"{path}: expected header columns node_id,period,value"
+                f"duplicate observation for node {node!r} period {period}"
             )
-        for rec in reader:
-            node = (rec["node_id"] or "").strip()
-            period = (rec["period"] or "").strip()
-            if period in per_node[node]:
-                raise InvalidSpecError(
-                    f"duplicate observation for node {node!r} period {period}"
-                )
-            try:
-                per_node[node][period] = float(rec["value"])
-            except (TypeError, ValueError):
-                raise InvalidSpecError(
-                    f"{path}, line {reader.line_num}: value {rec['value']!r} "
-                    f"is not a number"
-                ) from None
+        try:
+            per_node[node][period] = float(rec["value"])
+        except (TypeError, ValueError):
+            raise InvalidSpecError(
+                f"{path}, line {line}: value {rec['value']!r} is not a number"
+            ) from None
     if not per_node:
         raise EmptySeriesError(f"{path}: no observations")
 
@@ -335,13 +327,24 @@ class SynthSpec:
             )
 
 
+def _seeded_rng(seed: int) -> np.random.Generator:
+    """The generator of an integer seed, the one rule every seeded draw
+    follows.  A seed >= 0 gives ``np.random.default_rng(seed)``, numpy's own
+    stream; a negative seed, which numpy rejects, gives the stream of
+    ``SeedSequence(-seed, spawn_key=(1,))``: the same draws on every run,
+    and not the draws of ``-seed``."""
+    if seed >= 0:
+        return np.random.default_rng(seed)
+    return np.random.default_rng(np.random.SeedSequence(-seed, spawn_key=(1,)))
+
+
 def _month_labels(length: int) -> list[str]:
     return [f"{2000 + i // 12:04d}-{i % 12 + 1:02d}" for i in range(length)]
 
 
 def synth_panel(spec: SynthSpec) -> tuple[Hierarchy, SeriesPanel]:
     """Generate a deterministic synthetic hierarchy and rate panel."""
-    rng = np.random.default_rng(spec.seed)
+    rng = _seeded_rng(spec.seed)
     phi = spec.ar_coeff
 
     root_id = "root"

@@ -226,25 +226,20 @@ def _batches(p: GruParams, inputs, targets) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _anchor_pairs(regularizers, size: int) -> list:
-    """A unit's nonzero (anchor, coeff) pairs, each anchor checked against
-    the unit's parameter count."""
-    pairs = [(anchor, coeff) for anchor, coeff in regularizers if coeff != 0.0]
-    for anchor, _ in pairs:
-        if anchor.vec.shape != (size,):
-            raise ShapeMismatchError(
-                f"anchor has {anchor.size} parameters, expected {size}"
-            )
-    return pairs
-
-
 def _penalty_terms(regularizers, size: int) -> list:
     """Each unit's nonzero (anchor, coeff) pairs grouped by position j:
     the rows that have a j-th pair (an index array, or a slice when every
     row has one), their anchors (k, size) and their coeffs (k,).  Adding
     the groups in order adds every unit's terms in its own order, and a
-    unit without a j-th pair gets no term at all."""
-    kept = [_anchor_pairs(regs, size) for regs in regularizers]
+    unit without a j-th pair gets no term at all.  Every anchor must have
+    ``size`` parameters."""
+    kept = [[(a, c) for a, c in regs if c != 0.0] for regs in regularizers]
+    for pairs in kept:
+        for anchor, _ in pairs:
+            if anchor.vec.shape != (size,):
+                raise ShapeMismatchError(
+                    f"anchor has {anchor.size} parameters, expected {size}"
+                )
     terms = []
     for j in range(max(map(len, kept), default=0)):
         rows = [i for i, pairs in enumerate(kept) if len(pairs) > j]
@@ -395,11 +390,7 @@ def loss_and_grad(
         np.asarray(inputs, dtype=np.float64)[None],
         np.asarray(targets, dtype=np.float64)[None],
     )
-    # the one unit's terms of _penalty_terms, built without stacking
-    terms = [
-        (slice(None), anchor.vec[None], np.array([coeff], dtype=np.float64))
-        for anchor, coeff in _anchor_pairs(regularizers, p.size)
-    ]
+    terms = _penalty_terms([regularizers], p.size)
     loss, grad = _stack_loss_and_grad(p.vec[None], p.hidden, x, y, terms)
     return float(loss[0]), grad[0]
 

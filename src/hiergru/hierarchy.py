@@ -22,6 +22,7 @@ from .errors import (
     CycleDetectedError,
     DegenerateVarianceError,
     HierarchyError,
+    HiergruError,
     InsufficientOverlapError,
     MissingRootError,
     MissingWeightError,
@@ -114,50 +115,33 @@ def build_hierarchy(rows: Iterable[tuple[str, str | None, float | None]]) -> Hie
     if unknown:
         raise UnknownParentError(f"unknown parent id(s): {', '.join(unknown)}")
 
-    _check_acyclic(nodes, parent)
-
-    roots = [n for n in nodes if n not in parent]
-    if not roots:
-        raise MissingRootError("no root node (every node has a parent)")
-    if len(roots) > 1:
-        raise MultipleRootsError(f"multiple roots: {', '.join(sorted(roots))}")
-    root = roots[0]
-
     children: dict[str, list[str]] = {n: [] for n in nodes}
     for n, p in parent.items():
         children[p].append(n)
     children_t = {n: tuple(sorted(cs)) for n, cs in children.items()}
 
-    levels = [(root,)]
+    # one level walk down from every parentless node; a node it never
+    # reaches sits in a parent loop or below one
+    roots = [n for n in nodes if n not in parent]
+    levels = [tuple(roots)]
     while below := tuple(c for n in levels[-1] for c in children_t[n]):
         levels.append(below)
+    looped = seen.difference(*levels)
+    if looped:
+        raise CycleDetectedError(
+            f"node(s) in or below a parent loop: {', '.join(sorted(looped))}"
+        )
+    if len(roots) > 1:
+        raise MultipleRootsError(f"multiple roots: {', '.join(sorted(roots))}")
 
     return Hierarchy(
         nodes=tuple(sorted(nodes)),
-        root=root,
+        root=roots[0],
         parent=dict(parent),
         weight=weight,
         children=children_t,
         levels=tuple(levels),
     )
-
-
-def _check_acyclic(nodes: list[str], parent: dict[str, str]) -> None:
-    state: dict[str, int] = {}  # 1 = on current chain, 2 = cleared
-    for start in nodes:
-        chain = []
-        n = start
-        while n is not None and state.get(n, 0) != 2:
-            if state.get(n) == 1:
-                cycle = chain[chain.index(n):]
-                raise CycleDetectedError(
-                    f"parent loop through node(s): {', '.join(sorted(cycle))}"
-                )
-            state[n] = 1
-            chain.append(n)
-            n = parent.get(n)
-        for m in chain:
-            state[m] = 2
 
 
 def load_hierarchy(path) -> Hierarchy:
@@ -167,25 +151,37 @@ def load_hierarchy(path) -> Hierarchy:
     missing basket weight to be imputed later.
     """
     rows: list[tuple[str, str | None, float | None]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"node_id", "parent_id", "weight"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+    for line, rec in csv_records(path, ("node_id", "parent_id", "weight")):
+        node = (rec["node_id"] or "").strip()
+        par = (rec["parent_id"] or "").strip() or None
+        wtxt = (rec["weight"] or "").strip()
+        try:
+            w = float(wtxt) if wtxt else None
+        except ValueError:
             raise HierarchyError(
-                f"{path}: expected header columns node_id,parent_id,weight"
-            )
-        for rec in reader:
-            node = (rec["node_id"] or "").strip()
-            par = (rec["parent_id"] or "").strip() or None
-            wtxt = (rec["weight"] or "").strip()
-            try:
-                w = float(wtxt) if wtxt else None
-            except ValueError:
-                raise HierarchyError(
-                    f"{path}, line {reader.line_num}: weight {wtxt!r} is not a number"
-                ) from None
-            rows.append((node, par, w))
+                f"{path}, line {line}: weight {wtxt!r} is not a number"
+            ) from None
+        rows.append((node, par, w))
     return build_hierarchy(rows)
+
+
+def csv_records(path, columns: tuple[str, ...]):
+    """Yield ``(line number, record)`` for each row of the UTF-8 CSV file
+    at ``path``, whose header must hold ``columns``.  A missing column, a
+    byte that is not UTF-8, or a row the csv module cannot parse (a field
+    over its size limit, say) raises :class:`HiergruError` naming the
+    file."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            if not set(columns).issubset(reader.fieldnames or ()):
+                raise HiergruError(
+                    f"{path}: expected header columns {','.join(columns)}"
+                )
+            for rec in reader:
+                yield reader.line_num, rec
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise HiergruError(f"{path}: not a readable UTF-8 CSV file: {exc}") from None
 
 
 def save_hierarchy(h: Hierarchy, path) -> None:
@@ -228,17 +224,12 @@ def pair_correlation(pair: np.ndarray, a: NodeId, b: NodeId) -> float:
     return pearson(mat[:, 0], mat[:, 1])
 
 
-def train_correlation(panel: "SeriesPanel", a: NodeId, b: NodeId) -> float:
-    """Pearson correlation between two nodes' training rates over the
-    periods both cover (:func:`pair_correlation`)."""
-    return pair_correlation(panel.train_grid([a, b]), a, b)
-
-
 def parent_correlation(panel: "SeriesPanel", h: Hierarchy, n: NodeId) -> float:
-    """Pearson correlation between a node's and its parent's training rates."""
+    """Pearson correlation between a node's and its parent's training rates
+    over the periods both cover (:func:`pair_correlation`)."""
     if n not in h.parent:
         raise HierarchyError(f"node {n!r} is the root and has no parent")
-    return train_correlation(panel, n, h.parent[n])
+    return pair_correlation(panel.train_grid([n, h.parent[n]]), n, h.parent[n])
 
 
 def precision_schedule(

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataset import SeriesPanel
+from .dataset import SeriesPanel, _seeded_rng
 from .errors import (
     DegenerateVarianceError,
     HiergruError,
@@ -229,7 +229,7 @@ def _train_nodes(tag, h, spec, data, *, init=None, anchors=None, groups=None,
     """
     if init is None:
         def init(n, seed):
-            return init_params(spec.hidden, np.random.default_rng(seed))
+            return init_params(spec.hidden, _seeded_rng(seed))
     models: dict[NodeId, GruParams] = {}
     provenance: dict[NodeId, dict] = {}
     rank = 0
@@ -430,7 +430,7 @@ def train_knn_gru(panel: SeriesPanel, h: Hierarchy, spec: TrainSpec) -> ModelBun
 
     def init(n, seed):
         return init_params(
-            spec.hidden, np.random.default_rng(seed),
+            spec.hidden, _seeded_rng(seed),
             input_dim=1 + len(neighbor_map[n]),
         )
 

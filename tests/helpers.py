@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hiergru.baselines import Tree
 from hiergru.dataset import build_panel
 from hiergru.errors import DegenerateVarianceError, InsufficientOverlapError
-from hiergru.hierarchy import train_correlation
+from hiergru.hierarchy import pair_correlation
 
 
 def fd_grad(loss_fn, x0, step=1e-5):
@@ -265,6 +265,19 @@ def bfs_oracle(root, parent):
     return order, level
 
 
+def parent_loop_oracle(parent):
+    """True when following the (child -> parent) map from some node
+    repeats a node: a node is its own ancestor."""
+    for start in parent:
+        path, n = {start}, start
+        while n in parent:
+            n = parent[n]
+            if n in path:
+                return True
+            path.add(n)
+    return False
+
+
 def aligned_train_rates_oracle(panel, nodes):
     """Training rates over the periods every node's training split covers,
     found by intersecting the period lists."""
@@ -329,7 +342,8 @@ def select_neighbors_oracle(panel, n, k):
         if other == n:
             continue
         try:
-            scored.append((-train_correlation(panel, n, other), other))
+            r = pair_correlation(panel.train_grid([n, other]), n, other)
         except (InsufficientOverlapError, DegenerateVarianceError):
             continue
+        scored.append((-r, other))
     return tuple(node for _, node in sorted(scored)[:k])

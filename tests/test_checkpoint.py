@@ -158,6 +158,7 @@ _OUTSIDE = "outside.ckpt"  # a regular file next to the bundle directory
 MALFORMED = {
     "not-json": "{not json",
     "not-object": "[]",
+    "deep-nesting": "[" * 100_000,
     "no-nodes": {"nodes": _DROP},
     "no-rho": {"rho": _DROP},
     "string-rho": {"rho": "3"},
@@ -172,6 +173,16 @@ MALFORMED = {
     "file-missing": {"file": "missing.ckpt"},
     "file-parent": {"file": f"../{_OUTSIDE}"},
     "file-absolute": {"file": _ABSOLUTE},
+    "spec-unknown-key": {"spec": {"bogus": 1}},
+    "spec-out-of-range": {"spec": {"rho": 0}},
+    "spec-list": {"spec": [4]},
+    "spec-null": {"spec": None},
+    "neighbors-number": {"neighbors": {"root": 5}},
+    "neighbors-list": {"neighbors": [1, 2]},
+    "neighbors-number-ids": {"neighbors": {"root": [1]}},
+    "neighbors-string": {"neighbors": "root.0"},
+    "neighbors-unknown-node": {"neighbors": {"root": ["ghost"]}},
+    "neighbors-unknown-key": {"neighbors": {"ghost": ["root"]}},
 }
 
 

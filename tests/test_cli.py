@@ -1,4 +1,6 @@
 import json
+import shutil
+import tempfile
 import threading
 from dataclasses import fields
 from pathlib import Path
@@ -110,6 +112,17 @@ class TestSynth:
         assert len({tuple(v) for v in by_node.values()}) == 1
 
 
+    def test_negative_seed(self, tmp_path):
+        for name, seed in (("a", "-1"), ("b", "-1"), ("c", "1")):
+            assert main(
+                ["synth", "--out", str(tmp_path / name), "--length", "40",
+                 "--seed", seed]
+            ) == EXIT_OK
+        for f in ("series.csv", "hierarchy.csv"):
+            assert (tmp_path / "a" / f).read_bytes() == (tmp_path / "b" / f).read_bytes()
+        series = {n: (tmp_path / n / "series.csv").read_bytes() for n in "ac"}
+        assert series["a"] != series["c"]
+
     @pytest.mark.parametrize("sd", ["-1", "inf", "nan"])
     def test_invalid_leaf_noise_sd_exit_2(self, tmp_path, capsys, sd):
         out = tmp_path / "d"
@@ -119,6 +132,28 @@ class TestSynth:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "leaf_noise_sd" in err
         assert not out.exists()
+
+
+def corrupt(path: Path, how: str) -> None:
+    """Put a byte that is not UTF-8 in the middle of ``path`` ("byte"),
+    make the last field of its second line longer than the csv module's
+    field limit ("field"), or replace it with JSON nested deeper than the
+    parser's recursion limit ("nesting")."""
+    data = path.read_bytes()
+    if how == "nesting":
+        path.write_bytes(b"[" * 100_000)
+    elif how == "byte":
+        at = len(data) // 2
+        path.write_bytes(data[:at] + b"\xff" + data[at:])
+    else:
+        end = data.index(b"\n", data.index(b"\n") + 1)
+        path.write_bytes(data[:end] + b"9" * 200_000 + data[end:])
+
+
+def assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    return err
 
 
 class TestPrepare:
@@ -137,6 +172,16 @@ class TestPrepare:
         dst = tmp_path / "copy.csv"
         assert main(["prepare", str(src), str(dst), "--already-rates"]) == EXIT_OK
         assert dst.read_bytes() == src.read_bytes()
+
+    @pytest.mark.parametrize("how", ["byte", "field"])
+    def test_unreadable_series_exit_3(self, synth_dir, tmp_path, capsys, how):
+        src = tmp_path / "series.csv"
+        shutil.copyfile(synth_dir / "series.csv", src)
+        corrupt(src, how)
+        dst = tmp_path / "o.csv"
+        assert main(["prepare", str(src), str(dst)]) == EXIT_DATA
+        assert "series.csv" in assert_one_line_error(capsys)
+        assert not dst.exists()
 
     def test_non_positive_level_exit_3(self, tmp_path, capsys):
         src = tmp_path / "levels.csv"
@@ -397,6 +442,29 @@ class TestRun:
         assert err.count("\n") == 1
         assert "series.csv, line 6" in err and f"value {shown} is not a number" in err
 
+    @pytest.mark.parametrize(
+        "target, how, code",
+        [
+            ("cfg.json", "byte", EXIT_CONFIG),
+            ("cfg.json", "nesting", EXIT_CONFIG),
+            ("hierarchy.csv", "byte", EXIT_DATA),
+            ("series.csv", "byte", EXIT_DATA),
+            ("hierarchy.csv", "field", EXIT_DATA),
+            ("series.csv", "field", EXIT_DATA),
+        ],
+    )
+    def test_unreadable_text_one_line(
+        self, synth_dir, tmp_path, capsys, target, how, code
+    ):
+        for name in ("hierarchy.csv", "series.csv"):
+            shutil.copyfile(synth_dir / name, tmp_path / name)
+        cfg = write_config(tmp_path / "cfg.json", tmp_path, ["ar"])
+        corrupt(tmp_path / target, how)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == code
+        assert target in assert_one_line_error(capsys)
+        assert not out.exists()
+
     def test_non_numeric_weight_exit_3(self, synth_dir, tmp_path, capsys):
         hier = tmp_path / "hierarchy.csv"
         lines = (synth_dir / "hierarchy.csv").read_text().splitlines()
@@ -470,6 +538,32 @@ class TestRun:
         assert len(manifest["config_sha256"]) == 64
         assert manifest["models"][0]["node_seeds"]["root"] > 0
 
+    def test_manifest_node_seeds_are_the_recorded_seeds(self, synth_dir, tmp_path):
+        cfg = write_config(
+            tmp_path / "cfg.json", synth_dir,
+            [
+                {"tag": "sgru", "hidden": 4, "epochs": 3},
+                {"tag": "rf", "n_trees": 2},
+                {"tag": "igru", "hidden": 4, "epochs": 3},
+                "ar",
+            ],
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        seeds = {m["label"]: m["node_seeds"] for m in manifest["models"]}
+        for label, node_seeds in seeds.items():
+            bundle = out / "checkpoints" / label / "manifest.json"
+            nodes = json.loads(bundle.read_text())["nodes"]
+            recorded = {
+                n: e["provenance"]["seed"] for n, e in nodes.items()
+                if "seed" in e["provenance"]
+            }
+            assert node_seeds == (recorded or None), label
+        assert seeds["ar"] is None
+        assert len(seeds["rf"]) == len(seeds["sgru"]) == 7
+        assert len(set(seeds["sgru"].values())) == 1  # the root's unit
+
     def test_bihrnn_auto_pretrains_anchors(self, synth_dir, tmp_path):
         cfg = write_config(
             tmp_path / "cfg.json", synth_dir,
@@ -504,3 +598,67 @@ class TestRun:
         raw = lambda p: (p / "report_raw.csv").read_bytes()
         assert raw(out1) == raw(out2)
         assert raw(out1) != raw(out3)
+
+
+# inserted bytes: mostly the ones CSV and numbers are made of
+_INSERTED = st.sampled_from(b',\n\r" .-+e019') | st.integers(0, 255)
+
+
+@st.composite
+def byte_edits(draw, size: int):
+    """One to four edits of a file of ``size`` bytes, each flipping one
+    bit of a byte, inserting a byte or deleting one: (kind, position,
+    bit or byte)."""
+    edit = st.one_of(
+        st.tuples(st.just("flip"), st.integers(0, size - 1), st.integers(0, 7)),
+        st.tuples(st.just("insert"), st.integers(0, size - 1), _INSERTED),
+        st.tuples(st.just("delete"), st.integers(0, size - 1), st.just(0)),
+    )
+    return draw(st.lists(edit, min_size=1, max_size=4))
+
+
+def apply_edits(data: bytes, edits) -> bytes:
+    buf = bytearray(data)
+    for kind, at, value in edits:
+        at = min(at, len(buf) - 1)
+        if kind == "flip":
+            buf[at] ^= 1 << value
+        elif kind == "insert":
+            buf.insert(at, value)
+        elif len(buf) > 1:
+            del buf[at]
+    return bytes(buf)
+
+
+@pytest.fixture(scope="module")
+def tiny_synth(tmp_path_factory):
+    data = tmp_path_factory.mktemp("tiny")
+    assert main(
+        ["synth", "--out", str(data), "--depth", "1", "--branching", "2",
+         "--length", "24", "--seed", "4"]
+    ) == EXIT_OK
+    return {f: (data / f).read_bytes() for f in ("hierarchy.csv", "series.csv")}
+
+
+class TestFuzzedInputs:
+    @settings(
+        max_examples=1000, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(st.sampled_from(["hierarchy.csv", "series.csv"]), st.data())
+    def test_run_exits_with_a_code_and_one_line(
+        self, tiny_synth, capsys, target, data
+    ):
+        edits = data.draw(byte_edits(len(tiny_synth[target])))
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            for name, content in tiny_synth.items():
+                if name == target:
+                    content = apply_edits(content, edits)
+                (tmp / name).write_bytes(content)
+            cfg = write_config(tmp / "cfg.json", tmp, [{"tag": "ar", "rho": 1}])
+            code = main(["run", "--config", str(cfg), "--out", str(tmp / "o")])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED)
+        if code != EXIT_OK:
+            assert_one_line_error(capsys)
+        capsys.readouterr()

@@ -9,6 +9,7 @@ from conftest import panel_from_rates
 from helpers import (
     aligned_train_rates_oracle,
     bfs_oracle,
+    parent_loop_oracle,
     pearson_oracle,
     ragged_panels,
 )
@@ -66,6 +67,35 @@ def random_tree_rows(draw):
     rows = [(ids[0], None, 1.0)]
     rows += [(ids[i], ids[draw(st.integers(0, i - 1))], 1.0) for i in range(1, size)]
     return draw(st.permutations(rows))
+
+
+# node ids, "" among them; a parent may also be unknown ("Z"), empty or None
+_IDS = ["A", "B", "C", "D", ""]
+
+
+@st.composite
+def hostile_rows(draw):
+    """Up to six (node_id, parent_id, weight) rows over four letters and
+    the empty id: duplicates, self-parents, unknown or empty parents, and
+    missing, negative or non-finite weights."""
+    weights = st.sampled_from(
+        [None, 0.0, 1.0, 2.5, -1.0, math.nan, math.inf, -math.inf]
+    )
+    row = st.tuples(
+        st.sampled_from(_IDS), st.sampled_from([*_IDS, "Z", None]), weights
+    )
+    return draw(st.lists(row, max_size=6))
+
+
+def well_formed(rows) -> bool:
+    """Unique non-empty ids, known parents and finite weights >= 0: every
+    rule but the tree-shape rules (one root, no parent loop)."""
+    ids = [n for n, _, _ in rows]
+    return (
+        all(ids) and len(set(ids)) == len(ids)
+        and all(not p or p in ids for _, p, _ in rows)
+        and all(w is None or 0.0 <= w < math.inf for _, _, w in rows)
+    )
 
 
 def assert_levels_match_bfs(rows):
@@ -146,6 +176,29 @@ class TestLevels:
     @given(random_tree_rows())
     def test_random_tree_matches_bfs(self, rows):
         assert_levels_match_bfs(rows)
+
+    @settings(max_examples=500, deadline=None)
+    @given(hostile_rows())
+    def test_hostile_rows_give_a_tree_or_a_hierarchy_error(self, rows):
+        parent = {n: p for n, p, _ in rows if p}
+        loop = well_formed(rows) and parent_loop_oracle(parent)
+        try:
+            h = build_hierarchy(rows)
+        except HierarchyError as exc:
+            assert isinstance(exc, CycleDetectedError) == loop
+            return
+        assert well_formed(rows) and not loop
+        listed = [n for ns in h.levels for n in ns]
+        assert sorted(listed) == sorted(n for n, _, _ in rows) == list(h.nodes)
+        assert h.levels[0] == (h.root,) and h.root not in h.parent
+        for lv, ns in enumerate(h.levels[1:], start=1):
+            assert all(h.level[parent[n]] == lv - 1 for n in ns)
+
+    def test_cycle_message_names_nodes_below_the_loop(self):
+        rows = [("A", None, 1.0), ("B", "C", 1.0), ("C", "B", 1.0),
+                ("E", "B", 1.0), ("D", "A", 1.0)]
+        with pytest.raises(CycleDetectedError, match=r": B, C, E$"):
+            build_hierarchy(rows)
 
 
 class TestAlignedTrainRates:

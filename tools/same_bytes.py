@@ -23,7 +23,9 @@ Every output file is compared byte for byte, except the ``created_utc``
 line of the run manifest.  One more check runs on the working tree alone:
 the panel-s workload at panel seed 0, whose rf, gbt and fc families once
 fitted on a thread pool, must write the same bytes with ``--jobs 4`` as
-with ``--jobs 1``.  One line is printed per run.  Under a run that differs
+with ``--jobs 1``.  The first line printed counts the lines of the ``.py``
+files under both sides' ``src/``: ``src/ lines: <REV> -> <working tree>
+(<delta>)``; it changes no comparison.  Then one line is printed per run.  Under a run that differs
 follows one line per checkpoint bundle directory naming every file of it
 that differs, and one line per report file naming the models whose rows
 (or ``report.dat`` blocks) differ, so that a change meant to touch one
@@ -162,6 +164,11 @@ def extract_src(rev: str, dest: Path) -> Path:
     return dest / "src"
 
 
+def src_lines(src: Path) -> int:
+    """The number of lines of the ``.py`` files under ``src``."""
+    return sum(len(p.read_bytes().splitlines()) for p in src.rglob("*.py"))
+
+
 def run_side(src: Path, config: Path, flags: list[str], out: Path,
              jobs: int = 1) -> str | None:
     """Run one side; None on success, else the tail of its stderr."""
@@ -255,6 +262,8 @@ def main(argv: list[str]) -> int:
         tmp = Path(tmp)
         base_src = extract_src(rev, tmp / "base")
         sides = {"base": base_src, "work": ROOT / "src"}
+        base, work = src_lines(base_src), src_lines(ROOT / "src")
+        print(f"src/ lines: {base} -> {work} ({work - base:+d})")
         work_outs = {}
         for name, config, flags in write_runs(tmp / "inputs"):
             slug = re.sub(r"\W+", "-", name)
