@@ -658,12 +658,8 @@ def fit_mlp(windows: list[Window], rho: int, cfg: MlpConfig) -> MlpModel:
         loss, grad = mlp_loss_and_grad(MlpModel(X[0], sizes), x, y)
         return np.array([loss]), grad[None]
 
-    def loss(X):
-        err = MlpModel(X[0], sizes).predict_batch(x) - y
-        return np.array([float(err @ err) / len(y)])
-
     final, _, failures = run_optimizer(
-        loss_and_grad, loss, model.vec[None], OptimState(lr=cfg.lr), cfg.epochs
+        loss_and_grad, model.vec[None], OptimState(lr=cfg.lr), cfg.epochs
     )
     if failures:
         raise failures[0]

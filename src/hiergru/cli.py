@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .checkpoint import save_bundle
+from .checkpoint import _json_dump, save_bundle
 from .dataset import (
     DEFAULT_TRAIN_FRACTION,
     SynthSpec,
@@ -33,6 +33,7 @@ from .errors import DivergenceError, HiergruError, InvalidSpecError
 from .evaluation import (
     DAILY_HORIZONS,
     MONTHLY_HORIZONS,
+    _collect_forecasts,
     evaluate,
     write_report_files,
 )
@@ -70,6 +71,8 @@ def load_config(path) -> dict:
         raise ConfigError(f"config {p} is not UTF-8: {exc}") from exc
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"config {p} is not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"config {p} cannot be read: {exc}") from exc
     _require(isinstance(raw, dict), "config root must be a JSON object")
 
     known_top = {
@@ -210,11 +213,9 @@ def _validation_score(bundle, panel) -> float:
     for n in sorted(panel.rates):
         if n not in bundle.models:
             continue
-        origins = panel.test_origins(n, bundle.rho)
-        if origins.size:
-            preds = bundle.forecast_origins(panel, n, origins, 0)[:, 0]
-            errs = (panel.rates[n][origins] - preds) ** 2
-            scores.append(float(np.sqrt(np.mean(errs))))
+        preds, actuals = _collect_forecasts(bundle, panel, n, (0,))[0]
+        if preds.size:
+            scores.append(float(np.sqrt(np.mean((actuals - preds) ** 2))))
     return float(np.mean(scores)) if scores else float("inf")
 
 
@@ -294,6 +295,10 @@ def cmd_run(args) -> int:
     out_value = args.out or cfg["out"]
     _require(bool(out_value), "no output directory (use --out or config 'out')")
     out = Path(out_value)
+    for at in (out, *out.parents):
+        if at.exists():
+            _require(at.is_dir(), f"output directory {out}: {at} is not a directory")
+            break
 
     h = load_hierarchy(cfg["hierarchy"])
     panel = load_series_csv(
@@ -352,9 +357,7 @@ def cmd_run(args) -> int:
             for e, b in zip(entries, bundles)
         ],
     }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _json_dump(manifest, out / "manifest.json")
     print(f"report written to {out}")
     return EXIT_OK
 

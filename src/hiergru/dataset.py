@@ -110,9 +110,6 @@ class SeriesPanel:
             raise InsufficientHistoryError(
                 f"node {n!r}: origin {late[0]} beyond series length {self.length(n)}"
             )
-        if not origins.size:
-            # no window to cut: a rho longer than the series must cost nothing
-            return np.empty((0, rho) if channels is None else (0, rho, len(channels)))
         span = origins[:, None] + np.arange(-rho, 0)
         if channels is None:
             return self.rates[n][span]
@@ -269,8 +266,6 @@ def load_series_csv(
             )
         values = np.array([obs[p] for p in labels], dtype=np.float64)
         if already_rates:
-            if not np.all(np.isfinite(values)):
-                raise InvalidSpecError(f"node {node!r}: non-finite rate values")
             rate_series[node] = (first, values)
         else:
             bad = np.flatnonzero(~(values > 0.0))

@@ -19,6 +19,10 @@ parameter matrix.  Every product is a batched ``np.matmul`` over per-unit
 views of that matrix and every sum runs within one unit, so each unit gets
 the bits it would get trained alone.  :func:`loss_and_grad` and
 :func:`optimize` are the one-unit case of :func:`optimize_stack`.
+
+One kernel, :func:`_stack_loss_and_grad`, computes every loss: the
+optimizer records each epoch's losses, the final point's included, from
+the same call that gives its gradients.
 """
 
 from __future__ import annotations
@@ -256,14 +260,13 @@ def _row_dots(a: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ a[:, :, None])[:, 0, 0]
 
 
-def _add_penalties(P, terms, loss, grad=None) -> np.ndarray:
+def _add_penalties(P, terms, loss, grad) -> np.ndarray:
     """Add ``coeff * ||P[i] - anchor||^2`` to ``loss[i]``, and its gradient
-    to ``grad[i]`` when given, for every term of every unit."""
+    to ``grad[i]``, for every term of every unit."""
     for rows, anchors, coeffs in terms:
         diff = P[rows] - anchors
         loss[rows] += coeffs * _row_dots(diff)
-        if grad is not None:
-            grad[rows] += (2.0 * coeffs)[:, None] * diff
+        grad[rows] += (2.0 * coeffs)[:, None] * diff
     return loss
 
 
@@ -282,17 +285,6 @@ def _passes(units: int, windows: int) -> list[slice]:
     windows each, one slice per pass."""
     rows = max(1, _PASS_WINDOWS // windows)
     return [slice(lo, lo + rows) for lo in range(0, units, rows)]
-
-
-def _stack_loss(P, hidden, x, y, terms) -> np.ndarray:
-    """The losses of :func:`_stack_loss_and_grad` from a forward pass
-    alone, bit for bit."""
-    loss = np.empty(P.shape[0])
-    for part in _passes(*x.shape[:2]):
-        w = _stack(P[part], hidden, x.shape[3])
-        err = _readout(w, _final_state(w, x[part])) - y[part]
-        loss[part] = _row_dots(err) / x.shape[1]
-    return _add_penalties(P, terms, loss)
 
 
 def _stack_loss_and_grad(P, hidden, x, y, terms):
@@ -425,13 +417,12 @@ class OptimState:
         return x - self.lr * m_hat / (np.sqrt(v_hat) + _EPS)
 
 
-def run_optimizer(loss_grad_fn, loss_fn, x0: np.ndarray, opt: OptimState,
-                  epochs: int):
+def run_optimizer(loss_grad_fn, x0: np.ndarray, opt: OptimState, epochs: int):
     """Iterate first-order updates on the rows of ``x0``, shape (N, size):
     N independent problems sharing one optimizer.
 
     ``loss_grad_fn(X)`` gives the (N,) losses and (N, size) gradients at
-    ``X``; ``loss_fn(X)`` gives the losses alone, for the final point.
+    ``X``; every loss recorded, the final point's included, comes from it.
     Returns (X, losses, failures): ``losses`` holds the (N,) losses at the
     initial point through the final point, ``epochs + 1`` of them.  A row
     whose loss or gradient turns non-finite freezes where it is, and
@@ -465,7 +456,7 @@ def run_optimizer(loss_grad_fn, loss_fn, x0: np.ndarray, opt: OptimState,
                     return X, losses, failures
             step = opt.update(X, grad)
             X = np.where(frozen[:, None], X, step) if failures else step
-        final_loss = loss_fn(X)
+        final_loss = loss_grad_fn(X)[0]
     fail(~np.isfinite(final_loss), epochs)
     losses.append(final_loss)
     return X, losses, failures
@@ -496,7 +487,6 @@ def optimize_stack(
     terms = _penalty_terms(regularizers or [()] * len(params), params[0].size)
     P, losses, failures = run_optimizer(
         lambda P: _stack_loss_and_grad(P, hidden, x, y, terms),
-        lambda P: _stack_loss(P, hidden, x, y, terms),
         np.stack([p.vec for p in params]), opt, epochs,
     )
     return [GruParams(row, hidden, input_dim) for row in P], losses, failures

@@ -21,8 +21,11 @@ children start) and asks three things of each node:
 sgru is the loop over the root alone, fed the pooled windows of every
 node; every node then shares the root's unit.
 
-Every family forecasts from the windows that
-:meth:`~hiergru.dataset.SeriesPanel.forecast_windows` cuts.
+Every family forecasts through the bundle's own methods,
+:meth:`ModelBundle.forecast_origins` and :meth:`ModelBundle.forecast`
+(the module-level ``forecast_origins`` and ``forecast`` are those methods),
+from the windows that :meth:`~hiergru.dataset.SeriesPanel.forecast_windows`
+cuts.
 
 The nodes of a group train independently, so a group is split into
 buckets of nodes with equally many windows and the same input width, and
@@ -157,15 +160,43 @@ class ModelBundle:
     def covered_nodes(self) -> tuple[NodeId, ...]:
         return tuple(sorted(self.models))
 
-    def forecast(
-        self, panel: SeriesPanel, node: NodeId, origin: int, horizon: int
-    ) -> np.ndarray:
-        return forecast(self, panel, node, origin, horizon)
-
     def forecast_origins(
         self, panel: SeriesPanel, node: NodeId, origins, horizon: int
     ) -> np.ndarray:
-        return forecast_origins(self, panel, node, origins, horizon)
+        """Recursive multi-horizon forecasts from every origin at once; row
+        i holds the ``horizon + 1`` values from ``origins[i]``.  Position 0
+        is the one-step-ahead prediction, position j feeds the previous j
+        predictions back in; extra channels of multichannel windows keep
+        their last observed values."""
+        if horizon < 0:
+            raise InvalidSpecError(f"horizon must be >= 0, got {horizon}")
+        if node not in self.models:
+            raise HiergruError(f"bundle {self.tag!r} has no model for {node!r}")
+        model = self.models[node]
+        origins = np.asarray(origins, dtype=np.int64).reshape(-1)
+        if not origins.size:
+            # no window to build: a rho longer than the series must cost nothing
+            return np.empty((0, horizon + 1))
+        channels = None if self.neighbors is None else (node, *self.neighbors[node])
+        windows = panel.forecast_windows(node, origins, self.rho, channels)
+        newest = (slice(None), -1, 0)[: windows.ndim]  # channel 0 of the last row
+        preds = np.empty((origins.shape[0], horizon + 1))
+        for j in range(horizon + 1):
+            preds[:, j] = model.predict_batch(windows)
+            if j < horizon:
+                windows[:, :-1] = windows[:, 1:]
+                windows[newest] = preds[:, j]
+        return preds
+
+    def forecast(
+        self, panel: SeriesPanel, node: NodeId, origin: int, horizon: int
+    ) -> np.ndarray:
+        """Recursive multi-horizon forecast; returns ``horizon + 1`` values."""
+        return self.forecast_origins(panel, node, [origin], horizon)[0]
+
+
+forecast_origins = ModelBundle.forecast_origins
+forecast = ModelBundle.forecast
 
 
 # ----------------------------------------------------------------- training
@@ -437,41 +468,3 @@ def train_knn_gru(panel: SeriesPanel, h: Hierarchy, spec: TrainSpec) -> ModelBun
     return _train_nodes(
         "knngru", h, spec, data, init=init, neighbors=neighbor_map
     )
-
-
-# --------------------------------------------------------------- forecasting
-
-def forecast_origins(
-    bundle, panel: SeriesPanel, node: NodeId, origins, horizon: int
-) -> np.ndarray:
-    """Recursive multi-horizon forecasts from every origin at once; row i
-    holds the ``horizon + 1`` values from ``origins[i]``.  Position 0 is the
-    one-step-ahead prediction, position j feeds the previous j predictions
-    back in; extra channels of multichannel windows keep their last observed
-    values."""
-    if horizon < 0:
-        raise InvalidSpecError(f"horizon must be >= 0, got {horizon}")
-    if node not in bundle.models:
-        raise HiergruError(f"bundle {bundle.tag!r} has no model for {node!r}")
-    model = bundle.models[node]
-    origins = np.asarray(origins, dtype=np.int64).reshape(-1)
-    if not origins.size:
-        # no window to build: a rho longer than the series must cost nothing
-        return np.empty((0, horizon + 1))
-    channels = None if bundle.neighbors is None else (node, *bundle.neighbors[node])
-    windows = panel.forecast_windows(node, origins, bundle.rho, channels)
-    newest = (slice(None), -1, 0)[: windows.ndim]  # channel 0 of the last row
-    preds = np.empty((origins.shape[0], horizon + 1))
-    for j in range(horizon + 1):
-        preds[:, j] = model.predict_batch(windows)
-        if j < horizon:
-            windows[:, :-1] = windows[:, 1:]
-            windows[newest] = preds[:, j]
-    return preds
-
-
-def forecast(
-    bundle, panel: SeriesPanel, node: NodeId, origin: int, horizon: int
-) -> np.ndarray:
-    """Recursive multi-horizon forecast; returns ``horizon + 1`` values."""
-    return forecast_origins(bundle, panel, node, [origin], horizon)[0]

@@ -140,10 +140,6 @@ def _hrnn_anchors(panel, h, spec, cache):
     return cache[spec], fresh
 
 
-def _fit_hrnn(panel, h, spec, cache):
-    return _hrnn_anchors(panel, h, spec, cache)[0], None
-
-
 def _fit_bihrnn(panel, h, spec, cache):
     anchors, fresh = _hrnn_anchors(panel, h, spec, cache)
     bundle = train_bihrnn(panel, h, spec, anchors)
@@ -229,6 +225,8 @@ TAGS: dict[str, TagEntry] = {
     "knngru": _recurrent(
         lambda panel, h, spec, cache: (train_knn_gru(panel, h, spec), None)
     ),
-    "hrnn": _recurrent(_fit_hrnn),
+    "hrnn": _recurrent(
+        lambda panel, h, spec, cache: (_hrnn_anchors(panel, h, spec, cache)[0], None)
+    ),
     "bihrnn": _recurrent(_fit_bihrnn, saves_anchors=True),
 }

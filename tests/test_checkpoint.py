@@ -3,6 +3,8 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hiergru.baselines import (
     ForestConfig,
@@ -24,7 +26,35 @@ from hiergru.models import TrainSpec, train_hrnn, train_knn_gru
 from hiergru.registry import TAGS, lookup
 
 
+U32 = st.integers(0, 2**32 - 1)
+# float64 bit patterns: any uint64, with -0.0, both infinities, a quiet and
+# a signalling NaN carrying payload bits, and the largest subnormal mixed in
+FLOAT_BITS = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.sampled_from([
+        0x8000000000000000, 0x7FF0000000000000, 0xFFF0000000000000,
+        0x7FF8000000000123, 0xFFF4000000000abc, 0x000FFFFFFFFFFFFF,
+    ]),
+)
+
+
 class TestRawCheckpoint:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(bits=st.lists(FLOAT_BITS, max_size=40), tag=st.text(), node=st.text(),
+           hidden=U32, rho=U32, input_dim=U32)
+    def test_any_fields_and_payload_bits_roundtrip(
+        self, tmp_path, bits, tag, node, hidden, rho, input_dim
+    ):
+        payload = np.array(bits, dtype=np.uint64).view(np.float64)
+        path = tmp_path / "x.ckpt"
+        write_checkpoint(path, tag=tag, node=node, payload=payload,
+                         hidden=hidden, rho=rho, input_dim=input_dim)
+        back = read_checkpoint(path)
+        assert back.pop("payload").tobytes() == payload.tobytes()
+        assert back == {"tag": tag, "node": node, "hidden": hidden, "rho": rho,
+                        "input_dim": input_dim}
+
     def test_bit_exact_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)
         payload = rng.normal(size=257)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from hiergru import cli
 from hiergru.baselines import ForestConfig, GbtConfig, MlpConfig
 from hiergru.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, EXIT_OK, main
 from hiergru.errors import InvalidSpecError
@@ -417,6 +418,44 @@ class TestRun:
         cfg = write_config(tmp_path / "cfg.json", synth_dir, ["ar"])
         assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
         assert "output directory" in capsys.readouterr().err
+
+    def test_config_directory_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(tmp_path), "--out", str(out)]) == EXIT_CONFIG
+        err = assert_one_line_error(capsys)
+        assert err.startswith("config error:") and str(tmp_path) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("below", [(), ("sub", "dir")])
+    def test_out_not_a_directory_exit_2_before_training(
+        self, synth_dir, tmp_path, capsys, monkeypatch, below
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a model was fitted")
+
+        monkeypatch.setattr(cli, "fit_entry", refuse)
+        cfg = write_config(tmp_path / "cfg.json", synth_dir, ["ar"])
+        blocker = tmp_path / "taken"
+        blocker.write_text("a file\n")
+        out = blocker.joinpath(*below)
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = assert_one_line_error(capsys)
+        assert err.startswith("config error:") and str(blocker) in err
+        assert blocker.read_text() == "a file\n"
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_rate_exit_3(self, synth_dir, tmp_path, capsys, value):
+        series = tmp_path / "series.csv"
+        lines = (synth_dir / "series.csv").read_text().splitlines()
+        node, period, _ = lines[5].split(",")
+        lines[5] = f"{node},{period},{value}"
+        series.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path / "cfg.json", synth_dir, ["ar"], series=str(series))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_DATA
+        err = assert_one_line_error(capsys)
+        assert repr(node) in err and "non-finite" in err
+        assert not out.exists()
 
     def test_missing_series_file_exit_3(self, synth_dir, tmp_path):
         cfg = write_config(

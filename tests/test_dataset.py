@@ -142,6 +142,17 @@ class TestMakeWindows:
         assert y.shape == (x.shape[0],)
 
 
+class TestForecastWindows:
+    @pytest.mark.parametrize("rho", [1, 3, 500])
+    def test_no_origins_gives_empty_float_windows(self, rho):
+        panel = panel_from_rates({"a": np.arange(8.0), "b": np.ones(6)})
+        origins = np.array([], dtype=np.int64)
+        plain = panel.forecast_windows("a", origins, rho)
+        stacked = panel.forecast_windows("a", origins, rho, ("a", "b"))
+        assert (plain.dtype, plain.shape) == (np.float64, (0, rho))
+        assert (stacked.dtype, stacked.shape) == (np.float64, (0, rho, 2))
+
+
 class TestTrainTestBoundary:
     @settings(max_examples=150, deadline=None)
     @given(ragged_panels(), st.integers(1, 5), st.floats(0.5, 1e3), st.data())
@@ -277,6 +288,16 @@ class TestSeriesCsv:
         )
         with pytest.raises(NonPositiveLevelError, match="2020-02"):
             load_series_csv(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_rate_names_node(self, tmp_path, value):
+        path = tmp_path / "series.csv"
+        path.write_text(
+            "node_id,period,value\n"
+            f"A,2020-01,0.5\nA,2020-02,0.1\nB,2020-01,0.2\nB,2020-02,{value}\n"
+        )
+        with pytest.raises(InvalidSpecError, match="'B'.*non-finite"):
+            load_series_csv(path, already_rates=True)
 
     def test_staggered_starts_allowed(self, tmp_path):
         path = tmp_path / "series.csv"

@@ -340,7 +340,7 @@ class TestOptimizeStack:
             assert (one_loss, one_grad.tobytes()) == (want_loss, want_grad.tobytes())
 
     def test_final_loss_is_the_loss_of_loss_and_grad(self):
-        # the last loss comes from a forward pass alone
+        # the last loss comes from the same loss-and-gradient kernel as every epoch's
         rng = np.random.default_rng(31)
         for d, coeffs in ((1, ()), (1, (0.5, 2.0)), (3, (1.5,))):
             p = init_params(4, rng, input_dim=d)
