@@ -15,8 +15,8 @@ import numpy as np
 
 from .dataset import SeriesPanel, Window, _seeded_rng, make_windows, stack_windows
 from .errors import (
+    HiergruError,
     NodeSkippedWarning,
-    NoTrainingDataError,
     ShapeMismatchError,
     WrongLengthError,
 )
@@ -36,12 +36,9 @@ from .models import (
 
 
 def _predict_one(model, window) -> float:
-    """``model.predict(window)`` for every node model here: the one-row case
-    of its ``predict_batch``.  Each class binds it in its own body."""
-    w = np.asarray(window, dtype=np.float64)
-    if w.shape != (model.rho,):
-        raise WrongLengthError(f"expected {model.rho} values, got shape {w.shape}")
-    return float(model.predict_batch(w[None])[0])
+    """``model.predict(window)``, bound in each node model's class body: the
+    one-row case of its ``predict_batch``, which checks the window."""
+    return float(model.predict_batch(np.asarray(window, dtype=np.float64)[None])[0])
 
 
 # ------------------------------------------------------------------ AR / RW
@@ -67,8 +64,6 @@ def fit_ar(windows: list[Window], rho: int) -> ArModel:
     """Least squares with intercept; slopes are the minimum-norm solution
     when the design is rank deficient, so a constant series yields a pure
     intercept that predicts the constant for any input."""
-    if not windows:
-        raise NoTrainingDataError("no training windows for AR fit")
     x, y = stack_windows(windows)
     lagged = x[:, ::-1]  # column i-1 holds lag i
     xm = lagged.mean(axis=0)
@@ -419,8 +414,6 @@ def fit_forest(windows: list[Window], rho: int, cfg: ForestConfig) -> TreeEnsemb
     ``_GROUP_ROWS`` bootstrap rows (at least one), each group level by
     level by :func:`_grow_forest`, whose feature draws come from the same
     generator."""
-    if not windows:
-        raise NoTrainingDataError("no training windows for forest fit")
     x, y = stack_windows(windows)
     n = x.shape[0]
     rng = _seeded_rng(cfg.seed)
@@ -469,12 +462,11 @@ def fit_gbt_nodes(
     all its stages, each grown by one :func:`_grow_forest` call."""
     models, group, rows = [], [], 0
     for w, cfg in nodes:
-        if not w:
-            raise NoTrainingDataError("no training windows for boosting fit")
+        x, y = stack_windows(w)  # raises on an empty list, before any boosting
         if group and rows + len(w) > _GROUP_ROWS:
             models += _boost(group, rho)
             group, rows = [], 0
-        group.append((*stack_windows(w), cfg))
+        group.append((x, y, cfg))
         rows += len(w)
     return models + (_boost(group, rho) if group else [])
 
@@ -563,13 +555,7 @@ class MlpModel:
         return self.sizes[0]
 
     def predict_batch(self, x: np.ndarray) -> np.ndarray:
-        a = np.asarray(x, dtype=np.float64)
-        last = len(self.weights) - 1
-        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            a = a @ w + b
-            if l < last:
-                a = np.maximum(a, 0.0)
-        return a[:, 0]
+        return _mlp_forward(self, x)[-1][:, 0]
 
     predict = _predict_one
 
@@ -611,14 +597,7 @@ def mlp_loss_and_grad(
     """Mean squared error and its exact gradient via backpropagation."""
     n = x.shape[0]
     last = len(model.weights) - 1
-    activations = [np.asarray(x, dtype=np.float64)]
-    pre = []
-    a = activations[0]
-    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w + b
-        pre.append(z)
-        a = np.maximum(z, 0.0) if l < last else z
-        activations.append(a)
+    activations = _mlp_forward(model, x)
     err = activations[-1][:, 0] - np.asarray(y, dtype=np.float64)
     loss = float(err @ err) / n
 
@@ -630,8 +609,19 @@ def mlp_loss_and_grad(
         g_biases[l][:] = dz.sum(axis=0)
         if l > 0:
             da = dz @ model.weights[l].T
-            dz = da * (pre[l - 1] > 0.0)
+            dz = da * (activations[l] > 0.0)  # > 0 exactly where its input was
     return loss, grad
+
+
+def _mlp_forward(model: MlpModel, x) -> list[np.ndarray]:
+    """The (batch, rho) input ``x`` and each layer's output: rectified, but
+    for the last layer's."""
+    activations = [_as_rows(x, model.rho)]
+    last = len(model.weights) - 1
+    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = activations[-1] @ w + b
+        activations.append(np.maximum(z, 0.0) if l < last else z)
+    return activations
 
 
 def init_mlp(rho: int, hidden: tuple[int, ...], rng: np.random.Generator) -> MlpModel:
@@ -647,8 +637,6 @@ def init_mlp(rho: int, hidden: tuple[int, ...], rng: np.random.Generator) -> Mlp
 
 def fit_mlp(windows: list[Window], rho: int, cfg: MlpConfig) -> MlpModel:
     """Full-batch first-order training on squared loss, seed-deterministic."""
-    if not windows:
-        raise NoTrainingDataError("no training windows for MLP fit")
     x, y = stack_windows(windows)
     model = init_mlp(rho, cfg.hidden, _seeded_rng(cfg.seed))
     sizes = model.sizes
@@ -687,11 +675,11 @@ def fit_baseline(
     Seeded configs are re-derived per node (stable hash of config seed and
     node id) so any single node's fit can be replayed in isolation.
     """
-    from .registry import TAGS  # the registry imports this module
+    from .registry import lookup  # the registry imports this module
 
-    entry = TAGS.get(tag)
-    if entry is None or entry.fit_nodes is None:
-        raise ValueError(f"unknown baseline tag {tag!r}")
+    entry = lookup(tag)
+    if entry.fit_nodes is None:
+        raise HiergruError(f"model tag {tag!r} is not a baseline")
     cfg = cfg or entry.build({})[1]
     fitted, provenance = [], {}  # the nodes given to the family fit, in order
 

@@ -185,9 +185,9 @@ def _checkpoint_path(root: Path, manifest: Path, node: str, name) -> Path:
 
 def load_bundle(dirpath) -> ModelBundle:
     """Rebuild a bundle from a bundle directory.  A malformed manifest (its
-    ``spec`` and ``neighbors`` included), or a node file that is not a
-    regular file inside the directory, raises :class:`HiergruError` naming
-    the manifest."""
+    ``spec`` and ``neighbors`` included), a node file that is not a regular
+    file inside the directory, or one whose rho is not the manifest's,
+    raises :class:`HiergruError` naming the manifest."""
     root = Path(dirpath)
     manifest_path = root / "manifest.json"
     manifest = _read_manifest(manifest_path)
@@ -202,6 +202,11 @@ def load_bundle(dirpath) -> ModelBundle:
             raise HiergruError(
                 f"{entry['file']}: header ({ck['tag']}, {ck['node']}) does not "
                 f"match manifest ({tag}, {node})"
+            )
+        if ck["rho"] != manifest["rho"]:
+            raise HiergruError(
+                f"{manifest_path}: node {node!r} file {entry['file']!r} has rho "
+                f"{ck['rho']}, but the manifest has rho {manifest['rho']}"
             )
         models[node] = lookup(tag).decode(
             ck["payload"], ck["hidden"], ck["input_dim"], ck["rho"]

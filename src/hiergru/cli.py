@@ -64,7 +64,6 @@ def _require(cond: bool, message: str) -> None:
 def load_config(path) -> dict:
     """Parse and validate the JSON run configuration."""
     p = Path(path)
-    _require(p.exists(), f"config file not found: {p}")
     try:
         raw = json.loads(p.read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:

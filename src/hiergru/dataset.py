@@ -20,6 +20,7 @@ from .errors import (
     InsufficientHistoryError,
     InvalidSpecError,
     NonPositiveLevelError,
+    NoTrainingDataError,
     SeriesGapError,
 )
 from .hierarchy import Hierarchy, NodeId, build_hierarchy, csv_records
@@ -211,9 +212,10 @@ def make_windows(
 
 
 def stack_windows(windows: list[Window]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack a window list into (inputs, targets) arrays for batch training."""
+    """Stack a window list into (inputs, targets) arrays for batch training;
+    every fit's one check for an empty list (:class:`NoTrainingDataError`)."""
     if not windows:
-        raise EmptySeriesError("no windows to stack")
+        raise NoTrainingDataError("no training windows")
     inputs = np.stack([w.inputs for w in windows])
     targets = np.array([w.target for w in windows], dtype=np.float64)
     return inputs, targets

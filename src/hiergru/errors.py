@@ -74,7 +74,8 @@ class ShapeMismatchError(HiergruError):
 class DivergenceError(HiergruError):
     """Training loss became non-finite.
 
-    Carries the last parameter vector that still produced a finite loss.
+    Carries, as ``last_params``, the parameter vector at which the loss or
+    its gradient first turned non-finite.
     """
 
     def __init__(self, message, last_params=None):

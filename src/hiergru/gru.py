@@ -161,14 +161,12 @@ def gru_step(p: GruParams, s_prev: np.ndarray, x) -> np.ndarray:
 
 def predict_sequence(p: GruParams, inputs) -> float:
     """Run the unit over one window from the zero state; linear readout.
-    The one-row case of :func:`predict_batch`."""
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.shape[0] == 0:
-        raise EmptyInputError("empty input window")
-    return float(predict_batch(p, x[None])[0])
+    The one-row case of :func:`predict_batch`, which checks the window."""
+    return float(predict_batch(p, np.asarray(inputs, dtype=np.float64)[None])[0])
 
 
 def _as_batch(p: GruParams, inputs: np.ndarray) -> np.ndarray:
+    """The windows as a float64 (batch, rho, input_dim) array, rho >= 1."""
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim == 2:
         x = x[:, :, None]
@@ -177,6 +175,8 @@ def _as_batch(p: GruParams, inputs: np.ndarray) -> np.ndarray:
             f"batch inputs of shape {np.shape(inputs)} incompatible with "
             f"input_dim {p.input_dim}"
         )
+    if x.shape[1] == 0:
+        raise EmptyInputError("empty input window")
     return x
 
 

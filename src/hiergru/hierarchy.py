@@ -282,35 +282,26 @@ def impute_weights(panel: "SeriesPanel", h: Hierarchy) -> Hierarchy:
 
 
 def _group_shares(panel, parent_node: NodeId, kids: tuple[NodeId, ...]) -> np.ndarray:
+    """The kids' shares of the parent: the clamped regression coefficients,
+    renormalized, or else uniform shares and one :class:`SingularDesignWarning`
+    naming why (too few aligned rows, collinear kids, no positive share)."""
     k = len(kids)
-    uniform = np.full(k, 1.0 / k)
     mat = aligned_train_rates(panel, [parent_node, *kids])
-    if mat.shape[0] < k:
-        warnings.warn(
-            f"group under {parent_node!r}: too few aligned observations, "
-            "using uniform weights",
-            SingularDesignWarning,
-        )
-        return uniform
-    y, x = mat[:, 0], mat[:, 1:]
-    coeffs, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
-    if rank < k:
-        warnings.warn(
-            f"group under {parent_node!r}: collinear child series, "
-            "using uniform weights",
-            SingularDesignWarning,
-        )
-        return uniform
-    coeffs = np.clip(coeffs, 0.0, None)
-    total = coeffs.sum()
-    if total <= 0.0:
-        warnings.warn(
-            f"group under {parent_node!r}: all regression coefficients "
-            "non-positive, using uniform weights",
-            SingularDesignWarning,
-        )
-        return uniform
-    return coeffs / total
+    reason = "too few aligned observations"
+    if mat.shape[0] >= k:
+        coeffs, _, rank, _ = np.linalg.lstsq(mat[:, 1:], mat[:, 0], rcond=None)
+        coeffs = np.clip(coeffs, 0.0, None)
+        if rank < k:
+            reason = "collinear child series"
+        elif coeffs.sum() <= 0.0:
+            reason = "all regression coefficients non-positive"
+        else:
+            return coeffs / coeffs.sum()
+    warnings.warn(
+        f"group under {parent_node!r}: {reason}, using uniform weights",
+        SingularDesignWarning,
+    )
+    return np.full(k, 1.0 / k)
 
 
 def child_weights(h: Hierarchy, n: NodeId) -> dict[NodeId, float]:

@@ -11,6 +11,7 @@ from .errors import (
     DegenerateDistanceVarianceError,
     DegenerateVarianceError,
     EmptyInputError,
+    InvalidSpecError,
     LengthMismatchError,
     ZeroBaselineError,
 )
@@ -77,7 +78,7 @@ def _centered_distances(x: np.ndarray) -> np.ndarray:
 def relative_rmse(model_rmse: float, ar1_rmse: float) -> float:
     """A model's RMSE divided by the AR(1) RMSE on the same node and horizon."""
     if model_rmse < 0:
-        raise ValueError(f"negative rmse {model_rmse}")
+        raise InvalidSpecError(f"negative rmse {model_rmse}")
     if ar1_rmse <= 0.0:
         raise ZeroBaselineError(f"reference rmse must be positive, got {ar1_rmse}")
     return model_rmse / ar1_rmse

@@ -31,6 +31,7 @@ from hiergru.baselines import (
 )
 from hiergru.dataset import Window, make_windows
 from hiergru.errors import (
+    HiergruError,
     InvalidSpecError,
     NodeSkippedWarning,
     NoTrainingDataError,
@@ -93,8 +94,15 @@ class TestAr:
             assert abs(resid @ col) < 1e-8
 
     def test_no_data(self):
-        with pytest.raises(NoTrainingDataError):
-            fit_ar([], rho=2)
+        fits = [
+            lambda: fit_ar([], rho=2),
+            lambda: fit_forest([], 2, ForestConfig()),
+            lambda: fit_gbt([], 2, GbtConfig()),
+            lambda: fit_mlp([], 2, MlpConfig()),
+        ]
+        for fit in fits:
+            with pytest.raises(NoTrainingDataError):
+                fit()
 
 
 class TestRw:
@@ -207,10 +215,23 @@ class TestBatchedTrees:
         assert np.array([ens.predict(r) for r in x]).tobytes() == rows.tobytes()
 
     def test_wrong_width_rejected(self):
-        ens = fit_forest(windows_from_series(np.arange(10.0), 2), 2,
-                         ForestConfig(n_trees=2))
-        with pytest.raises(WrongLengthError):
-            ens.predict_batch(np.zeros((4, 3)))
+        """Every baseline node model: ``predict_batch`` checks the batch, and
+        ``predict`` forwards its window to it as a one-row batch."""
+        ws = windows_from_series(np.arange(10.0), 2)
+        models = [
+            fit_ar(ws, 2),
+            RwModel(2),
+            fit_forest(ws, 2, ForestConfig(n_trees=2)),
+            fit_gbt(ws, 2, GbtConfig(n_trees=2)),
+            fit_mlp(ws, 2, MlpConfig(hidden=(3,), epochs=1)),
+        ]
+        for model in models:
+            for bad in (np.zeros((4, 3)), np.zeros(2)):
+                with pytest.raises(WrongLengthError):
+                    model.predict_batch(bad)
+            for bad in (np.zeros(3), np.zeros((1, 2))):
+                with pytest.raises(WrongLengthError):
+                    model.predict(bad)
 
 
 TREE_ARRAYS = ("feature", "threshold", "left", "right", "value")
@@ -504,9 +525,13 @@ class TestGbt:
         assert calls == [[5, 7], [5, 7], [4], [4], [9], [9]]
 
     def test_joint_fit_rejects_nodes_without_windows(self):
+        # before anything is boosted, even the group that the first node
+        # fills to the row budget
         ws = windows_from_series(np.arange(12.0), rho=2)
-        with pytest.raises(NoTrainingDataError):
-            fit_gbt_nodes([(ws, GbtConfig()), ([], GbtConfig(seed=1))], 2)
+        with mock.patch.object(baselines, "_GROUP_ROWS", 1), \
+                mock.patch.object(baselines, "_boost", side_effect=AssertionError):
+            with pytest.raises(NoTrainingDataError):
+                fit_gbt_nodes([(ws, GbtConfig()), ([], GbtConfig(seed=1))], 2)
 
     def test_fit_baseline_skips_nodes_and_fits_the_rest_jointly(self):
         # nodes B and E have no training windows: each warns, in bfs order,
@@ -698,6 +723,12 @@ class TestBaselineBundle:
         # position 0 is the one-step prediction from the last observed window
         window = panel.rates[node][origin - 2: origin]
         assert traj[0] == pytest.approx(bundle.models[node].predict(window))
+
+    def test_tag_not_a_baseline_rejected(self, small_synth):
+        h, panel = small_synth
+        for tag in ("igru", "bogus"):
+            with pytest.raises(HiergruError, match=repr(tag)):
+                fit_baseline(panel, h, tag, 4)
 
     def test_rw_bundle_forecast_hand_unrolled(self):
         panel = panel_from_rates({"A": np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])}, 0.75)

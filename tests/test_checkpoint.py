@@ -192,6 +192,7 @@ MALFORMED = {
     "no-nodes": {"nodes": _DROP},
     "no-rho": {"rho": _DROP},
     "string-rho": {"rho": "3"},
+    "rho-mismatch": {"rho": 3},  # the node files hold rho 2
     "no-tag": {"tag": _DROP},
     "nodes-list": {"nodes": ["root"]},
     "entry-string": {"nodes": {"root": "node_00000.ckpt"}},

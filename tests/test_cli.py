@@ -420,11 +420,13 @@ class TestRun:
         assert "output directory" in capsys.readouterr().err
 
     def test_config_directory_exit_2(self, tmp_path, capsys):
+        """A config path that is a directory, or that does not exist."""
         out = tmp_path / "o"
-        assert main(["run", "--config", str(tmp_path), "--out", str(out)]) == EXIT_CONFIG
-        err = assert_one_line_error(capsys)
-        assert err.startswith("config error:") and str(tmp_path) in err
-        assert not out.exists()
+        for config in (tmp_path, tmp_path / "missing.json"):
+            assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+            err = assert_one_line_error(capsys)
+            assert err.startswith("config error:") and str(config) in err
+            assert not out.exists()
 
     @pytest.mark.parametrize("below", [(), ("sub", "dir")])
     def test_out_not_a_directory_exit_2_before_training(

@@ -113,6 +113,8 @@ class TestPredict:
     def test_empty_input(self):
         with pytest.raises(EmptyInputError):
             predict_sequence(zero_params(2), [])
+        with pytest.raises(EmptyInputError):
+            predict_batch(zero_params(2), np.zeros((3, 0)))
 
 
 class TestFlatten:

@@ -333,14 +333,28 @@ class TestImputeWeights:
         assert out.weight["A"] == pytest.approx(1.0)
 
     def test_identical_children_fall_back_uniform(self):
+        """Identical children, and the other two designs that give no
+        shares: one warning each, naming its reason, and uniform shares."""
         rng = np.random.default_rng(5)
-        a = rng.normal(size=40)
-        panel = panel_from_rates({"P": 2 * a, "A": a, "B": a})
+        a, b = rng.normal(size=(2, 40))
+        short = np.array([1.0, 2.0, 3.0, 4.0])
+        cases = [
+            ({"P": 2 * a, "A": a, "B": a}, 0.75, "collinear child series"),
+            # one training row for two children
+            ({"P": short, "A": short, "B": short[::-1]}, 0.25,
+             "too few aligned observations"),
+            ({"P": -a - b, "A": a, "B": b}, 0.75,
+             "all regression coefficients non-positive"),
+        ]
         h = self._tree({"A": None, "B": None})
-        with pytest.warns(SingularDesignWarning):
-            out = impute_weights(panel, h)
-        assert out.weight["A"] == pytest.approx(0.5)
-        assert out.weight["B"] == pytest.approx(0.5)
+        for series, fraction, reason in cases:
+            panel = panel_from_rates(series, fraction)
+            with pytest.warns(SingularDesignWarning) as record:
+                out = impute_weights(panel, h)
+            assert [str(w.message) for w in record] == [
+                f"group under 'P': {reason}, using uniform weights"
+            ]
+            assert out.weight["A"] == 0.5 and out.weight["B"] == 0.5
 
     def test_idempotent_on_fully_weighted(self, small_synth):
         h, panel = small_synth

@@ -1,6 +1,9 @@
-"""The packaging metadata declares everything the test suite imports."""
+"""Two checks on the source text: the packaging metadata declares
+everything the test suite imports, and every exception the package raises
+by name is a ``HiergruError``."""
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -45,3 +48,25 @@ def test_every_test_import_is_declared():
             if name.lower() not in declared:
                 missing.setdefault(name, []).append(path.name)
     assert not missing, f"imported by tests but not declared in pyproject.toml: {missing}"
+
+
+def test_every_raise_names_a_hiergru_error():
+    """Each ``raise Name(...)`` in ``src/hiergru`` names a subclass of
+    ``HiergruError``, the name resolved in the raising module or in
+    ``hiergru.errors``.  Re-raises of a stored error (``raise failures[0]``,
+    a bare ``raise``) are not checked."""
+    errors = importlib.import_module("hiergru.errors")
+    foreign = []
+    for path in sorted((ROOT / "src" / "hiergru").glob("*.py")):
+        module = importlib.import_module(
+            "hiergru" if path.stem == "__init__" else f"hiergru.{path.stem}"
+        )
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and isinstance(node.exc.func, ast.Name)):
+                continue
+            name = node.exc.func.id
+            cls = getattr(module, name, getattr(errors, name, None))
+            if not (isinstance(cls, type) and issubclass(cls, errors.HiergruError)):
+                foreign.append(f"{path.name}:{node.lineno} raises {name}")
+    assert not foreign, f"raises outside the HiergruError hierarchy: {foreign}"
