@@ -17,10 +17,9 @@ from .dataset import SeriesPanel, Window, _seeded_rng, make_windows, stack_windo
 from .errors import (
     HiergruError,
     NodeSkippedWarning,
-    ShapeMismatchError,
     WrongLengthError,
 )
-from .gru import OptimState, run_optimizer
+from .gru import OptimState, _frozen, _views, flatten, predict_sequence, run_optimizer
 from .hierarchy import Hierarchy
 from .models import (
     _COUNT,
@@ -33,12 +32,6 @@ from .models import (
     _is_int,
     node_seed,
 )
-
-
-def _predict_one(model, window) -> float:
-    """``model.predict(window)``, bound in each node model's class body: the
-    one-row case of its ``predict_batch``, which checks the window."""
-    return float(model.predict_batch(np.asarray(window, dtype=np.float64)[None])[0])
 
 
 # ------------------------------------------------------------------ AR / RW
@@ -57,7 +50,7 @@ class ArModel:
         x = _as_rows(windows, self.rho)
         return self.coeffs[0] + x[:, ::-1] @ self.coeffs[1:]
 
-    predict = _predict_one
+    predict = predict_sequence
 
 
 def fit_ar(windows: list[Window], rho: int) -> ArModel:
@@ -96,7 +89,7 @@ class RwModel:
     def predict_batch(self, windows: np.ndarray) -> np.ndarray:
         return _as_rows(windows, self.rho).mean(axis=1)
 
-    predict = _predict_one
+    predict = predict_sequence
 
 
 def predict_rw(values, rho: int) -> float:
@@ -194,7 +187,7 @@ class TreeEnsemble:
             total = total + column
         return self.base_value + self.shrinkage * total
 
-    predict = _predict_one
+    predict = predict_sequence
 
     @cached_property
     def _merged(self) -> tuple[Tree, np.ndarray]:
@@ -513,19 +506,12 @@ def _boost(group, rho: int) -> list[TreeEnsemble]:
 
 def _mlp_views(vec: np.ndarray, sizes: tuple[int, ...]):
     """Per layer, the weight matrix and bias vector as views into ``vec``,
-    stored layer by layer, weights (row-major) before biases."""
-    if vec.shape != (_mlp_count(sizes),):
-        raise ShapeMismatchError(
-            f"flat vector of shape {vec.shape} does not match sizes {sizes}"
-        )
-    weights, biases = [], []
-    at = 0
-    for a, b in zip(sizes[:-1], sizes[1:]):
-        weights.append(vec[at: at + a * b].reshape(a, b))
-        at += a * b
-        biases.append(vec[at: at + b])
-        at += b
-    return tuple(weights), tuple(biases)
+    laid out by :func:`~hiergru.gru._layout` layer by layer, weights
+    (row-major) before biases."""
+    views = _views(vec, tuple(
+        shape for a, b in zip(sizes[:-1], sizes[1:]) for shape in ((a, b), (b,))
+    ))
+    return tuple(views[0::2]), tuple(views[1::2])
 
 
 def _mlp_count(sizes: tuple[int, ...]) -> int:
@@ -543,8 +529,7 @@ class MlpModel:
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        vec = np.ascontiguousarray(self.vec, dtype=np.float64).view()
-        vec.flags.writeable = False
+        vec = _frozen(self.vec, _mlp_count(self.sizes))
         weights, biases = _mlp_views(vec, self.sizes)
         object.__setattr__(self, "vec", vec)
         object.__setattr__(self, "weights", weights)
@@ -557,7 +542,7 @@ class MlpModel:
     def predict_batch(self, x: np.ndarray) -> np.ndarray:
         return _mlp_forward(self, x)[-1][:, 0]
 
-    predict = _predict_one
+    predict = predict_sequence
 
 
 @dataclass(frozen=True)
@@ -581,9 +566,7 @@ class MlpConfig:
 DEEPNN_CONFIG = MlpConfig(hidden=(100,) * 10, lr=0.005, epochs=50)
 
 
-def mlp_flatten(model: MlpModel) -> np.ndarray:
-    """A writable copy of the parameter vector."""
-    return model.vec.copy()
+mlp_flatten = flatten
 
 
 def mlp_unflatten(vec: np.ndarray, sizes: tuple[int, ...]) -> MlpModel:

@@ -10,6 +10,7 @@ nodes separately from the headline (root) series.
 
 from __future__ import annotations
 
+import csv
 import io
 from dataclasses import dataclass
 
@@ -275,17 +276,11 @@ def render_gnuplot(report: EvalReport) -> str:
     return out.getvalue()
 
 
-def _csv_quote(text: str) -> str:
-    if "," in text or '"' in text or "\n" in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def _render_table(header, body, fmt):
     if fmt == "csv":
-        lines = [",".join(header)]
-        lines += [",".join(_csv_quote(c) for c in row) for row in body]
-        return "\n".join(lines) + "\n"
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows([header, *body])
+        return out.getvalue()
     if fmt == "markdown":
         lines = ["| " + " | ".join(header) + " |"]
         lines.append("|" + "|".join(["---"] * len(header)) + "|")

@@ -45,31 +45,52 @@ def _param_count(hidden: int, input_dim: int) -> int:
 
 
 @functools.cache
-def _layout(hidden: int, input_dim: int, stacked: bool) -> tuple:
-    """(slice, shape) of every array named in ``_FIELDS`` within a
-    parameter vector, in its order.  ``stacked`` shapes the biases (1, h)
-    and the readout weights (h, 1), for batched matmul."""
+def _shapes(hidden: int, input_dim: int, stacked: bool = False) -> tuple:
+    """The shape of every array named in ``_FIELDS``, in its order.
+    ``stacked`` shapes the biases (1, h) and the readout weights (h, 1),
+    for batched matmul."""
     h, d = hidden, input_dim
     bias, readout = ((1, h), (h, 1)) if stacked else ((h,), (h,))
+    return ((d, h),) * 3 + ((h, h),) * 3 + (bias,) * 3 + (readout,)
+
+
+@functools.cache
+def _layout(shapes: tuple) -> tuple:
+    """(slice, shape) of each of ``shapes``, laid out in turn in a flat
+    parameter vector: the one layout of the GRU's and the MLP's vectors."""
     layout, at = [], 0
-    for shape in [(d, h)] * 3 + [(h, h)] * 3 + [bias] * 3 + [readout]:
+    for shape in shapes:
         size = math.prod(shape)
         layout.append((slice(at, at + size), shape))
         at += size
     return tuple(layout)
 
 
-def _views(
-    vec: np.ndarray, hidden: int, input_dim: int, stacked: bool = False
-) -> list[np.ndarray]:
-    """The arrays named in ``_FIELDS`` as views into the last axis of
-    ``vec`` (one parameter vector, or a stack of them), in its order; the
-    readout bias is the element after them."""
+def _views(vec: np.ndarray, shapes: tuple) -> list[np.ndarray]:
+    """Arrays of ``shapes`` as views into the last axis of ``vec`` (one
+    parameter vector, or a stack of them), laid out by :func:`_layout`;
+    elements after them are not viewed."""
     lead = vec.shape[:-1]
-    return [
-        vec[..., part].reshape(lead + shape)
-        for part, shape in _layout(hidden, input_dim, stacked)
-    ]
+    return [vec[..., part].reshape(lead + shape) for part, shape in _layout(shapes)]
+
+
+def _frozen(vec, size: int) -> np.ndarray:
+    """A read-only float64 view of ``vec``, which must have shape (size,)."""
+    vec = np.ascontiguousarray(vec, dtype=np.float64).view()
+    if vec.shape != (size,):
+        raise ShapeMismatchError(
+            f"expected flat vector of length {size}, got shape {vec.shape}"
+        )
+    vec.flags.writeable = False
+    return vec
+
+
+def predict_sequence(p, inputs) -> float:
+    """Run a node model (a GRU unit from the zero state, or any model with
+    a ``predict_batch``) over one window: the one-row case of its
+    ``predict_batch``, which checks the window.  Bound as ``predict`` by
+    every node model class."""
+    return float(p.predict_batch(np.asarray(inputs, dtype=np.float64)[None])[0])
 
 
 @dataclass(frozen=True)
@@ -88,15 +109,9 @@ class GruParams:
     input_dim: int = 1
 
     def __post_init__(self):
-        expected = _param_count(self.hidden, self.input_dim)
-        vec = np.ascontiguousarray(self.vec, dtype=np.float64).view()
-        if vec.shape != (expected,):
-            raise ShapeMismatchError(
-                f"expected flat vector of length {expected}, got shape {vec.shape}"
-            )
-        vec.flags.writeable = False
+        vec = _frozen(self.vec, _param_count(self.hidden, self.input_dim))
         object.__setattr__(self, "vec", vec)
-        for name, view in zip(_FIELDS, _views(vec, self.hidden, self.input_dim)):
+        for name, view in zip(_FIELDS, _views(vec, _shapes(self.hidden, self.input_dim))):
             object.__setattr__(self, name, view)
         object.__setattr__(self, "readout_b", float(vec[-1]))
 
@@ -104,8 +119,7 @@ class GruParams:
     def size(self) -> int:
         return self.vec.shape[0]
 
-    def predict(self, window) -> float:
-        return predict_sequence(self, window)
+    predict = predict_sequence
 
     def predict_batch(self, windows) -> np.ndarray:
         return predict_batch(self, windows)
@@ -127,8 +141,9 @@ def zero_params(hidden: int, input_dim: int = 1) -> GruParams:
 
 
 def flatten(p: GruParams) -> np.ndarray:
-    """A writable copy of the parameter vector (gate tensors in z/r/v
-    order, then readout weights, then readout bias)."""
+    """A writable copy of the parameter vector ``p.vec``: a GRU unit's
+    gate tensors in z/r/v order, then readout weights, then readout bias,
+    or an MLP's layers (``mlp_flatten`` is this function)."""
     return p.vec.copy()
 
 
@@ -159,23 +174,19 @@ def gru_step(p: GruParams, s_prev: np.ndarray, x) -> np.ndarray:
     return _step(p, np.atleast_1d(np.asarray(x, dtype=np.float64)), s_prev)[3]
 
 
-def predict_sequence(p: GruParams, inputs) -> float:
-    """Run the unit over one window from the zero state; linear readout.
-    The one-row case of :func:`predict_batch`, which checks the window."""
-    return float(predict_batch(p, np.asarray(inputs, dtype=np.float64)[None])[0])
-
-
-def _as_batch(p: GruParams, inputs: np.ndarray) -> np.ndarray:
-    """The windows as a float64 (batch, rho, input_dim) array, rho >= 1."""
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim == 2:
-        x = x[:, :, None]
-    if x.ndim != 3 or x.shape[2] != p.input_dim:
+def _as_windows(p: GruParams, inputs, lead: int) -> np.ndarray:
+    """The one check of a GRU unit's windows: ``inputs`` as a contiguous
+    float64 array of ``lead`` batch axes, then (rho, input_dim) with
+    rho >= 1; scalar windows, without the input axis, gain it."""
+    x = np.ascontiguousarray(inputs, dtype=np.float64)
+    if x.ndim == lead + 1:
+        x = x[..., None]
+    if x.ndim != lead + 2 or x.shape[-1] != p.input_dim:
         raise ShapeMismatchError(
-            f"batch inputs of shape {np.shape(inputs)} incompatible with "
+            f"batch inputs of shape {x.shape[lead - 1:]} incompatible with "
             f"input_dim {p.input_dim}"
         )
-    if x.shape[1] == 0:
+    if x.shape[-2] == 0:
         raise EmptyInputError("empty input window")
     return x
 
@@ -192,7 +203,7 @@ def _final_state(p, x: np.ndarray) -> np.ndarray:
 def predict_batch(p: GruParams, inputs: np.ndarray) -> np.ndarray:
     """Run the unit over a batch of windows, shape (batch, rho) or
     (batch, rho, input_dim), from the zero state; linear readout."""
-    return _final_state(p, _as_batch(p, inputs)) @ p.readout_w + p.readout_b
+    return _final_state(p, _as_windows(p, inputs, 1)) @ p.readout_w + p.readout_b
 
 
 # ----------------------------------------------------------- stacked units
@@ -204,22 +215,15 @@ _Stack = namedtuple("_Stack", (*_FIELDS, "readout_b", "hidden"))
 
 
 def _stack(P: np.ndarray, hidden: int, input_dim: int) -> _Stack:
-    return _Stack(*_views(P, hidden, input_dim, stacked=True), P[:, -1:], hidden)
+    return _Stack(*_views(P, _shapes(hidden, input_dim, True)), P[:, -1:], hidden)
 
 
 def _batches(p: GruParams, inputs, targets) -> tuple[np.ndarray, np.ndarray]:
-    """Per-unit windows as one (N, n, rho, input_dim) array, and targets as
-    (N, n).  ``inputs`` and ``targets`` are sequences of per-unit arrays,
-    stacked here, or arrays already stacked, used without a copy when they
-    are contiguous float64."""
-    x = np.ascontiguousarray(inputs, dtype=np.float64)
-    if x.ndim == 3:
-        x = x[..., None]
-    if x.ndim != 4 or x.shape[3] != p.input_dim:
-        raise ShapeMismatchError(
-            f"batch inputs of shape {x.shape[1:]} incompatible with "
-            f"input_dim {p.input_dim}"
-        )
+    """Per-unit windows as one (N, n, rho, input_dim) array, checked by
+    :func:`_as_windows`, and targets as (N, n).  ``inputs`` and ``targets``
+    are sequences of per-unit arrays, stacked here, or arrays already
+    stacked, used without a copy when they are contiguous float64."""
+    x = _as_windows(p, inputs, 2)
     if x.shape[1] == 0:
         raise EmptyInputError("empty training batch")
     y = np.ascontiguousarray(targets, dtype=np.float64)
@@ -319,7 +323,7 @@ def _bptt(P, hidden, x, y, grad) -> np.ndarray:
 
     dpred = (2.0 / n) * err
     gu_z, gu_r, gu_v, gw_z, gw_r, gw_v, gb_z, gb_r, gb_v, g_readout_w = _views(
-        grad, h, d
+        grad, _shapes(h, d)
     )
     g_readout_w[:] = (states[rho].swapaxes(1, 2) @ dpred[..., None])[..., 0]
     grad[:, -1] = dpred.sum(axis=1)
