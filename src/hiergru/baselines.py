@@ -58,7 +58,7 @@ def fit_ar(windows: list[Window], rho: int) -> ArModel:
     when the design is rank deficient, so a constant series yields a pure
     intercept that predicts the constant for any input."""
     x, y = stack_windows(windows)
-    lagged = x[:, ::-1]  # column i-1 holds lag i
+    lagged = _as_rows(x, rho)[:, ::-1]  # column i-1 holds lag i
     xm = lagged.mean(axis=0)
     ym = y.mean()
     slopes = _minimum_norm_solve(lagged - xm, y - ym, scale=np.abs(lagged).max())
@@ -408,6 +408,7 @@ def fit_forest(windows: list[Window], rho: int, cfg: ForestConfig) -> TreeEnsemb
     level by :func:`_grow_forest`, whose feature draws come from the same
     generator."""
     x, y = stack_windows(windows)
+    x = _as_rows(x, rho)
     n = x.shape[0]
     rng = _seeded_rng(cfg.seed)
     boots = rng.integers(0, n, size=(cfg.n_trees, n))
@@ -459,7 +460,7 @@ def fit_gbt_nodes(
         if group and rows + len(w) > _GROUP_ROWS:
             models += _boost(group, rho)
             group, rows = [], 0
-        group.append((x, y, cfg))
+        group.append((_as_rows(x, rho), y, cfg))
         rows += len(w)
     return models + (_boost(group, rho) if group else [])
 
@@ -577,11 +578,16 @@ def mlp_unflatten(vec: np.ndarray, sizes: tuple[int, ...]) -> MlpModel:
 def mlp_loss_and_grad(
     model: MlpModel, x: np.ndarray, y: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Mean squared error and its exact gradient via backpropagation."""
-    n = x.shape[0]
+    """Mean squared error and its exact gradient via backpropagation.  A
+    batch ``x`` that is not (n, rho), or targets ``y`` that are not (n,),
+    raise :class:`WrongLengthError`."""
     last = len(model.weights) - 1
     activations = _mlp_forward(model, x)
-    err = activations[-1][:, 0] - np.asarray(y, dtype=np.float64)
+    n = activations[0].shape[0]
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != (n,):
+        raise WrongLengthError(f"expected {n} targets, got shape {y.shape}")
+    err = activations[-1][:, 0] - y
     loss = float(err @ err) / n
 
     dz = (2.0 / n) * err[:, None]

@@ -16,12 +16,18 @@ Byte layout of a ``.ckpt`` file (all integers little-endian):
 
 Payloads round-trip bit-exactly.  A bundle directory holds one checkpoint
 per node (``node_00000.ckpt`` in sorted node order) plus ``manifest.json``
-with the model tag, training spec, and per-node provenance.
+with the model tag, training spec, and each node's file name, provenance
+and ``sha256``: the hex SHA-256 of the file's bytes.  :func:`load_bundle`
+rejects a file whose bytes do not have that hash, and a manifest entry
+without one, so bundles written before the hash was recorded no longer
+load.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import re
 import struct
 from dataclasses import asdict
 from pathlib import Path
@@ -55,12 +61,20 @@ def write_checkpoint(
         fh.write(payload.tobytes())
 
 
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 def read_checkpoint(path) -> dict:
     """Parse one ``.ckpt`` file.  Every declared length is checked against
     the bytes present and trailing bytes are rejected, so a truncated or
     padded file raises :class:`HiergruError` naming it instead of yielding
     a shorter or longer payload."""
-    data = Path(path).read_bytes()
+    return _parse_checkpoint(Path(path).read_bytes(), path)
+
+
+def _parse_checkpoint(data: bytes, path) -> dict:
+    """:func:`read_checkpoint` of the bytes ``data`` read from ``path``."""
     at = 0
 
     def take(size: int, what: str) -> bytes:
@@ -133,6 +147,7 @@ def save_bundle(bundle, dirpath) -> None:
         manifest["nodes"][node] = {
             "file": fname,
             "provenance": bundle.provenance.get(node, {}),
+            "sha256": _sha256((out / fname).read_bytes()),
         }
     _json_dump(manifest, out / "manifest.json")
 
@@ -146,11 +161,15 @@ def _read_manifest(path: Path) -> dict:
     if not (
         isinstance(manifest, dict) and isinstance(manifest.get("tag"), str)
         and _is_int(manifest.get("rho")) and isinstance(manifest.get("nodes"), dict)
-        and all(isinstance(entry, dict) for entry in manifest["nodes"].values())
+        and all(
+            isinstance(entry, dict) and isinstance(entry.get("sha256"), str)
+            and re.fullmatch("[0-9a-f]{64}", entry["sha256"])
+            for entry in manifest["nodes"].values()
+        )
     ):
         raise HiergruError(
             f"{path}: a manifest needs a string 'tag', an integer 'rho' and a "
-            "'nodes' object of objects"
+            "'nodes' object of objects, each with a 64-hex-digit 'sha256'"
         )
     nodes, neighbors = manifest["nodes"], manifest.get("neighbors")
     if neighbors is not None and not (
@@ -186,8 +205,9 @@ def _checkpoint_path(root: Path, manifest: Path, node: str, name) -> Path:
 def load_bundle(dirpath) -> ModelBundle:
     """Rebuild a bundle from a bundle directory.  A malformed manifest (its
     ``spec`` and ``neighbors`` included), a node file that is not a regular
-    file inside the directory, or one whose rho is not the manifest's,
-    raises :class:`HiergruError` naming the manifest."""
+    file inside the directory, one whose bytes do not have the manifest's
+    ``sha256``, or one whose rho is not the manifest's, raises
+    :class:`HiergruError` naming the manifest."""
     root = Path(dirpath)
     manifest_path = root / "manifest.json"
     manifest = _read_manifest(manifest_path)
@@ -195,9 +215,14 @@ def load_bundle(dirpath) -> ModelBundle:
     models = {}
     provenance = {}
     for node, entry in manifest["nodes"].items():
-        ck = read_checkpoint(
-            _checkpoint_path(root, manifest_path, node, entry.get("file"))
-        )
+        path = _checkpoint_path(root, manifest_path, node, entry.get("file"))
+        data = path.read_bytes()
+        if _sha256(data) != entry["sha256"]:
+            raise HiergruError(
+                f"{manifest_path}: node {node!r} file {entry['file']!r} does not "
+                "match its sha256"
+            )
+        ck = _parse_checkpoint(data, path)
         if ck["node"] != node or ck["tag"] != tag:
             raise HiergruError(
                 f"{entry['file']}: header ({ck['tag']}, {ck['node']}) does not "

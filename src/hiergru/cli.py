@@ -8,7 +8,6 @@ Exit codes: 0 success, 2 configuration problems, 3 data problems,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import itertools
 import json
 import re
@@ -21,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .checkpoint import _json_dump, save_bundle
+from .checkpoint import _json_dump, _sha256, save_bundle
 from .dataset import (
     DEFAULT_TRAIN_FRACTION,
     SynthSpec,
@@ -281,10 +280,6 @@ def cmd_prepare(args) -> int:
     return EXIT_OK
 
 
-def _sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
@@ -336,9 +331,9 @@ def cmd_run(args) -> int:
     manifest = {
         "version": __version__,
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "config_sha256": _sha256(args.config),
-        "hierarchy_sha256": _sha256(cfg["hierarchy"]),
-        "series_sha256": _sha256(cfg["series"]),
+        "config_sha256": _sha256(Path(args.config).read_bytes()),
+        "hierarchy_sha256": _sha256(Path(cfg["hierarchy"]).read_bytes()),
+        "series_sha256": _sha256(Path(cfg["series"]).read_bytes()),
         "seed": cfg["seed"],
         "split_fraction": cfg["split_fraction"],
         "horizons": cfg["horizons"],

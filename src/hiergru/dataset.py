@@ -22,6 +22,7 @@ from .errors import (
     NonPositiveLevelError,
     NoTrainingDataError,
     SeriesGapError,
+    WrongLengthError,
 )
 from .hierarchy import Hierarchy, NodeId, build_hierarchy, csv_records
 
@@ -213,9 +214,13 @@ def make_windows(
 
 def stack_windows(windows: list[Window]) -> tuple[np.ndarray, np.ndarray]:
     """Stack a window list into (inputs, targets) arrays for batch training;
-    every fit's one check for an empty list (:class:`NoTrainingDataError`)."""
+    every fit's one check for an empty list (:class:`NoTrainingDataError`)
+    and for windows of unequal shapes (:class:`WrongLengthError`)."""
     if not windows:
         raise NoTrainingDataError("no training windows")
+    shapes = sorted({np.shape(w.inputs) for w in windows})
+    if len(shapes) > 1:
+        raise WrongLengthError(f"windows of unequal shapes {shapes}")
     inputs = np.stack([w.inputs for w in windows])
     targets = np.array([w.target for w in windows], dtype=np.float64)
     return inputs, targets
@@ -276,7 +281,10 @@ def load_series_csv(
                     f"node {node!r}: non-positive level at period(s) "
                     f"{', '.join(labels[i] for i in bad)}"
                 )
-            rate_series[node] = (first + 1, to_rates(values))
+            try:
+                rate_series[node] = (first + 1, to_rates(values))
+            except EmptySeriesError as exc:
+                raise EmptySeriesError(f"node {node!r}: {exc}") from None
     return build_panel(calendar, rate_series, train_fraction)
 
 

@@ -276,11 +276,18 @@ def render_gnuplot(report: EvalReport) -> str:
     return out.getvalue()
 
 
+def _csv_row(cells) -> str:
+    """One row in the csv module's quoting, ended by "\n".  The writer's
+    own "\r\n" terminator, cut off here, makes it quote a cell that holds
+    "\r" as well as one that holds "\n"."""
+    out = io.StringIO()
+    csv.writer(out).writerow(cells)
+    return out.getvalue()[:-2] + "\n"
+
+
 def _render_table(header, body, fmt):
     if fmt == "csv":
-        out = io.StringIO()
-        csv.writer(out, lineterminator="\n").writerows([header, *body])
-        return out.getvalue()
+        return "".join(_csv_row(row) for row in [header, *body])
     if fmt == "markdown":
         lines = ["| " + " | ".join(header) + " |"]
         lines.append("|" + "|".join(["---"] * len(header)) + "|")

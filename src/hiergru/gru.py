@@ -111,7 +111,8 @@ class GruParams:
     def __post_init__(self):
         vec = _frozen(self.vec, _param_count(self.hidden, self.input_dim))
         object.__setattr__(self, "vec", vec)
-        for name, view in zip(_FIELDS, _views(vec, _shapes(self.hidden, self.input_dim))):
+        views = _views(vec, _shapes(self.hidden, self.input_dim))
+        for name, view in zip(_FIELDS, views):
             object.__setattr__(self, name, view)
         object.__setattr__(self, "readout_b", float(vec[-1]))
 
@@ -484,10 +485,10 @@ def optimize_stack(
     the trained units, the losses and the failures of
     :func:`run_optimizer`; a failed unit's parameters are meaningless.
     """
-    if epochs == 0:
-        return list(params), [], {}
     hidden, input_dim = params[0].hidden, params[0].input_dim
     x, y = _batches(params[0], inputs, targets)
+    if epochs == 0:
+        return list(params), [], {}
     terms = _penalty_terms(regularizers or [()] * len(params), params[0].size)
     P, losses, failures = run_optimizer(
         lambda P: _stack_loss_and_grad(P, hidden, x, y, terms),

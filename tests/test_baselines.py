@@ -30,6 +30,7 @@ from hiergru.baselines import (
     predict_rw,
 )
 from hiergru.dataset import Window, make_windows
+from hiergru.gru import init_params
 from hiergru.errors import (
     HiergruError,
     InvalidSpecError,
@@ -103,6 +104,20 @@ class TestAr:
         for fit in fits:
             with pytest.raises(NoTrainingDataError):
                 fit()
+
+
+@pytest.mark.parametrize("fit", [
+    lambda ws, rho: fit_ar(ws, rho),
+    lambda ws, rho: fit_forest(ws, rho, ForestConfig(n_trees=2)),
+    lambda ws, rho: fit_gbt(ws, rho, GbtConfig(n_trees=2)),
+    lambda ws, rho: fit_mlp(ws, rho, MlpConfig(hidden=(3,), epochs=1)),
+], ids=["ar", "rf", "gbt", "fc"])
+@pytest.mark.parametrize("widths", [[3] * 6, [3, 3, 5, 3]], ids=["narrow", "ragged"])
+def test_fit_rejects_windows_not_rho_wide(fit, widths):
+    """Training windows of width 3 at rho 5, or of unequal widths."""
+    ws = [Window(np.arange(float(k)), float(i)) for i, k in enumerate(widths)]
+    with pytest.raises(WrongLengthError):
+        fit(ws, 5)
 
 
 class TestRw:
@@ -232,6 +247,24 @@ class TestBatchedTrees:
             for bad in (np.zeros(3), np.zeros((1, 2))):
                 with pytest.raises(WrongLengthError):
                     model.predict(bad)
+
+    def test_predict_is_the_one_row_batch(self):
+        """Every node model kind: ``predict(w)`` has the bits of
+        ``predict_batch(w[None])[0]``."""
+        rng = np.random.default_rng(8)
+        ws = windows_from_series(rng.normal(size=30), 3)
+        models = [
+            fit_ar(ws, 3),
+            RwModel(3),
+            fit_forest(ws, 3, ForestConfig(n_trees=4)),
+            fit_gbt(ws, 3, GbtConfig(n_trees=4)),
+            fit_mlp(ws, 3, MlpConfig(hidden=(4,), epochs=3)),
+            init_params(4, rng),
+        ]
+        for model in models:
+            for w in rng.normal(size=(5, 3)):
+                one = np.float64(model.predict(w)).tobytes()
+                assert one == model.predict_batch(w[None])[:1].tobytes(), model
 
 
 TREE_ARRAYS = ("feature", "threshold", "left", "right", "value")
@@ -622,6 +655,13 @@ class TestMlp:
         copy = mlp_flatten(model)
         copy[0] = 1.0
         assert not np.shares_memory(copy, model.vec) and model.vec[0] != 1.0
+
+    def test_loss_and_grad_rejects_malformed_batch(self):
+        model = init_mlp(3, (4,), np.random.default_rng(0))
+        x, y = np.zeros((5, 3)), np.zeros(5)
+        for bad_x, bad_y in (([[1.0, 2.0]], y[:1]), (x, y[:4]), (x, np.zeros((5, 1)))):
+            with pytest.raises(WrongLengthError):
+                mlp_loss_and_grad(model, bad_x, bad_y)
 
     def test_flatten_roundtrip(self):
         model = init_mlp(4, (5,), np.random.default_rng(1))

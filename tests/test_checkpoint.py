@@ -20,9 +20,10 @@ from hiergru.checkpoint import (
     write_checkpoint,
 )
 from hiergru.cli import fit_entry
+from hiergru.dataset import SynthSpec, synth_panel
 from hiergru.errors import HiergruError
 from hiergru.gru import flatten, init_params
-from hiergru.models import TrainSpec, train_hrnn, train_knn_gru
+from hiergru.models import TrainSpec, train_hrnn, train_igru, train_knn_gru
 from hiergru.registry import TAGS, lookup
 
 
@@ -179,12 +180,40 @@ class TestBundleDirectories:
 
 
 
+class TestChecksums:
+    @pytest.fixture(scope="class")
+    def bundle_dir(self, tmp_path_factory):
+        spec = SynthSpec(depth=1, branching=2, length=40, leaf_noise_sd=0.5, seed=3)
+        h, panel = synth_panel(spec)
+        out = tmp_path_factory.mktemp("igru")
+        save_bundle(train_igru(panel, h, TrainSpec(rho=2, hidden=2, epochs=2)), out)
+        return out
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_every_byte_flip_and_truncation_rejected(self, bundle_dir, data):
+        path = data.draw(st.sampled_from(sorted(bundle_dir.glob("*.ckpt"))))
+        whole = path.read_bytes()
+        at = data.draw(st.integers(0, len(whole) - 1))
+        if data.draw(st.booleans()):
+            mask = data.draw(st.integers(1, 255))
+            bad = whole[:at] + bytes([whole[at] ^ mask]) + whole[at + 1:]
+        else:
+            bad = whole[:at]
+        try:
+            path.write_bytes(bad)
+            with pytest.raises(HiergruError, match="manifest.json"):
+                load_bundle(bundle_dir)
+        finally:
+            path.write_bytes(whole)
+
+
 _DROP, _ABSOLUTE = object(), object()
 _OUTSIDE = "outside.ckpt"  # a regular file next to the bundle directory
 
-# manifest text, or {key: value} edits of the manifest ("file": of its
-# first node entry); _DROP deletes the key, _ABSOLUTE is the outside file's
-# absolute path
+# manifest text, or {key: value} edits of the manifest ("file" and
+# "sha256": of its first node entry); _DROP deletes the key, _ABSOLUTE is
+# the outside file's absolute path
 MALFORMED = {
     "not-json": "{not json",
     "not-object": "[]",
@@ -204,6 +233,11 @@ MALFORMED = {
     "file-missing": {"file": "missing.ckpt"},
     "file-parent": {"file": f"../{_OUTSIDE}"},
     "file-absolute": {"file": _ABSOLUTE},
+    "no-sha256": {"sha256": _DROP},
+    "sha256-short": {"sha256": "ab"},
+    "sha256-upper": {"sha256": "AB" * 32},
+    "sha256-number": {"sha256": 7},
+    "sha256-mismatch": {"sha256": "0" * 64},
     "spec-unknown-key": {"spec": {"bogus": 1}},
     "spec-out-of-range": {"spec": {"rho": 0}},
     "spec-list": {"spec": [4]},
@@ -233,7 +267,7 @@ class TestMalformedManifest:
             manifest = json.loads(path.read_text(encoding="utf-8"))
             for key, value in edit.items():
                 at = manifest
-                if key == "file":
+                if key in ("file", "sha256"):
                     at = next(iter(manifest["nodes"].values()))
                 if value is _DROP:
                     del at[key]

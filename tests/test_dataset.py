@@ -281,6 +281,14 @@ class TestSeriesCsv:
         with pytest.raises(SeriesGapError, match="B"):
             load_series_csv(path)
 
+    def test_one_level_names_node(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_text(
+            "node_id,period,value\nA,2020-01,100\nA,2020-02,101\nB,2020-02,50\n"
+        )
+        with pytest.raises(EmptySeriesError, match="node 'B'"):
+            load_series_csv(path)
+
     def test_non_positive_level_names_node_and_period(self, tmp_path):
         path = tmp_path / "series.csv"
         path.write_text(

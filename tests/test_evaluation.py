@@ -1,5 +1,10 @@
+import csv
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hiergru.baselines import fit_baseline
 from hiergru.dataset import SeriesPanel
@@ -7,6 +12,8 @@ from hiergru.errors import HiergruError
 from hiergru.evaluation import (
     DAILY_HORIZONS,
     MONTHLY_HORIZONS,
+    Cell,
+    EvalReport,
     evaluate,
     render_level_report,
     render_raw,
@@ -122,6 +129,30 @@ class TestPerLevel:
 
 
 class TestRendering:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        labels=st.lists(st.text(), min_size=1, max_size=3, unique=True),
+        nodes=st.lists(st.text(), min_size=1, max_size=3, unique=True),
+    )
+    def test_raw_csv_parses_back_for_any_text(self, labels, nodes):
+        metrics = {
+            "n": Cell(2.0), "rmse": Cell(0.5), "rel_rmse": Cell(1.25),
+            "pearson": Cell(None, "degenerate-variance"), "dist_corr": Cell(0.0),
+        }
+        report = EvalReport(
+            labels=tuple(labels), horizons=(0,), rows={}, level_rows={},
+            level_counts={}, node_metrics={
+                (label, node, 0): metrics for label in labels for node in nodes
+            },
+        )
+        rows = list(csv.reader(io.StringIO(render_raw(report), newline="")))
+        header = ["model", "node", "horizon", "n", "rmse", "rel_rmse", "pearson",
+                  "dist_corr"]
+        cells = ["0", "2", "0.5", "1.25", "n/a(degenerate-variance)", "0.0"]
+        assert rows == [header] + [
+            [label, node, *cells] for label in labels for node in sorted(nodes)
+        ]
+
     def test_deterministic_and_three_decimals(self, small_synth):
         h, panel = small_synth
         ar1 = fit_baseline(panel, h, "ar", rho=1)

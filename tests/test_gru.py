@@ -8,6 +8,7 @@ from hiergru.errors import (
     ShapeMismatchError,
 )
 from hiergru import gru
+from hiergru.baselines import mlp_unflatten
 from hiergru.gru import (
     GruParams,
     OptimState,
@@ -111,10 +112,24 @@ class TestPredict:
         np.testing.assert_allclose(batch, singles, atol=1e-14)
 
     def test_empty_input(self):
-        with pytest.raises(EmptyInputError):
-            predict_sequence(zero_params(2), [])
-        with pytest.raises(EmptyInputError):
-            predict_batch(zero_params(2), np.zeros((3, 0)))
+        """Zero-step windows: prediction and every trainer reject them, at
+        zero epochs too."""
+        p, windows, targets = zero_params(2), np.zeros((3, 0)), np.zeros(3)
+        calls = [
+            lambda: predict_sequence(p, []),
+            lambda: predict_batch(p, windows),
+            lambda: loss_and_grad(p, windows, targets),
+        ]
+        for epochs in (0, 1):
+            calls += [
+                lambda e=epochs: optimize(p, windows, targets, OptimState(), epochs=e),
+                lambda e=epochs: optimize_stack(
+                    [p], [windows], [targets], OptimState(), epochs=e
+                ),
+            ]
+        for call in calls:
+            with pytest.raises(EmptyInputError):
+                call()
 
 
 class TestFlatten:
@@ -128,6 +143,8 @@ class TestFlatten:
     def test_wrong_length_rejected(self):
         with pytest.raises(ShapeMismatchError):
             unflatten(np.zeros(10), hidden=4)
+        with pytest.raises(ShapeMismatchError):
+            mlp_unflatten(np.zeros(10), (2, 3, 1))  # 2 * 3 + 3 + 3 + 1 = 13
 
     def test_arrays_are_read_only_views_of_vec(self):
         p = init_params(3, np.random.default_rng(8), input_dim=2)
