@@ -23,6 +23,14 @@ the bits it would get trained alone.  :func:`loss_and_grad` and
 One kernel, :func:`_stack_loss_and_grad`, computes every loss: the
 optimizer records each epoch's losses, the final point's included, from
 the same call that gives its gradients.
+
+Each :func:`optimize_stack` run trains in one :class:`_Workspace`: float64
+arrays sized for the run's largest pass, which every pass of every epoch
+overwrites, so a pass allocates none of its states, gates or backward
+intermediates.  The first step of every window starts from the zero state,
+where ``s w_z``, ``s w_r`` and ``(s * r) w_v`` are exact zeros and the
+reset gate scales nothing; that step, forward and backward, is computed
+without them.  Neither changes a bit of any loss, gradient or prediction.
 """
 
 from __future__ import annotations
@@ -34,7 +42,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, EmptyInputError, ShapeMismatchError
+from .errors import (
+    DivergenceError,
+    EmptyInputError,
+    InvalidSpecError,
+    ShapeMismatchError,
+)
 
 _FIELDS = ("u_z", "u_r", "u_v", "w_z", "w_r", "w_v", "b_z", "b_r", "b_v",
            "readout_w")
@@ -132,7 +145,10 @@ def init_params(
     """Uniform(-0.1, 0.1) initialization of every entry, drawn in
     :func:`flatten` order."""
     if hidden < 1 or input_dim < 1:
-        raise ShapeMismatchError(f"need hidden >= 1 and input_dim >= 1")
+        raise ShapeMismatchError(
+            f"need hidden >= 1 and input_dim >= 1, got hidden={hidden}, "
+            f"input_dim={input_dim}"
+        )
     size = _param_count(hidden, input_dim)
     return GruParams(rng.uniform(-0.1, 0.1, size), hidden, input_dim)
 
@@ -154,25 +170,63 @@ def unflatten(vec: np.ndarray, hidden: int, input_dim: int = 1) -> GruParams:
     return GruParams(np.array(vec, dtype=np.float64), hidden, input_dim)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def _sigmoid(a: np.ndarray) -> None:
+    """``1 / (1 + exp(-a))``, written into ``a``."""
+    np.negative(a, out=a)
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+        np.exp(a, out=a)
+    a += 1.0
+    np.divide(1.0, a, out=a)
 
 
-def _step(p, x: np.ndarray, s: np.ndarray):
-    """The recurrence, written once: gates z, r, v and the next state from
-    state ``s`` with input ``x``, for one row or a batch of rows of one unit
-    (``p`` a :class:`GruParams`), or for a stack of units (``p`` a
-    :class:`_Stack`)."""
-    z = _sigmoid(x @ p.u_z + s @ p.w_z + p.b_z)
-    r = _sigmoid(x @ p.u_r + s @ p.w_r + p.b_r)
-    v = np.tanh(x @ p.u_v + (s * r) @ p.w_v + p.b_v)
-    return z, r, v, z * v + (1.0 - z) * s
+def _step(p, x: np.ndarray, s, z, r, v, out, tmp) -> None:
+    """The recurrence, written once: writes gates ``z``, ``r``, ``v`` and
+    the next state ``out`` from state ``s`` with input ``x``, using ``tmp``
+    as scratch, for one row or a batch of rows of one unit (``p`` a
+    :class:`GruParams`), or for a stack of units (``p`` a :class:`_Stack`).
+
+    ``s`` None is the zero state.  Its recurrent products ``s @ w_*`` and
+    ``(s * r) @ w_v`` are then exact zeros for finite weights, and the
+    reset gate scales nothing, so none of them is computed and ``r`` is
+    not written; adding an exact zero would change no bit but a zero's
+    sign, which reaches no loss, gradient or prediction."""
+    np.matmul(x, p.u_z, out=z)
+    if s is not None:
+        z += np.matmul(s, p.w_z, out=tmp)
+    z += p.b_z
+    _sigmoid(z)
+    if s is None:
+        np.matmul(x, p.u_v, out=v)
+    else:
+        np.matmul(x, p.u_r, out=r)
+        r += np.matmul(s, p.w_r, out=tmp)
+        r += p.b_r
+        _sigmoid(r)
+        np.matmul(np.multiply(s, r, out=tmp), p.w_v, out=v)
+        v += np.matmul(x, p.u_v, out=out)  # ``out`` is written last
+    v += p.b_v
+    np.tanh(v, out=v)
+    np.multiply(z, v, out=out)
+    if s is not None:
+        np.subtract(1.0, z, out=tmp)
+        tmp *= s
+        out += tmp
 
 
-def gru_step(p: GruParams, s_prev: np.ndarray, x) -> np.ndarray:
-    """One recurrence step from state ``s_prev`` with input ``x``."""
-    return _step(p, np.atleast_1d(np.asarray(x, dtype=np.float64)), s_prev)[3]
+def gru_step(p: GruParams, s_prev, x) -> np.ndarray:
+    """One recurrence step from state ``s_prev``, shape (hidden,), with
+    input ``x`` of ``input_dim`` values (a scalar when that is 1); other
+    shapes raise :class:`ShapeMismatchError`."""
+    s = np.asarray(s_prev, dtype=np.float64)
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    if s.shape != (p.hidden,) or x.shape != (p.input_dim,):
+        raise ShapeMismatchError(
+            f"state of shape {s.shape} and input of shape {x.shape} do not "
+            f"fit hidden {p.hidden} and input_dim {p.input_dim}"
+        )
+    z, r, v, out, tmp = np.empty((5, p.hidden))
+    _step(p, x, s, z, r, v, out, tmp)
+    return out
 
 
 def _as_windows(p: GruParams, inputs, lead: int) -> np.ndarray:
@@ -195,9 +249,11 @@ def _as_windows(p: GruParams, inputs, lead: int) -> np.ndarray:
 def _final_state(p, x: np.ndarray) -> np.ndarray:
     """The state after the last step of every window, from the zero state;
     ``x[..., t, :]`` is step t of every window."""
-    s = np.zeros(x.shape[:-2] + (p.hidden,))
-    for t in range(x.shape[-2]):
-        s = _step(p, x[..., t, :], s)[3]
+    z, r, v, tmp, s, out = np.empty((6,) + x.shape[:-2] + (p.hidden,))
+    _step(p, x[..., 0, :], None, z, r, v, s, tmp)
+    for t in range(1, x.shape[-2]):
+        _step(p, x[..., t, :], s, z, r, v, out, tmp)
+        s, out = out, s
     return s
 
 
@@ -212,11 +268,11 @@ def predict_batch(p: GruParams, inputs: np.ndarray) -> np.ndarray:
 # Per-unit views of an (N, size) parameter matrix, shaped for batched matmul
 # against per-unit batches: gate weights (N, d, h) and (N, h, h), biases
 # (N, 1, h), readout weights (N, h, 1) and readout bias (N, 1).
-_Stack = namedtuple("_Stack", (*_FIELDS, "readout_b", "hidden"))
+_Stack = namedtuple("_Stack", (*_FIELDS, "readout_b"))
 
 
 def _stack(P: np.ndarray, hidden: int, input_dim: int) -> _Stack:
-    return _Stack(*_views(P, _shapes(hidden, input_dim, True)), P[:, -1:], hidden)
+    return _Stack(*_views(P, _shapes(hidden, input_dim, True)), P[:, -1:])
 
 
 def _batches(p: GruParams, inputs, targets) -> tuple[np.ndarray, np.ndarray]:
@@ -275,93 +331,138 @@ def _add_penalties(P, terms, loss, grad) -> np.ndarray:
     return loss
 
 
-def _readout(w: _Stack, s: np.ndarray) -> np.ndarray:
-    return (s @ w.readout_w)[..., 0] + w.readout_b
-
-
-# Windows per pass over a stack of units: enough units per pass to spread
-# numpy's per-call overhead, few enough that the activations a backward
-# pass stores stay well under a megabyte.
+# Windows per pass over a stack of units.  It bounds a run's workspace, 20
+# arrays of (windows, hidden) float64 at rho 4: 550 KB for 5 units of 86
+# windows and 8 hidden units.  Measured on deep-gru (15 nodes of 86
+# windows), 512 raised the run's peak RSS by 0.5 MB (1.3%) over allocating
+# every pass afresh; 1024 windows took 0.95x the time of 512 for 0.7 MB
+# more, and 2048 windows 0.86x for 1.1 MB more.  512 is the largest of the
+# three that keeps peak RSS within 2% of allocating afresh.
 _PASS_WINDOWS = 512
 
+# The arrays one pass writes, (N, n, h) unless noted: the state after each
+# step, the gates z, v and r of each step (r from step 1 on: the zero-state
+# step computes none), five scratch arrays, and small ones for the readout
+# column (N, n, 1) and the gradient products (N, h, 1), (N, d, h), (N, h, h)
+# and (N, h).
+_Acts = namedtuple(
+    "_Acts", "states zs vs rs tmp dz dsr ds ds_prev col hcol dh hh hrow"
+)
 
-def _passes(units: int, windows: int) -> list[slice]:
-    """The row slices of a stack of ``units`` units with ``windows``
-    windows each, one slice per pass."""
-    rows = max(1, _PASS_WINDOWS // windows)
-    return [slice(lo, lo + rows) for lo in range(0, units, rows)]
+# One pass of a run: its rows of the stack, views of its units' parameters
+# and gradients in the workspace, and its activations.
+_Pass = namedtuple("_Pass", "part w g a")
 
 
-def _stack_loss_and_grad(P, hidden, x, y, terms):
+class _Workspace:
+    """The memory of one training run over a stack of ``units`` units with
+    ``n`` windows of ``rho`` steps each: the parameters and gradients of
+    every unit, and every array a pass writes, sized for the run's largest
+    pass.  Every pass of every call overwrites it; its views are taken
+    once, here."""
+
+    def __init__(self, units: int, n: int, rho: int, input_dim: int, hidden: int):
+        d, h = input_dim, hidden
+        rows = min(units, max(1, _PASS_WINDOWS // n))
+        self.P = np.empty((units, _param_count(h, d)))
+        self.G = np.empty_like(self.P)
+        big = np.empty((4 * rho + 4, rows, n, h))
+        small = [np.empty((rows, *shape))
+                 for shape in ((n, 1), (h, 1), (d, h), (h, h), (h,))]
+        acts, self.passes = {}, []
+        for lo in range(0, units, rows):
+            part = slice(lo, min(lo + rows, units))
+            N = part.stop - lo
+            if N not in acts:
+                a = [m[:N] for m in big]
+                acts[N] = _Acts(
+                    a[:rho], a[rho:2 * rho], a[2 * rho:3 * rho],
+                    [None, *a[3 * rho:4 * rho - 1]], *a[4 * rho - 1:],
+                    *(m[:N] for m in small),
+                )
+            g = _views(self.G[part], _shapes(h, d)) + [self.G[part, -1]]
+            self.passes.append(_Pass(part, _stack(self.P[part], h, d), g, acts[N]))
+
+
+def _stack_loss_and_grad(ws: _Workspace, P, x, y, terms):
     """The one backward pass: for every unit i, the mean-squared error of
     its windows ``x[i]`` against ``y[i]`` plus its anchor penalties, and the
     exact gradient of that loss with respect to ``P[i]`` by
     backpropagation through time.  Returns losses (N,) and gradients
-    (N, size).  The units run in passes of about ``_PASS_WINDOWS``
-    windows."""
+    (N, size), the latter held by ``ws`` and overwritten by its next call.
+    The units run in the passes of ``ws``."""
+    np.copyto(ws.P, P)
+    ws.G.fill(0.0)
     loss = np.empty(P.shape[0])
-    grad = np.zeros_like(P)
-    for part in _passes(*x.shape[:2]):
-        loss[part] = _bptt(P[part], hidden, x[part], y[part], grad[part])
-    return _add_penalties(P, terms, loss, grad), grad
+    for part, w, g, a in ws.passes:
+        loss[part] = _bptt(w, g, a, x[part], y[part])
+    return _add_penalties(P, terms, loss, ws.G), ws.G
 
 
-def _bptt(P, hidden, x, y, grad) -> np.ndarray:
-    """The data losses of the units of ``P``; their gradients are added
-    into ``grad``, which holds zeros."""
-    N, n, rho, d = x.shape
-    h = hidden
-    w = _stack(P, h, d)
-    states = np.zeros((rho + 1, N, n, h))
-    zs = np.empty((rho, N, n, h))
-    rs = np.empty((rho, N, n, h))
-    vs = np.empty((rho, N, n, h))
+def _bptt(w: _Stack, g: list, a: _Acts, x, y) -> np.ndarray:
+    """The data losses of the units whose parameters ``w`` views; their
+    gradients are added into the views ``g``, which hold zeros, and every
+    activation is written into ``a``.  Step 0 starts from the zero state,
+    so its backward step skips what is zero there: the terms of the reset
+    gate's and every ``w_*``'s gradients, and the gradient of the zero
+    state, which nothing reads."""
+    n, rho = x.shape[1:3]
+    states, zs, vs, rs = a.states, a.zs, a.vs, a.rs
+    tmp, dz, dsr, ds, ds_prev = a.tmp, a.dz, a.dsr, a.ds, a.ds_prev
     for t in range(rho):
-        zs[t], rs[t], vs[t], states[t + 1] = _step(w, x[:, :, t, :], states[t])
+        s = states[t - 1] if t else None
+        _step(w, x[:, :, t, :], s, zs[t], rs[t], vs[t], states[t], tmp)
 
-    err = _readout(w, states[rho]) - y
+    err = np.matmul(states[-1], w.readout_w, out=a.col)[..., 0]
+    err += w.readout_b
+    err -= y
     loss = _row_dots(err) / n
 
-    dpred = (2.0 / n) * err
-    gu_z, gu_r, gu_v, gw_z, gw_r, gw_v, gb_z, gb_r, gb_v, g_readout_w = _views(
-        grad, _shapes(h, d)
-    )
-    g_readout_w[:] = (states[rho].swapaxes(1, 2) @ dpred[..., None])[..., 0]
-    grad[:, -1] = dpred.sum(axis=1)
-    ds = dpred[..., None] * w.readout_w.swapaxes(1, 2)
+    dpred = np.multiply(2.0 / n, err, out=err)
+    gu_z, gu_r, gu_v, gw_z, gw_r, gw_v, gb_z, gb_r, gb_v, g_readout_w, g_readout_b = g
+    g_readout_w[:] = np.matmul(
+        states[-1].swapaxes(1, 2), dpred[..., None], out=a.hcol
+    )[..., 0]
+    g_readout_b[:] = dpred.sum(axis=1)
+    np.multiply(dpred[..., None], w.readout_w.swapaxes(1, 2), out=ds)
     # transposed views, taken once per call
     xT = x.transpose(2, 0, 3, 1)
-    sT = states.swapaxes(2, 3)
     w_zT, w_rT, w_vT = (m.swapaxes(1, 2) for m in (w.w_z, w.w_r, w.w_v))
 
     for t in range(rho - 1, -1, -1):
-        s_prev, z, r, v = states[t], zs[t], rs[t], vs[t]
+        z, v = zs[t], vs[t]
+        if t:
+            s_prev, sT, r = states[t - 1], states[t - 1].swapaxes(1, 2), rs[t]
+            np.multiply(ds, np.subtract(v, s_prev, out=tmp), out=dz)
+            np.multiply(ds, np.subtract(1.0, z, out=tmp), out=ds_prev)
+        else:
+            np.multiply(ds, v, out=dz)  # v - 0 is v
+        da_v = np.multiply(ds, z, out=ds)  # dv = ds * z
+        da_v *= np.subtract(1.0, np.multiply(v, v, out=tmp), out=tmp)
+        gu_v += np.matmul(xT[t], da_v, out=a.dh)
+        gb_v += np.add.reduce(da_v, axis=1, out=a.hrow)
+        if t:
+            sr = np.multiply(s_prev, r, out=tmp)
+            gw_v += np.matmul(sr.swapaxes(1, 2), da_v, out=a.hh)
+            np.matmul(da_v, w_vT, out=dsr)
+            da_r = np.multiply(dsr, s_prev, out=tmp)  # dr = dsr * s_prev
+            dsr *= r
+            ds_prev += dsr
+            da_r *= r
+            da_r *= np.subtract(1.0, r, out=dsr)
+            gu_r += np.matmul(xT[t], da_r, out=a.dh)
+            gw_r += np.matmul(sT, da_r, out=a.hh)
+            gb_r += np.add.reduce(da_r, axis=1, out=a.hrow)
+            ds_prev += np.matmul(da_r, w_rT, out=dsr)
 
-        dz = ds * (v - s_prev)
-        dv = ds * z
-        ds_prev = ds * (1.0 - z)
-
-        da_v = dv * (1.0 - v * v)
-        gu_v += xT[t] @ da_v
-        gw_v += (s_prev * r).swapaxes(1, 2) @ da_v
-        gb_v += da_v.sum(axis=1)
-        dsr = da_v @ w_vT
-        dr = dsr * s_prev
-        ds_prev += dsr * r
-
-        da_r = dr * r * (1.0 - r)
-        gu_r += xT[t] @ da_r
-        gw_r += sT[t] @ da_r
-        gb_r += da_r.sum(axis=1)
-        ds_prev += da_r @ w_rT
-
-        da_z = dz * z * (1.0 - z)
-        gu_z += xT[t] @ da_z
-        gw_z += sT[t] @ da_z
-        gb_z += da_z.sum(axis=1)
-        ds_prev += da_z @ w_zT
-
-        ds = ds_prev
+        da_z = np.multiply(dz, z, out=dz)
+        da_z *= np.subtract(1.0, z, out=tmp)
+        gu_z += np.matmul(xT[t], da_z, out=a.dh)
+        gb_z += np.add.reduce(da_z, axis=1, out=a.hrow)
+        if t:
+            gw_z += np.matmul(sT, da_z, out=a.hh)
+            ds_prev += np.matmul(da_z, w_zT, out=dsr)
+            ds, ds_prev = ds_prev, ds
     return loss
 
 
@@ -388,7 +489,8 @@ def loss_and_grad(
         np.asarray(targets, dtype=np.float64)[None],
     )
     terms = _penalty_terms([regularizers], p.size)
-    loss, grad = _stack_loss_and_grad(p.vec[None], p.hidden, x, y, terms)
+    ws = _Workspace(*x.shape, p.hidden)
+    loss, grad = _stack_loss_and_grad(ws, p.vec[None], x, y, terms)
     return float(loss[0]), grad[0]
 
 
@@ -407,6 +509,12 @@ class OptimState:
     step: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.method not in ("adam", "sgd"):
+            raise InvalidSpecError(
+                f"method must be 'adam' or 'sgd', got {self.method!r}"
+            )
 
     def update(self, x: np.ndarray, grad: np.ndarray) -> np.ndarray:
         if self.method == "sgd":
@@ -490,8 +598,9 @@ def optimize_stack(
     if epochs == 0:
         return list(params), [], {}
     terms = _penalty_terms(regularizers or [()] * len(params), params[0].size)
+    ws = _Workspace(*x.shape, hidden)
     P, losses, failures = run_optimizer(
-        lambda P: _stack_loss_and_grad(P, hidden, x, y, terms),
+        lambda P: _stack_loss_and_grad(ws, P, x, y, terms),
         np.stack([p.vec for p in params]), opt, epochs,
     )
     return [GruParams(row, hidden, input_dim) for row in P], losses, failures

@@ -97,14 +97,10 @@ def gru_forward_oracle(params, inputs):
     return float(s @ params.readout_w + params.readout_b)
 
 
-def bptt_oracle(p, inputs, targets, regularizers=()):
-    """Loss and gradient of one unit by backpropagation through time, one
-    unit at a time with two-dimensional products: the per-node kernel the
-    stacked kernel must match bit for bit."""
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim == 2:
-        x = x[:, :, None]
-    y = np.asarray(targets, dtype=np.float64)
+def gru_states_oracle(p, x):
+    """The states (from the zero state on), z, r and v gates of every step
+    of a batch of windows ``x`` of shape (n, rho, input_dim), every step
+    computed in full with two-dimensional products."""
     n, rho, _ = x.shape
     h = p.hidden
 
@@ -120,6 +116,19 @@ def bptt_oracle(p, inputs, targets, regularizers=()):
         rs[t] = sig(x[:, t, :] @ p.u_r + s @ p.w_r + p.b_r)
         vs[t] = np.tanh(x[:, t, :] @ p.u_v + (s * rs[t]) @ p.w_v + p.b_v)
         states[t + 1] = zs[t] * vs[t] + (1.0 - zs[t]) * s
+    return states, zs, rs, vs
+
+
+def bptt_oracle(p, inputs, targets, regularizers=()):
+    """Loss and gradient of one unit by backpropagation through time, one
+    unit at a time with two-dimensional products: the per-node kernel the
+    stacked kernel must match bit for bit."""
+    x = np.asarray(inputs, dtype=np.float64)
+    if x.ndim == 2:
+        x = x[:, :, None]
+    y = np.asarray(targets, dtype=np.float64)
+    n, rho, _ = x.shape
+    states, zs, rs, vs = gru_states_oracle(p, x)
     err = states[rho] @ p.readout_w + p.readout_b - y
     loss = float(err @ err) / n
     dpred = (2.0 / n) * err

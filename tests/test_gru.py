@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
 
-from helpers import bptt_oracle, fd_grad, gru_forward_oracle, rel_err
+from helpers import (
+    bptt_oracle,
+    fd_grad,
+    gru_forward_oracle,
+    gru_states_oracle,
+    rel_err,
+)
 from hiergru.errors import (
     DivergenceError,
     EmptyInputError,
+    InvalidSpecError,
     ShapeMismatchError,
 )
 from hiergru import gru
@@ -71,6 +78,28 @@ class TestStep:
             s = gru_step(p, s, x)
             assert np.max(np.abs(s)) <= bound + 1e-12
 
+    @pytest.mark.parametrize(
+        "state, x, input_dim",
+        [
+            (np.zeros(3), 1.0, 1),  # state too short
+            (np.zeros((2, 4)), 1.0, 1),  # a batch of states
+            (np.zeros(4), [1.0, 2.0], 1),  # input too wide
+            (np.zeros(4), [1.0, 2.0], 3),  # input too narrow
+            (np.zeros(4), np.zeros((1, 3)), 3),  # a batch of inputs
+        ],
+    )
+    def test_bad_shapes_rejected(self, state, x, input_dim):
+        p = init_params(4, np.random.default_rng(0), input_dim=input_dim)
+        with pytest.raises(ShapeMismatchError, match=r"state of shape .* input of shape"):
+            gru_step(p, state, x)
+
+    def test_init_params_names_bad_sizes(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ShapeMismatchError, match="hidden=0, input_dim=1"):
+            init_params(0, rng)
+        with pytest.raises(ShapeMismatchError, match="hidden=4, input_dim=-2"):
+            init_params(4, rng, input_dim=-2)
+
 
 class TestPredict:
     def test_zero_params_predict_zero(self):
@@ -102,6 +131,17 @@ class TestPredict:
         assert predict_sequence(p, x) == pytest.approx(
             gru_forward_oracle(p, x), abs=1e-12
         )
+
+    def test_batch_matches_full_recurrence_bitwise(self):
+        # predict_batch skips the zero state's recurrent products, exact zeros
+        rng = np.random.default_rng(45)
+        for d, rho in ((1, 1), (1, 4), (3, 2)):
+            p = init_params(5, rng, input_dim=d)
+            x = rng.normal(size=(30, rho, d))
+            x.flat[::4] = 0.0
+            x.flat[1::6] = -0.0
+            want = gru_states_oracle(p, x)[0][rho] @ p.readout_w + p.readout_b
+            assert predict_batch(p, x).tobytes() == want.tobytes()
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(44)
@@ -247,6 +287,10 @@ class TestOptimize:
         out, _ = optimize(p, x, y, OptimState(lr=0.0, method="sgd"), epochs=5)
         assert flatten(out).tobytes() == flatten(p).tobytes()
 
+    def test_unknown_method_rejected(self):
+        with pytest.raises(InvalidSpecError, match="'bogus'"):
+            OptimState(lr=0.01, method="bogus")
+
     def test_loss_decreases(self):
         x, y = self._data(seed=2)
         p = init_params(4, np.random.default_rng(3))
@@ -317,6 +361,7 @@ class TestOptimizeStack:
             (5, 2, 1, 3, 4, "adam"),
             (3, 1, 3, 1, 5, "adam"),
             (1, 12, 4, 6, 3, "sgd"),
+            (7, 100, 4, 1, 8, "adam"),  # passes of 5 and 2 units
         ],
     )
     def test_each_unit_gets_its_bits_alone(self, count, n, rho, d, h, method):
@@ -343,14 +388,18 @@ class TestOptimizeStack:
          (4, 7, 12, 1, 8), (3, 86, 4, 1, 16), (5, 2, 1, 3, 4), (4, 1, 3, 1, 5)],
     )
     def test_kernel_matches_per_unit_oracle(self, count, n, rho, d, h):
-        # one pass, several passes (15 units of 86 windows) and one unit
+        # one pass, several passes (15 units of 86 windows) and one unit;
+        # the second call on one workspace must keep nothing of the first
         rng = np.random.default_rng(count * 1000 + n)
-        params, inputs, targets, regs = self._units(rng, count, n, rho, d, h)
+        first, inputs, targets, regs = self._units(rng, count, n, rho, d, h)
+        params = [init_params(h, rng, input_dim=d) for _ in first]
         x, y = gru._batches(params[0], inputs, targets)
-        loss, grad = gru._stack_loss_and_grad(
-            np.stack([p.vec for p in params]), h, x, y,
-            gru._penalty_terms(regs, params[0].size),
-        )
+        ws = gru._Workspace(*x.shape, h)
+        terms = gru._penalty_terms(regs, params[0].size)
+        for units in (first, params):
+            loss, grad = gru._stack_loss_and_grad(
+                ws, np.stack([p.vec for p in units]), x, y, terms
+            )
         for i in range(count):
             want_loss, want_grad = bptt_oracle(params[i], inputs[i], targets[i], regs[i])
             assert np.float64(want_loss).tobytes() == loss[i].tobytes()

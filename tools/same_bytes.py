@@ -14,7 +14,9 @@ Both sides run ``hiergru run --jobs 1`` on the same inputs, written once by
   second bihrnn with sgd, an igru, a knngru and an rw whose rho is
   longer than every series, so that no node has an origin, and an igru, a
   knngru and an ar at the window boundary: rho 89 leaves each node one
-  training window, and an igru at rho 90 none);
+  training window, and an igru at rho 90 none; and an igru, a knngru, and
+  an hrnn with its bihrnn at rho 1, whose windows are the zero-state step
+  alone);
 * a ``--grid`` config;
 * a ragged panel with blank non-root weights: nodes start late, end early,
   or are too short to give a knngru window.
@@ -89,6 +91,12 @@ ALL_TAGS = [
      "label": "knngru_89"},
     {"tag": "ar", "rho": 89, "label": "ar_89"},
     {"tag": "igru", "rho": 90, "epochs": 5, "label": "igru_90"},
+    # at rho 1 every window is the zero-state step alone
+    {"tag": "igru", "rho": 1, "epochs": 10, "label": "igru_1"},
+    {"tag": "knngru", "rho": 1, "epochs": 10, "k_neighbors": 3,
+     "label": "knngru_1"},
+    {"tag": "hrnn", "rho": 1, "epochs": 10, "label": "hrnn_1"},
+    {"tag": "bihrnn", "rho": 1, "epochs": 10, "label": "bihrnn_1"},
 ]
 
 GRID = [
