@@ -208,10 +208,9 @@ def fit_entry(entry: dict, panel, h, seed: int, anchors_cache: dict):
 def _validation_score(bundle, panel) -> float:
     """Mean over nodes of one-step RMSE on the sub-panel's test tail."""
     scores = []
-    for n in sorted(panel.rates):
-        if n not in bundle.models:
-            continue
-        preds, actuals = _collect_forecasts(bundle, panel, n, (0,))[0]
+    nodes = [n for n in sorted(panel.rates) if n in bundle.models]
+    for collected in _collect_forecasts(bundle, panel, nodes, (0,)).values():
+        preds, actuals = collected[0]
         if preds.size:
             scores.append(float(np.sqrt(np.mean((actuals - preds) ** 2))))
     return float(np.mean(scores)) if scores else float("inf")

@@ -113,6 +113,10 @@ class DegenerateDistanceVarianceError(HiergruError):
     pass
 
 
+class MetricOverflowError(HiergruError):
+    """The arithmetic of a metric overflowed, or its inputs are not finite."""
+
+
 class ZeroBaselineError(HiergruError):
     pass
 

@@ -2,7 +2,8 @@
 
 Every test origin of every node, as
 :meth:`~hiergru.dataset.SeriesPanel.test_origins` gives them, produces a
-recursive forecast (all origins of a node are rolled forward together);
+recursive forecast (all origins of all a bundle's nodes are rolled
+forward together, by :meth:`~hiergru.models.ModelBundle.forecast_nodes`);
 per-node RMSE at each horizon is normalized by the same node's AR(1) RMSE
 at the same horizon, and report rows aggregate disaggregated (non-root)
 nodes separately from the headline (root) series.
@@ -22,6 +23,7 @@ from .errors import (
     DegenerateDistanceVarianceError,
     DegenerateVarianceError,
     HiergruError,
+    MetricOverflowError,
     MissingBaselineError,
 )
 from .hierarchy import Hierarchy, NodeId
@@ -63,7 +65,9 @@ def _mean_cell(cells: list[Cell]) -> Cell:
     vals = [c.value for c in cells if c.value is not None]
     if not vals:
         return Cell(None, "no-nodes")
-    return Cell(float(np.mean(vals)))
+    with np.errstate(over="ignore"):
+        mean = float(np.mean(vals))
+    return Cell(mean) if np.isfinite(mean) else Cell(None, "overflow")
 
 
 def _means(metrics: list[dict[str, Cell]]) -> dict[str, Cell]:
@@ -71,10 +75,11 @@ def _means(metrics: list[dict[str, Cell]]) -> dict[str, Cell]:
     return {c: _mean_cell([m[c] for m in metrics]) for c in LEVEL_COLUMNS}
 
 
-def _na_metrics(code: str) -> dict[str, Cell]:
-    """A node and horizon without forecasts: n is 0, every metric n/a."""
+def _na_metrics(code: str, n: int = 0) -> dict[str, Cell]:
+    """A node and horizon without metrics: every metric n/a, over ``n``
+    forecasts."""
     cells = {c: Cell(None, code) for c in ("rmse", *LEVEL_COLUMNS)}
-    return {"n": Cell(0.0), **cells}
+    return {"n": Cell(float(n)), **cells}
 
 
 @dataclass(frozen=True)
@@ -95,6 +100,7 @@ def _metric_cell(fn, actuals, predictions) -> Cell:
     codes = {
         DegenerateVarianceError: "degenerate-variance",
         DegenerateDistanceVarianceError: "degenerate-distance-variance",
+        MetricOverflowError: "overflow",
     }
     try:
         return Cell(fn(actuals, predictions))
@@ -102,23 +108,63 @@ def _metric_cell(fn, actuals, predictions) -> Cell:
         return Cell(None, codes[type(exc)])
 
 
-def _collect_forecasts(bundle, panel, node, horizons):
-    """Predictions and matching actuals from every admissible test origin,
-    all origins forecast in one batch when the bundle supports it."""
+def _collect_forecasts(bundle, panel, nodes, horizons):
+    """{node: {horizon: (predictions, actuals)}} from every admissible test
+    origin of each of ``nodes``; a bundle with ``forecast_nodes`` forecasts
+    them all in one call, any other bundle one origin at a time.
+
+    A forecast that overflows holds inf or NaN; :func:`evaluate` reports it
+    as ``n/a(non-finite-forecast)``, so numpy's overflow and invalid-value
+    warnings would only repeat it."""
     max_h = max(horizons)
-    rates = panel.rates[node]
-    origins = panel.test_origins(node, bundle.rho)
-    if hasattr(bundle, "forecast_origins"):
-        trajs = bundle.forecast_origins(panel, node, origins, max_h)
-    else:
-        trajs = np.array(
-            [bundle.forecast(panel, node, o, max_h) for o in origins]
-        ).reshape(origins.shape[0], max_h + 1)
+    origins = {node: panel.test_origins(node, bundle.rho) for node in nodes}
+    with np.errstate(over="ignore", invalid="ignore"):
+        if hasattr(bundle, "forecast_nodes"):
+            trajs = bundle.forecast_nodes(panel, origins, max_h)
+        else:
+            trajs = {node: np.array(
+                [bundle.forecast(panel, node, o, max_h) for o in at]
+            ).reshape(at.shape[0], max_h + 1) for node, at in origins.items()}
     collected = {}
-    for j in horizons:
-        keep = origins + j < rates.shape[0]
-        collected[j] = (trajs[keep, j], rates[origins[keep] + j])
+    for node, at in origins.items():
+        rates = panel.rates[node]
+        collected[node] = {}
+        for j in horizons:
+            keep = at + j < rates.shape[0]
+            collected[node][j] = (trajs[node][keep, j], rates[at[keep] + j])
     return collected
+
+
+def _rmse_cell(actuals, predictions) -> Cell:
+    if not np.isfinite(predictions).all():
+        return Cell(None, "non-finite-forecast")
+    return _metric_cell(rmse, actuals, predictions)
+
+
+def _node_cells(actuals, predictions, ref: Cell | None) -> dict[str, Cell]:
+    """The cells of one node and horizon, ``ref`` being the reference
+    RMSE's (None: the reference has no model there).  A relative RMSE
+    whose own or reference RMSE is n/a carries that cell's code."""
+    e = _rmse_cell(actuals, predictions)
+    if e.code == "non-finite-forecast":
+        return _na_metrics(e.code, actuals.size)
+    if ref is None:
+        rel = Cell(None, "no-model")
+    elif e.value is None:
+        rel = e
+    elif ref.value is None:
+        rel = ref
+    elif ref.value == 0.0:
+        rel = Cell(None, "zero-baseline")
+    else:
+        rel = _metric_cell(relative_rmse, e.value, ref.value)
+    return {
+        "n": Cell(float(actuals.size)),
+        "rmse": e,
+        "rel_rmse": rel,
+        "pearson": _metric_cell(pearson, actuals, predictions),
+        "dist_corr": _metric_cell(distance_correlation, actuals, predictions),
+    }
 
 
 def evaluate(
@@ -146,45 +192,30 @@ def evaluate(
     if not reference.models:
         raise MissingBaselineError("no node could fit the AR(1) reference")
 
-    ref_rmse: dict[tuple[NodeId, int], float] = {}
-    for node in h.bfs_order():
-        if node not in reference.models:
-            continue
-        for j, (preds, actuals) in _collect_forecasts(
-            reference, panel, node, horizons
-        ).items():
+    ref_rmse: dict[tuple[NodeId, int], Cell] = {}
+    ref_nodes = [n for n in h.bfs_order() if n in reference.models]
+    for node, collected in _collect_forecasts(
+        reference, panel, ref_nodes, horizons
+    ).items():
+        for j, (preds, actuals) in collected.items():
             if actuals.size:
-                ref_rmse[(node, j)] = rmse(actuals, preds)
+                ref_rmse[(node, j)] = _rmse_cell(actuals, preds)
 
     node_metrics: dict[tuple[str, NodeId, int], dict[str, Cell]] = {}
 
     for label, bundle in zip(labels, bundles):
+        covered = [n for n in h.bfs_order() if n in bundle.model_map]
+        collected = _collect_forecasts(bundle, panel, covered, horizons)
         for node in h.bfs_order():
-            if node not in bundle.model_map:
-                for j in horizons:
-                    node_metrics[(label, node, j)] = _na_metrics("no-model")
-                continue
-            collected = _collect_forecasts(bundle, panel, node, horizons)
             for j in horizons:
-                preds, actuals = collected[j]
-                if actuals.size == 0:
-                    node_metrics[(label, node, j)] = _na_metrics("no-predictions")
-                    continue
-                e = rmse(actuals, preds)
-                ref = ref_rmse.get((node, j))
-                if ref is None:
-                    rel = Cell(None, "no-model")
-                elif ref == 0.0:
-                    rel = Cell(None, "zero-baseline")
+                if node not in collected:
+                    cells = _na_metrics("no-model")
+                elif collected[node][j][1].size == 0:
+                    cells = _na_metrics("no-predictions")
                 else:
-                    rel = Cell(relative_rmse(e, ref))
-                node_metrics[(label, node, j)] = {
-                    "n": Cell(float(actuals.size)),
-                    "rmse": Cell(e),
-                    "rel_rmse": rel,
-                    "pearson": _metric_cell(pearson, actuals, preds),
-                    "dist_corr": _metric_cell(distance_correlation, actuals, preds),
-                }
+                    preds, actuals = collected[node][j]
+                    cells = _node_cells(actuals, preds, ref_rmse.get((node, j)))
+                node_metrics[(label, node, j)] = cells
 
     rows = {}
     for label in labels:

@@ -27,16 +27,27 @@ the same call that gives its gradients.
 Each :func:`optimize_stack` run trains in one :class:`_Workspace`: float64
 arrays sized for the run's largest pass, which every pass of every epoch
 overwrites, so a pass allocates none of its states, gates or backward
-intermediates.  The first step of every window starts from the zero state,
-where ``s w_z``, ``s w_r`` and ``(s * r) w_v`` are exact zeros and the
-reset gate scales nothing; that step, forward and backward, is computed
-without them.  Neither changes a bit of any loss, gradient or prediction.
+intermediates.  A pass holds up to ``_PASS_WINDOWS`` windows, so a stack
+of a few dozen nodes trains in one.  The first step of every window
+starts from the zero state, where ``s w_z``, ``s w_r`` and ``(s * r) w_v``
+are exact zeros and the reset gate scales nothing; that step, forward and
+backward, is computed without them.  The input projections of every step
+are written ahead (:func:`_project_steps`), and the bias gradients sum
+each unit's windows with ``np.einsum`` (:func:`_window_sums`).
+
+Training, prediction and forecasting run one recurrence, :func:`_step`.
+:func:`stack_predictor` runs it over a stack of units, so that a bundle
+forecasts its nodes together.  Every caller enters
+``np.errstate(over="ignore")`` once, for the sigmoid's ``exp``
+(:func:`_sigmoid`).  None of this changes a bit of any loss, gradient or
+prediction.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import mmap
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -171,39 +182,48 @@ def unflatten(vec: np.ndarray, hidden: int, input_dim: int = 1) -> GruParams:
 
 
 def _sigmoid(a: np.ndarray) -> None:
-    """``1 / (1 + exp(-a))``, written into ``a``."""
+    """``1 / (1 + exp(-a))``, written into ``a``.  ``exp`` overflows to inf
+    where ``a`` is below about -709, and the sigmoid is then exactly 0: every
+    caller of :func:`_step` enters ``np.errstate(over="ignore")`` once, for
+    the whole call, so that this is not warned about."""
     np.negative(a, out=a)
-    with np.errstate(over="ignore"):
-        np.exp(a, out=a)
+    np.exp(a, out=a)
     a += 1.0
     np.divide(1.0, a, out=a)
 
 
-def _step(p, x: np.ndarray, s, z, r, v, out, tmp) -> None:
-    """The recurrence, written once: writes gates ``z``, ``r``, ``v`` and
-    the next state ``out`` from state ``s`` with input ``x``, using ``tmp``
-    as scratch, for one row or a batch of rows of one unit (``p`` a
-    :class:`GruParams`), or for a stack of units (``p`` a :class:`_Stack`).
+def _project(p, x: np.ndarray, z, r, v, product=np.matmul) -> None:
+    """The input projections of one step: ``x @ u_z``, ``x @ u_r`` and
+    ``x @ u_v`` into ``z``, ``r`` and ``v``; ``r`` None skips the reset
+    gate, which the zero-state step does not use."""
+    product(x, p.u_z, out=z)
+    if r is not None:
+        product(x, p.u_r, out=r)
+    product(x, p.u_v, out=v)
+
+
+def _step(p, s, z, r, v, out, tmp) -> None:
+    """The recurrence, written once: completes gates ``z``, ``r``, ``v``,
+    which hold the step's input projections (:func:`_project`), and writes
+    the next state ``out`` from state ``s``, using ``tmp`` as scratch, for
+    one row or a batch of rows of one unit (``p`` a :class:`GruParams`), or
+    for a stack of units (``p`` a :class:`_Stack`).
 
     ``s`` None is the zero state.  Its recurrent products ``s @ w_*`` and
     ``(s * r) @ w_v`` are then exact zeros for finite weights, and the
     reset gate scales nothing, so none of them is computed and ``r`` is
-    not written; adding an exact zero would change no bit but a zero's
+    not read; adding an exact zero would change no bit but a zero's
     sign, which reaches no loss, gradient or prediction."""
-    np.matmul(x, p.u_z, out=z)
     if s is not None:
         z += np.matmul(s, p.w_z, out=tmp)
     z += p.b_z
     _sigmoid(z)
-    if s is None:
-        np.matmul(x, p.u_v, out=v)
-    else:
-        np.matmul(x, p.u_r, out=r)
+    if s is not None:
         r += np.matmul(s, p.w_r, out=tmp)
         r += p.b_r
         _sigmoid(r)
-        np.matmul(np.multiply(s, r, out=tmp), p.w_v, out=v)
-        v += np.matmul(x, p.u_v, out=out)  # ``out`` is written last
+        # ``out`` is written last
+        v += np.matmul(np.multiply(s, r, out=tmp), p.w_v, out=out)
     v += p.b_v
     np.tanh(v, out=v)
     np.multiply(z, v, out=out)
@@ -225,7 +245,9 @@ def gru_step(p: GruParams, s_prev, x) -> np.ndarray:
             f"fit hidden {p.hidden} and input_dim {p.input_dim}"
         )
     z, r, v, out, tmp = np.empty((5, p.hidden))
-    _step(p, x, s, z, r, v, out, tmp)
+    _project(p, x, z, r, v)
+    with np.errstate(over="ignore"):
+        _step(p, s, z, r, v, out, tmp)
     return out
 
 
@@ -248,11 +270,14 @@ def _as_windows(p: GruParams, inputs, lead: int) -> np.ndarray:
 
 def _final_state(p, x: np.ndarray) -> np.ndarray:
     """The state after the last step of every window, from the zero state;
-    ``x[..., t, :]`` is step t of every window."""
-    z, r, v, tmp, s, out = np.empty((6,) + x.shape[:-2] + (p.hidden,))
-    _step(p, x[..., 0, :], None, z, r, v, s, tmp)
+    ``x[..., t, :]`` is step t of every window.  The caller enters
+    ``np.errstate(over="ignore")`` (see :func:`_sigmoid`)."""
+    z, r, v, tmp, s, out = np.empty((6,) + x.shape[:-2] + p.b_z.shape[-1:])
+    _project(p, x[..., 0, :], z, None, v)
+    _step(p, None, z, r, v, s, tmp)
     for t in range(1, x.shape[-2]):
-        _step(p, x[..., t, :], s, z, r, v, out, tmp)
+        _project(p, x[..., t, :], z, r, v)
+        _step(p, s, z, r, v, out, tmp)
         s, out = out, s
     return s
 
@@ -260,7 +285,9 @@ def _final_state(p, x: np.ndarray) -> np.ndarray:
 def predict_batch(p: GruParams, inputs: np.ndarray) -> np.ndarray:
     """Run the unit over a batch of windows, shape (batch, rho) or
     (batch, rho, input_dim), from the zero state; linear readout."""
-    return _final_state(p, _as_windows(p, inputs, 1)) @ p.readout_w + p.readout_b
+    x = _as_windows(p, inputs, 1)
+    with np.errstate(over="ignore"):
+        return _final_state(p, x) @ p.readout_w + p.readout_b
 
 
 # ----------------------------------------------------------- stacked units
@@ -273,6 +300,23 @@ _Stack = namedtuple("_Stack", (*_FIELDS, "readout_b"))
 
 def _stack(P: np.ndarray, hidden: int, input_dim: int) -> _Stack:
     return _Stack(*_views(P, _shapes(hidden, input_dim, True)), P[:, -1:])
+
+
+def stack_predictor(units: list[GruParams]):
+    """:func:`predict_batch` for a stack of units of one shape, run as one
+    batched recursion: the returned function maps windows (N, batch, rho)
+    or (N, batch, rho, input_dim), unit i's batch at [i], to the (N, batch)
+    predictions, each unit's row the bits of its own :func:`predict_batch`."""
+    p = units[0]
+    w = _stack(np.stack([u.vec for u in units]), p.hidden, p.input_dim)
+
+    def predict(windows: np.ndarray) -> np.ndarray:
+        x = _as_windows(p, windows, 2)
+        with np.errstate(over="ignore"):
+            s = _final_state(w, x)
+        return np.matmul(s, w.readout_w)[..., 0] + w.readout_b
+
+    return predict
 
 
 def _batches(p: GruParams, inputs, targets) -> tuple[np.ndarray, np.ndarray]:
@@ -331,20 +375,23 @@ def _add_penalties(P, terms, loss, grad) -> np.ndarray:
     return loss
 
 
-# Windows per pass over a stack of units.  It bounds a run's workspace, 20
-# arrays of (windows, hidden) float64 at rho 4: 550 KB for 5 units of 86
+# Windows per pass over a stack of units.  It bounds a run's workspace, 19
+# arrays of (windows, hidden) float64 at rho 4: 1.6 MB for 15 units of 86
 # windows and 8 hidden units.  Measured on deep-gru (15 nodes of 86
-# windows), 512 raised the run's peak RSS by 0.5 MB (1.3%) over allocating
-# every pass afresh; 1024 windows took 0.95x the time of 512 for 0.7 MB
-# more, and 2048 windows 0.86x for 1.1 MB more.  512 is the largest of the
-# three that keeps peak RSS within 2% of allocating afresh.
-_PASS_WINDOWS = 512
+# windows; 2 vCPUs, numpy 2.4.6, one BLAS thread, 24 alternating rounds),
+# against 512 windows: 1024 took 0.90x the CPU time for 0.2 MB more peak
+# RSS, and 2048 or 4096, where every stack trains in one pass, 0.82-0.85x
+# for 0.5 MB (1.3%) more.  Training igru alone on a 400-node panel, an
+# earlier revision was faster at 4096 than at 512 or 32768 in 3 of 3
+# alternating triples.
+_PASS_WINDOWS = 4096
 
 # The arrays one pass writes, (N, n, h) unless noted: the state after each
 # step, the gates z, v and r of each step (r from step 1 on: the zero-state
-# step computes none), five scratch arrays, and small ones for the readout
-# column (N, n, 1) and the gradient products (N, h, 1), (N, d, h), (N, h, h)
-# and (N, h).
+# step computes none), four scratch arrays and ``ds``, the backward pass's
+# state gradient, which starts in the last state once the readout has read
+# it, and small ones for the readout column (N, n, 1) and the gradient
+# products (N, h, 1), (N, d, h), (N, h, h) and (N, h).
 _Acts = namedtuple(
     "_Acts", "states zs vs rs tmp dz dsr ds ds_prev col hcol dh hh hrow"
 )
@@ -366,7 +413,14 @@ class _Workspace:
         rows = min(units, max(1, _PASS_WINDOWS // n))
         self.P = np.empty((units, _param_count(h, d)))
         self.G = np.empty_like(self.P)
-        big = np.empty((4 * rho + 4, rows, n, h))
+        # Mapped from the OS, not malloc'd, so that freeing the workspace
+        # unmaps it: glibc would raise its mmap threshold to the freed
+        # block's size, and the later, smaller workspaces of a run would
+        # then stay resident in its heap.  Over a 512-window workspace,
+        # deep-gru's peak RSS rose 1.4 MB with a malloc'd one, 0.5 MB
+        # with a mapped one.
+        shape = (4 * rho + 3, rows, n, h)
+        big = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
         small = [np.empty((rows, *shape))
                  for shape in ((n, 1), (h, 1), (d, h), (h, h), (h,))]
         acts, self.passes = {}, []
@@ -375,10 +429,11 @@ class _Workspace:
             N = part.stop - lo
             if N not in acts:
                 a = [m[:N] for m in big]
+                tmp, dz, dsr, ds_prev = a[4 * rho - 1:]
                 acts[N] = _Acts(
                     a[:rho], a[rho:2 * rho], a[2 * rho:3 * rho],
-                    [None, *a[3 * rho:4 * rho - 1]], *a[4 * rho - 1:],
-                    *(m[:N] for m in small),
+                    [None, *a[3 * rho:4 * rho - 1]], tmp, dz, dsr, a[rho - 1],
+                    ds_prev, *(m[:N] for m in small),
                 )
             g = _views(self.G[part], _shapes(h, d)) + [self.G[part, -1]]
             self.passes.append(_Pass(part, _stack(self.P[part], h, d), g, acts[N]))
@@ -399,6 +454,47 @@ def _stack_loss_and_grad(ws: _Workspace, P, x, y, terms):
     return _add_penalties(P, terms, loss, ws.G), ws.G
 
 
+def _window_sums(da: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Each unit's sum of ``da`` (N, n, h) over its n windows, written into
+    ``out`` (N, h).  At h > 1 np.add.reduce adds the windows one after
+    another, and einsum adds them in the same order in about a third of the
+    time (8 against 25 us for 15 units of 86 windows at h = 8).  At h = 1
+    np.add.reduce sums pairwise, where einsum's sums would differ."""
+    if da.shape[-1] == 1:
+        return np.add.reduce(da, axis=1, out=out)
+    return np.einsum("inj->ij", da, out=out)
+
+
+def _project_steps(w: _Stack, x, a: _Acts) -> _Stack:
+    """Write the input projections of every step ahead into the step's
+    gates (:func:`_project`), and return ``w`` with its biases plus 0.0
+    broadcast to whole (N, n, h) arrays, so that no bias add broadcasts.
+    The forward pass leaves free the arrays this writes: the backward
+    scratch arrays, and ``ds``, the last state, until the last step.
+
+    One-wide inputs make each ``x @ u_*`` an outer product, where np.matmul
+    runs its own loop, ``0 + x * u``, at about 25 us for 15 units of 86
+    windows: ``x * u`` of ``x`` and ``u`` broadcast ahead takes 4 us.  The
+    two differ only where the product is -0.0.  The sum that follows adds
+    ``s @ w_*``, which is never -0.0, or the bias plus 0.0, which is not
+    -0.0 either, and so comes out the same bit for bit."""
+    gates = zip(a.zs, a.rs, a.vs)
+    if x.shape[-1] == 1:
+        u = w._replace(u_z=a.dz, u_r=a.dsr, u_v=a.ds_prev)
+        for full, part in zip(u[:3], w[:3]):
+            np.copyto(full, part)
+        for t, (z, r, v) in enumerate(gates):
+            np.copyto(a.ds, x[:, :, t, :])
+            _project(u, a.ds, z, r, v, np.multiply)
+    else:
+        for t, (z, r, v) in enumerate(gates):
+            _project(w, x[:, :, t, :], z, r, v)
+    biases = (a.dz, a.dsr, a.ds_prev)
+    for full, part in zip(biases, (w.b_z, w.b_r, w.b_v)):
+        np.add(part, 0.0, out=full)
+    return w._replace(b_z=biases[0], b_r=biases[1], b_v=biases[2])
+
+
 def _bptt(w: _Stack, g: list, a: _Acts, x, y) -> np.ndarray:
     """The data losses of the units whose parameters ``w`` views; their
     gradients are added into the views ``g``, which hold zeros, and every
@@ -409,9 +505,11 @@ def _bptt(w: _Stack, g: list, a: _Acts, x, y) -> np.ndarray:
     n, rho = x.shape[1:3]
     states, zs, vs, rs = a.states, a.zs, a.vs, a.rs
     tmp, dz, dsr, ds, ds_prev = a.tmp, a.dz, a.dsr, a.ds, a.ds_prev
-    for t in range(rho):
-        s = states[t - 1] if t else None
-        _step(w, x[:, :, t, :], s, zs[t], rs[t], vs[t], states[t], tmp)
+    fw = _project_steps(w, x, a)
+    with np.errstate(over="ignore"):
+        for t in range(rho):
+            s = states[t - 1] if t else None
+            _step(fw, s, zs[t], rs[t], vs[t], states[t], tmp)
 
     err = np.matmul(states[-1], w.readout_w, out=a.col)[..., 0]
     err += w.readout_b
@@ -440,7 +538,7 @@ def _bptt(w: _Stack, g: list, a: _Acts, x, y) -> np.ndarray:
         da_v = np.multiply(ds, z, out=ds)  # dv = ds * z
         da_v *= np.subtract(1.0, np.multiply(v, v, out=tmp), out=tmp)
         gu_v += np.matmul(xT[t], da_v, out=a.dh)
-        gb_v += np.add.reduce(da_v, axis=1, out=a.hrow)
+        gb_v += _window_sums(da_v, a.hrow)
         if t:
             sr = np.multiply(s_prev, r, out=tmp)
             gw_v += np.matmul(sr.swapaxes(1, 2), da_v, out=a.hh)
@@ -452,13 +550,13 @@ def _bptt(w: _Stack, g: list, a: _Acts, x, y) -> np.ndarray:
             da_r *= np.subtract(1.0, r, out=dsr)
             gu_r += np.matmul(xT[t], da_r, out=a.dh)
             gw_r += np.matmul(sT, da_r, out=a.hh)
-            gb_r += np.add.reduce(da_r, axis=1, out=a.hrow)
+            gb_r += _window_sums(da_r, a.hrow)
             ds_prev += np.matmul(da_r, w_rT, out=dsr)
 
         da_z = np.multiply(dz, z, out=dz)
         da_z *= np.subtract(1.0, z, out=tmp)
         gu_z += np.matmul(xT[t], da_z, out=a.dh)
-        gb_z += np.add.reduce(da_z, axis=1, out=a.hrow)
+        gb_z += _window_sums(da_z, a.hrow)
         if t:
             gw_z += np.matmul(sT, da_z, out=a.hh)
             ds_prev += np.matmul(da_z, w_zT, out=dsr)

@@ -13,6 +13,7 @@ from .errors import (
     EmptyInputError,
     InvalidSpecError,
     LengthMismatchError,
+    MetricOverflowError,
     ZeroBaselineError,
 )
 
@@ -27,11 +28,26 @@ def _pair(actuals, predictions) -> tuple[np.ndarray, np.ndarray]:
     return a, p
 
 
+_QUIET = dict(over="ignore", invalid="ignore")
+
+
+def _finite(*values: float) -> None:
+    """Raise :class:`MetricOverflowError` unless every value is finite.
+    Each metric computes its sums under ``_QUIET`` and checks them here, so
+    that huge finite inputs whose arithmetic overflows give that error,
+    not numpy's warnings and an inf, NaN or silently wrong value."""
+    if not all(map(math.isfinite, values)):
+        raise MetricOverflowError("metric arithmetic overflowed")
+
+
 def rmse(actuals, predictions) -> float:
     """Root of the mean squared difference."""
     a, p = _pair(actuals, predictions)
-    d = a - p
-    return math.sqrt(float(d @ d) / a.size)
+    with np.errstate(**_QUIET):
+        d = a - p
+        ss = float(d @ d)
+    _finite(ss)
+    return math.sqrt(ss / a.size)
 
 
 def pearson(actuals, predictions) -> float:
@@ -39,13 +55,16 @@ def pearson(actuals, predictions) -> float:
     a, p = _pair(actuals, predictions)
     if a.size < 2:
         raise DegenerateVarianceError("need at least 2 observations")
-    da = a - a.mean()
-    dp = p - p.mean()
-    saa = float(da @ da)
-    spp = float(dp @ dp)
+    with np.errstate(**_QUIET):
+        da = a - a.mean()
+        dp = p - p.mean()
+        saa = float(da @ da)
+        spp = float(dp @ dp)
+        sap = float(da @ dp)
+    _finite(saa, spp, sap, saa * spp)
     if saa == 0.0 or spp == 0.0:
         raise DegenerateVarianceError("constant input vector")
-    r = float(da @ dp) / math.sqrt(saa * spp)
+    r = sap / math.sqrt(saa * spp)
     return min(1.0, max(-1.0, r))
 
 
@@ -60,14 +79,16 @@ def distance_correlation(actuals, predictions) -> float:
     a, p = _pair(actuals, predictions)
     if a.size < 2:
         raise DegenerateDistanceVarianceError("need at least 2 observations")
-    ca = _centered_distances(a)
-    cp = _centered_distances(p)
-    vaa = float(np.mean(ca * ca))
-    vpp = float(np.mean(cp * cp))
+    with np.errstate(**_QUIET):
+        ca = _centered_distances(a)
+        cp = _centered_distances(p)
+        vaa = float(np.mean(ca * ca))
+        vpp = float(np.mean(cp * cp))
+        vap = float(np.mean(ca * cp))
+    _finite(vaa, vpp, vap, vaa * vpp)
     if vaa <= 0.0 or vpp <= 0.0:
         raise DegenerateDistanceVarianceError("zero distance variance")
-    vap = max(0.0, float(np.mean(ca * cp)))
-    return min(1.0, math.sqrt(vap / math.sqrt(vaa * vpp)))
+    return min(1.0, math.sqrt(max(0.0, vap) / math.sqrt(vaa * vpp)))
 
 
 def _centered_distances(x: np.ndarray) -> np.ndarray:
@@ -81,4 +102,6 @@ def relative_rmse(model_rmse: float, ar1_rmse: float) -> float:
         raise InvalidSpecError(f"negative rmse {model_rmse}")
     if ar1_rmse <= 0.0:
         raise ZeroBaselineError(f"reference rmse must be positive, got {ar1_rmse}")
-    return model_rmse / ar1_rmse
+    ratio = model_rmse / ar1_rmse
+    _finite(ratio)
+    return ratio

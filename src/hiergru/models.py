@@ -60,7 +60,14 @@ from .errors import (
     NodeSkippedWarning,
     NoTrainingDataError,
 )
-from .gru import GruParams, OptimState, init_params, optimize_stack, zero_params
+from .gru import (
+    GruParams,
+    OptimState,
+    init_params,
+    optimize_stack,
+    stack_predictor,
+    zero_params,
+)
 from .hierarchy import (
     Hierarchy,
     NodeId,
@@ -160,33 +167,55 @@ class ModelBundle:
     def covered_nodes(self) -> tuple[NodeId, ...]:
         return tuple(sorted(self.models))
 
+    def forecast_nodes(
+        self, panel: SeriesPanel, origins: dict, horizon: int
+    ) -> dict[NodeId, np.ndarray]:
+        """Recursive multi-horizon forecasts of several nodes, each from
+        every one of its ``origins[node]`` at once: {node: array whose row i
+        holds the ``horizon + 1`` values from ``origins[node][i]``}.
+        Position 0 is the one-step-ahead prediction, position j feeds the
+        previous j predictions back in; extra channels of multichannel
+        windows keep their last observed values.
+
+        GRU units of one shape whose nodes have equally many origins roll
+        forward as one stack (:func:`~hiergru.gru.stack_predictor`); every
+        other node model rolls alone.  Each node gets the bits it gets
+        forecast alone."""
+        if horizon < 0:
+            raise InvalidSpecError(f"horizon must be >= 0, got {horizon}")
+        groups: dict[tuple, list] = {}
+        for node, at in origins.items():
+            if node not in self.models:
+                raise HiergruError(f"bundle {self.tag!r} has no model for {node!r}")
+            at = np.asarray(at, dtype=np.int64).reshape(-1)
+            p = self.models[node]
+            key = ((at.size, p.hidden, p.input_dim) if isinstance(p, GruParams)
+                   else (node,))
+            groups.setdefault(key, []).append((node, at))
+        preds = {}
+        for members in groups.values():
+            nodes = [node for node, _ in members]
+            if not members[0][1].size:
+                # no window to build: a rho longer than the series must cost nothing
+                preds.update((node, np.empty((0, horizon + 1))) for node in nodes)
+                continue
+            windows = np.stack([
+                panel.forecast_windows(node, at, self.rho, self._channels(node))
+                for node, at in members
+            ])
+            rolled = _roll(_predictor([self.models[n] for n in nodes]), windows, horizon)
+            preds.update(zip(nodes, rolled))
+        return preds
+
+    def _channels(self, node: NodeId):
+        return None if self.neighbors is None else (node, *self.neighbors[node])
+
     def forecast_origins(
         self, panel: SeriesPanel, node: NodeId, origins, horizon: int
     ) -> np.ndarray:
-        """Recursive multi-horizon forecasts from every origin at once; row
-        i holds the ``horizon + 1`` values from ``origins[i]``.  Position 0
-        is the one-step-ahead prediction, position j feeds the previous j
-        predictions back in; extra channels of multichannel windows keep
-        their last observed values."""
-        if horizon < 0:
-            raise InvalidSpecError(f"horizon must be >= 0, got {horizon}")
-        if node not in self.models:
-            raise HiergruError(f"bundle {self.tag!r} has no model for {node!r}")
-        model = self.models[node]
-        origins = np.asarray(origins, dtype=np.int64).reshape(-1)
-        if not origins.size:
-            # no window to build: a rho longer than the series must cost nothing
-            return np.empty((0, horizon + 1))
-        channels = None if self.neighbors is None else (node, *self.neighbors[node])
-        windows = panel.forecast_windows(node, origins, self.rho, channels)
-        newest = (slice(None), -1, 0)[: windows.ndim]  # channel 0 of the last row
-        preds = np.empty((origins.shape[0], horizon + 1))
-        for j in range(horizon + 1):
-            preds[:, j] = model.predict_batch(windows)
-            if j < horizon:
-                windows[:, :-1] = windows[:, 1:]
-                windows[newest] = preds[:, j]
-        return preds
+        """Recursive multi-horizon forecasts of one node from every origin
+        at once: the one-node case of :meth:`forecast_nodes`."""
+        return self.forecast_nodes(panel, {node: origins}, horizon)[node]
 
     def forecast(
         self, panel: SeriesPanel, node: NodeId, origin: int, horizon: int
@@ -197,6 +226,29 @@ class ModelBundle:
 
 forecast_origins = ModelBundle.forecast_origins
 forecast = ModelBundle.forecast
+
+
+def _predictor(models: list):
+    """``predict_batch`` over windows (N, batch, ...), model i's at [i]: one
+    stacked recursion for GRU units, or the one model's own."""
+    if isinstance(models[0], GruParams):
+        return stack_predictor(models)
+    (model,) = models
+    return lambda windows: model.predict_batch(windows[0])[None]
+
+
+def _roll(predict, windows: np.ndarray, horizon: int) -> np.ndarray:
+    """The recursion: ``horizon + 1`` predictions from windows (N, batch,
+    rho[, channels]), each fed back into channel 0 of the newest row of the
+    windows, which it rolls in place.  Returns (N, batch, horizon + 1)."""
+    newest = (slice(None), slice(None), -1, 0)[: windows.ndim]
+    preds = np.empty(windows.shape[:2] + (horizon + 1,))
+    for j in range(horizon + 1):
+        preds[..., j] = predict(windows)
+        if j < horizon:
+            windows[:, :, :-1] = windows[:, :, 1:]
+            windows[newest] = preds[..., j]
+    return preds
 
 
 # ----------------------------------------------------------------- training

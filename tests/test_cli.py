@@ -681,6 +681,37 @@ def tiny_synth(tmp_path_factory):
     return {f: (data / f).read_bytes() for f in ("hierarchy.csv", "series.csv")}
 
 
+@pytest.mark.parametrize("line, code", [(18, "non-finite-forecast"), (19, "overflow")])
+def test_huge_finite_rate_ends_in_coded_cells(tiny_synth, tmp_path, line, code):
+    # one huge root rate: as the last training value (line 18) the AR(1)
+    # forecasts overflow to inf; in the test segment (line 19) they stay
+    # finite and the metrics' sums overflow.  Either way the root's cells
+    # are n/a(<code>), no warning is raised, and the other nodes' rows keep
+    # their bytes.
+    outs = {}
+    for edited in (False, True):
+        data = tmp_path / f"data-{edited}"
+        data.mkdir()
+        rows = tiny_synth["series.csv"].decode().splitlines()
+        assert rows[line].startswith("root,")
+        if edited:
+            rows[line] = rows[line].rsplit(",", 1)[0] + ",-0.9110926589655e253"
+        (data / "series.csv").write_text("\n".join(rows) + "\n")
+        (data / "hierarchy.csv").write_bytes(tiny_synth["hierarchy.csv"])
+        cfg = write_config(data / "cfg.json", data, [{"tag": "ar", "rho": 1}])
+        assert main(["run", "--config", str(cfg), "--out", str(data / "o")]) == EXIT_OK
+        outs[edited] = (data / "o" / "report_raw.csv").read_text().splitlines()
+    clean, edited = outs[False], outs[True]
+    root = [r for r in edited if r.startswith("ar,root,")]
+    assert len(root) == 2
+    for row in root:
+        assert row.split(",")[4:] == [f"n/a({code})"] * 4
+    assert [r for r in edited if r not in root] == [
+        r for r in clean if not r.startswith("ar,root,")
+    ]
+    assert "inf" not in "".join(edited) and "nan" not in "".join(edited)
+
+
 class TestFuzzedInputs:
     @settings(
         max_examples=1000, deadline=None,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import panel_from_rates
 from helpers import (
     bptt_oracle,
     fd_grad,
@@ -30,6 +31,7 @@ from hiergru.gru import (
     unflatten,
     zero_params,
 )
+from hiergru.models import ModelBundle
 
 
 class TestStep:
@@ -170,6 +172,55 @@ class TestPredict:
         for call in calls:
             with pytest.raises(EmptyInputError):
                 call()
+
+
+class TestSaturatedGates:
+    """Weights of about 1e3 drive ``exp`` in the sigmoid past overflow.
+    Every entry point enters ``np.errstate`` itself, so none of them warns
+    (pytest turns a RuntimeWarning into a failure), and each returns the
+    bits of a reference that computes the sigmoid in full."""
+
+    @staticmethod
+    def _saturated(seed, count=1, d=1):
+        rng = np.random.default_rng(seed)
+        units = [GruParams(init_params(4, rng, input_dim=d).vec * 1e4, 4, d)
+                 for _ in range(count)]
+        return units, rng
+
+    def test_loss_and_grad(self):
+        (p,), rng = self._saturated(60)
+        x, y = rng.normal(size=(20, 5)), rng.normal(size=20)
+        anchor = init_params(4, rng)
+        want_loss, want_grad = bptt_oracle(p, x, y, ((anchor, 0.5),))
+        loss, grad = loss_and_grad(p, x, y, ((anchor, 0.5),))
+        assert (loss, grad.tobytes()) == (want_loss, want_grad.tobytes())
+
+    def test_predict_batch_and_gru_step(self):
+        (p,), rng = self._saturated(61, d=2)
+        x = rng.normal(size=(6, 5, 2))
+        states = gru_states_oracle(p, x)[0]
+        want = states[5] @ p.readout_w + p.readout_b
+        assert predict_batch(p, x).tobytes() == want.tobytes()
+        for window in x:
+            s = np.zeros(4)
+            for step in window:
+                s = gru_step(p, s, step)
+            with np.errstate(over="ignore"):
+                want = gru_forward_oracle(p, window)
+            assert float(s @ p.readout_w + p.readout_b) == want
+
+    def test_stacked_forecast(self):
+        units, rng = self._saturated(62, count=3)
+        windows = rng.normal(size=(3, 7, 4))
+        stacked = gru.stack_predictor(units)(windows)
+        for i, p in enumerate(units):
+            assert stacked[i].tobytes() == predict_batch(p, windows[i]).tobytes()
+        panel = panel_from_rates({n: rng.normal(size=30) for n in "abc"})
+        bundle = ModelBundle(tag="igru", rho=4, models=dict(zip("abc", units)))
+        origins = {n: panel.test_origins(n, 4) for n in "abc"}
+        for node, preds in bundle.forecast_nodes(panel, origins, 3).items():
+            assert preds.tobytes() == bundle.forecast_origins(
+                panel, node, origins[node], 3).tobytes()
 
 
 class TestFlatten:
@@ -361,7 +412,8 @@ class TestOptimizeStack:
             (5, 2, 1, 3, 4, "adam"),
             (3, 1, 3, 1, 5, "adam"),
             (1, 12, 4, 6, 3, "sgd"),
-            (7, 100, 4, 1, 8, "adam"),  # passes of 5 and 2 units
+            (7, 100, 4, 1, 8, "adam"),
+            (7, 600, 4, 1, 8, "adam"),  # passes of 6 units and 1 unit
         ],
     )
     def test_each_unit_gets_its_bits_alone(self, count, n, rho, d, h, method):
@@ -384,12 +436,15 @@ class TestOptimizeStack:
 
     @pytest.mark.parametrize(
         "count, n, rho, d, h",
-        [(15, 86, 4, 1, 8), (13, 86, 4, 6, 8), (1, 1290, 4, 1, 8),
-         (4, 7, 12, 1, 8), (3, 86, 4, 1, 16), (5, 2, 1, 3, 4), (4, 1, 3, 1, 5)],
+        [(15, 86, 4, 1, 8), (13, 86, 4, 6, 8), (9, 1000, 4, 1, 8),
+         (1, 1290, 4, 1, 8), (4, 7, 12, 1, 8), (3, 86, 4, 1, 16),
+         (5, 2, 1, 3, 4), (4, 1, 3, 1, 5), (6, 200, 4, 1, 1), (3, 90, 3, 2, 1)],
     )
     def test_kernel_matches_per_unit_oracle(self, count, n, rho, d, h):
-        # one pass, several passes (15 units of 86 windows) and one unit;
-        # the second call on one workspace must keep nothing of the first
+        # one pass, several passes (9 units of 1,000 windows: 4, 4 and 1),
+        # one unit, and hidden 1, whose window sums are np.add.reduce's
+        # pairwise ones; the second call on one workspace must keep nothing
+        # of the first
         rng = np.random.default_rng(count * 1000 + n)
         first, inputs, targets, regs = self._units(rng, count, n, rho, d, h)
         params = [init_params(h, rng, input_dim=d) for _ in first]

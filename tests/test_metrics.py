@@ -9,6 +9,7 @@ from hiergru.errors import (
     DegenerateVarianceError,
     EmptyInputError,
     LengthMismatchError,
+    MetricOverflowError,
     ZeroBaselineError,
 )
 from hiergru.metrics import (
@@ -126,6 +127,32 @@ class TestRelativeRmse:
     def test_zero_baseline(self):
         with pytest.raises(ZeroBaselineError):
             relative_rmse(1.0, 0.0)
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("fn", [rmse, pearson, distance_correlation])
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    def test_huge_finite_inputs_raise_without_warnings(self, fn, scale):
+        # the squares overflow (1e160) or the differences do (1e300); pytest
+        # turns any numpy RuntimeWarning into a failure
+        a = np.array([1.0, -2.0, 0.5, 3.0]) * scale
+        p = np.array([-1.0, 2.5, 0.0, 1.0]) * scale
+        with pytest.raises(MetricOverflowError):
+            fn(a, p)
+
+    def test_product_of_finite_variances_overflows(self):
+        # each sum is finite, their product in the denominator is not: a
+        # silent 0.0 before the check
+        a = np.array([1.0, -1.0, 1.0, -1.0]) * 1e100
+        p = np.array([1.0, 1.0, -1.0, -1.0]) * 1e110
+        with pytest.raises(MetricOverflowError):
+            pearson(a, p)
+        with pytest.raises(MetricOverflowError):
+            distance_correlation(a, p)
+
+    def test_ratio_overflow(self):
+        with pytest.raises(MetricOverflowError):
+            relative_rmse(1e300, 1e-300)
 
 
 class TestCrossChecks:

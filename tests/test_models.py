@@ -651,6 +651,19 @@ def per_window_forecast(bundle, panel, node, origin, horizon):
     return np.array(preds)
 
 
+def rolled_forecast(bundle, panel, node, origins, horizon):
+    """Oracle: every origin's window rolled forward together through the
+    node model's own ``predict_batch``."""
+    channels = None if bundle.neighbors is None else (node, *bundle.neighbors[node])
+    windows = panel.forecast_windows(node, origins, bundle.rho, channels)
+    preds = np.empty((origins.size, horizon + 1))
+    for j in range(horizon + 1):
+        preds[:, j] = bundle.models[node].predict_batch(windows)
+        windows = np.concatenate([windows[:, 1:], windows[:, -1:]], axis=1)
+        windows[(slice(None), -1, 0)[: windows.ndim]] = preds[:, j]
+    return preds
+
+
 # families whose batched arithmetic is the per-window arithmetic exactly;
 # the others multiply matrices, where BLAS may sum a many-row product in a
 # different order than a one-row product
@@ -697,6 +710,23 @@ class TestForecastOrigins:
                     assert row.tobytes() == one.tobytes(), (node, origin)
                 else:
                     np.testing.assert_allclose(row, one, rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("tag", sorted(TAGS))
+    def test_stacked_forecast_matches_one_node_forecasts(self, fitted, tag):
+        # root.1.1 has fewer test origins than the other nodes, so a GRU
+        # bundle's nodes roll forward as two stacks; every node keeps the
+        # bits of its one-node forecast and of rolling its own windows
+        # through predict_batch
+        panel, bundles = fitted
+        bundle = bundles[tag]
+        origins = {n: panel.test_origins(n, bundle.rho) for n in bundle.covered_nodes()}
+        assert len({at.size for at in origins.values()}) == 2
+        stacked = bundle.forecast_nodes(panel, origins, 3)
+        assert stacked.keys() == origins.keys()
+        for node, at in origins.items():
+            alone = bundle.forecast_origins(panel, node, at, 3)
+            assert stacked[node].tobytes() == alone.tobytes(), node
+            assert alone.tobytes() == rolled_forecast(bundle, panel, node, at, 3).tobytes()
 
     def test_errors_name_the_bad_origin(self, fitted):
         panel, bundles = fitted

@@ -19,7 +19,12 @@ Both sides run ``hiergru run --jobs 1`` on the same inputs, written once by
   alone);
 * a ``--grid`` config;
 * a ragged panel with blank non-root weights: nodes start late, end early,
-  or are too short to give a knngru window.
+  or are too short to give a knngru window;
+* a wide panel, ``synth --depth 2 --branching 7`` (57 nodes), at a few
+  epochs of igru, knngru, hrnn and bihrnn: 56 nodes of 86 training windows
+  are more than one pass holds (``gru._PASS_WINDOWS``), so they train in
+  passes of 47 and 9 units (hrnn's last level of 48 in 47 and 1), and one
+  leaf that ends early makes each bundle forecast in two stacks.
 
 Every output file is compared byte for byte, except the ``created_utc``
 line of the run manifest.  One more check runs on the working tree alone:
@@ -116,6 +121,14 @@ RAGGED = [
     {"tag": "bihrnn", "epochs": 20},
 ]
 
+WIDE = [
+    {"tag": "ar", "rho": 1, "label": "ar_1"},
+    {"tag": "igru", "epochs": 3},
+    {"tag": "knngru", "epochs": 3},
+    {"tag": "hrnn", "epochs": 3},
+    {"tag": "bihrnn", "epochs": 3},
+]
+
 # node -> (periods dropped from the start, periods kept at most)
 RAGGED_CUTS = {
     "root.0.1": (30, None),  # starts late
@@ -131,19 +144,40 @@ def _with_models(config: Path, models: list) -> Path:
     return config
 
 
-def _make_ragged(config: Path) -> Path:
+def _cut(config: Path, cuts: dict) -> None:
+    """Keep, of each node's rows of the config's series, those that
+    ``cuts`` keeps: node -> (periods dropped from the start, periods kept
+    at most)."""
     series = config.parent / "series.csv"
     with open(series, newline="", encoding="utf-8") as fh:
         header, *rows = list(csv.reader(fh))
     kept, seen = [header], {}
     for node, period, value in rows:
         i = seen[node] = seen.get(node, -1) + 1
-        start, keep = RAGGED_CUTS.get(node, (0, None))
+        start, keep = cuts.get(node, (0, None))
         if i >= start and (keep is None or i - start < keep):
             kept.append([node, period, value])
     with open(series, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(kept)
+
+
+def _make_ragged(config: Path) -> Path:
+    _cut(config, RAGGED_CUTS)
     return _with_models(config, RAGGED)
+
+
+def _make_wide(config: Path) -> Path:
+    """The panel-s config's files replaced by a 57-node panel of the same
+    length, whose leaf ``root.6.6`` ends ten periods early."""
+    from hiergru.dataset import SynthSpec, save_series_csv, synth_panel
+    from hiergru.hierarchy import save_hierarchy
+
+    h, panel = synth_panel(SynthSpec(
+        depth=2, branching=7, length=120, leaf_noise_sd=0.75, seed=0))
+    save_hierarchy(h, config.parent / "hierarchy.csv")
+    save_series_csv(panel, config.parent / "series.csv")
+    _cut(config, {"root.6.6": (0, 110)})
+    return _with_models(config, WIDE)
 
 
 def write_runs(inputs: Path) -> list[tuple[str, Path, list[str]]]:
@@ -159,6 +193,8 @@ def write_runs(inputs: Path) -> list[tuple[str, Path, list[str]]]:
     runs.append(("grid", _with_models(grid, GRID), ["--grid"]))
     ragged = make_inputs("deep-gru", 0, inputs / "ragged")
     runs.append(("ragged blank-weight", _make_ragged(ragged), []))
+    wide = make_inputs("panel-s", 2, inputs / "wide")
+    runs.append(("wide, two passes", _make_wide(wide), []))
     return runs
 
 
