@@ -249,7 +249,23 @@ _GROUP_ROWS = 2048
 _PASS_CELLS = 2048
 
 
-def _grow_forest(x, y, boots, *, max_depth, min_leaf, feature_count, rng) -> list[Tree]:
+def _presort(x, boots) -> np.ndarray:
+    """The row ids of each index array of ``boots`` (into ``x``), side by
+    side: in ascending order of feature ``f`` in row ``f``, by one stable
+    argsort, and in the array's own order in the last row."""
+    rho = x.shape[1]
+    idx = np.empty((rho + 1, sum(b.shape[0] for b in boots)), dtype=np.int64)
+    lo = 0
+    for b in boots:
+        idx[:rho, lo: lo + b.shape[0]] = b[np.argsort(x[b], axis=0, kind="stable").T]
+        idx[rho, lo: lo + b.shape[0]] = b
+        lo += b.shape[0]
+    return idx
+
+
+def _grow_forest(
+    x, y, boots, *, max_depth, min_leaf, feature_count, rng, presorted=None
+) -> list[Tree]:
     """One CART tree on rows ``x[b], y[b]`` for each index array ``b`` of
     ``boots``, all grown together level by level (forests and boosting).
 
@@ -264,18 +280,16 @@ def _grow_forest(x, y, boots, *, max_depth, min_leaf, feature_count, rng) -> lis
 
     The open nodes' rows are the columns of ``idx``: each node's run of
     columns lists its row ids (into ``x``) in ascending order of feature
-    ``f`` in row ``f``, and in bootstrap order in the last row.  It is one
-    stable presort per tree, and partitions keep order, so no node sorts
-    again.  A level is scored in passes of nodes sorted by size, each
-    padded to its largest node, and partitioned in place.
+    ``f`` in row ``f``, and in bootstrap order in the last row.  It is
+    :func:`_presort` of ``boots``, or a copy of ``presorted`` when a caller
+    that grows on the same rows again passes it, and partitions keep order,
+    so no node sorts again.  A level is scored in passes of nodes sorted by
+    size, each padded to its largest node, and partitioned in place.
     """
     rho = x.shape[1]
     k = min(feature_count, rho)
     sizes = np.array([b.shape[0] for b in boots])
-    idx = np.empty((rho + 1, sizes.sum()), dtype=np.int64)
-    for b, lo in zip(boots, np.cumsum(sizes) - sizes):
-        idx[:rho, lo: lo + b.shape[0]] = b[np.argsort(x[b], axis=0, kind="stable").T]
-        idx[rho, lo: lo + b.shape[0]] = b
+    idx = _presort(x, boots) if presorted is None else presorted.copy()
     tree = np.arange(len(boots))
     rank = tree  # each open node's place in its level's order
     levels, links = [], []  # per level (tree, value, feature, threshold)
@@ -470,7 +484,8 @@ def _boost(group, rho: int) -> list[TreeEnsemble]:
     are stacked into one ``x``; each stage's rows of a node (all of them,
     or a sorted ``subsample`` draw from the node's own generator) are one
     bootstrap of :func:`_grow_forest`, with every feature a candidate, and
-    one descent of the stage's merged trees updates every node's fit."""
+    one descent of the stage's merged trees updates every node's fit.
+    Without subsampling every stage grows on the same rows, presorted once."""
     xs, ys, cfgs = zip(*group)
     x, y = np.concatenate(xs), np.concatenate(ys)
     sizes = np.array([t.shape[0] for t in ys])
@@ -479,19 +494,19 @@ def _boost(group, rho: int) -> list[TreeEnsemble]:
     cfg = cfgs[0]
     rngs = [_seeded_rng(c.seed) for c in cfgs]
     current = np.repeat(base, sizes)
+    boots = [lo + np.arange(n) for lo, n in zip(starts, sizes)]
+    presorted = _presort(x, boots) if cfg.subsample == 1.0 else None
     stages = []
     for _ in range(cfg.n_trees):
         residual = y - current
-        if cfg.subsample < 1.0:
+        if presorted is None:
             boots = [
                 lo + np.sort(rng.permutation(n)[: max(1, int(cfg.subsample * n))])
                 for rng, lo, n in zip(rngs, starts, sizes)
             ]
-        else:
-            boots = [lo + np.arange(n) for lo, n in zip(starts, sizes)]
         trees = _grow_forest(
             x, residual, boots, max_depth=cfg.max_depth, min_leaf=1,
-            feature_count=rho, rng=None,
+            feature_count=rho, rng=None, presorted=presorted,
         )
         merged, roots = _merge(trees)
         leaves = _descend(merged, x, np.arange(x.shape[0]), np.repeat(roots, sizes))

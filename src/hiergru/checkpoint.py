@@ -116,7 +116,8 @@ def _parse_checkpoint(data: bytes, path) -> dict:
 
 def _json_dump(obj, path: Path) -> None:
     path.write_text(
-        json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n",
+        encoding="utf-8",
     )
 
 
@@ -206,8 +207,9 @@ def load_bundle(dirpath) -> ModelBundle:
     """Rebuild a bundle from a bundle directory.  A malformed manifest (its
     ``spec`` and ``neighbors`` included), a node file that is not a regular
     file inside the directory, one whose bytes do not have the manifest's
-    ``sha256``, or one whose rho is not the manifest's, raises
-    :class:`HiergruError` naming the manifest."""
+    ``sha256``, one whose rho is not the manifest's, or one whose payload
+    does not decode as a model of the tag, raises :class:`HiergruError`
+    naming the manifest."""
     root = Path(dirpath)
     manifest_path = root / "manifest.json"
     manifest = _read_manifest(manifest_path)
@@ -233,9 +235,15 @@ def load_bundle(dirpath) -> ModelBundle:
                 f"{manifest_path}: node {node!r} file {entry['file']!r} has rho "
                 f"{ck['rho']}, but the manifest has rho {manifest['rho']}"
             )
-        models[node] = lookup(tag).decode(
-            ck["payload"], ck["hidden"], ck["input_dim"], ck["rho"]
-        )
+        try:
+            models[node] = lookup(tag).decode(
+                ck["payload"], ck["hidden"], ck["input_dim"], ck["rho"]
+            )
+        except (HiergruError, ArithmeticError, IndexError, ValueError) as exc:
+            raise HiergruError(
+                f"{manifest_path}: node {node!r} file {entry['file']!r} does not "
+                f"decode as a {tag} model: {exc}"
+            ) from exc
         provenance[node] = entry.get("provenance", {})
     try:
         spec = TrainSpec(**manifest["spec"]) if "spec" in manifest else None

@@ -17,8 +17,6 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .checkpoint import _json_dump, _sha256, save_bundle
 from .dataset import (
@@ -32,8 +30,9 @@ from .errors import DivergenceError, HiergruError, InvalidSpecError
 from .evaluation import (
     DAILY_HORIZONS,
     MONTHLY_HORIZONS,
-    _collect_forecasts,
+    _mean_cell,
     evaluate,
+    rmse_cells,
     write_report_files,
 )
 from .hierarchy import impute_weights, load_hierarchy, save_hierarchy
@@ -205,21 +204,20 @@ def fit_entry(entry: dict, panel, h, seed: int, anchors_cache: dict):
 
 # -------------------------------------------------------------- grid search
 
-def _validation_score(bundle, panel) -> float:
-    """Mean over nodes of one-step RMSE on the sub-panel's test tail."""
-    scores = []
-    nodes = [n for n in sorted(panel.rates) if n in bundle.models]
-    for collected in _collect_forecasts(bundle, panel, nodes, (0,)).values():
-        preds, actuals = collected[0]
-        if preds.size:
-            scores.append(float(np.sqrt(np.mean((actuals - preds) ** 2))))
-    return float(np.mean(scores)) if scores else float("inf")
+def _validation_score(bundle, panel) -> float | None:
+    """Mean over nodes of one-step RMSE cells on the sub-panel's test tail;
+    None when no node has a forecast there, or a cell or the mean is n/a."""
+    cells = list(rmse_cells(bundle, panel, bundle.covered_nodes(), (0,)).values())
+    if any(c.value is None for c in cells):
+        return None
+    return _mean_cell(cells).value  # None without cells
 
 
 def run_grid_search(entry: dict, panel, h, seed: int) -> dict:
     """Exhaustive search over the entry's listed values; candidates train on
-    the head of the training segment and are scored by RMSE on its tail.
-    Returns the winning entry (grid removed, parameters merged)."""
+    the head of the training segment and are scored by RMSE on its tail,
+    an unscored (None) one ranking last.  Returns the winning entry (grid
+    removed, parameters merged)."""
     grid = entry["grid"]
     if not grid:
         return entry
@@ -237,8 +235,9 @@ def run_grid_search(entry: dict, panel, h, seed: int) -> dict:
         bundle, _ = fit_entry(candidate, inner, h, seed, {})
         score = _validation_score(bundle, inner)
         choices.append({"params": dict(zip(keys, combo)), "score": score})
-        if best is None or score < best[0]:
-            best = (score, candidate)
+        rank = float("inf") if score is None else score  # scores are finite
+        if best is None or rank < best[0]:
+            best = (rank, candidate)
     winner = best[1]
     winner["grid_trace"] = choices
     return winner

@@ -141,6 +141,17 @@ def _rmse_cell(actuals, predictions) -> Cell:
     return _metric_cell(rmse, actuals, predictions)
 
 
+def rmse_cells(bundle, panel, nodes, horizons) -> dict[tuple[NodeId, int], Cell]:
+    """The :func:`_rmse_cell` of each (node, horizon) with a test origin."""
+    collected = _collect_forecasts(bundle, panel, nodes, horizons)
+    return {
+        (node, j): _rmse_cell(actuals, preds)
+        for node, by_horizon in collected.items()
+        for j, (preds, actuals) in by_horizon.items()
+        if actuals.size
+    }
+
+
 def _node_cells(actuals, predictions, ref: Cell | None) -> dict[str, Cell]:
     """The cells of one node and horizon, ``ref`` being the reference
     RMSE's (None: the reference has no model there).  A relative RMSE
@@ -192,14 +203,7 @@ def evaluate(
     if not reference.models:
         raise MissingBaselineError("no node could fit the AR(1) reference")
 
-    ref_rmse: dict[tuple[NodeId, int], Cell] = {}
-    ref_nodes = [n for n in h.bfs_order() if n in reference.models]
-    for node, collected in _collect_forecasts(
-        reference, panel, ref_nodes, horizons
-    ).items():
-        for j, (preds, actuals) in collected.items():
-            if actuals.size:
-                ref_rmse[(node, j)] = _rmse_cell(actuals, preds)
+    ref_rmse = rmse_cells(reference, panel, reference.covered_nodes(), horizons)
 
     node_metrics: dict[tuple[str, NodeId, int], dict[str, Cell]] = {}
 

@@ -94,23 +94,61 @@ def _encode_trees(model: TreeEnsemble):
     return np.concatenate(parts), 0, 0
 
 
+def _integers_in(v: np.ndarray, lo, hi) -> np.ndarray:
+    """Where each value of ``v`` is an integer in ``[lo, hi)``; NaN is not."""
+    inside = (v >= lo) & (v < hi)
+    return inside & (np.where(inside, v, 0.0) % 1.0 == 0.0)
+
+
 def _decode_trees(payload, hidden, input_dim, rho) -> TreeEnsemble:
+    """The ensemble :func:`_encode_trees` wrote, checked so that every
+    descent ends inside its tree: a payload that is not one raises
+    :class:`HiergruError`.  Each count is an integer that fits in what is
+    left of the payload, which the trees use up exactly; mode is 0 or 1;
+    node ``i`` of ``n`` is a leaf (feature and links -1) or a split on a
+    feature in ``[0, rho)`` at a finite threshold, with both children in
+    ``(i, n)``."""
+    at = 3
+
+    def count(least: int, size: int) -> int:
+        """The count at ``at``, of items of at least ``size`` values each."""
+        nonlocal at
+        c = payload[at] if at < payload.size else np.nan
+        at += 1
+        if not (least <= c <= (payload.size - at) // size and c == int(c)):
+            raise HiergruError(f"tree payload count {c} at {at - 1} does not fit")
+        return int(c)
+
+    if payload.size < 4 or payload[0] not in (0.0, 1.0):
+        raise HiergruError("tree payload has no header of mode 0 or 1")
     mode = "additive" if payload[0] == 1.0 else "average"
     trees = []
-    at = 4
-    for _ in range(int(payload[3])):
-        n_nodes = int(payload[at])
-        at += 1
+    for _ in range(count(0, 6)):
+        n_nodes = count(1, 5)
         block = payload[at: at + 5 * n_nodes].reshape(n_nodes, 5)
         at += 5 * n_nodes
+        feature, threshold, left, right, value = block.T
+        ok = _integers_in(feature, 0, rho) & np.isfinite(threshold)
+        for child in (left, right):
+            ok &= _integers_in(child, np.arange(1, n_nodes + 1), n_nodes)
+        ok = np.where(feature == -1, (left == -1) & (right == -1), ok)
+        if not ok.all():
+            raise HiergruError(
+                f"tree {len(trees)} node {int(np.argmin(ok))} is neither a leaf "
+                "nor a split on a feature below rho with children down its tree"
+            )
         trees.append(
             Tree(
-                feature=block[:, 0].astype(np.int64),
-                threshold=block[:, 1].copy(),
-                left=block[:, 2].astype(np.int64),
-                right=block[:, 3].astype(np.int64),
-                value=block[:, 4].copy(),
+                feature=feature.astype(np.int64),
+                threshold=threshold.copy(),
+                left=left.astype(np.int64),
+                right=right.astype(np.int64),
+                value=value.copy(),
             )
+        )
+    if at != payload.size:
+        raise HiergruError(
+            f"tree payload has {payload.size - at} values after its trees"
         )
     return TreeEnsemble(
         trees=tuple(trees), mode=mode, shrinkage=float(payload[1]),

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 
@@ -285,3 +286,126 @@ class TestMalformedManifest:
         (bundle_dir / "node_00000.ckpt").symlink_to(bundle_dir.parent / _OUTSIDE)
         with pytest.raises(HiergruError, match="manifest.json"):
             load_bundle(bundle_dir)
+
+
+def rehashed(bundle_dir, name: str, edit) -> None:
+    """Replace the payload of the bundle's node file ``name`` by ``edit`` of
+    it, and record the rewritten file's sha256 in the manifest, so that
+    only decoding can tell the edit."""
+    path = bundle_dir / name
+    ck = read_checkpoint(path)
+    write_checkpoint(path, payload=edit(ck.pop("payload")), **ck)
+    manifest_path = bundle_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    for entry in manifest["nodes"].values():
+        if entry["file"] == name:
+            entry["sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+
+
+def set_at(payload, at: int, value: float):
+    payload[at] = value
+    return payload
+
+
+def assert_trees_descend(model, rho: int) -> None:
+    """Every node of every tree is a leaf or a split on a feature below
+    ``rho`` at a finite threshold whose children come later in its tree,
+    so that every descent ends."""
+    for tree in model.trees:
+        n = tree.feature.shape[0]
+        assert n >= 1
+        for i in range(n):
+            if tree.feature[i] != -1:
+                assert 0 <= tree.feature[i] < rho
+                assert np.isfinite(tree.threshold[i])
+                assert i < tree.left[i] < n and i < tree.right[i] < n
+
+
+class TestTreePayloads:
+    RHO = 4
+
+    @pytest.fixture(scope="class")
+    def bundles(self, tmp_path_factory):
+        spec = SynthSpec(depth=1, branching=2, length=40, leaf_noise_sd=0.5, seed=3)
+        h, panel = synth_panel(spec)
+        out = tmp_path_factory.mktemp("trees")
+        for tag, cfg in (("rf", ForestConfig(n_trees=3)),
+                         ("gbt", GbtConfig(n_trees=3))):
+            save_bundle(fit_baseline(panel, h, tag, rho=self.RHO, cfg=cfg), out / tag)
+        return out
+
+    @staticmethod
+    def assert_named_failure(bundle_dir, name: str) -> None:
+        manifest = json.loads((bundle_dir / "manifest.json").read_text())
+        node = next(n for n, e in manifest["nodes"].items() if e["file"] == name)
+        with pytest.raises(HiergruError) as err:
+            load_bundle(bundle_dir)
+        for part in ("manifest.json", repr(node), repr(name)):
+            assert part in str(err.value)
+
+    def edit_root(self, payload, **cells):
+        # the first tree's root row: feature, threshold, left, right, value
+        assert payload[5] >= 0, "the first tree's root is a split"
+        for column, value in cells.items():
+            payload[5 + ("feature", "threshold", "left", "right").index(column)] = value
+        return payload
+
+    @pytest.mark.parametrize("case", [
+        "root-self-loop", "feature-99", "tree-count-1e9", "tree-count-nan",
+    ])
+    def test_inconsistent_payload_raises_naming_manifest_node_and_file(
+        self, bundles, tmp_path, case
+    ):
+        bundle_dir = shutil.copytree(bundles / "rf", tmp_path / "rf")
+        edits = {
+            "root-self-loop": lambda p: self.edit_root(p, left=0, right=0),
+            "feature-99": lambda p: self.edit_root(p, feature=99),
+            "tree-count-1e9": lambda p: set_at(p, 3, 1e9),
+            "tree-count-nan": lambda p: set_at(p, 3, np.nan),
+        }
+        assert read_checkpoint(bundle_dir / "node_00000.ckpt")["payload"][3] == 3
+        rehashed(bundle_dir, "node_00000.ckpt", edits[case])
+        self.assert_named_failure(bundle_dir, "node_00000.ckpt")
+
+    @pytest.mark.parametrize("tag", ["fc", "igru"])
+    def test_payload_one_value_short_raises_naming_manifest_node_and_file(
+        self, tmp_path, tag
+    ):
+        spec = SynthSpec(depth=1, branching=2, length=40, leaf_noise_sd=0.5, seed=3)
+        h, panel = synth_panel(spec)
+        params = {"rho": 3, "hidden": 2, "epochs": 1}
+        entry = {"tag": tag, "label": tag, "params": params, "grid": {}}
+        save_bundle(fit_entry(entry, panel, h, 0, {})[0], tmp_path / tag)
+        rehashed(tmp_path / tag, "node_00000.ckpt", lambda p: p[:-1])
+        self.assert_named_failure(tmp_path / tag, "node_00000.ckpt")
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_edited_float_raises_or_decodes_descending_trees(
+        self, bundles, tmp_path, data
+    ):
+        # never predicts: a tree that loops would not return
+        tag = data.draw(st.sampled_from(["rf", "gbt"]))
+        bundle_dir = tmp_path / "bundle"
+        shutil.rmtree(bundle_dir, ignore_errors=True)
+        shutil.copytree(bundles / tag, bundle_dir)
+        name = data.draw(st.sampled_from(
+            sorted(p.name for p in bundle_dir.glob("*.ckpt"))
+        ))
+        size = read_checkpoint(bundle_dir / name)["payload"].shape[0]
+        at = data.draw(st.integers(0, size - 1))
+        value = data.draw(st.one_of(
+            st.integers(-2, 2 * size).map(float),
+            FLOAT_BITS.map(lambda b: np.array(b, dtype=np.uint64).view(np.float64)),
+            st.sampled_from([np.nan, np.inf, 0.5, 1e9, -0.0]),
+        ))
+        rehashed(bundle_dir, name, lambda p: set_at(p, at, value))
+        try:
+            bundle = load_bundle(bundle_dir)
+        except HiergruError:
+            self.assert_named_failure(bundle_dir, name)
+        else:
+            for model in bundle.models.values():
+                assert_trees_descend(model, self.RHO)

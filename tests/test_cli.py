@@ -2,6 +2,7 @@ import json
 import shutil
 import tempfile
 import threading
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -567,6 +568,60 @@ class TestRun:
         chosen = entry["params"]["rho"]
         best = min(range(3), key=lambda i: scores[i])
         assert entry["grid_trace"][best]["params"]["rho"] == chosen
+
+    def test_grid_scores_overflowing_candidates_null_in_strict_json(self, tmp_path):
+        # one huge root rate overflows every candidate's validation RMSE:
+        # both scores are null, no warning is raised, and every manifest is
+        # strict JSON
+        data = tmp_path / "data"
+        assert main(
+            ["synth", "--out", str(data), "--depth", "1", "--branching", "2",
+             "--length", "48", "--seed", "4"]
+        ) == EXIT_OK
+        series = data / "series.csv"
+        rows = series.read_text().splitlines()
+        at = next(i for i, r in enumerate(rows) if r.startswith("root,2001-06,"))
+        rows[at] = "root,2001-06,-0.9110926589655e253"
+        series.write_text("\n".join(rows) + "\n")
+        cfg = write_config(
+            tmp_path / "cfg.json", data, [{"tag": "ar", "grid": {"rho": [1, 2]}}]
+        )
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(
+                ["run", "--config", str(cfg), "--out", str(out), "--grid"]
+            ) == EXIT_OK
+
+        def strict(name):
+            raise AssertionError(f"{name} in a manifest")
+
+        manifests = sorted(out.rglob("manifest.json"))
+        assert len(manifests) == 2  # the run's and the ar bundle's
+        for path in manifests:
+            json.loads(path.read_text(), parse_constant=strict)
+        entry = json.loads((out / "manifest.json").read_text())["models"][0]
+        assert [c["score"] for c in entry["grid_trace"]] == [None, None]
+
+    @pytest.mark.parametrize("scores, winner", [
+        ([None, 2.0, None, 1.0, 1.0], 3),
+        ([None, None], 0),
+        ([3.0, None], 0),
+        ([None, 0.5], 1),
+    ])
+    def test_grid_ranks_unscored_candidates_last(self, monkeypatch, scores, winner):
+        # the first of the lowest scores wins; None never beats a score
+        class Panel:
+            def train_segment(self, fraction):
+                return self
+
+        monkeypatch.setattr(cli, "fit_entry", lambda e, *a: (e["params"]["rho"], []))
+        monkeypatch.setattr(cli, "_validation_score", lambda rho, p: scores[rho - 1])
+        rhos = list(range(1, len(scores) + 1))
+        entry = {"tag": "ar", "label": "ar", "params": {}, "grid": {"rho": rhos}}
+        won = cli.run_grid_search(entry, Panel(), None, 0)
+        assert won["params"] == {"rho": winner + 1}
+        assert [c["score"] for c in won["grid_trace"]] == scores
 
     def test_manifest_records_hashes_and_seeds(self, synth_dir, tmp_path):
         cfg = write_config(

@@ -36,8 +36,11 @@ files under both sides' ``src/``: ``src/ lines: <REV> -> <working tree>
 follows one line per checkpoint bundle directory naming every file of it
 that differs, and one line per report file naming the models whose rows
 (or ``report.dat`` blocks) differ, so that a change meant to touch one
-model's outputs can be seen to touch nothing else.  The exit status is 1
-if any run differs or fails on either side.
+model's outputs can be seen to touch nothing else.  For the run manifest,
+each such model also says whether its chosen ``params`` differ, and
+whether its entries differ only in their ``grid_trace`` scores, so that a
+change that moves only scores can be seen to choose the same winners.
+The exit status is 1 if any run differs or fails on either side.
 """
 
 from __future__ import annotations
@@ -263,10 +266,28 @@ def _models(path: Path) -> dict[str, list]:
     return lines
 
 
+def _params_note(x: list | None, y: list | None) -> str:
+    """How a model's run-manifest entries (from :func:`_models`) differ."""
+    if x is None or y is None:
+        return "on one side only"
+    x, y = x[0], y[0]
+    if x["params"] != y["params"]:
+        return "chosen params differ"
+
+    def unscored(entry):
+        trace = [{**c, "score": None} for c in entry.get("grid_trace") or []]
+        return {**entry, "grid_trace": trace}
+
+    if unscored(x) == unscored(y):
+        return "same params, only grid_trace scores differ"
+    return "same params"
+
+
 def describe(a: Path, b: Path, diff: list[str]) -> list[str]:
     """One line per checkpoint bundle directory listing every file of it
     that differs, and one per other file: for a report file or the run
-    manifest present on both sides, the models whose lines differ."""
+    manifest present on both sides, the models whose lines differ, each
+    with :func:`_params_note` in the manifest's case."""
     bundles: dict[str, list[str]] = {}
     out = []
     for rel in diff:
@@ -278,6 +299,12 @@ def describe(a: Path, b: Path, diff: list[str]) -> list[str]:
         ):
             x, y = _models(a / rel), _models(b / rel)
             models = [m for m in {**x, **y} if x.get(m) != y.get(m)]
+            if rel == "manifest.json":
+                models = [
+                    m if m == "(header)"
+                    else f"{m} ({_params_note(x.get(m), y.get(m))})"
+                    for m in models
+                ]
             out.append(f"  {rel}: lines of {', '.join(models)}")
         else:
             out.append(f"  {rel}")
