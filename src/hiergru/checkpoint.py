@@ -207,13 +207,19 @@ def load_bundle(dirpath) -> ModelBundle:
     """Rebuild a bundle from a bundle directory.  A malformed manifest (its
     ``spec`` and ``neighbors`` included), a node file that is not a regular
     file inside the directory, one whose bytes do not have the manifest's
-    ``sha256``, one whose rho is not the manifest's, or one whose payload
-    does not decode as a model of the tag, raises :class:`HiergruError`
-    naming the manifest."""
+    ``sha256``, one whose rho is not the manifest's, one whose hidden is not
+    the ``spec``'s (when the manifest has one), or one whose payload
+    does not decode as a model of the tag that encodes back to the file
+    (:meth:`~hiergru.registry.TagEntry.load`), raises :class:`HiergruError`
+    naming the manifest, the node and the file."""
     root = Path(dirpath)
     manifest_path = root / "manifest.json"
     manifest = _read_manifest(manifest_path)
     tag = manifest["tag"]
+    try:
+        spec = TrainSpec(**manifest["spec"]) if "spec" in manifest else None
+    except (TypeError, HiergruError) as exc:
+        raise HiergruError(f"{manifest_path}: invalid 'spec': {exc}") from exc
     models = {}
     provenance = {}
     for node, entry in manifest["nodes"].items():
@@ -235,8 +241,14 @@ def load_bundle(dirpath) -> ModelBundle:
                 f"{manifest_path}: node {node!r} file {entry['file']!r} has rho "
                 f"{ck['rho']}, but the manifest has rho {manifest['rho']}"
             )
+        if spec is not None and ck["hidden"] != spec.hidden:
+            raise HiergruError(
+                f"{manifest_path}: node {node!r} file {entry['file']!r} has "
+                f"hidden {ck['hidden']}, but the manifest's spec has hidden "
+                f"{spec.hidden}"
+            )
         try:
-            models[node] = lookup(tag).decode(
+            models[node] = lookup(tag).load(
                 ck["payload"], ck["hidden"], ck["input_dim"], ck["rho"]
             )
         except (HiergruError, ArithmeticError, IndexError, ValueError) as exc:
@@ -245,10 +257,6 @@ def load_bundle(dirpath) -> ModelBundle:
                 f"decode as a {tag} model: {exc}"
             ) from exc
         provenance[node] = entry.get("provenance", {})
-    try:
-        spec = TrainSpec(**manifest["spec"]) if "spec" in manifest else None
-    except (TypeError, HiergruError) as exc:
-        raise HiergruError(f"{manifest_path}: invalid 'spec': {exc}") from exc
     label = manifest.get("label")
     neighbors = manifest.get("neighbors")
     return ModelBundle(

@@ -40,6 +40,15 @@ def _finite(*values: float) -> None:
         raise MetricOverflowError("metric arithmetic overflowed")
 
 
+def _lifted(x: np.ndarray) -> np.ndarray:
+    """``x`` times the power of two that lifts its largest magnitude into
+    [1, 2) when that is below 1, else ``x``.  The product is exact, so a
+    metric that does not depend on scale keeps its value, and its sums
+    cannot underflow."""
+    top = float(np.max(np.abs(x)))
+    return np.ldexp(x, 1 - math.frexp(top)[1]) if 0.0 < top < 1.0 else x
+
+
 def rmse(actuals, predictions) -> float:
     """Root of the mean squared difference."""
     a, p = _pair(actuals, predictions)
@@ -51,8 +60,10 @@ def rmse(actuals, predictions) -> float:
 
 
 def pearson(actuals, predictions) -> float:
-    """Pearson correlation with population (1/T) normalization throughout."""
-    a, p = _pair(actuals, predictions)
+    """Pearson correlation with population (1/T) normalization throughout.
+    Each input is first :func:`_lifted`, so tiny inputs neither underflow
+    nor change the value."""
+    a, p = map(_lifted, _pair(actuals, predictions))
     if a.size < 2:
         raise DegenerateVarianceError("need at least 2 observations")
     with np.errstate(**_QUIET):
@@ -74,9 +85,10 @@ def distance_correlation(actuals, predictions) -> float:
     Pairwise absolute-difference matrices are double-centered (row, column,
     and grand means removed); squared distance covariance is the mean of
     their elementwise product and the result is
-    ``sqrt(dCov^2 / sqrt(dVar^2(X) * dVar^2(Y)))``.
+    ``sqrt(dCov^2 / sqrt(dVar^2(X) * dVar^2(Y)))``.  Each input is first
+    :func:`_lifted`, so tiny inputs neither underflow nor change the value.
     """
-    a, p = _pair(actuals, predictions)
+    a, p = map(_lifted, _pair(actuals, predictions))
     if a.size < 2:
         raise DegenerateDistanceVarianceError("need at least 2 observations")
     with np.errstate(**_QUIET):

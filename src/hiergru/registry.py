@@ -64,6 +64,19 @@ class TagEntry:
     fixed_rule: bool = False  # the same rule on every node, fitted on nothing
     saves_anchors: bool = False  # fit may return anchors saved as <label>_anchors
 
+    def load(self, payload, hidden, input_dim, rho):
+        """The node model a file's payload decodes to, accepted only if it
+        encodes back to the file: the payload bit for bit, ``hidden`` and
+        ``input_dim``, and ``rho`` where the model has one.  Any other file
+        raises :class:`HiergruError`."""
+        model = self.decode(payload, hidden, input_dim, rho)
+        back, back_hidden, back_dim = self.encode(model)
+        if np.asarray(back, "<f8").tobytes() != payload.tobytes() or (
+            back_hidden, back_dim, getattr(model, "rho", rho)
+        ) != (hidden, input_dim, rho):
+            raise HiergruError("its model does not encode back to the file")
+        return model
+
 
 def lookup(tag: str) -> TagEntry:
     entry = TAGS.get(tag)
@@ -94,20 +107,12 @@ def _encode_trees(model: TreeEnsemble):
     return np.concatenate(parts), 0, 0
 
 
-def _integers_in(v: np.ndarray, lo, hi) -> np.ndarray:
-    """Where each value of ``v`` is an integer in ``[lo, hi)``; NaN is not."""
-    inside = (v >= lo) & (v < hi)
-    return inside & (np.where(inside, v, 0.0) % 1.0 == 0.0)
-
-
 def _decode_trees(payload, hidden, input_dim, rho) -> TreeEnsemble:
-    """The ensemble :func:`_encode_trees` wrote, checked so that every
-    descent ends inside its tree: a payload that is not one raises
-    :class:`HiergruError`.  Each count is an integer that fits in what is
-    left of the payload, which the trees use up exactly; mode is 0 or 1;
-    node ``i`` of ``n`` is a leaf (feature and links -1) or a split on a
-    feature in ``[0, rho)`` at a finite threshold, with both children in
-    ``(i, n)``."""
+    """The ensemble :func:`_encode_trees` wrote, checked only so that
+    decoding stays inside the payload and every descent ends (the rest is
+    :meth:`TagEntry.load`'s): each count fits in what is left, and node
+    ``i`` of ``n`` is a leaf (feature and links -1) or a split on a feature
+    in ``[0, rho)`` at a finite threshold, with both children in ``(i, n)``."""
     at = 3
 
     def count(least: int, size: int) -> int:
@@ -115,22 +120,19 @@ def _decode_trees(payload, hidden, input_dim, rho) -> TreeEnsemble:
         nonlocal at
         c = payload[at] if at < payload.size else np.nan
         at += 1
-        if not (least <= c <= (payload.size - at) // size and c == int(c)):
+        if not least <= c <= (payload.size - at) // size:
             raise HiergruError(f"tree payload count {c} at {at - 1} does not fit")
         return int(c)
 
-    if payload.size < 4 or payload[0] not in (0.0, 1.0):
-        raise HiergruError("tree payload has no header of mode 0 or 1")
-    mode = "additive" if payload[0] == 1.0 else "average"
     trees = []
     for _ in range(count(0, 6)):
         n_nodes = count(1, 5)
         block = payload[at: at + 5 * n_nodes].reshape(n_nodes, 5)
         at += 5 * n_nodes
         feature, threshold, left, right, value = block.T
-        ok = _integers_in(feature, 0, rho) & np.isfinite(threshold)
+        ok = (0 <= feature) & (feature < rho) & np.isfinite(threshold)
         for child in (left, right):
-            ok &= _integers_in(child, np.arange(1, n_nodes + 1), n_nodes)
+            ok &= (np.arange(1, n_nodes + 1) <= child) & (child < n_nodes)
         ok = np.where(feature == -1, (left == -1) & (right == -1), ok)
         if not ok.all():
             raise HiergruError(
@@ -146,13 +148,9 @@ def _decode_trees(payload, hidden, input_dim, rho) -> TreeEnsemble:
                 value=value.copy(),
             )
         )
-    if at != payload.size:
-        raise HiergruError(
-            f"tree payload has {payload.size - at} values after its trees"
-        )
     return TreeEnsemble(
-        trees=tuple(trees), mode=mode, shrinkage=float(payload[1]),
-        base_value=float(payload[2]), rho=rho,
+        trees=tuple(trees), mode="additive" if payload[0] == 1.0 else "average",
+        shrinkage=float(payload[1]), base_value=float(payload[2]), rho=rho,
     )
 
 

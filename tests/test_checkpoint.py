@@ -1,6 +1,7 @@
 import hashlib
 import json
 import shutil
+import tempfile
 
 import numpy as np
 import pytest
@@ -170,6 +171,46 @@ class TestBundleDirectories:
                     == bundle.forecast(panel, n, origin, 3).tobytes()
                 ), f"{tag} {n}"
 
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**16), length=st.integers(30, 48),
+           rho=st.integers(1, 4), hidden=st.integers(1, 3),
+           epochs=st.integers(1, 2), n_trees=st.integers(2, 4),
+           max_depth=st.integers(0, 3))
+    def test_every_tag_roundtrips_bit_exactly(
+        self, seed, length, rho, hidden, epochs, n_trees, max_depth
+    ):
+        # every registered tag: fit small, save, reload; each node model
+        # encodes to the payload it was saved from, and the reloaded
+        # forecasts match the in-memory bundle's bit for bit
+        h, panel = synth_panel(SynthSpec(
+            depth=1, branching=2, length=length, leaf_noise_sd=0.5, seed=seed))
+        small = {"rho": rho, "hidden": hidden, "epochs": epochs,
+                 "n_trees": n_trees, "max_depth": max_depth, "k_neighbors": 2}
+        with tempfile.TemporaryDirectory() as tmp:
+            for tag, entry in TAGS.items():
+                params = {k: v for k, v in small.items() if k in entry.keys}
+                model = {"tag": tag, "label": tag, "params": params, "grid": {}}
+                bundle, _ = fit_entry(model, panel, h, seed, {})
+                save_bundle(bundle, f"{tmp}/{tag}")
+                back = load_bundle(f"{tmp}/{tag}")
+                assert (back.tag, back.rho, back.spec, back.neighbors) == (
+                    tag, bundle.rho, bundle.spec, bundle.neighbors
+                )
+                assert back.covered_nodes() == bundle.covered_nodes() == tuple(
+                    sorted(h.nodes)
+                )
+                for n in h.nodes:
+                    payload, *shape = entry.encode(bundle.models[n])
+                    again, *shape_again = entry.encode(back.models[n])
+                    assert (again.tobytes(), shape_again) == (
+                        payload.tobytes(), shape
+                    ), f"{tag} {n}"
+                    origin = panel.split_index[n]
+                    assert (
+                        back.forecast(panel, n, origin, 3).tobytes()
+                        == bundle.forecast(panel, n, origin, 3).tobytes()
+                    ), f"{tag} {n}"
+
     def test_save_twice_byte_identical(self, small_synth, tmp_path):
         h, panel = small_synth
         spec = TrainSpec(rho=3, hidden=4, epochs=10, lr=0.005, seed=5)
@@ -288,13 +329,14 @@ class TestMalformedManifest:
             load_bundle(bundle_dir)
 
 
-def rehashed(bundle_dir, name: str, edit) -> None:
+def rehashed(bundle_dir, name: str, edit, **header) -> None:
     """Replace the payload of the bundle's node file ``name`` by ``edit`` of
-    it, and record the rewritten file's sha256 in the manifest, so that
-    only decoding can tell the edit."""
+    it, and its header fields by ``header``, and record the rewritten
+    file's sha256 in the manifest, so that only decoding can tell the
+    edit."""
     path = bundle_dir / name
     ck = read_checkpoint(path)
-    write_checkpoint(path, payload=edit(ck.pop("payload")), **ck)
+    write_checkpoint(path, payload=edit(ck.pop("payload")), **{**ck, **header})
     manifest_path = bundle_dir / "manifest.json"
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     for entry in manifest["nodes"].values():
@@ -409,3 +451,55 @@ class TestTreePayloads:
         else:
             for model in bundle.models.values():
                 assert_trees_descend(model, self.RHO)
+
+
+# (tag, payload edit, header edits) of a saved rho-4 bundle's first node
+# file; the load rule rejects each, since its model does not encode back to
+# the edited file
+LOAD_RULE_CASES = {
+    "ar-emptied": ("ar", lambda p: p[:0], {}),
+    "ar-cut-by-one": ("ar", lambda p: p[:-1], {}),
+    "rw-2.5": ("rw", lambda p: np.array([2.5]), {}),
+    "rw-rho-plus-1": ("rw", lambda p: p + 1.0, {}),
+    "rf-header-hidden-5": ("rf", lambda p: p, {"hidden": 5}),
+    "rf-trailing-value": ("rf", lambda p: np.append(p, 0.0), {}),
+    "rf-tree-count-2.5": ("rf", lambda p: set_at(p, 3, 2.5), {}),
+    "fc-first-size-rho-plus-1": ("fc", lambda p: set_at(p, 1, p[1] + 1.0), {}),
+    # a GRU unit of another width than the manifest's spec.hidden (2)
+    "igru-header-hidden-1": (
+        "igru", lambda p: flatten(init_params(1, np.random.default_rng(0))),
+        {"hidden": 1},
+    ),
+    "igru-header-hidden-0": ("igru", lambda p: np.array([0.5]), {"hidden": 0}),
+}
+
+
+class TestLoadRule:
+    RHO = 4
+
+    @pytest.fixture(scope="class")
+    def bundles(self, tmp_path_factory):
+        spec = SynthSpec(depth=1, branching=2, length=40, leaf_noise_sd=0.5, seed=3)
+        h, panel = synth_panel(spec)
+        out = tmp_path_factory.mktemp("load_rule")
+        params = {"rho": self.RHO, "n_trees": 3, "hidden": 2, "epochs": 1}
+        for tag in ("ar", "rw", "rf", "fc", "igru"):
+            keys = {k: v for k, v in params.items() if k in TAGS[tag].keys}
+            entry = {"tag": tag, "label": tag, "params": keys, "grid": {}}
+            save_bundle(fit_entry(entry, panel, h, 0, {})[0], out / tag)
+        return out
+
+    @pytest.mark.parametrize("case", sorted(LOAD_RULE_CASES))
+    def test_file_not_encoded_back_raises_naming_manifest_node_and_file(
+        self, bundles, tmp_path, case
+    ):
+        tag, edit, header = LOAD_RULE_CASES[case]
+        bundle_dir = shutil.copytree(bundles / tag, tmp_path / tag)
+        ck = read_checkpoint(bundle_dir / "node_00000.ckpt")
+        assert ck["rho"] == self.RHO
+        assert ck["hidden"] == (2 if tag == "igru" else 0)
+        assert tag != "rw" or ck["payload"].tolist() == [self.RHO]
+        assert tag != "rf" or ck["payload"][3] == 3
+        assert tag != "fc" or ck["payload"][1] == self.RHO
+        rehashed(bundle_dir, "node_00000.ckpt", edit, **header)
+        TestTreePayloads.assert_named_failure(bundle_dir, "node_00000.ckpt")

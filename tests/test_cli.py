@@ -603,6 +603,29 @@ class TestRun:
         entry = json.loads((out / "manifest.json").read_text())["models"][0]
         assert [c["score"] for c in entry["grid_trace"]] == [None, None]
 
+    def test_tiny_rates_run_without_warnings(self, tmp_path):
+        # every rate times 1e-160: the variance sums behind the precision
+        # schedule's and knngru's correlations underflow unless the metrics
+        # lift their inputs first
+        data = tmp_path / "data"
+        assert main(
+            ["synth", "--out", str(data), "--depth", "1", "--branching", "2",
+             "--length", "48", "--seed", "4"]
+        ) == EXIT_OK
+        series = data / "series.csv"
+        header, *rows = series.read_text().splitlines()
+        rows = [r.rsplit(",", 1) for r in rows]
+        series.write_text("\n".join(
+            [header] + [f"{key},{float(v) * 1e-160!r}" for key, v in rows]
+        ) + "\n")
+        models = [{"tag": "hrnn", "epochs": 2}, {"tag": "knngru", "k_neighbors": 2}]
+        cfg = write_config(tmp_path / "cfg.json", data, models)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(
+                ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
+            ) == EXIT_OK
+
     @pytest.mark.parametrize("scores, winner", [
         ([None, 2.0, None, 1.0, 1.0], 3),
         ([None, None], 0),

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import dcorr_oracle, pearson_oracle, rmse_oracle
 from hiergru.errors import (
@@ -153,6 +155,30 @@ class TestOverflow:
     def test_ratio_overflow(self):
         with pytest.raises(MetricOverflowError):
             relative_rmse(1e300, 1e-300)
+
+
+class TestScaleFree:
+    @settings(max_examples=400, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40),
+           ka=st.integers(-900, 0), kp=st.integers(-900, 0))
+    def test_power_of_two_scales_keep_every_bit(self, seed, n, ka, kp):
+        # a sum of squares of values near 2**-900 underflows to 0, and a
+        # product of two tiny sums does too; each input is lifted first
+        rng = np.random.default_rng(seed)
+        a, p = rng.normal(size=(2, n))
+        for fn in (pearson, distance_correlation):
+            scaled = fn(np.ldexp(a, ka), np.ldexp(p, kp))
+            assert scaled.hex() == fn(a, p).hex()
+
+    def test_tiny_series_are_not_degenerate(self):
+        a = np.array([1.0, -2.0, 0.5, 3.0]) * 1e-300
+        p = np.array([-1.0, 2.5, 0.0, 1.0]) * 1e-300
+        assert pearson(a, p) == pytest.approx(
+            pearson(a * 1e300, p * 1e300), abs=1e-15
+        )
+        assert distance_correlation(a, p) == pytest.approx(
+            distance_correlation(a * 1e300, p * 1e300), abs=1e-15
+        )
 
 
 class TestCrossChecks:

@@ -27,7 +27,11 @@ Both sides run ``hiergru run --jobs 1`` on the same inputs, written once by
   leaf that ends early makes each bundle forecast in two stacks.
 
 Every output file is compared byte for byte, except the ``created_utc``
-line of the run manifest.  One more check runs on the working tree alone:
+line of the run manifest.  Every checkpoint bundle directory that a
+working-tree run writes is also loaded through the working tree's
+``load_bundle``, and a bundle that does not load fails its run, so that a
+change to the checkpoint reader is checked on every tag.  One more check
+runs on the working tree alone:
 the panel-s workload at panel seed 0, whose rf, gbt and fc families once
 fitted on a thread pool, must write the same bytes with ``--jobs 4`` as
 with ``--jobs 1``.  The first line printed counts the lines of the ``.py``
@@ -60,6 +64,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+from hiergru.checkpoint import load_bundle  # noqa: E402
+from hiergru.errors import HiergruError  # noqa: E402
 from workloads import make_inputs  # noqa: E402
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -230,6 +236,17 @@ def run_side(src: Path, config: Path, flags: list[str], out: Path,
     return f"exit {proc.returncode}: {proc.stderr.strip().splitlines()[-1:]}"
 
 
+def reload_error(out: Path) -> str | None:
+    """None when every checkpoint bundle directory under ``out`` loads
+    through :func:`load_bundle`, else the first failure."""
+    for bundle in sorted((out / "checkpoints").iterdir()):
+        try:
+            load_bundle(bundle)
+        except HiergruError as exc:
+            return f"checkpoints/{bundle.name} does not load: {exc}"
+    return None
+
+
 def differences(a: Path, b: Path) -> tuple[int, list[str]]:
     """(files compared, relative paths that differ or exist on one side)."""
     files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
@@ -343,6 +360,7 @@ def main(argv: list[str]) -> int:
                 side: run_side(src, config, flags, outs[side])
                 for side, src in sides.items()
             }
+            errors["work"] = errors["work"] or reload_error(outs["work"])
             failed |= report(name, errors, outs["base"], outs["work"])
             work_outs[name] = config, outs["work"]
         config, jobs1 = work_outs["panel-s seed 0"]
