@@ -15,7 +15,6 @@ from hiergru import (
     SynthSpec,
     child_weights,
     impute_weights,
-    parent_correlation,
     precision_schedule,
     synth_panel,
 )
@@ -31,8 +30,9 @@ for level in range(h.depth() + 1):
 
 # Parent-child correlation weakens as noise accumulates down the tree.
 print("\nparent correlation by level (training window only):")
+corr = precision_schedule(panel, h, alpha=0.0).correlation
 for level in (1, 2):
-    cs = [parent_correlation(panel, h, n) for n in h.nodes if h.level[n] == level]
+    cs = [corr[n] for n in h.nodes if h.level[n] == level]
     print(f"  level {level}: mean C = {np.mean(cs):+.3f}")
 
 # The precision schedule turns correlation into prior strength.

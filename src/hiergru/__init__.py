@@ -59,7 +59,6 @@ from .hierarchy import (
     child_weights,
     impute_weights,
     load_hierarchy,
-    parent_correlation,
     precision_schedule,
     save_hierarchy,
 )

@@ -72,10 +72,10 @@ def _minimum_norm_solve(a: np.ndarray, b: np.ndarray, scale: float) -> np.ndarra
     Singular values are cut off relative to ``scale`` (the magnitude of the
     data the columns were derived from), so columns that are zero up to
     centering round-off are treated as exactly zero instead of being
-    inverted into junk coefficients.
+    inverted into junk coefficients, at every scale of the data.
     """
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    cutoff = np.finfo(np.float64).eps * max(a.shape) * max(scale, 1.0)
+    cutoff = np.finfo(np.float64).eps * max(a.shape) * scale
     inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > cutoff)
     return vt.T @ (inv * (u.T @ b))
 

@@ -3,7 +3,7 @@
 A :class:`SeriesPanel` holds one rate series per node, aligned on a shared
 calendar of period labels.  Its methods are the only code that reads a
 node's train/test boundary: every training window, test origin and
-forecast window, and the training-only grid and sub-panel, is cut here.
+forecast window, and the training-only overlap and sub-panel, is cut here.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ class Window:
 class SeriesPanel:
     """Per-node rate series on a shared calendar, with train/test boundary.
 
-    ``periods[n]`` holds strictly increasing calendar positions,
+    ``periods[n]`` holds one unbroken run of calendar positions,
     ``rates[n]`` the matching log-change rates, and ``split_index[n]`` the
     first test position of node ``n``.
     """
@@ -68,31 +68,33 @@ class SeriesPanel:
     def period_label(self, n: NodeId, position: int) -> str:
         return self.calendar[int(self.periods[n][position])]
 
-    def train_grid(self, nodes) -> np.ndarray:
-        """The training-segment rates of ``nodes`` on the shared calendar:
-        a (calendar, len(nodes)) array, NaN where a node has no training
-        value.  Every train-only statistic reads its data from here."""
-        nodes = list(nodes)
-        grid = np.full((len(self.calendar), len(nodes)), np.nan)
-        for j, n in enumerate(nodes):
-            split = self.split_index[n]
-            grid[self.periods[n][:split], j] = self.rates[n][:split]
-        return grid
+    def train_overlap(self, nodes) -> tuple[int, list[np.ndarray]]:
+        """The periods where every node of ``nodes`` has a training rate:
+        the first one's calendar position, and each node's rates over them
+        as views.  Each node covers one unbroken run of periods
+        (:func:`build_panel`), so these periods are one run too."""
+        starts = [int(self.periods[n][0]) for n in nodes]
+        first = max(starts)
+        ends = [s + self.split_index[n] for s, n in zip(starts, nodes)]
+        size = max(0, min(ends) - first)
+        return first, [self.rates[n][first - s: first - s + size]
+                       for s, n in zip(starts, nodes)]
 
     def train_windows(self, n: NodeId, rho: int, channels=None):
         """``(inputs, targets)`` for each training target of ``n`` after its
-        first ``rho`` rates: inputs (windows, rho, channels) hold the
-        :meth:`train_grid` rates of ``channels`` (default ``n``) at the ``rho``
-        periods before it, less windows with a missing value; None if none."""
+        first ``rho`` rates whose ``rho`` periods before it lie in the
+        :meth:`train_overlap` of ``channels`` (default ``n``): inputs
+        (windows, rho, channels) hold those rates; None if there are none."""
         split = self.split_index[n]
         if split <= rho:
             return None
-        span = self.periods[n][np.arange(rho, split)[:, None] + np.arange(-rho, 0)]
-        inputs = self.train_grid(channels or (n,))[span]
-        keep = np.isfinite(inputs).all(axis=(1, 2))
-        if not keep.any():
+        first, columns = self.train_overlap(channels or (n,))
+        lag = first - int(self.periods[n][0])  # n's t is the overlap's t - lag
+        targets = np.arange(rho + max(lag, 0), min(split, lag + columns[0].size + 1))
+        if not targets.size:
             return None
-        return inputs[keep], self.rates[n][rho:split][keep]
+        span = targets[:, None] - lag + np.arange(-rho, 0)
+        return np.stack(columns, axis=-1)[span], self.rates[n][targets]
 
     def test_origins(self, n: NodeId, rho: int) -> np.ndarray:
         """Test positions of ``n`` with at least ``rho`` observations before."""

@@ -39,10 +39,6 @@ class MissingWeightError(HierarchyError):
     pass
 
 
-class InsufficientOverlapError(HiergruError):
-    """Two series share too few aligned training observations."""
-
-
 # ------------------------------------------------------------------ dataset
 
 class NonPositiveLevelError(HiergruError):

@@ -23,7 +23,6 @@ from .errors import (
     DegenerateVarianceError,
     HierarchyError,
     HiergruError,
-    InsufficientOverlapError,
     MissingRootError,
     MissingWeightError,
     MultipleRootsError,
@@ -32,7 +31,7 @@ from .errors import (
     SingularDesignWarning,
     UnknownParentError,
 )
-from .metrics import pearson
+from .metrics import centred, correlation
 
 if TYPE_CHECKING:  # pragma: no cover
     from .dataset import SeriesPanel
@@ -196,40 +195,29 @@ def save_hierarchy(h: Hierarchy, path) -> None:
 
 # --------------------------------------------------------------- statistics
 
-def aligned_train_rates(panel: "SeriesPanel", nodes: Iterable[NodeId]) -> np.ndarray:
-    """Stack the training-split rates of several nodes over common periods.
-
-    Returns an array of shape (T, k): the rows of
-    :meth:`~hiergru.dataset.SeriesPanel.train_grid` where every requested
-    node has a training value, in calendar order.  Only training-segment
-    observations participate, so anything computed from the result is free
-    of test-set leakage.
-    """
-    grid = panel.train_grid(nodes)
-    return grid[np.isfinite(grid).all(axis=1)]
-
-
-def pair_correlation(pair: np.ndarray, a: NodeId, b: NodeId) -> float:
-    """Pearson correlation of nodes ``a`` and ``b`` from ``pair``, their two
-    columns of a :meth:`~hiergru.dataset.SeriesPanel.train_grid`, over the
-    rows where both have a value.  Raises :class:`InsufficientOverlapError`
-    below 3 common rows and :class:`DegenerateVarianceError` for a constant
-    side."""
-    mat = pair[np.isfinite(pair).all(axis=1)]
-    if mat.shape[0] < 3:
-        raise InsufficientOverlapError(
-            f"nodes {a!r} and {b!r}: only {mat.shape[0]} aligned training "
-            "observations (need >= 3)"
-        )
-    return pearson(mat[:, 0], mat[:, 1])
-
-
-def parent_correlation(panel: "SeriesPanel", h: Hierarchy, n: NodeId) -> float:
-    """Pearson correlation between a node's and its parent's training rates
-    over the periods both cover (:func:`pair_correlation`)."""
-    if n not in h.parent:
-        raise HierarchyError(f"node {n!r} is the root and has no parent")
-    return pair_correlation(panel.train_grid([n, h.parent[n]]), n, h.parent[n])
+def train_correlations(
+    panel: "SeriesPanel", pairs: Iterable[tuple[NodeId, NodeId]]
+) -> dict[tuple[NodeId, NodeId], float]:
+    """The Pearson correlation of each pair's training rates over the
+    periods both cover (:meth:`~hiergru.dataset.SeriesPanel.train_overlap`),
+    keyed by pair.  Each node's rates over one overlap are
+    :func:`~hiergru.metrics.centred` once, however many pairs share them.
+    A pair with fewer than 3 common periods or a constant side is left
+    out."""
+    sides, scores = {}, {}
+    for pair in pairs:
+        first, columns = panel.train_overlap(pair)
+        if columns[0].size < 3:
+            continue
+        keys = [(n, first, columns[0].size) for n in pair]
+        for key, column in zip(keys, columns):
+            if key not in sides:
+                sides[key] = centred(column)
+        try:
+            scores[pair] = correlation(sides[keys[0]], sides[keys[1]])
+        except DegenerateVarianceError:
+            pass
+    return scores
 
 
 def precision_schedule(
@@ -237,19 +225,14 @@ def precision_schedule(
 ) -> PrecisionSchedule:
     """Prior precision tau(n) = exp(alpha + C(n)) for every non-root node.
 
-    Nodes whose parent correlation is not computable (too little overlap or
-    a constant series) use C = 0, which yields the neutral precision
-    exp(alpha).
+    C(n) is the :func:`train_correlations` score of n and its parent, or 0,
+    which yields the neutral precision exp(alpha), where there is none (too
+    little overlap or a constant series).
     """
-    tau: dict[NodeId, float] = {}
-    corr: dict[NodeId, float] = {}
-    for n in h.non_root_nodes():
-        try:
-            c = parent_correlation(panel, h, n)
-        except (InsufficientOverlapError, DegenerateVarianceError):
-            c = 0.0
-        corr[n] = c
-        tau[n] = math.exp(alpha + c)
+    pairs = [(n, h.parent[n]) for n in h.non_root_nodes()]
+    scores = train_correlations(panel, pairs)
+    corr = {n: scores.get((n, p), 0.0) for n, p in pairs}
+    tau = {n: math.exp(alpha + c) for n, c in corr.items()}
     return PrecisionSchedule(alpha=alpha, tau=tau, correlation=corr)
 
 
@@ -286,7 +269,7 @@ def _group_shares(panel, parent_node: NodeId, kids: tuple[NodeId, ...]) -> np.nd
     renormalized, or else uniform shares and one :class:`SingularDesignWarning`
     naming why (too few aligned rows, collinear kids, no positive share)."""
     k = len(kids)
-    mat = aligned_train_rates(panel, [parent_node, *kids])
+    mat = np.column_stack(panel.train_overlap([parent_node, *kids])[1])
     reason = "too few aligned observations"
     if mat.shape[0] >= k:
         coeffs, _, rank, _ = np.linalg.lstsq(mat[:, 1:], mat[:, 0], rcond=None)

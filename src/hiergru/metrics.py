@@ -60,22 +60,33 @@ def rmse(actuals, predictions) -> float:
 
 
 def pearson(actuals, predictions) -> float:
-    """Pearson correlation with population (1/T) normalization throughout.
-    Each input is first :func:`_lifted`, so tiny inputs neither underflow
-    nor change the value."""
-    a, p = map(_lifted, _pair(actuals, predictions))
+    """Pearson correlation with population (1/T) normalization throughout:
+    the :func:`correlation` of the two inputs, each :func:`centred`."""
+    a, p = _pair(actuals, predictions)
     if a.size < 2:
         raise DegenerateVarianceError("need at least 2 observations")
+    return correlation(centred(a), centred(p))
+
+
+def centred(x: np.ndarray) -> tuple[np.ndarray, float]:
+    """A float64 vector :func:`_lifted`, less its mean, and its sum of
+    squares: one side of a :func:`correlation`."""
+    x = _lifted(x)
     with np.errstate(**_QUIET):
-        da = a - a.mean()
-        dp = p - p.mean()
-        saa = float(da @ da)
-        spp = float(dp @ dp)
-        sap = float(da @ dp)
-    _finite(saa, spp, sap, saa * spp)
-    if saa == 0.0 or spp == 0.0:
+        d = x - x.mean()
+        return d, float(d @ d)
+
+
+def correlation(a: tuple[np.ndarray, float], b: tuple[np.ndarray, float]) -> float:
+    """Pearson correlation of two :func:`centred` vectors of one length;
+    lifting each keeps tiny inputs from underflowing or changing it."""
+    (da, saa), (db, sbb) = a, b
+    with np.errstate(**_QUIET):
+        sab = float(da @ db)
+    _finite(saa, sbb, sab, saa * sbb)
+    if saa == 0.0 or sbb == 0.0:
         raise DegenerateVarianceError("constant input vector")
-    r = sap / math.sqrt(saa * spp)
+    r = sab / math.sqrt(saa * sbb)
     return min(1.0, max(-1.0, r))
 
 

@@ -51,10 +51,8 @@ import numpy as np
 
 from .dataset import SeriesPanel, _seeded_rng
 from .errors import (
-    DegenerateVarianceError,
     HiergruError,
     InsufficientNeighborsWarning,
-    InsufficientOverlapError,
     InvalidSpecError,
     MissingPretrainedError,
     NodeSkippedWarning,
@@ -72,8 +70,8 @@ from .hierarchy import (
     Hierarchy,
     NodeId,
     child_weights,
-    pair_correlation,
     precision_schedule,
+    train_correlations,
 )
 
 
@@ -470,25 +468,19 @@ def select_neighbors(
     """Each node's k most correlated other nodes on the training window, in
     breadth-first node order.
 
-    Each pair is scored once, by :func:`~hiergru.hierarchy.pair_correlation`
-    on its two columns of one
-    :meth:`~hiergru.dataset.SeriesPanel.train_grid` (Pearson correlation is
+    Each pair is scored once, by
+    :func:`~hiergru.hierarchy.train_correlations` (Pearson correlation is
     symmetric bit for bit).  Ties break toward the lexicographically
     smaller node id; a pair with fewer than 3 common values or a constant
     side is not a candidate.  When fewer than k candidates exist, all of
     them are used and a warning is emitted.
     """
     nodes = sorted(h.nodes)
-    grid = panel.train_grid(nodes)
+    pairs = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]]
     scored: dict[NodeId, list] = {n: [] for n in nodes}
-    for i, a in enumerate(nodes):
-        for j in range(i + 1, len(nodes)):
-            try:
-                r = pair_correlation(grid[:, [i, j]], a, nodes[j])
-            except (InsufficientOverlapError, DegenerateVarianceError):
-                continue
-            scored[a].append((-r, nodes[j]))
-            scored[nodes[j]].append((-r, a))
+    for (a, b), r in train_correlations(panel, pairs).items():
+        scored[a].append((-r, b))
+        scored[b].append((-r, a))
     chosen = {}
     for n in h.bfs_order():
         chosen[n] = tuple(node for _, node in sorted(scored[n])[:k])

@@ -160,8 +160,13 @@ def _encode_mlp(model: MlpModel):
 
 
 def _decode_mlp(payload, hidden, input_dim, rho) -> MlpModel:
+    """The network :func:`_encode_mlp` wrote, checked only for what every
+    fitted network has (the rest is :meth:`TagEntry.load`'s): at least two
+    layer sizes, each at least 1, and one output."""
     n_sizes = int(payload[0])
     sizes = tuple(int(s) for s in payload[1: 1 + n_sizes])
+    if len(sizes) < 2 or min(sizes) < 1 or sizes[-1] != 1:
+        raise HiergruError(f"layer sizes {sizes}: need 2 or more, each >= 1, last 1")
     return mlp_unflatten(payload[1 + n_sizes:], sizes)
 
 

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from hiergru.baselines import Tree
 from hiergru.dataset import build_panel
-from hiergru.errors import DegenerateVarianceError, InsufficientOverlapError
-from hiergru.hierarchy import pair_correlation
+from hiergru.errors import DegenerateVarianceError
+from hiergru.metrics import pearson
 
 
 def fd_grad(loss_fn, x0, step=1e-5):
@@ -343,16 +343,25 @@ def ragged_panels(draw, max_nodes=6, max_calendar=40):
     return build_panel([f"p{t:03d}" for t in range(size)], series, fraction)
 
 
+def train_correlation_oracle(panel, a, b):
+    """``pearson`` of nodes a and b over the periods both train on, found by
+    :func:`aligned_train_rates_oracle`; None below 3 such periods or for a
+    constant side."""
+    mat = aligned_train_rates_oracle(panel, [a, b])
+    if mat.shape[0] < 3:
+        return None
+    try:
+        return pearson(mat[:, 0], mat[:, 1])
+    except DegenerateVarianceError:
+        return None
+
+
 def select_neighbors_oracle(panel, n, k):
     """knngru's neighbors of n scored pair by pair from n's side: the k
     highest training correlations, ties to the smaller node id."""
     scored = []
     for other in sorted(panel.nodes):
-        if other == n:
-            continue
-        try:
-            r = pair_correlation(panel.train_grid([n, other]), n, other)
-        except (InsufficientOverlapError, DegenerateVarianceError):
-            continue
-        scored.append((-r, other))
+        r = None if other == n else train_correlation_oracle(panel, n, other)
+        if r is not None:
+            scored.append((-r, other))
     return tuple(node for _, node in sorted(scored)[:k])

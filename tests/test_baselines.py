@@ -74,6 +74,20 @@ class TestAr:
         np.testing.assert_allclose(model.coeffs[1:], 0.0, atol=1e-10)
         assert model.predict(np.array([9.0, -4.0, 100.0])) == pytest.approx(3.7)
 
+    @pytest.mark.parametrize("exponent", [-50, -400])
+    def test_slopes_do_not_depend_on_the_series_scale(self, exponent):
+        # scaling by a power of two is exact, so a cutoff relative to the
+        # data keeps every bit of the slopes of a tiny series
+        rng = np.random.default_rng(0)
+        x = [rng.normal() / 0.6]
+        for e in rng.normal(size=199):
+            x.append(0.8 * x[-1] + e)
+        model = fit_ar(windows_from_series(x, rho=2), rho=2)
+        small = fit_ar(windows_from_series(np.ldexp(x, exponent), rho=2), rho=2)
+        assert model.coeffs[1:] == pytest.approx([0.838, -0.017], abs=1e-3)
+        assert small.coeffs[1:].tobytes() == model.coeffs[1:].tobytes()
+        assert small.coeffs[0] == np.ldexp(model.coeffs[0], exponent)
+
     def test_iid_noise_slope_vanishes(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=4000)

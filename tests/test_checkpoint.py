@@ -455,7 +455,7 @@ class TestTreePayloads:
 
 # (tag, payload edit, header edits) of a saved rho-4 bundle's first node
 # file; the load rule rejects each, since its model does not encode back to
-# the edited file
+# the edited file or is not one the package writes
 LOAD_RULE_CASES = {
     "ar-emptied": ("ar", lambda p: p[:0], {}),
     "ar-cut-by-one": ("ar", lambda p: p[:-1], {}),
@@ -465,6 +465,8 @@ LOAD_RULE_CASES = {
     "rf-trailing-value": ("rf", lambda p: np.append(p, 0.0), {}),
     "rf-tree-count-2.5": ("rf", lambda p: set_at(p, 3, 2.5), {}),
     "fc-first-size-rho-plus-1": ("fc", lambda p: set_at(p, 1, p[1] + 1.0), {}),
+    # encodes back, but three outputs: fitted networks have one
+    "fc-sizes-4-3": ("fc", lambda p: np.r_[2.0, 4.0, 3.0, np.zeros(4 * 3 + 3)], {}),
     # a GRU unit of another width than the manifest's spec.hidden (2)
     "igru-header-hidden-1": (
         "igru", lambda p: flatten(init_params(1, np.random.default_rng(0))),

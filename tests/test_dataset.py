@@ -165,7 +165,11 @@ class TestTrainTestBoundary:
             rates[n][panel.test_positions(n).start:] += shift
         moved = replace(panel, rates=rates)
         nodes = list(panel.nodes)
-        assert moved.train_grid(nodes).tobytes() == panel.train_grid(nodes).tobytes()
+        for ns in [[n] for n in nodes] + [nodes]:
+            got, want = moved.train_overlap(ns), panel.train_overlap(ns)
+            assert got[0] == want[0]
+            for g, w in zip(got[1], want[1], strict=True):
+                assert (g.shape, g.tobytes()) == (w.shape, w.tobytes())
         for n in nodes:
             others = [c for c in nodes if c != n]
             k = data.draw(st.integers(1, len(others)))

@@ -12,13 +12,12 @@ from helpers import (
     parent_loop_oracle,
     pearson_oracle,
     ragged_panels,
+    train_correlation_oracle,
 )
 from hiergru.errors import (
     AllZeroWeightsWarning,
     CycleDetectedError,
-    DegenerateVarianceError,
     HierarchyError,
-    InsufficientOverlapError,
     MissingRootError,
     MultipleRootsError,
     NegativeWeightError,
@@ -27,13 +26,12 @@ from hiergru.errors import (
     UnknownParentError,
 )
 from hiergru.hierarchy import (
-    aligned_train_rates,
     build_hierarchy,
     child_weights,
     impute_weights,
     load_hierarchy,
-    parent_correlation,
     precision_schedule,
+    train_correlations,
 )
 
 
@@ -208,24 +206,59 @@ class TestAlignedTrainRates:
         nodes = list(panel.nodes)
         node_sets = [[a, b] for a in nodes for b in nodes if a != b] + [nodes]
         for ns in node_sets:
-            got = aligned_train_rates(panel, ns)
+            first, columns = panel.train_overlap(ns)
+            got = np.column_stack(columns)
             want = aligned_train_rates_oracle(panel, ns)
             assert (got.shape, got.dtype) == (want.shape, want.dtype)
             assert got.tobytes() == want.tobytes()
+            if want.shape[0]:
+                start = int(panel.periods[ns[0]][0])
+                assert columns[0][0] == panel.rates[ns[0]][first - start]
+
+
+class TestTrainCorrelations:
+    @settings(max_examples=200, deadline=None)
+    @given(ragged_panels(), st.data())
+    def test_every_ordered_pair_matches_pearson_over_its_overlap(self, panel, data):
+        nodes = list(panel.nodes)
+        pairs = [(a, b) for a in nodes for b in nodes if a != b]
+        got = train_correlations(panel, pairs)
+        want = {}
+        for a, b in pairs:
+            r = train_correlation_oracle(panel, a, b)
+            if r is not None:
+                want[a, b] = r.hex()
+        assert {pair: r.hex() for pair, r in got.items()} == want
+        # a tree over the same nodes: each node's parent drawn from before it
+        rows = [(nodes[0], None, 1.0)] + [
+            (n, data.draw(st.sampled_from(nodes[:i])), 1.0)
+            for i, n in enumerate(nodes[1:], start=1)
+        ]
+        h = build_hierarchy(rows)
+        sched = precision_schedule(panel, h, alpha=0.0)
+        assert {n: c.hex() for n, c in sched.correlation.items()} == {
+            n: want.get((n, h.parent[n]), (0.0).hex()) for n in h.non_root_nodes()
+        }
 
 
 class TestParentCorrelation:
+    """A node's parent correlation C, read from its precision schedule."""
+
+    @staticmethod
+    def parent_correlation(panel, h, n):
+        return precision_schedule(panel, h, alpha=0.0).correlation[n]
+
     def test_identical_child(self):
         rates = np.sin(np.arange(40) / 3.0)
         panel = panel_from_rates({"A": rates, "B": rates})
         h = build_hierarchy([("A", None, 1.0), ("B", "A", 1.0)])
-        assert parent_correlation(panel, h, "B") == pytest.approx(1.0)
+        assert self.parent_correlation(panel, h, "B") == pytest.approx(1.0)
 
     def test_sign_flip(self):
         rates = np.sin(np.arange(40) / 3.0)
         panel = panel_from_rates({"A": rates, "B": -rates})
         h = build_hierarchy([("A", None, 1.0), ("B", "A", 1.0)])
-        assert parent_correlation(panel, h, "B") == pytest.approx(-1.0)
+        assert self.parent_correlation(panel, h, "B") == pytest.approx(-1.0)
 
     def test_matches_sum_formula_oracle(self):
         child = [1.0, 2.0, 3.0, 5.0]
@@ -234,7 +267,7 @@ class TestParentCorrelation:
             {"A": np.array(parent), "B": np.array(child)}, train_fraction=0.99
         )
         h = build_hierarchy([("A", None, 1.0), ("B", "A", 1.0)])
-        assert parent_correlation(panel, h, "B") == pytest.approx(
+        assert self.parent_correlation(panel, h, "B") == pytest.approx(
             pearson_oracle(child, parent), abs=1e-12
         )
 
@@ -246,7 +279,7 @@ class TestParentCorrelation:
         child[30:] += 100.0
         panel = panel_from_rates({"A": base, "B": child})  # split at 30
         h = build_hierarchy([("A", None, 1.0), ("B", "A", 1.0)])
-        assert parent_correlation(panel, h, "B") == pytest.approx(1.0)
+        assert self.parent_correlation(panel, h, "B") == pytest.approx(1.0)
 
     def test_insufficient_overlap(self):
         panel = panel_from_rates({"A": np.arange(40.0)})
@@ -254,20 +287,18 @@ class TestParentCorrelation:
         panel.periods["B"] = np.array([38, 39])
         panel.split_index["B"] = 2
         h = build_hierarchy([("A", None, 1.0), ("B", "A", 1.0)])
-        with pytest.raises(InsufficientOverlapError):
-            parent_correlation(panel, h, "B")
+        assert self.parent_correlation(panel, h, "B") == 0.0
 
     def test_degenerate_variance(self):
         panel = panel_from_rates({"A": np.ones(20), "B": np.arange(20.0)})
         h = build_hierarchy([("A", None, 1.0), ("B", "A", 1.0)])
-        with pytest.raises(DegenerateVarianceError):
-            parent_correlation(panel, h, "B")
+        assert self.parent_correlation(panel, h, "B") == 0.0
 
     def test_root_rejected(self):
         panel = panel_from_rates({"A": np.arange(20.0)})
         h = build_hierarchy([("A", None, 1.0)])
-        with pytest.raises(HierarchyError):
-            parent_correlation(panel, h, "A")
+        sched = precision_schedule(panel, h, alpha=0.0)
+        assert "A" not in sched.correlation and "A" not in sched.tau
 
 
 class TestPrecisionSchedule:

@@ -227,9 +227,9 @@ class TestKnnGru:
         split = panel.split_index["a"]
 
         def refuse(self, nodes):
-            raise AssertionError("train_grid read with no window to fill")
+            raise AssertionError("train_overlap read with no window to fill")
 
-        monkeypatch.setattr(SeriesPanel, "train_grid", refuse)
+        monkeypatch.setattr(SeriesPanel, "train_overlap", refuse)
         assert panel.train_windows("a", split, ("a", "b")) is None
         assert panel.train_windows("a", split + 1, ("a", "b")) is None
 

@@ -1,6 +1,7 @@
-"""Two checks on the source text: the packaging metadata declares
-everything the test suite imports, and every exception the package raises
-by name is a ``HiergruError``."""
+"""Three checks on the source text: the packaging metadata declares
+everything the test suite imports, every exception the package raises by
+name is a ``HiergruError``, and every error type the package defines is
+raised or warned somewhere."""
 
 import ast
 import importlib
@@ -70,3 +71,29 @@ def test_every_raise_names_a_hiergru_error():
             if not (isinstance(cls, type) and issubclass(cls, errors.HiergruError)):
                 foreign.append(f"{path.name}:{node.lineno} raises {name}")
     assert not foreign, f"raises outside the HiergruError hierarchy: {foreign}"
+
+
+def test_every_error_type_is_raised_or_warned():
+    """Each exception and warning class that ``hiergru.errors`` defines is
+    constructed (``Name(...)``), or passed to ``warnings.warn``, by name in
+    another module of ``src/hiergru``; a type that nothing raises is one
+    that callers catch in vain."""
+    package = ROOT / "src" / "hiergru"
+    defined = {
+        node.name
+        for node in ast.parse((package / "errors.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ClassDef)
+    }
+    used = set()
+    for path in sorted(package.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Name):
+                used.add(node.func.id)
+            elif ast.unparse(node.func) == "warnings.warn":
+                args = node.args + [k.value for k in node.keywords]
+                used.update(a.id for a in args if isinstance(a, ast.Name))
+    assert not defined - used, f"never raised or warned: {sorted(defined - used)}"
