@@ -18,20 +18,14 @@ from .errors import (
     HiergruError,
     NodeSkippedWarning,
     WrongLengthError,
+    _check_ruled,
+    _is_int,
+    _ruled,
 )
+from .errors import _COUNT, _FRACTION, _INTEGER, _NONNEG_INT, _POSITIVE
 from .gru import OptimState, _frozen, _views, flatten, predict_sequence, run_optimizer
 from .hierarchy import Hierarchy
-from .models import (
-    _COUNT,
-    _FRACTION,
-    _INTEGER,
-    _NONNEG_INT,
-    _POSITIVE,
-    ModelBundle,
-    _check_fields,
-    _is_int,
-    node_seed,
-)
+from .models import ModelBundle, node_seed
 
 
 # ------------------------------------------------------------------ AR / RW
@@ -399,17 +393,13 @@ def _depth_first(levels, links, count) -> list[Tree]:
 
 @dataclass(frozen=True)
 class ForestConfig:
-    n_trees: int = 100
-    max_depth: int = 6
-    min_leaf: int = 2
-    feature_frac: float = 1.0 / 3.0
-    seed: int = 0
+    n_trees: int = _ruled(_COUNT, 100)
+    max_depth: int = _ruled(_NONNEG_INT, 6)
+    min_leaf: int = _ruled(_COUNT, 2)
+    feature_frac: float = _ruled(_FRACTION, 1.0 / 3.0)
+    seed: int = _ruled(_INTEGER, 0)
 
-    def __post_init__(self):
-        _check_fields(
-            vars(self), n_trees=_COUNT, max_depth=_NONNEG_INT, min_leaf=_COUNT,
-            feature_frac=_FRACTION, seed=_INTEGER,
-        )
+    __post_init__ = _check_ruled
 
 
 def fit_forest(windows: list[Window], rho: int, cfg: ForestConfig) -> TreeEnsemble:
@@ -441,17 +431,13 @@ def fit_forest(windows: list[Window], rho: int, cfg: ForestConfig) -> TreeEnsemb
 
 @dataclass(frozen=True)
 class GbtConfig:
-    n_trees: int = 100
-    max_depth: int = 3
-    shrinkage: float = 0.1
-    seed: int = 0
-    subsample: float = 1.0
+    n_trees: int = _ruled(_NONNEG_INT, 100)
+    max_depth: int = _ruled(_NONNEG_INT, 3)
+    shrinkage: float = _ruled(_FRACTION, 0.1)
+    seed: int = _ruled(_INTEGER, 0)
+    subsample: float = _ruled(_FRACTION, 1.0)
 
-    def __post_init__(self):
-        _check_fields(
-            vars(self), n_trees=_NONNEG_INT, max_depth=_NONNEG_INT,
-            shrinkage=_FRACTION, seed=_INTEGER, subsample=_FRACTION,
-        )
+    __post_init__ = _check_ruled
 
 
 def fit_gbt(windows: list[Window], rho: int, cfg: GbtConfig) -> TreeEnsemble:
@@ -563,19 +549,15 @@ class MlpModel:
 
 @dataclass(frozen=True)
 class MlpConfig:
-    hidden: tuple[int, ...] = (100,)
-    lr: float = 0.005
-    epochs: int = 200
-    seed: int = 0
+    hidden: tuple[int, ...] = _ruled((
+        lambda v: isinstance(v, tuple) and v and all(_is_int(w) and w >= 1 for w in v),
+        "a non-empty tuple of integers >= 1",
+    ), (100,))
+    lr: float = _ruled(_POSITIVE, 0.005)
+    epochs: int = _ruled(_NONNEG_INT, 200)
+    seed: int = _ruled(_INTEGER, 0)
 
-    def __post_init__(self):
-        _check_fields(
-            vars(self), hidden=(
-                lambda v: isinstance(v, tuple) and v
-                and all(_is_int(w) and w >= 1 for w in v),
-                "a non-empty tuple of integers >= 1",
-            ), lr=_POSITIVE, epochs=_NONNEG_INT, seed=_INTEGER,
-        )
+    __post_init__ = _check_ruled
 
 
 # Ten rectifier layers of width 100, lr 0.005, 50 epochs.

@@ -34,8 +34,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import HiergruError
-from .models import ModelBundle, TrainSpec, _is_int
+from .errors import HiergruError, _is_int
+from .models import ModelBundle, TrainSpec
 from .registry import lookup
 
 MAGIC = b"HGRUCKPT"
@@ -45,20 +45,22 @@ FORMAT_VERSION = 1
 def write_checkpoint(
     path, *, tag: str, node: str, payload: np.ndarray,
     hidden: int = 0, rho: int = 0, input_dim: int = 0,
-) -> None:
+) -> bytes:
+    """Write one ``.ckpt`` file in one call and return its bytes."""
     payload = np.ascontiguousarray(payload, dtype="<f8")
     tag_b = tag.encode("utf-8")
     node_b = node.encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<HH", FORMAT_VERSION, 0))
-        fh.write(struct.pack("<III", hidden, rho, input_dim))
-        fh.write(struct.pack("<I", len(tag_b)))
-        fh.write(tag_b)
-        fh.write(struct.pack("<I", len(node_b)))
-        fh.write(node_b)
-        fh.write(struct.pack("<Q", payload.shape[0]))
-        fh.write(payload.tobytes())
+    data = b"".join((
+        MAGIC,
+        struct.pack("<HHIIII", FORMAT_VERSION, 0, hidden, rho, input_dim, len(tag_b)),
+        tag_b,
+        struct.pack("<I", len(node_b)),
+        node_b,
+        struct.pack("<Q", payload.shape[0]),
+        payload.tobytes(),
+    ))
+    Path(path).write_bytes(data)
+    return data
 
 
 def _sha256(data: bytes) -> str:
@@ -141,14 +143,14 @@ def save_bundle(bundle, dirpath) -> None:
         fname = f"node_{i:05d}.ckpt"
         model = bundle.models[node]
         payload, hidden, input_dim = lookup(bundle.tag).encode(model)
-        write_checkpoint(
+        data = write_checkpoint(
             out / fname, tag=bundle.tag, node=node, payload=payload,
             hidden=hidden, rho=bundle.rho, input_dim=input_dim,
         )
         manifest["nodes"][node] = {
             "file": fname,
             "provenance": bundle.provenance.get(node, {}),
-            "sha256": _sha256((out / fname).read_bytes()),
+            "sha256": _sha256(data),
         }
     _json_dump(manifest, out / "manifest.json")
 

@@ -1,8 +1,8 @@
 """Command-line entry point: data preparation, synthetic data generation,
 and reproducible end-to-end runs.
 
-Exit codes: 0 success, 2 configuration problems, 3 data problems,
-4 training divergence.
+Exit codes: 0 success, 2 configuration problems, 3 data problems (or
+arrays too large to allocate), 4 training divergence.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .dataset import (
     save_series_csv,
     synth_panel,
 )
-from .errors import DivergenceError, HiergruError, InvalidSpecError
+from .errors import DivergenceError, HiergruError, InvalidSpecError, _is_int
 from .evaluation import (
     DAILY_HORIZONS,
     MONTHLY_HORIZONS,
@@ -36,7 +36,6 @@ from .evaluation import (
     write_report_files,
 )
 from .hierarchy import impute_weights, load_hierarchy, save_hierarchy
-from .models import _is_int
 from .registry import TAGS
 
 EXIT_OK = 0
@@ -420,7 +419,7 @@ def main(argv=None) -> int:
         return _fail("config error", exc, EXIT_CONFIG)
     except DivergenceError as exc:
         return _fail("training diverged", exc, EXIT_DIVERGED)
-    except (HiergruError, OSError) as exc:
+    except (HiergruError, OSError, MemoryError) as exc:
         return _fail("data error", exc, EXIT_DATA)
 
 

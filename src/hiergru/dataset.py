@@ -23,7 +23,12 @@ from .errors import (
     NoTrainingDataError,
     SeriesGapError,
     WrongLengthError,
+    _check_ruled,
+    _is_int,
+    _number,
+    _ruled,
 )
+from .errors import _COUNT, _INTEGER, _NONNEG
 from .hierarchy import Hierarchy, NodeId, build_hierarchy, csv_records
 
 DEFAULT_TRAIN_FRACTION = 0.75
@@ -313,25 +318,14 @@ class SynthSpec:
     components do.
     """
 
-    depth: int
-    branching: int
-    length: int
-    leaf_noise_sd: float
-    seed: int
-    ar_coeff: float = 0.6
+    depth: int = _ruled(_COUNT)
+    branching: int = _ruled(_COUNT)
+    length: int = _ruled((lambda v: _is_int(v) and v >= 10, "an integer >= 10"))
+    leaf_noise_sd: float = _ruled(_NONNEG)
+    seed: int = _ruled(_INTEGER)
+    ar_coeff: float = _ruled(_number(lambda v: 0 < abs(v) < 1, "with 0 < |v| < 1"), 0.6)
 
-    def __post_init__(self):
-        if self.depth < 1 or self.branching < 1 or self.length < 10:
-            raise InvalidSpecError(
-                "need depth >= 1, branching >= 1, length >= 10; got "
-                f"depth={self.depth}, branching={self.branching}, length={self.length}"
-            )
-        if not 0.0 < abs(self.ar_coeff) < 1.0:
-            raise InvalidSpecError("ar_coeff must be in (0, 1) for stationarity")
-        if not 0.0 <= self.leaf_noise_sd < math.inf:
-            raise InvalidSpecError(
-                f"leaf_noise_sd must be finite and >= 0, got {self.leaf_noise_sd!r}"
-            )
+    __post_init__ = _check_ruled
 
 
 def _seeded_rng(seed: int) -> np.random.Generator:

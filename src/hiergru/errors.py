@@ -1,4 +1,8 @@
-"""Exception and warning types used throughout the package."""
+"""Exception and warning types used throughout the package, and the field
+rules of every config, which raise :class:`InvalidSpecError`."""
+
+import math
+from dataclasses import MISSING, field, fields
 
 
 class HiergruError(Exception):
@@ -55,6 +59,52 @@ class SeriesGapError(HiergruError):
 
 class InvalidSpecError(HiergruError):
     pass
+
+
+def _is_int(v) -> bool:
+    """An int, and not a bool (JSON true/false load as bools)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _number(test, wanted: str) -> tuple:
+    """A rule for an int or a finite float (never a bool) passing ``test``."""
+    return (lambda v: (_is_int(v) or isinstance(v, float) and math.isfinite(v))
+            and test(v), f"a finite number {wanted}")
+
+
+# (test, wording) pairs for the config field checks below; each rule checks
+# the value's kind as well as its range
+_POSITIVE = _number(lambda v: v > 0, "> 0")
+_NONNEG = _number(lambda v: v >= 0, ">= 0")
+_FRACTION = _number(lambda v: 0 < v <= 1, "in (0, 1]")
+_INTEGER = (_is_int, "an integer")
+_COUNT = (lambda v: _is_int(v) and v >= 1, "an integer >= 1")
+_NONNEG_INT = (lambda v: _is_int(v) and v >= 0, "an integer >= 0")
+# exp(alpha + C) stays finite for every correlation C in [-1, 1]
+_ALPHA = _number(lambda v: v <= 708, "<= 708")
+_OPTIMIZER = (lambda v: v in ("adam", "sgd"), "'adam' or 'sgd'")
+
+
+def _check_fields(values: dict, **rules) -> None:
+    """Raise :class:`InvalidSpecError` naming the first field, in ``rules``
+    order, whose value in ``values`` (a config's ``vars``) fails its rule."""
+    for name, (ok, wanted) in rules.items():
+        if not ok(values[name]):
+            raise InvalidSpecError(f"{name} must be {wanted}, got {values[name]!r}")
+
+
+def _ruled(rule: tuple, default=MISSING):
+    """A dataclass field whose value :func:`_check_ruled` checks by ``rule``;
+    without a ``default`` the field is required."""
+    return field(default=default, metadata={"rule": rule})
+
+
+def _check_ruled(config) -> None:
+    """A config's ``__post_init__``: :func:`_check_fields` over its fields
+    declared with :func:`_ruled`, in declaration order."""
+    _check_fields(vars(config), **{
+        f.name: f.metadata["rule"] for f in fields(config) if "rule" in f.metadata
+    })
 
 
 # ---------------------------------------------------------------- training

@@ -115,9 +115,12 @@ def _collect_forecasts(bundle, panel, nodes, horizons):
 
     A forecast that overflows holds inf or NaN; :func:`evaluate` reports it
     as ``n/a(non-finite-forecast)``, so numpy's overflow and invalid-value
-    warnings would only repeat it."""
-    max_h = max(horizons)
+    warnings would only repeat it.  Forecasts roll no further than the
+    farthest horizon that a node's first origin has an actual for (0 when
+    no node has an origin); a horizon past it collects nothing."""
     origins = {node: panel.test_origins(node, bundle.rho) for node in nodes}
+    reach = [panel.length(n) - 1 - int(at[0]) for n, at in origins.items() if at.size]
+    max_h = min(max(horizons), max(reach, default=0))
     with np.errstate(over="ignore", invalid="ignore"):
         if hasattr(bundle, "forecast_nodes"):
             trajs = bundle.forecast_nodes(panel, origins, max_h)
@@ -130,6 +133,9 @@ def _collect_forecasts(bundle, panel, nodes, horizons):
         rates = panel.rates[node]
         collected[node] = {}
         for j in horizons:
+            if j > max_h:  # no origin of any node has an actual this far out
+                collected[node][j] = (np.empty(0), np.empty(0))
+                continue
             keep = at + j < rates.shape[0]
             collected[node][j] = (trajs[node][keep, j], rates[at[keep] + j])
     return collected

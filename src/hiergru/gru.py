@@ -54,10 +54,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    _OPTIMIZER,
     DivergenceError,
     EmptyInputError,
-    InvalidSpecError,
     ShapeMismatchError,
+    _check_ruled,
+    _ruled,
 )
 
 _FIELDS = ("u_z", "u_r", "u_v", "w_z", "w_r", "w_v", "b_z", "b_r", "b_v",
@@ -603,16 +605,12 @@ class OptimState:
     """First-order optimizer state: Adam by default, plain SGD by config."""
 
     lr: float = 0.005
-    method: str = "adam"
+    method: str = _ruled(_OPTIMIZER, "adam")
     step: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
 
-    def __post_init__(self):
-        if self.method not in ("adam", "sgd"):
-            raise InvalidSpecError(
-                f"method must be 'adam' or 'sgd', got {self.method!r}"
-            )
+    __post_init__ = _check_ruled
 
     def update(self, x: np.ndarray, grad: np.ndarray) -> np.ndarray:
         if self.method == "sgd":

@@ -42,7 +42,6 @@ repeated runs are bit-identical.
 from __future__ import annotations
 
 import hashlib
-import math
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
@@ -57,7 +56,10 @@ from .errors import (
     MissingPretrainedError,
     NodeSkippedWarning,
     NoTrainingDataError,
+    _check_ruled,
+    _ruled,
 )
+from .errors import _ALPHA, _COUNT, _INTEGER, _NONNEG, _NONNEG_INT, _OPTIMIZER, _POSITIVE
 from .gru import (
     GruParams,
     OptimState,
@@ -75,59 +77,22 @@ from .hierarchy import (
 )
 
 
-def _is_int(v) -> bool:
-    """An int, and not a bool (JSON true/false load as bools)."""
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _number(test, wanted: str) -> tuple:
-    """A rule for an int or a finite float (never a bool) passing ``test``."""
-    return (lambda v: (_is_int(v) or isinstance(v, float) and math.isfinite(v))
-            and test(v), f"a finite number {wanted}")
-
-
-# (test, wording) pairs for the config field checks below; each rule checks
-# the value's kind as well as its range
-_POSITIVE = _number(lambda v: v > 0, "> 0")
-_NONNEG = _number(lambda v: v >= 0, ">= 0")
-_FRACTION = _number(lambda v: 0 < v <= 1, "in (0, 1]")
-_INTEGER = (_is_int, "an integer")
-_COUNT = (lambda v: _is_int(v) and v >= 1, "an integer >= 1")
-_NONNEG_INT = (lambda v: _is_int(v) and v >= 0, "an integer >= 0")
-# exp(alpha + C) stays finite for every correlation C in [-1, 1]
-_ALPHA = _number(lambda v: v <= 708, "<= 708")
-
-
-def _check_fields(values: dict, **rules) -> None:
-    """Raise :class:`InvalidSpecError` naming the first field, in ``rules``
-    order, whose value in ``values`` (a config's ``vars``) fails its rule."""
-    for name, (ok, wanted) in rules.items():
-        if not ok(values[name]):
-            raise InvalidSpecError(f"{name} must be {wanted}, got {values[name]!r}")
-
-
 @dataclass(frozen=True)
 class TrainSpec:
     """All training knobs shared by the recurrent family."""
 
-    rho: int = 4
-    hidden: int = 8
-    lr: float = 0.005
-    epochs: int = 200
-    alpha: float = 1.5
-    lambda1: float = 1.0
-    lambda2: float = 1.0
-    k_neighbors: int = 5
-    seed: int = 0
-    optimizer: str = "adam"
+    rho: int = _ruled(_COUNT, 4)
+    hidden: int = _ruled(_COUNT, 8)
+    lr: float = _ruled(_POSITIVE, 0.005)
+    epochs: int = _ruled(_NONNEG_INT, 200)
+    alpha: float = _ruled(_ALPHA, 1.5)
+    lambda1: float = _ruled(_NONNEG, 1.0)
+    lambda2: float = _ruled(_NONNEG, 1.0)
+    k_neighbors: int = _ruled(_COUNT, 5)
+    seed: int = _ruled(_INTEGER, 0)
+    optimizer: str = _ruled(_OPTIMIZER, "adam")
 
-    def __post_init__(self):
-        _check_fields(
-            vars(self), rho=_COUNT, hidden=_COUNT, lr=_POSITIVE, epochs=_NONNEG_INT,
-            alpha=_ALPHA, lambda1=_NONNEG, lambda2=_NONNEG,
-            k_neighbors=_COUNT, seed=_INTEGER,
-            optimizer=(lambda v: v in ("adam", "sgd"), "'adam' or 'sgd'"),
-        )
+    __post_init__ = _check_ruled
 
 
 def node_seed(seed: int, node: NodeId) -> int:

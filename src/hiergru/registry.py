@@ -37,12 +37,10 @@ from .baselines import (
     mlp_flatten,
     mlp_unflatten,
 )
-from .errors import HiergruError
+from .errors import _COUNT, HiergruError, _check_fields
 from .gru import flatten, unflatten
 from .models import (
-    _COUNT,
     TrainSpec,
-    _check_fields,
     train_bihrnn,
     train_hrnn,
     train_igru,

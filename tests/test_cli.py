@@ -538,6 +538,40 @@ class TestRun:
         assert repr(node) in err and "not finite" in err
         assert not out.exists()
 
+    # each model's first array request is over 128 TiB, which no machine
+    # grants, so the test touches no memory
+    @pytest.mark.parametrize("entry", [
+        {"tag": "rf", "n_trees": 10**13},
+        {"tag": "fc", "hidden": 10**13},
+        {"tag": "igru", "hidden": 10**7},
+    ])
+    def test_model_too_large_for_memory_exit_3(self, synth_dir, tmp_path, capsys, entry):
+        cfg = write_config(tmp_path / "cfg.json", synth_dir, [entry])
+        assert main(
+            ["run", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        ) == EXIT_DATA
+        assert assert_one_line_error(capsys).startswith("data error:")
+
+    # rolling 10**15 steps would ask for petabytes, and 10**19 values are
+    # more than one numpy dimension holds
+    @pytest.mark.parametrize("far", [10**15, 10**19])
+    def test_horizon_past_the_data_costs_nothing(self, synth_dir, tmp_path, capsys, far):
+        models = ["ar", {"tag": "rf", "n_trees": 3}, {"tag": "igru", "epochs": 2}]
+        rows = {}
+        for horizons in ([0], [0, far]):
+            cfg = write_config(tmp_path / "cfg.json", synth_dir, models,
+                               horizons=horizons)
+            out = tmp_path / f"o{len(horizons)}"
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+            raw = (out / "report_raw.csv").read_text().splitlines()[1:]
+            rows[len(horizons)] = [r.split(",") for r in raw]
+        assert capsys.readouterr().err == ""
+        near = [r for r in rows[2] if r[2] == "0"]
+        assert near == rows[1]
+        past = [r for r in rows[2] if r[2] == str(far)]
+        assert len(past) == len(near)
+        assert all(r[4:] == ["n/a(no-predictions)"] * 4 for r in past)
+
     def test_divergence_exit_4(self, synth_dir, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "cfg.json", synth_dir,

@@ -85,6 +85,26 @@ class TestEvaluate:
         n5 = report.node_metrics[("ar", node, 5)]["n"].value
         assert n5 == n0 - 5
 
+    def test_horizon_past_the_data_rolls_no_further(self, small_synth):
+        # 10**15 steps would ask the per-origin fallback for petabytes
+        h, panel = small_synth
+        asked = []
+
+        class Recording(PerfectOracle):
+            def forecast(self, panel, node, origin, horizon):
+                asked.append(horizon)
+                return super().forecast(panel, node, origin, horizon)
+
+        far = evaluate([Recording(panel)], panel, h, horizons=(0, 10**15))
+        near = evaluate([PerfectOracle(panel)], panel, h, horizons=(0,))
+        reach = max(panel.length(n) - panel.split_index[n] - 1 for n in h.nodes)
+        assert set(asked) == {reach}
+        for (label, node, j), m in far.node_metrics.items():
+            if j == 0:
+                assert m == near.node_metrics[(label, node, 0)]
+            else:
+                assert m["rmse"] == Cell(None, "no-predictions")
+
     def test_rmse_matches_direct_computation(self, small_synth):
         h, panel = small_synth
         spec = TrainSpec(rho=3, hidden=4, epochs=20, lr=0.005, seed=1)

@@ -1,7 +1,7 @@
 import re
 import warnings
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import panel_from_rates
 from helpers import ragged_panels, select_neighbors_oracle, stacked_windows_oracle
+from hiergru.baselines import ForestConfig, GbtConfig, MlpConfig
 from hiergru.cli import fit_entry
 from hiergru.dataset import (
     SeriesPanel,
@@ -23,6 +24,7 @@ from hiergru.errors import (
     DivergenceError,
     InsufficientHistoryError,
     InsufficientNeighborsWarning,
+    InvalidSpecError,
     MissingPretrainedError,
     NodeSkippedWarning,
 )
@@ -735,3 +737,23 @@ class TestForecastOrigins:
             bundles["igru"].forecast_origins(panel, node, [5, 2, 1], 0)
         with pytest.raises(InsufficientHistoryError, match="beyond series length"):
             bundles["ar"].forecast_origins(panel, node, [5, 99], 0)
+
+
+class TestConfigRules:
+    @pytest.mark.parametrize(
+        "config", [TrainSpec, ForestConfig, GbtConfig, MlpConfig, SynthSpec]
+    )
+    def test_every_field_carries_a_rule(self, config):
+        assert all("rule" in f.metadata for f in fields(config))
+
+    def test_optimizer_method_carries_a_rule(self):
+        method = {f.name: f for f in fields(OptimState)}["method"]
+        assert "rule" in method.metadata
+
+    @pytest.mark.parametrize("key, value", [
+        ("depth", True), ("depth", 2.0), ("length", 12.5), ("seed", 1.5),
+    ])
+    def test_synth_spec_rejects_wrong_kinds(self, key, value):
+        spec = dict(depth=2, branching=2, length=40, leaf_noise_sd=0.5, seed=1)
+        with pytest.raises(InvalidSpecError, match=rf"^{key} must be"):
+            SynthSpec(**{**spec, key: value})

@@ -18,6 +18,9 @@ Both sides run ``hiergru run --jobs 1`` on the same inputs, written once by
   an hrnn with its bihrnn at rho 1, whose windows are the zero-state step
   alone);
 * a ``--grid`` config;
+* the panel-s workload at panel seed 0 with horizons 0, 1, 25 and 40: of
+  its 30 test periods, horizon 25 reaches the first five origins and
+  horizon 40 none;
 * a ragged panel with blank non-root weights: nodes start late, end early,
   or are too short to give a knngru window;
 * a wide panel, ``synth --depth 2 --branching 7`` (57 nodes), at a few
@@ -138,6 +141,9 @@ WIDE = [
     {"tag": "bihrnn", "epochs": 3},
 ]
 
+# panel-s holds out 30 periods: horizon 25 reaches some origins, 40 none
+FAR_HORIZONS = [0, 1, 25, 40]
+
 # node -> (periods dropped from the start, periods kept at most)
 RAGGED_CUTS = {
     "root.0.1": (30, None),  # starts late
@@ -146,9 +152,10 @@ RAGGED_CUTS = {
 }
 
 
-def _with_models(config: Path, models: list) -> Path:
+def _with(config: Path, **keys) -> Path:
+    """``config`` with its top-level ``keys`` replaced."""
     cfg = json.loads(config.read_text(encoding="utf-8"))
-    cfg["models"] = models
+    cfg.update(keys)
     config.write_text(json.dumps(cfg, indent=2) + "\n", encoding="utf-8")
     return config
 
@@ -172,7 +179,7 @@ def _cut(config: Path, cuts: dict) -> None:
 
 def _make_ragged(config: Path) -> Path:
     _cut(config, RAGGED_CUTS)
-    return _with_models(config, RAGGED)
+    return _with(config, models=RAGGED)
 
 
 def _make_wide(config: Path) -> Path:
@@ -186,7 +193,7 @@ def _make_wide(config: Path) -> Path:
     save_hierarchy(h, config.parent / "hierarchy.csv")
     save_series_csv(panel, config.parent / "series.csv")
     _cut(config, {"root.6.6": (0, 110)})
-    return _with_models(config, WIDE)
+    return _with(config, models=WIDE)
 
 
 def write_runs(inputs: Path) -> list[tuple[str, Path, list[str]]]:
@@ -197,9 +204,11 @@ def write_runs(inputs: Path) -> list[tuple[str, Path, list[str]]]:
             runs.append((f"{name} seed {seed}",
                          make_inputs(name, seed, inputs / f"{name}-{seed}"), []))
     all_tags = make_inputs("panel-s", 0, inputs / "all-tags")
-    runs.append(("all tags", _with_models(all_tags, ALL_TAGS), []))
+    runs.append(("all tags", _with(all_tags, models=ALL_TAGS), []))
     grid = make_inputs("panel-s", 1, inputs / "grid")
-    runs.append(("grid", _with_models(grid, GRID), ["--grid"]))
+    runs.append(("grid", _with(grid, models=GRID), ["--grid"]))
+    far = make_inputs("panel-s", 0, inputs / "far")
+    runs.append(("horizons past the data", _with(far, horizons=FAR_HORIZONS), []))
     ragged = make_inputs("deep-gru", 0, inputs / "ragged")
     runs.append(("ragged blank-weight", _make_ragged(ragged), []))
     wide = make_inputs("panel-s", 2, inputs / "wide")
