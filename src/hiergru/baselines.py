@@ -23,7 +23,8 @@ from .errors import (
     _ruled,
 )
 from .errors import _COUNT, _FRACTION, _INTEGER, _NONNEG_INT, _POSITIVE
-from .gru import OptimState, _frozen, _views, flatten, predict_sequence, run_optimizer
+from .gru import OptimState, _frozen, _indexable, _views, flatten, predict_sequence
+from .gru import run_optimizer
 from .hierarchy import Hierarchy
 from .models import ModelBundle, node_seed
 
@@ -415,6 +416,7 @@ def fit_forest(windows: list[Window], rho: int, cfg: ForestConfig) -> TreeEnsemb
     x = _as_rows(x, rho)
     n = x.shape[0]
     rng = _seeded_rng(cfg.seed)
+    _indexable(cfg.n_trees * n, f"{cfg.n_trees} bootstraps of {n} rows")
     boots = rng.integers(0, n, size=(cfg.n_trees, n))
     per_group = max(1, _GROUP_ROWS // n)
     trees = []
@@ -614,7 +616,7 @@ def init_mlp(rho: int, hidden: tuple[int, ...], rng: np.random.Generator) -> Mlp
     """He-normal hidden layers; the output layer starts at zero so initial
     predictions are exactly zero."""
     sizes = (rho, *hidden, 1)
-    vec = np.zeros(_mlp_count(sizes))
+    vec = np.zeros(_indexable(_mlp_count(sizes), f"a network of layer sizes {sizes}"))
     weights, _ = _mlp_views(vec, sizes)
     for a, w in zip(sizes, weights[:-1]):
         w[:] = rng.normal(0.0, math.sqrt(2.0 / a), size=w.shape)

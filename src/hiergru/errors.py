@@ -80,6 +80,8 @@ _FRACTION = _number(lambda v: 0 < v <= 1, "in (0, 1]")
 _INTEGER = (_is_int, "an integer")
 _COUNT = (lambda v: _is_int(v) and v >= 1, "an integer >= 1")
 _NONNEG_INT = (lambda v: _is_int(v) and v >= 0, "an integer >= 0")
+# a checkpoint header stores rho as a u32
+_RHO = (lambda v: _is_int(v) and 1 <= v < 2**32, "an integer from 1 to 2**32 - 1")
 # exp(alpha + C) stays finite for every correlation C in [-1, 1]
 _ALPHA = _number(lambda v: v <= 708, "<= 708")
 _OPTIMIZER = (lambda v: v in ("adam", "sgd"), "'adam' or 'sgd'")

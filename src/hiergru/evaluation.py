@@ -25,6 +25,7 @@ from .errors import (
     HiergruError,
     MetricOverflowError,
     MissingBaselineError,
+    ZeroBaselineError,
 )
 from .hierarchy import Hierarchy, NodeId
 from .metrics import distance_correlation, pearson, relative_rmse, rmse
@@ -101,6 +102,7 @@ def _metric_cell(fn, actuals, predictions) -> Cell:
         DegenerateVarianceError: "degenerate-variance",
         DegenerateDistanceVarianceError: "degenerate-distance-variance",
         MetricOverflowError: "overflow",
+        ZeroBaselineError: "zero-baseline",
     }
     try:
         return Cell(fn(actuals, predictions))
@@ -171,8 +173,6 @@ def _node_cells(actuals, predictions, ref: Cell | None) -> dict[str, Cell]:
         rel = e
     elif ref.value is None:
         rel = ref
-    elif ref.value == 0.0:
-        rel = Cell(None, "zero-baseline")
     else:
         rel = _metric_cell(relative_rmse, e.value, ref.value)
     return {

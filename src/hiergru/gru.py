@@ -24,11 +24,12 @@ One kernel, :func:`_stack_loss_and_grad`, computes every loss: the
 optimizer records each epoch's losses, the final point's included, from
 the same call that gives its gradients.
 
-Each :func:`optimize_stack` run trains in one :class:`_Workspace`: float64
-arrays sized for the run's largest pass, which every pass of every epoch
-overwrites, so a pass allocates none of its states, gates or backward
-intermediates.  A pass holds up to ``_PASS_WINDOWS`` windows, so a stack
-of a few dozen nodes trains in one.  The first step of every window
+Each :func:`optimize_stack` run trains in one pass per epoch, in one
+:class:`_Workspace`: float64 arrays sized for its whole stack, which every
+epoch overwrites, so a pass allocates none of its states, gates or
+backward intermediates.  The caller bounds a run's windows (the recurrent
+trainers cut a bucket into runs of whole nodes), and each run keeps its own
+Adam moments (:func:`run_optimizer`).  The first step of every window
 starts from the zero state, where ``s w_z``, ``s w_r`` and ``(s * r) w_v``
 are exact zeros and the reset gate scales nothing; that step, forward and
 backward, is computed without them.  The input projections of every step
@@ -54,9 +55,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    _NONNEG,
     _OPTIMIZER,
     DivergenceError,
     EmptyInputError,
+    HiergruError,
     ShapeMismatchError,
     _check_ruled,
     _ruled,
@@ -66,8 +69,17 @@ _FIELDS = ("u_z", "u_r", "u_v", "w_z", "w_r", "w_v", "b_z", "b_r", "b_v",
            "readout_w")
 
 
+def _indexable(count: int, what: str) -> int:
+    """``count``, the float64 or int64 elements of one array that ``what``
+    sizes, if numpy can index their bytes; else :class:`HiergruError`."""
+    if 8 * count > np.iinfo(np.intp).max:
+        raise HiergruError(f"{what} needs {count} array elements, past numpy's range")
+    return count
+
+
 def _param_count(hidden: int, input_dim: int) -> int:
-    return 3 * (input_dim * hidden + hidden * hidden + hidden) + hidden + 1
+    count = 3 * (input_dim * hidden + hidden * hidden + hidden) + hidden + 1
+    return _indexable(count, f"a GRU of hidden {hidden}")
 
 
 @functools.cache
@@ -377,68 +389,44 @@ def _add_penalties(P, terms, loss, grad) -> np.ndarray:
     return loss
 
 
-# Windows per pass over a stack of units.  It bounds a run's workspace, 19
-# arrays of (windows, hidden) float64 at rho 4: 1.6 MB for 15 units of 86
-# windows and 8 hidden units.  Measured on deep-gru (15 nodes of 86
-# windows; 2 vCPUs, numpy 2.4.6, one BLAS thread, 24 alternating rounds),
-# against 512 windows: 1024 took 0.90x the CPU time for 0.2 MB more peak
-# RSS, and 2048 or 4096, where every stack trains in one pass, 0.82-0.85x
-# for 0.5 MB (1.3%) more.  Training igru alone on a 400-node panel, an
-# earlier revision was faster at 4096 than at 512 or 32768 in 3 of 3
-# alternating triples.
-_PASS_WINDOWS = 4096
-
-# The arrays one pass writes, (N, n, h) unless noted: the state after each
+# The arrays a pass writes, (N, n, h) unless noted: the state after each
 # step, the gates z, v and r of each step (r from step 1 on: the zero-state
 # step computes none), four scratch arrays and ``ds``, the backward pass's
 # state gradient, which starts in the last state once the readout has read
 # it, and small ones for the readout column (N, n, 1) and the gradient
 # products (N, h, 1), (N, d, h), (N, h, h) and (N, h).
 _Acts = namedtuple(
-    "_Acts", "states zs vs rs tmp dz dsr ds ds_prev col hcol dh hh hrow"
+    "_Acts", "states zs vs rs ds tmp dz dsr ds_prev col hcol dh hh hrow"
 )
-
-# One pass of a run: its rows of the stack, views of its units' parameters
-# and gradients in the workspace, and its activations.
-_Pass = namedtuple("_Pass", "part w g a")
 
 
 class _Workspace:
     """The memory of one training run over a stack of ``units`` units with
-    ``n`` windows of ``rho`` steps each: the parameters and gradients of
-    every unit, and every array a pass writes, sized for the run's largest
-    pass.  Every pass of every call overwrites it; its views are taken
-    once, here."""
+    ``n`` windows of ``rho`` steps each: the parameters ``P`` and gradients
+    ``G`` of every unit, their per-unit views ``w`` and ``g``, and every
+    array the run's one pass writes, ``a``.  Every call overwrites it; its
+    views are taken once, here."""
 
     def __init__(self, units: int, n: int, rho: int, input_dim: int, hidden: int):
         d, h = input_dim, hidden
-        rows = min(units, max(1, _PASS_WINDOWS // n))
         self.P = np.empty((units, _param_count(h, d)))
         self.G = np.empty_like(self.P)
+        self.w = _stack(self.P, h, d)
+        self.g = _views(self.G, _shapes(h, d)) + [self.G[:, -1]]
         # Mapped from the OS, not malloc'd, so that freeing the workspace
         # unmaps it: glibc would raise its mmap threshold to the freed
-        # block's size, and the later, smaller workspaces of a run would
+        # block's size, and the later, smaller workspaces of a fit would
         # then stay resident in its heap.  Over a 512-window workspace,
         # deep-gru's peak RSS rose 1.4 MB with a malloc'd one, 0.5 MB
         # with a mapped one.
-        shape = (4 * rho + 3, rows, n, h)
-        big = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
-        small = [np.empty((rows, *shape))
-                 for shape in ((n, 1), (h, 1), (d, h), (h, h), (h,))]
-        acts, self.passes = {}, []
-        for lo in range(0, units, rows):
-            part = slice(lo, min(lo + rows, units))
-            N = part.stop - lo
-            if N not in acts:
-                a = [m[:N] for m in big]
-                tmp, dz, dsr, ds_prev = a[4 * rho - 1:]
-                acts[N] = _Acts(
-                    a[:rho], a[rho:2 * rho], a[2 * rho:3 * rho],
-                    [None, *a[3 * rho:4 * rho - 1]], tmp, dz, dsr, a[rho - 1],
-                    ds_prev, *(m[:N] for m in small),
-                )
-            g = _views(self.G[part], _shapes(h, d)) + [self.G[part, -1]]
-            self.passes.append(_Pass(part, _stack(self.P[part], h, d), g, acts[N]))
+        shape = (4 * rho + 3, units, n, h)
+        a = list(np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape))
+        self.a = _Acts(
+            a[:rho], a[rho:2 * rho], a[2 * rho:3 * rho], [None, *a[3 * rho:4 * rho - 1]],
+            a[rho - 1], *a[4 * rho - 1:],
+            *(np.empty((units, *shape))
+              for shape in ((n, 1), (h, 1), (d, h), (h, h), (h,))),
+        )
 
 
 def _stack_loss_and_grad(ws: _Workspace, P, x, y, terms):
@@ -446,14 +434,10 @@ def _stack_loss_and_grad(ws: _Workspace, P, x, y, terms):
     its windows ``x[i]`` against ``y[i]`` plus its anchor penalties, and the
     exact gradient of that loss with respect to ``P[i]`` by
     backpropagation through time.  Returns losses (N,) and gradients
-    (N, size), the latter held by ``ws`` and overwritten by its next call.
-    The units run in the passes of ``ws``."""
+    (N, size), the latter held by ``ws`` and overwritten by its next call."""
     np.copyto(ws.P, P)
     ws.G.fill(0.0)
-    loss = np.empty(P.shape[0])
-    for part, w, g, a in ws.passes:
-        loss[part] = _bptt(w, g, a, x[part], y[part])
-    return _add_penalties(P, terms, loss, ws.G), ws.G
+    return _add_penalties(P, terms, _bptt(ws.w, ws.g, ws.a, x, y), ws.G), ws.G
 
 
 def _window_sums(da: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -600,35 +584,22 @@ def loss_and_grad(
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimState:
-    """First-order optimizer state: Adam by default, plain SGD by config."""
+    """How a run steps: Adam by default, plain SGD by config, at learning
+    rate ``lr``.  It holds nothing of a run, so one value serves any number
+    of runs, each as if fresh."""
 
-    lr: float = 0.005
+    lr: float = _ruled(_NONNEG, 0.005)
     method: str = _ruled(_OPTIMIZER, "adam")
-    step: int = 0
-    m: np.ndarray | None = None
-    v: np.ndarray | None = None
 
     __post_init__ = _check_ruled
-
-    def update(self, x: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        if self.method == "sgd":
-            return x - self.lr * grad
-        if self.m is None:
-            self.m = np.zeros_like(x)
-            self.v = np.zeros_like(x)
-        self.step += 1
-        self.m = _BETA1 * self.m + (1.0 - _BETA1) * grad
-        self.v = _BETA2 * self.v + (1.0 - _BETA2) * grad * grad
-        m_hat = self.m / (1.0 - _BETA1 ** self.step)
-        v_hat = self.v / (1.0 - _BETA2 ** self.step)
-        return x - self.lr * m_hat / (np.sqrt(v_hat) + _EPS)
 
 
 def run_optimizer(loss_grad_fn, x0: np.ndarray, opt: OptimState, epochs: int):
     """Iterate first-order updates on the rows of ``x0``, shape (N, size):
-    N independent problems sharing one optimizer.
+    N independent problems, each row stepped by ``opt`` from Adam moments
+    of its own, which live as long as the run.
 
     ``loss_grad_fn(X)`` gives the (N,) losses and (N, size) gradients at
     ``X``; every loss recorded, the final point's included, comes from it.
@@ -640,6 +611,7 @@ def run_optimizer(loss_grad_fn, x0: np.ndarray, opt: OptimState, epochs: int):
     early once row 0 has failed.
     """
     X = np.array(x0, dtype=np.float64)
+    m = v = np.zeros_like(X)
     losses, failures = [], {}
     frozen = np.zeros(X.shape[0], dtype=bool)
 
@@ -663,7 +635,14 @@ def run_optimizer(loss_grad_fn, x0: np.ndarray, opt: OptimState, epochs: int):
                 fail(~finite, epoch)
                 if frozen[0]:
                     return X, losses, failures
-            step = opt.update(X, grad)
+            if opt.method == "sgd":
+                step = X - opt.lr * grad
+            else:
+                m = _BETA1 * m + (1.0 - _BETA1) * grad
+                v = _BETA2 * v + (1.0 - _BETA2) * grad * grad
+                m_hat = m / (1.0 - _BETA1 ** (epoch + 1))
+                v_hat = v / (1.0 - _BETA2 ** (epoch + 1))
+                step = X - opt.lr * m_hat / (np.sqrt(v_hat) + _EPS)
             X = np.where(frozen[:, None], X, step) if failures else step
         final_loss = loss_grad_fn(X)[0]
     fail(~np.isfinite(final_loss), epochs)

@@ -37,7 +37,7 @@ from .baselines import (
     mlp_flatten,
     mlp_unflatten,
 )
-from .errors import _COUNT, HiergruError, _check_fields
+from .errors import _RHO, HiergruError, _check_fields
 from .gru import flatten, unflatten
 from .models import (
     TrainSpec,
@@ -208,7 +208,7 @@ def _baseline(tag, keys, make_cfg, fit_nodes, encode, decode, fixed_rule=False):
     def build(params):
         params = dict(params)
         rho = params.pop("rho", 4)
-        _check_fields({"rho": rho}, rho=_COUNT)
+        _check_fields({"rho": rho}, rho=_RHO)
         return rho, make_cfg(params)
 
     def fit(panel, h, config, cache):

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 from hiergru import cli
 from hiergru.baselines import ForestConfig, GbtConfig, MlpConfig
+from hiergru.checkpoint import load_bundle
 from hiergru.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, EXIT_OK, main
-from hiergru.errors import InvalidSpecError
+from hiergru.errors import InvalidSpecError, NodeSkippedWarning
 from hiergru.models import TrainSpec
 from hiergru.registry import TAGS
 
@@ -361,6 +362,7 @@ class TestRun:
             ({"tag": "fc", "epochs": 2, "lr": float("inf")}, "lr"),
             ({"tag": "gbt", "n_trees": 2, "shrinkage": 5}, "shrinkage"),
             ({"tag": "gbt", "n_trees": 2, "shrinkage": 1e308}, "shrinkage"),
+            ({"tag": "rw", "rho": 2**32}, "rho"),  # a .ckpt header's u32
         ],
     )
     def test_out_of_range_baseline_value_exit_2(
@@ -381,6 +383,7 @@ class TestRun:
             ({"tag": "knngru", "k_neighbors": 0}, "k_neighbors"),
             ({"tag": "igru", "epochs": 2, "lr": float("inf")}, "lr"),
             ({"tag": "bihrnn", "epochs": 2, "lambda1": float("inf")}, "lambda1"),
+            ({"tag": "igru", "rho": 2**32, "epochs": 1}, "rho"),
         ],
     )
     def test_out_of_range_recurrent_value_exit_2(
@@ -539,11 +542,17 @@ class TestRun:
         assert not out.exists()
 
     # each model's first array request is over 128 TiB, which no machine
-    # grants, so the test touches no memory
+    # grants, or more bytes than numpy can index, so the test touches no
+    # memory
     @pytest.mark.parametrize("entry", [
         {"tag": "rf", "n_trees": 10**13},
         {"tag": "fc", "hidden": 10**13},
         {"tag": "igru", "hidden": 10**7},
+        {"tag": "igru", "hidden": 2 * 10**9},
+        {"tag": "rf", "n_trees": 10**19},
+        {"tag": "fc", "hidden": 10**19},
+        {"tag": "igru", "hidden": 10**9},
+        {"tag": "hrnn", "hidden": 2 * 10**9},
     ])
     def test_model_too_large_for_memory_exit_3(self, synth_dir, tmp_path, capsys, entry):
         cfg = write_config(tmp_path / "cfg.json", synth_dir, [entry])
@@ -551,6 +560,17 @@ class TestRun:
             ["run", "--config", str(cfg), "--out", str(tmp_path / "o")]
         ) == EXIT_DATA
         assert assert_one_line_error(capsys).startswith("data error:")
+
+    def test_largest_rho_runs(self, synth_dir, tmp_path):
+        rho = 2**32 - 1
+        cfg = write_config(tmp_path / "cfg.json", synth_dir, [
+            "ar", {"tag": "rw", "rho": rho}, {"tag": "igru", "rho": rho, "epochs": 1},
+        ])
+        out = tmp_path / "o"
+        with pytest.warns(NodeSkippedWarning):
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        for label in ("rw", "igru"):
+            assert load_bundle(out / "checkpoints" / label).rho == rho
 
     # rolling 10**15 steps would ask for petabytes, and 10**19 values are
     # more than one numpy dimension holds

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import panel_from_rates
 from hiergru.baselines import fit_baseline
 from hiergru.dataset import SeriesPanel
 from hiergru.errors import HiergruError
+from hiergru.hierarchy import build_hierarchy
 from hiergru.evaluation import (
     DAILY_HORIZONS,
     MONTHLY_HORIZONS,
@@ -216,6 +218,24 @@ class TestRendering:
         assert cells["pearson"].value is None
         assert cells["pearson"].code == "degenerate-variance"
         assert "n/a(degenerate-variance)" in render_raw(report)
+
+    def test_constant_node_reads_zero_baseline(self):
+        # AR(1) forecasts a constant series exactly, so its reference RMSE
+        # there is 0 and no relative RMSE exists
+        rng = np.random.default_rng(3)
+        panel = panel_from_rates({
+            "r": rng.normal(size=40), "a": rng.normal(size=40), "k": np.full(40, 0.5),
+        })
+        h = build_hierarchy([("r", None, 1.0), ("a", "r", 0.5), ("k", "r", 0.5)])
+        horizons = (0, 1, 3)
+        report = evaluate([fit_baseline(panel, h, "ar", rho=1)], panel, h, horizons)
+        for j in horizons:
+            assert report.node_metrics[("ar", "k", j)]["rmse"].value == 0.0
+            assert report.node_metrics[("ar", "k", j)]["rel_rmse"] == Cell(
+                None, "zero-baseline"
+            )
+            assert report.node_metrics[("ar", "a", j)]["rel_rmse"].value == 1.0
+        assert "n/a(zero-baseline)" in render_raw(report)
 
     def test_write_report_files(self, small_synth, tmp_path):
         h, panel = small_synth

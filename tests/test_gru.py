@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -342,6 +344,28 @@ class TestOptimize:
         with pytest.raises(InvalidSpecError, match="'bogus'"):
             OptimState(lr=0.01, method="bogus")
 
+    @pytest.mark.parametrize("lr", [-1, float("nan"), True, "0.1"])
+    def test_bad_learning_rate_rejected(self, lr):
+        with pytest.raises(InvalidSpecError, match="^lr must be"):
+            OptimState(lr=lr)
+
+    def test_fields_cannot_be_assigned(self):
+        opt = OptimState()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            opt.lr = 0.1
+
+    def test_one_state_serves_runs_as_fresh(self):
+        # an earlier run leaves no Adam moments behind: the same value
+        # trains a second unit, and a unit of another size, as a fresh one
+        x, y = self._data(seed=14)
+        opt = OptimState(lr=0.01)
+        for hidden, seed in ((3, 15), (3, 16), (5, 17)):
+            p = init_params(hidden, np.random.default_rng(seed))
+            out, losses = optimize(p, x, y, opt, epochs=8)
+            fresh, fresh_losses = optimize(p, x, y, OptimState(lr=0.01), epochs=8)
+            assert flatten(out).tobytes() == flatten(fresh).tobytes()
+            assert losses == fresh_losses
+
     def test_loss_decreases(self):
         x, y = self._data(seed=2)
         p = init_params(4, np.random.default_rng(3))
@@ -413,7 +437,7 @@ class TestOptimizeStack:
             (3, 1, 3, 1, 5, "adam"),
             (1, 12, 4, 6, 3, "sgd"),
             (7, 100, 4, 1, 8, "adam"),
-            (7, 600, 4, 1, 8, "adam"),  # passes of 6 units and 1 unit
+            (7, 600, 4, 1, 8, "adam"),  # 4,200 windows in one pass
         ],
     )
     def test_each_unit_gets_its_bits_alone(self, count, n, rho, d, h, method):
@@ -441,7 +465,7 @@ class TestOptimizeStack:
          (5, 2, 1, 3, 4), (4, 1, 3, 1, 5), (6, 200, 4, 1, 1), (3, 90, 3, 2, 1)],
     )
     def test_kernel_matches_per_unit_oracle(self, count, n, rho, d, h):
-        # one pass, several passes (9 units of 1,000 windows: 4, 4 and 1),
+        # several units (9 of 1,000 windows, 9,000 windows in one pass),
         # one unit, and hidden 1, whose window sums are np.add.reduce's
         # pairwise ones; the second call on one workspace must keep nothing
         # of the first

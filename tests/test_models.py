@@ -28,11 +28,13 @@ from hiergru.errors import (
     MissingPretrainedError,
     NodeSkippedWarning,
 )
+from hiergru import models
 from hiergru.gru import (
     OptimState,
     flatten,
     init_params,
     optimize,
+    optimize_stack,
     predict_sequence,
     zero_params,
 )
@@ -473,15 +475,7 @@ class TestStackedGroups:
         assert both > 1
 
     def test_knngru_ragged_panel_in_several_buckets(self):
-        rng = np.random.default_rng(17)
-        base = rng.normal(size=60)
-        series = {n: (0, base + 0.5 * rng.normal(size=60)) for n in "rabce"}
-        series["c"] = (12, series["c"][1][12:])  # starts late
-        series["e"] = (0, series["e"][1][:40])  # ends early
-        panel = build_panel([f"p{t:03d}" for t in range(60)], series, 0.75)
-        h = build_hierarchy(
-            [("r", None, 1.0)] + [(n, "r", 0.25) for n in "abce"]
-        )
+        h, panel = ragged_five()
         spec = replace(self.SPEC, k_neighbors=2)
         bundle = train_knn_gru(panel, h, spec)
         buckets = Counter()
@@ -495,33 +489,97 @@ class TestStackedGroups:
 
     @pytest.mark.parametrize("scale_b", [1e50, 1e40])
     def test_first_diverging_node_in_training_order_raises(self, scale_b):
-        # "a" trains first and never diverges; "b" diverges late (at the
-        # final loss with scale 1e40); "c", trained after "b", diverges
-        # earlier in epochs.  A node-by-node loop raises for "b".
-        rng = np.random.default_rng(23)
-        panel = panel_from_rates({
-            "a": rng.normal(size=40),
-            "b": scale_b * rng.normal(size=40),
-            "c": 1e100 * rng.normal(size=40),
-        })
-        h = build_hierarchy([("a", None, 1.0), ("b", "a", 0.5), ("c", "a", 0.5)])
-        spec = TrainSpec(rho=3, hidden=4, epochs=60, lr=10.0, seed=2, optimizer="sgd")
-        errors = {}
-        for n in "abc":
-            try:
-                alone(spec, seeded_init(spec, n), own_data(panel, n, spec.rho))
-            except DivergenceError as exc:
-                errors[n] = exc
-        assert "a" not in errors
+        assert_first_diverging_node_raises(scale_b)
 
-        def epochs(n):
-            return int(re.search(r"after (\d+) epochs", str(errors[n])).group(1))
 
-        assert epochs("c") < epochs("b")
-        with pytest.raises(DivergenceError) as exc:
-            train_igru(panel, h, spec)
-        assert str(exc.value) == str(errors["b"])
-        assert exc.value.last_params.tobytes() == errors["b"].last_params.tobytes()
+class TestRuns:
+    """A bucket cut into several optimiser runs gives every node the bits
+    and the provenance of a one-run fit."""
+
+    SPEC = replace(TestStackedGroups.SPEC, k_neighbors=2)
+    FITS = {
+        "igru": train_igru,
+        "knngru": train_knn_gru,
+        "hrnn": train_hrnn,
+        "bihrnn": lambda panel, h, spec: train_bihrnn(
+            panel, h, spec, train_hrnn(panel, h, spec)
+        ),
+    }
+
+    # small_synth's nodes have 87 windows each: runs of 2 nodes at 200 and
+    # of 1 at 100; at 1 every node trains alone
+    @pytest.mark.parametrize("tag, run_windows", [
+        ("igru", 200), ("knngru", 1), ("hrnn", 200), ("bihrnn", 100),
+    ])
+    def test_runs_give_the_bits_of_one_run(self, small_synth, monkeypatch, tag,
+                                           run_windows):
+        h, panel = ragged_five() if tag == "knngru" else small_synth
+        calls = []
+
+        def recording(params, *args, **kwargs):
+            calls.append(len(params))
+            return optimize_stack(params, *args, **kwargs)
+
+        monkeypatch.setattr(models, "optimize_stack", recording)
+        one = self.FITS[tag](panel, h, self.SPEC)
+        one_run_calls = len(calls)
+        monkeypatch.setattr(models, "_RUN_WINDOWS", run_windows)
+        runs = self.FITS[tag](panel, h, self.SPEC)
+        assert len(calls) - one_run_calls > one_run_calls
+        assert runs.models.keys() == one.models.keys()
+        for n, p in one.models.items():
+            assert flatten(runs.models[n]).tobytes() == flatten(p).tobytes(), n
+        assert runs.provenance == one.provenance
+        assert runs.neighbors == one.neighbors
+
+    @pytest.mark.parametrize("scale_b", [1e50, 1e40])
+    def test_first_diverging_node_across_runs(self, monkeypatch, scale_b):
+        # every node trains in a run of its own
+        monkeypatch.setattr(models, "_RUN_WINDOWS", 1)
+        assert_first_diverging_node_raises(scale_b)
+
+
+def ragged_five():
+    """Five nodes under one root, of which "c" starts late and "e" ends
+    early, so that knngru's nodes fall in several buckets."""
+    rng = np.random.default_rng(17)
+    base = rng.normal(size=60)
+    series = {n: (0, base + 0.5 * rng.normal(size=60)) for n in "rabce"}
+    series["c"] = (12, series["c"][1][12:])  # starts late
+    series["e"] = (0, series["e"][1][:40])  # ends early
+    panel = build_panel([f"p{t:03d}" for t in range(60)], series, 0.75)
+    h = build_hierarchy([("r", None, 1.0)] + [(n, "r", 0.25) for n in "abce"])
+    return h, panel
+
+
+def assert_first_diverging_node_raises(scale_b):
+    # "a" trains first and never diverges; "b" diverges late (at the
+    # final loss with scale 1e40); "c", trained after "b", diverges
+    # earlier in epochs.  A node-by-node loop raises for "b".
+    rng = np.random.default_rng(23)
+    panel = panel_from_rates({
+        "a": rng.normal(size=40),
+        "b": scale_b * rng.normal(size=40),
+        "c": 1e100 * rng.normal(size=40),
+    })
+    h = build_hierarchy([("a", None, 1.0), ("b", "a", 0.5), ("c", "a", 0.5)])
+    spec = TrainSpec(rho=3, hidden=4, epochs=60, lr=10.0, seed=2, optimizer="sgd")
+    errors = {}
+    for n in "abc":
+        try:
+            alone(spec, seeded_init(spec, n), own_data(panel, n, spec.rho))
+        except DivergenceError as exc:
+            errors[n] = exc
+    assert "a" not in errors
+
+    def epochs(n):
+        return int(re.search(r"after (\d+) epochs", str(errors[n])).group(1))
+
+    assert epochs("c") < epochs("b")
+    with pytest.raises(DivergenceError) as exc:
+        train_igru(panel, h, spec)
+    assert str(exc.value) == str(errors["b"])
+    assert exc.value.last_params.tobytes() == errors["b"].last_params.tobytes()
 
 
 class Recorder:

@@ -1,7 +1,8 @@
-"""Three checks on the source text: the packaging metadata declares
+"""Four checks on the source text: the packaging metadata declares
 everything the test suite imports, every exception the package raises by
-name is a ``HiergruError``, and every error type the package defines is
-raised or warned somewhere."""
+name is a ``HiergruError``, every error type the package defines is
+raised or warned somewhere, and every dataclass the package defines is
+frozen."""
 
 import ast
 import importlib
@@ -97,3 +98,26 @@ def test_every_error_type_is_raised_or_warned():
                 args = node.args + [k.value for k in node.keywords]
                 used.update(a.id for a in args if isinstance(a, ast.Name))
     assert not defined - used, f"never raised or warned: {sorted(defined - used)}"
+
+
+def test_every_dataclass_is_frozen():
+    """Each ``@dataclass`` in ``src/hiergru`` is declared ``frozen=True``:
+    a config or a node model that a caller can assign to would let one
+    run leave state behind for the next."""
+    thawed = []
+    for path in sorted((ROOT / "src" / "hiergru").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for dec in node.decorator_list:
+                call = dec if isinstance(dec, ast.Call) else None
+                name = ast.unparse(call.func if call else dec)
+                if name not in ("dataclass", "dataclasses.dataclass"):
+                    continue
+                frozen = call and any(
+                    k.arg == "frozen" and ast.unparse(k.value) == "True"
+                    for k in call.keywords
+                )
+                if not frozen:
+                    thawed.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not thawed, f"dataclasses not declared frozen=True: {thawed}"

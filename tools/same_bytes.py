@@ -25,9 +25,9 @@ Both sides run ``hiergru run --jobs 1`` on the same inputs, written once by
   or are too short to give a knngru window;
 * a wide panel, ``synth --depth 2 --branching 7`` (57 nodes), at a few
   epochs of igru, knngru, hrnn and bihrnn: 56 nodes of 86 training windows
-  are more than one pass holds (``gru._PASS_WINDOWS``), so they train in
-  passes of 47 and 9 units (hrnn's last level of 48 in 47 and 1), and one
-  leaf that ends early makes each bundle forecast in two stacks.
+  are more than one optimiser run holds (``models._RUN_WINDOWS``), so they
+  train in runs of 47 and 9 nodes (hrnn's last level of 48 in 47 and 1),
+  and one leaf that ends early makes each bundle forecast in two stacks.
 
 Every output file is compared byte for byte, except the ``created_utc``
 line of the run manifest.  Every checkpoint bundle directory that a
@@ -212,7 +212,7 @@ def write_runs(inputs: Path) -> list[tuple[str, Path, list[str]]]:
     ragged = make_inputs("deep-gru", 0, inputs / "ragged")
     runs.append(("ragged blank-weight", _make_ragged(ragged), []))
     wide = make_inputs("panel-s", 2, inputs / "wide")
-    runs.append(("wide, two passes", _make_wide(wide), []))
+    runs.append(("wide, two runs", _make_wide(wide), []))
     return runs
 
 
