@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import HiergruError, _is_int
+from .errors import _RHO, HiergruError
 from .models import ModelBundle, TrainSpec
 from .registry import lookup
 
@@ -42,15 +42,12 @@ MAGIC = b"HGRUCKPT"
 FORMAT_VERSION = 1
 
 
-def write_checkpoint(
-    path, *, tag: str, node: str, payload: np.ndarray,
-    hidden: int = 0, rho: int = 0, input_dim: int = 0,
-) -> bytes:
-    """Write one ``.ckpt`` file in one call and return its bytes."""
+def _checkpoint_bytes(tag, node, payload, hidden=0, rho=0, input_dim=0) -> bytes:
+    """The bytes of one ``.ckpt`` file."""
     payload = np.ascontiguousarray(payload, dtype="<f8")
     tag_b = tag.encode("utf-8")
     node_b = node.encode("utf-8")
-    data = b"".join((
+    return b"".join((
         MAGIC,
         struct.pack("<HHIIII", FORMAT_VERSION, 0, hidden, rho, input_dim, len(tag_b)),
         tag_b,
@@ -59,8 +56,19 @@ def write_checkpoint(
         struct.pack("<Q", payload.shape[0]),
         payload.tobytes(),
     ))
+
+
+def write_checkpoint(path, **fields) -> bytes:
+    """Write one ``.ckpt`` file of ``fields`` in one call and return its bytes."""
+    data = _checkpoint_bytes(**fields)
     Path(path).write_bytes(data)
     return data
+
+
+def _node_bytes(tag: str, node: str, model, rho: int) -> bytes:
+    """The node file :func:`save_bundle` writes for ``model``."""
+    payload, hidden, input_dim = lookup(tag).encode(model)
+    return _checkpoint_bytes(tag, node, payload, hidden, rho, input_dim)
 
 
 def _sha256(data: bytes) -> str:
@@ -141,12 +149,8 @@ def save_bundle(bundle, dirpath) -> None:
         manifest["neighbors"] = {n: list(nbs) for n, nbs in bundle.neighbors.items()}
     for i, node in enumerate(nodes):
         fname = f"node_{i:05d}.ckpt"
-        model = bundle.models[node]
-        payload, hidden, input_dim = lookup(bundle.tag).encode(model)
-        data = write_checkpoint(
-            out / fname, tag=bundle.tag, node=node, payload=payload,
-            hidden=hidden, rho=bundle.rho, input_dim=input_dim,
-        )
+        data = _node_bytes(bundle.tag, node, bundle.models[node], bundle.rho)
+        (out / fname).write_bytes(data)
         manifest["nodes"][node] = {
             "file": fname,
             "provenance": bundle.provenance.get(node, {}),
@@ -163,7 +167,7 @@ def _read_manifest(path: Path) -> dict:
         raise HiergruError(f"{path}: not a JSON manifest: {exc}") from exc
     if not (
         isinstance(manifest, dict) and isinstance(manifest.get("tag"), str)
-        and _is_int(manifest.get("rho")) and isinstance(manifest.get("nodes"), dict)
+        and _RHO[0](manifest.get("rho")) and isinstance(manifest.get("nodes"), dict)
         and all(
             isinstance(entry, dict) and isinstance(entry.get("sha256"), str)
             and re.fullmatch("[0-9a-f]{64}", entry["sha256"])
@@ -171,20 +175,20 @@ def _read_manifest(path: Path) -> dict:
         )
     ):
         raise HiergruError(
-            f"{path}: a manifest needs a string 'tag', an integer 'rho' and a "
-            "'nodes' object of objects, each with a 64-hex-digit 'sha256'"
+            f"{path}: a manifest needs a string 'tag', a 'rho' that is {_RHO[1]} "
+            "and a 'nodes' object of objects, each with a 64-hex-digit 'sha256'"
         )
     nodes, neighbors = manifest["nodes"], manifest.get("neighbors")
     if neighbors is not None and not (
-        isinstance(neighbors, dict) and all(
-            n in nodes and isinstance(nbs, list)
-            and all(isinstance(c, str) and c in nodes for c in nbs)
-            for n, nbs in neighbors.items()
+        "spec" in manifest and isinstance(neighbors, dict)
+        and neighbors.keys() == nodes.keys() and all(
+            isinstance(nbs, list) and all(isinstance(c, str) and c in nodes for c in nbs)
+            for nbs in neighbors.values()
         )
     ):
         raise HiergruError(
-            f"{path}: 'neighbors' must be an object mapping the bundle's node "
-            "ids to lists of its node ids"
+            f"{path}: 'neighbors' must be an object mapping each of the bundle's "
+            "node ids to a list of its node ids, in a manifest with a 'spec'"
         )
     return manifest
 
@@ -206,20 +210,23 @@ def _checkpoint_path(root: Path, manifest: Path, node: str, name) -> Path:
 
 
 def load_bundle(dirpath) -> ModelBundle:
-    """Rebuild a bundle from a bundle directory.  A malformed manifest (its
-    ``spec`` and ``neighbors`` included), a node file that is not a regular
-    file inside the directory, one whose bytes do not have the manifest's
-    ``sha256``, one whose rho is not the manifest's, one whose hidden is not
-    the ``spec``'s (when the manifest has one), or one whose payload
-    does not decode as a model of the tag that encodes back to the file
-    (:meth:`~hiergru.registry.TagEntry.load`), raises :class:`HiergruError`
-    naming the manifest, the node and the file."""
+    """Rebuild a bundle from a bundle directory.  A node file loads only if
+    :func:`save_bundle` would write it back byte for byte: its payload
+    decodes, at the widths the manifest gives (with a ``spec``, its
+    ``hidden`` and one plus the node's neighbour count; else 0 and 0), to
+    a model whose own rho, where it has one, is the manifest's, and whose
+    bytes under the manifest's tag, node id and rho are the file's.  Any
+    other node file, one that is not a regular file in the directory or
+    lacks the manifest's ``sha256``, and a malformed manifest raise
+    :class:`HiergruError` naming the manifest (and the node and file)."""
     root = Path(dirpath)
     manifest_path = root / "manifest.json"
     manifest = _read_manifest(manifest_path)
-    tag = manifest["tag"]
+    tag, rho, neighbors = manifest["tag"], manifest["rho"], manifest.get("neighbors")
     try:
         spec = TrainSpec(**manifest["spec"]) if "spec" in manifest else None
+        if spec is not None and spec.rho != rho:
+            raise HiergruError(f"rho {spec.rho} is not the manifest's rho {rho}")
     except (TypeError, HiergruError) as exc:
         raise HiergruError(f"{manifest_path}: invalid 'spec': {exc}") from exc
     models = {}
@@ -232,38 +239,26 @@ def load_bundle(dirpath) -> ModelBundle:
                 f"{manifest_path}: node {node!r} file {entry['file']!r} does not "
                 "match its sha256"
             )
-        ck = _parse_checkpoint(data, path)
-        if ck["node"] != node or ck["tag"] != tag:
-            raise HiergruError(
-                f"{entry['file']}: header ({ck['tag']}, {ck['node']}) does not "
-                f"match manifest ({tag}, {node})"
-            )
-        if ck["rho"] != manifest["rho"]:
-            raise HiergruError(
-                f"{manifest_path}: node {node!r} file {entry['file']!r} has rho "
-                f"{ck['rho']}, but the manifest has rho {manifest['rho']}"
-            )
-        if spec is not None and ck["hidden"] != spec.hidden:
-            raise HiergruError(
-                f"{manifest_path}: node {node!r} file {entry['file']!r} has "
-                f"hidden {ck['hidden']}, but the manifest's spec has hidden "
-                f"{spec.hidden}"
-            )
+        widths = (0, 0) if spec is None else (
+            spec.hidden, 1 + len(neighbors[node]) if neighbors else 1
+        )
         try:
-            models[node] = lookup(tag).load(
-                ck["payload"], ck["hidden"], ck["input_dim"], ck["rho"]
-            )
+            payload = _parse_checkpoint(data, path)["payload"]
+            model = lookup(tag).decode(payload, *widths, rho)
+            back = _node_bytes(tag, node, model, rho)
+            if (back, getattr(model, "rho", rho)) != (data, rho):
+                raise HiergruError("save_bundle would not write its model back to it")
         except (HiergruError, ArithmeticError, IndexError, ValueError) as exc:
             raise HiergruError(
-                f"{manifest_path}: node {node!r} file {entry['file']!r} does not "
-                f"decode as a {tag} model: {exc}"
+                f"{manifest_path}: node {node!r} file {entry['file']!r} is not a "
+                f"{tag} node file: {exc}"
             ) from exc
+        models[node] = model
         provenance[node] = entry.get("provenance", {})
     label = manifest.get("label")
-    neighbors = manifest.get("neighbors")
     return ModelBundle(
         tag=tag,
-        rho=manifest["rho"],
+        rho=rho,
         models=models,
         provenance=provenance,
         spec=spec,

@@ -166,12 +166,12 @@ def load_hierarchy(path) -> Hierarchy:
 
 def csv_records(path, columns: tuple[str, ...]):
     """Yield ``(line number, record)`` for each row of the UTF-8 CSV file
-    at ``path``, whose header must hold ``columns``.  A missing column, a
-    byte that is not UTF-8, or a row the csv module cannot parse (a field
-    over its size limit, say) raises :class:`HiergruError` naming the
-    file."""
+    at ``path`` (a leading byte order mark is skipped), whose header must
+    hold ``columns``.  A missing column, a byte that is not UTF-8, or a row
+    the csv module cannot parse (a field over its size limit, say) raises
+    :class:`HiergruError` naming the file."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(fh)
             if not set(columns).issubset(reader.fieldnames or ()):
                 raise HiergruError(

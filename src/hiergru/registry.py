@@ -62,19 +62,6 @@ class TagEntry:
     fixed_rule: bool = False  # the same rule on every node, fitted on nothing
     saves_anchors: bool = False  # fit may return anchors saved as <label>_anchors
 
-    def load(self, payload, hidden, input_dim, rho):
-        """The node model a file's payload decodes to, accepted only if it
-        encodes back to the file: the payload bit for bit, ``hidden`` and
-        ``input_dim``, and ``rho`` where the model has one.  Any other file
-        raises :class:`HiergruError`."""
-        model = self.decode(payload, hidden, input_dim, rho)
-        back, back_hidden, back_dim = self.encode(model)
-        if np.asarray(back, "<f8").tobytes() != payload.tobytes() or (
-            back_hidden, back_dim, getattr(model, "rho", rho)
-        ) != (hidden, input_dim, rho):
-            raise HiergruError("its model does not encode back to the file")
-        return model
-
 
 def lookup(tag: str) -> TagEntry:
     entry = TAGS.get(tag)
@@ -90,6 +77,8 @@ def _encode_gru(model):
 
 
 def _decode_gru(payload, hidden, input_dim, rho):
+    if min(hidden, input_dim) < 1:  # a manifest without a spec gives 0 and 0
+        raise HiergruError(f"GRU widths {hidden} and {input_dim}: need >= 1 each")
     return unflatten(payload, hidden, input_dim)
 
 
@@ -108,7 +97,8 @@ def _encode_trees(model: TreeEnsemble):
 def _decode_trees(payload, hidden, input_dim, rho) -> TreeEnsemble:
     """The ensemble :func:`_encode_trees` wrote, checked only so that
     decoding stays inside the payload and every descent ends (the rest is
-    :meth:`TagEntry.load`'s): each count fits in what is left, and node
+    the load rule of :func:`~hiergru.checkpoint.load_bundle`): each count
+    fits in what is left, and node
     ``i`` of ``n`` is a leaf (feature and links -1) or a split on a feature
     in ``[0, rho)`` at a finite threshold, with both children in ``(i, n)``."""
     at = 3
@@ -159,8 +149,9 @@ def _encode_mlp(model: MlpModel):
 
 def _decode_mlp(payload, hidden, input_dim, rho) -> MlpModel:
     """The network :func:`_encode_mlp` wrote, checked only for what every
-    fitted network has (the rest is :meth:`TagEntry.load`'s): at least two
-    layer sizes, each at least 1, and one output."""
+    fitted network has (the rest is the load rule of
+    :func:`~hiergru.checkpoint.load_bundle`): at least two layer sizes,
+    each at least 1, and one output."""
     n_sizes = int(payload[0])
     sizes = tuple(int(s) for s in payload[1: 1 + n_sizes])
     if len(sizes) < 2 or min(sizes) < 1 or sizes[-1] != 1:

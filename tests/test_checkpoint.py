@@ -5,6 +5,7 @@ import tempfile
 
 import numpy as np
 import pytest
+from conftest import panel_from_rates
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -23,8 +24,9 @@ from hiergru.checkpoint import (
 )
 from hiergru.cli import fit_entry
 from hiergru.dataset import SynthSpec, synth_panel
-from hiergru.errors import HiergruError
+from hiergru.errors import HiergruError, InsufficientNeighborsWarning
 from hiergru.gru import flatten, init_params
+from hiergru.hierarchy import build_hierarchy
 from hiergru.models import TrainSpec, train_hrnn, train_igru, train_knn_gru
 from hiergru.registry import TAGS, lookup
 
@@ -250,12 +252,15 @@ class TestChecksums:
             path.write_bytes(whole)
 
 
-_DROP, _ABSOLUTE = object(), object()
+_DROP, _ABSOLUTE, _EVERY_NODE = object(), object(), object()
 _OUTSIDE = "outside.ckpt"  # a regular file next to the bundle directory
+_NODE_FILES = "(node files)"
 
 # manifest text, or {key: value} edits of the manifest ("file" and
 # "sha256": of its first node entry); _DROP deletes the key, _ABSOLUTE is
-# the outside file's absolute path
+# the outside file's absolute path, _EVERY_NODE maps every node id to [];
+# _NODE_FILES is (payload edit, header edits) made first to every node file
+# of the rho-2 ar bundle, each rehashed
 MALFORMED = {
     "not-json": "{not json",
     "not-object": "[]",
@@ -290,6 +295,9 @@ MALFORMED = {
     "neighbors-string": {"neighbors": "root.0"},
     "neighbors-unknown-node": {"neighbors": {"root": ["ghost"]}},
     "neighbors-unknown-key": {"neighbors": {"ghost": ["root"]}},
+    # an ar model of rho 0 is an intercept alone, so the files agree
+    "rho-0": {"rho": 0, _NODE_FILES: (lambda p: p[:1], {"rho": 0})},
+    "neighbors-without-spec": {"neighbors": _EVERY_NODE},
 }
 
 
@@ -306,8 +314,14 @@ class TestMalformedManifest:
         path = bundle_dir / "manifest.json"
         edit = MALFORMED[case]
         if not isinstance(edit, str):
+            if _NODE_FILES in edit:
+                payload_edit, header = edit[_NODE_FILES]
+                for name in sorted(p.name for p in bundle_dir.glob("*.ckpt")):
+                    rehashed(bundle_dir, name, payload_edit, **header)
             manifest = json.loads(path.read_text(encoding="utf-8"))
             for key, value in edit.items():
+                if key == _NODE_FILES:
+                    continue
                 at = manifest
                 if key in ("file", "sha256"):
                     at = next(iter(manifest["nodes"].values()))
@@ -315,6 +329,8 @@ class TestMalformedManifest:
                     del at[key]
                 elif value is _ABSOLUTE:
                     at[key] = str(bundle_dir.parent / _OUTSIDE)
+                elif value is _EVERY_NODE:
+                    at[key] = {n: [] for n in manifest["nodes"]}
                 else:
                     at[key] = value
             edit = json.dumps(manifest)
@@ -328,6 +344,49 @@ class TestMalformedManifest:
         with pytest.raises(HiergruError, match="manifest.json"):
             load_bundle(bundle_dir)
 
+    def test_knngru_neighbors_missing_a_node_rejected(self, tmp_path):
+        # one node, so no neighbours and one input channel: an empty map
+        # gives the same width, but forecasting looks the node up in it
+        h = build_hierarchy([("root", None, 1.0)])
+        panel = panel_from_rates({"root": np.sin(np.arange(40.0))})
+        spec = TrainSpec(rho=2, hidden=2, epochs=1, k_neighbors=1)
+        with pytest.warns(InsufficientNeighborsWarning):
+            bundle = train_knn_gru(panel, h, spec)
+        assert bundle.neighbors == {"root": ()}
+        save_bundle(bundle, tmp_path / "knn")
+        path = tmp_path / "knn" / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps({**manifest, "neighbors": {}}), encoding="utf-8")
+        with pytest.raises(HiergruError, match="manifest.json"):
+            load_bundle(tmp_path / "knn")
+
+    def test_gru_bundle_without_spec_rejected(self, small_synth, tmp_path):
+        # without a spec the widths are 0 and 0: a zero-width unit would
+        # load and fail only when it forecasts
+        h, panel = small_synth
+        bundle_dir = tmp_path / "igru"
+        save_bundle(train_igru(panel, h, TrainSpec(rho=2, hidden=2, epochs=1)),
+                    bundle_dir)
+        path = bundle_dir / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        del manifest["spec"]
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        for name in sorted(p.name for p in bundle_dir.glob("*.ckpt")):
+            rehashed(bundle_dir, name, lambda p: p[-1:], hidden=0, input_dim=0)
+        with pytest.raises(HiergruError, match="manifest.json"):
+            load_bundle(bundle_dir)
+
+    def test_spec_rho_other_than_the_bundle_rho_rejected(self, small_synth, tmp_path):
+        h, panel = small_synth
+        save_bundle(train_igru(panel, h, TrainSpec(rho=4, hidden=2, epochs=1)),
+                    tmp_path / "igru")
+        path = tmp_path / "igru" / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest["spec"]["rho"] = 3
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(HiergruError, match="manifest.json"):
+            load_bundle(tmp_path / "igru")
+
 
 def rehashed(bundle_dir, name: str, edit, **header) -> None:
     """Replace the payload of the bundle's node file ``name`` by ``edit`` of
@@ -337,6 +396,12 @@ def rehashed(bundle_dir, name: str, edit, **header) -> None:
     path = bundle_dir / name
     ck = read_checkpoint(path)
     write_checkpoint(path, payload=edit(ck.pop("payload")), **{**ck, **header})
+    record_sha256(bundle_dir, name)
+
+
+def record_sha256(bundle_dir, name: str) -> None:
+    """Record the sha256 of the bundle's node file ``name`` in its manifest."""
+    path = bundle_dir / name
     manifest_path = bundle_dir / "manifest.json"
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     for entry in manifest["nodes"].values():
@@ -505,3 +570,52 @@ class TestLoadRule:
         assert tag != "fc" or ck["payload"][1] == self.RHO
         rehashed(bundle_dir, "node_00000.ckpt", edit, **header)
         TestTreePayloads.assert_named_failure(bundle_dir, "node_00000.ckpt")
+
+
+# header field -> its edit in a saved bundle's first node file (node
+# "root"): another tag, another node's id, and one more than save_bundle
+# writes; None sets a reserved flag (the bytes at offset 10)
+HEADER_EDITS = {
+    "tag": lambda ck: "rw" if ck["tag"] == "ar" else "ar",
+    "node": lambda ck: "root.0",
+    "flags": None,
+    "hidden": lambda ck: ck["hidden"] + 1,
+    "rho": lambda ck: ck["rho"] + 1,
+    "input_dim": lambda ck: ck["input_dim"] + 1,
+}
+
+
+class TestHeaderFields:
+    @pytest.fixture(scope="class")
+    def bundles(self, tmp_path_factory):
+        spec = SynthSpec(depth=1, branching=2, length=40, leaf_noise_sd=0.5, seed=3)
+        h, panel = synth_panel(spec)
+        out = tmp_path_factory.mktemp("headers")
+        small = {"rho": 3, "hidden": 2, "epochs": 1, "n_trees": 2, "max_depth": 2,
+                 "k_neighbors": 2}
+        for tag, entry in TAGS.items():
+            params = {k: v for k, v in small.items() if k in entry.keys}
+            model = {"tag": tag, "label": tag, "params": params, "grid": {}}
+            save_bundle(fit_entry(model, panel, h, 0, {})[0], out / tag)
+        return out
+
+    @pytest.mark.parametrize("field", sorted(HEADER_EDITS))
+    @pytest.mark.parametrize("tag", sorted(TAGS))
+    def test_edited_field_raises_naming_manifest_node_and_file(
+        self, bundles, tmp_path, tag, field
+    ):
+        bundle_dir = shutil.copytree(bundles / tag, tmp_path / tag)
+        name = "node_00000.ckpt"
+        edit = HEADER_EDITS[field]
+        if edit is None:
+            path = bundle_dir / name
+            data = bytearray(path.read_bytes())
+            assert data[10:12] == b"\0\0"
+            data[10] = 1
+            path.write_bytes(bytes(data))
+            record_sha256(bundle_dir, name)
+        else:
+            ck = read_checkpoint(bundle_dir / name)
+            assert ck["node"] == "root"
+            rehashed(bundle_dir, name, lambda p: p, **{field: edit(ck)})
+        TestTreePayloads.assert_named_failure(bundle_dir, name)

@@ -176,6 +176,16 @@ class TestPrepare:
         assert main(["prepare", str(src), str(dst), "--already-rates"]) == EXIT_OK
         assert dst.read_bytes() == src.read_bytes()
 
+    def test_byte_order_mark_accepted(self, tmp_path):
+        levels = "node_id,period,value\nA,2020-01,100\nA,2020-02,101\nA,2020-03,103\n"
+        outs = []
+        for name, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            src = tmp_path / f"{name}.csv"
+            src.write_bytes(bom + levels.encode("utf-8"))
+            outs.append(tmp_path / f"{name}_rates.csv")
+            assert main(["prepare", str(src), str(outs[-1])]) == EXIT_OK
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     @pytest.mark.parametrize("how", ["byte", "field"])
     def test_unreadable_series_exit_3(self, synth_dir, tmp_path, capsys, how):
         src = tmp_path / "series.csv"
@@ -226,6 +236,25 @@ class TestRun:
         assert ck_a == ck_b and ck_a
         for rel in ck_a:
             assert (a / rel).read_bytes() == (b / rel).read_bytes()
+
+    def test_byte_order_mark_gives_the_same_outputs(self, synth_dir, tmp_path):
+        # spreadsheet programs save "CSV UTF-8" with a leading BOM
+        bom_dir = tmp_path / "bom"
+        bom_dir.mkdir()
+        for name in ("hierarchy.csv", "series.csv"):
+            (bom_dir / name).write_bytes(b"\xef\xbb\xbf" + (synth_dir / name).read_bytes())
+        models = ["ar", {"tag": "igru", "hidden": 2, "epochs": 2}]
+        outs = []
+        for data_dir in (synth_dir, bom_dir):
+            cfg = write_config(tmp_path / f"{data_dir.name}.json", data_dir, models)
+            out = tmp_path / f"out_{data_dir.name}"
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+            outs.append(out)
+        plain, bom = outs
+        files = sorted(p.relative_to(plain) for p in plain.rglob("*.ckpt"))
+        assert files and files == sorted(p.relative_to(bom) for p in bom.rglob("*.ckpt"))
+        for rel in [Path("report_raw.csv"), *files]:
+            assert (plain / rel).read_bytes() == (bom / rel).read_bytes(), rel
 
     def test_no_thread_started_regardless_of_jobs(
         self, synth_dir, tmp_path, monkeypatch

@@ -30,11 +30,11 @@ Both sides run ``hiergru run --jobs 1`` on the same inputs, written once by
   and one leaf that ends early makes each bundle forecast in two stacks.
 
 Every output file is compared byte for byte, except the ``created_utc``
-line of the run manifest.  Every checkpoint bundle directory that a
-working-tree run writes is also loaded through the working tree's
-``load_bundle``, and a bundle that does not load fails its run, so that a
-change to the checkpoint reader is checked on every tag.  One more check
-runs on the working tree alone:
+line of the run manifest.  Every checkpoint bundle directory that either
+side writes is also loaded through the working tree's ``load_bundle``, and
+a bundle that does not load fails its side's run, so that a change to the
+checkpoint reader is checked on every tag, against the files REV writes as
+well as its own.  One more check runs on the working tree alone:
 the panel-s workload at panel seed 0, whose rf, gbt and fc families once
 fitted on a thread pool, must write the same bytes with ``--jobs 4`` as
 with ``--jobs 1``.  The first line printed counts the lines of the ``.py``
@@ -367,9 +367,9 @@ def main(argv: list[str]) -> int:
             outs = {side: tmp / side / "out" / slug for side in sides}
             errors = {
                 side: run_side(src, config, flags, outs[side])
+                or reload_error(outs[side])
                 for side, src in sides.items()
             }
-            errors["work"] = errors["work"] or reload_error(outs["work"])
             failed |= report(name, errors, outs["base"], outs["work"])
             work_outs[name] = config, outs["work"]
         config, jobs1 = work_outs["panel-s seed 0"]
