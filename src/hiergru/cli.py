@@ -32,6 +32,7 @@ from .evaluation import (
     MONTHLY_HORIZONS,
     _mean_cell,
     evaluate,
+    forecast_table,
     rmse_cells,
     write_report_files,
 )
@@ -206,7 +207,8 @@ def fit_entry(entry: dict, panel, h, seed: int, anchors_cache: dict):
 def _validation_score(bundle, panel) -> float | None:
     """Mean over nodes of one-step RMSE cells on the sub-panel's test tail;
     None when no node has a forecast there, or a cell or the mean is n/a."""
-    cells = list(rmse_cells(bundle, panel, bundle.covered_nodes(), (0,)).values())
+    table = forecast_table(bundle, panel, bundle.covered_nodes(), (0,))
+    cells = list(rmse_cells(table, (0,)).values())
     if any(c.value is None for c in cells):
         return None
     return _mean_cell(cells).value  # None without cells

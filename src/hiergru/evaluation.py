@@ -1,12 +1,12 @@
 """Rolling-origin evaluation over the test split and report rendering.
 
-Every test origin of every node, as
-:meth:`~hiergru.dataset.SeriesPanel.test_origins` gives them, produces a
-recursive forecast (all origins of all a bundle's nodes are rolled
-forward together, by :meth:`~hiergru.models.ModelBundle.forecast_nodes`);
-per-node RMSE at each horizon is normalized by the same node's AR(1) RMSE
-at the same horizon, and report rows aggregate disaggregated (non-root)
-nodes separately from the headline (root) series.
+Each bundle is forecast once, into a :func:`forecast_table`: per node, the
+recursive forecasts from every test origin (all of a bundle's nodes roll
+forward together, by :meth:`~hiergru.models.ModelBundle.forecast_nodes`)
+beside the rates they forecast, NaN past the node's data.  Every score
+reads that table: per-node RMSE at each horizon is normalized by the same
+node's AR(1) RMSE at the same horizon, and report rows aggregate
+disaggregated (non-root) nodes separately from the headline (root) series.
 """
 
 from __future__ import annotations
@@ -110,17 +110,19 @@ def _metric_cell(fn, actuals, predictions) -> Cell:
         return Cell(None, codes[type(exc)])
 
 
-def _collect_forecasts(bundle, panel, nodes, horizons):
-    """{node: {horizon: (predictions, actuals)}} from every admissible test
-    origin of each of ``nodes``; a bundle with ``forecast_nodes`` forecasts
-    them all in one call, any other bundle one origin at a time.
+def forecast_table(bundle, panel, nodes, horizons) -> dict[NodeId, tuple]:
+    """{node: (forecasts, actuals)} for each of ``nodes`` the bundle has a
+    model for: two ``(origins, H + 1)`` arrays whose row i holds the
+    forecasts from, and the rates at, the node's i-th test origin and the H
+    steps after it, actuals NaN past the node's data.  H is the farthest of
+    ``horizons`` that some node's first origin has an actual for, else 0.
 
-    A forecast that overflows holds inf or NaN; :func:`evaluate` reports it
-    as ``n/a(non-finite-forecast)``, so numpy's overflow and invalid-value
-    warnings would only repeat it.  Forecasts roll no further than the
-    farthest horizon that a node's first origin has an actual for (0 when
-    no node has an origin); a horizon past it collects nothing."""
-    origins = {node: panel.test_origins(node, bundle.rho) for node in nodes}
+    A bundle with ``forecast_nodes`` forecasts every node in one call, any
+    other bundle one origin at a time.  :func:`evaluate` reports inf or NaN
+    forecasts as ``n/a(non-finite-forecast)``, so numpy's overflow and
+    invalid-value warnings would only repeat them."""
+    origins = {n: panel.test_origins(n, bundle.rho)
+               for n in nodes if n in bundle.model_map}
     reach = [panel.length(n) - 1 - int(at[0]) for n, at in origins.items() if at.size]
     max_h = min(max(horizons), max(reach, default=0))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -130,17 +132,18 @@ def _collect_forecasts(bundle, panel, nodes, horizons):
             trajs = {node: np.array(
                 [bundle.forecast(panel, node, o, max_h) for o in at]
             ).reshape(at.shape[0], max_h + 1) for node, at in origins.items()}
-    collected = {}
-    for node, at in origins.items():
-        rates = panel.rates[node]
-        collected[node] = {}
-        for j in horizons:
-            if j > max_h:  # no origin of any node has an actual this far out
-                collected[node][j] = (np.empty(0), np.empty(0))
-                continue
-            keep = at + j < rates.shape[0]
-            collected[node][j] = (trajs[node][keep, j], rates[at[keep] + j])
-    return collected
+    steps, pad = np.arange(max_h + 1), np.full(max_h + 1, np.nan)
+    return {node: (trajs[node], np.append(panel.rates[node], pad)[at[:, None] + steps])
+            for node, at in origins.items()}
+
+
+def _pairs(cell, j):
+    """(predictions, actuals) of a table cell at horizon ``j``: one pair per
+    origin with an actual ``j`` steps on, none for ``j`` past H.  Rates are
+    finite (:func:`~hiergru.dataset.build_panel`), so NaN means no actual."""
+    predictions, actuals = (a[:, j:j + 1].ravel() for a in cell)
+    keep = ~np.isnan(actuals)
+    return predictions[keep], actuals[keep]
 
 
 def _rmse_cell(actuals, predictions) -> Cell:
@@ -149,21 +152,22 @@ def _rmse_cell(actuals, predictions) -> Cell:
     return _metric_cell(rmse, actuals, predictions)
 
 
-def rmse_cells(bundle, panel, nodes, horizons) -> dict[tuple[NodeId, int], Cell]:
-    """The :func:`_rmse_cell` of each (node, horizon) with a test origin."""
-    collected = _collect_forecasts(bundle, panel, nodes, horizons)
-    return {
-        (node, j): _rmse_cell(actuals, preds)
-        for node, by_horizon in collected.items()
-        for j, (preds, actuals) in by_horizon.items()
-        if actuals.size
-    }
+def rmse_cells(table, horizons) -> dict[tuple[NodeId, int], Cell]:
+    """The :func:`_rmse_cell` of each (node, horizon) of a table with pairs."""
+    pairs = {(n, j): _pairs(cell, j) for n, cell in table.items() for j in horizons}
+    return {key: _rmse_cell(a, p) for key, (p, a) in pairs.items() if a.size}
 
 
-def _node_cells(actuals, predictions, ref: Cell | None) -> dict[str, Cell]:
-    """The cells of one node and horizon, ``ref`` being the reference
-    RMSE's (None: the reference has no model there).  A relative RMSE
-    whose own or reference RMSE is n/a carries that cell's code."""
+def _node_cells(table, node, j, ref: Cell | None) -> dict[str, Cell]:
+    """One node and horizon's cells from a :func:`forecast_table`: all
+    n/a(no-model) for a node it lacks, n/a(no-predictions) without pairs.
+    ``ref`` is the reference RMSE (None: no reference model there); a
+    relative RMSE whose own or reference RMSE is n/a carries its code."""
+    if node not in table:
+        return _na_metrics("no-model")
+    predictions, actuals = _pairs(table[node], j)
+    if not actuals.size:
+        return _na_metrics("no-predictions")
     e = _rmse_cell(actuals, predictions)
     if e.code == "non-finite-forecast":
         return _na_metrics(e.code, actuals.size)
@@ -209,23 +213,17 @@ def evaluate(
     if not reference.models:
         raise MissingBaselineError("no node could fit the AR(1) reference")
 
-    ref_rmse = rmse_cells(reference, panel, reference.covered_nodes(), horizons)
+    ref_rmse = rmse_cells(forecast_table(
+        reference, panel, reference.covered_nodes(), horizons), horizons)
 
     node_metrics: dict[tuple[str, NodeId, int], dict[str, Cell]] = {}
-
     for label, bundle in zip(labels, bundles):
-        covered = [n for n in h.bfs_order() if n in bundle.model_map]
-        collected = _collect_forecasts(bundle, panel, covered, horizons)
-        for node in h.bfs_order():
-            for j in horizons:
-                if node not in collected:
-                    cells = _na_metrics("no-model")
-                elif collected[node][j][1].size == 0:
-                    cells = _na_metrics("no-predictions")
-                else:
-                    preds, actuals = collected[node][j]
-                    cells = _node_cells(actuals, preds, ref_rmse.get((node, j)))
-                node_metrics[(label, node, j)] = cells
+        table = forecast_table(bundle, panel, h.bfs_order(), horizons)
+        node_metrics.update(
+            ((label, node, j), _node_cells(table, node, j, ref_rmse.get((node, j))))
+            for node in h.bfs_order()
+            for j in horizons
+        )
 
     rows = {}
     for label in labels:

@@ -121,12 +121,10 @@ class ModelBundle:
         return self.label or self.tag
 
     @property
-    def params(self) -> dict:
-        return self.models
-
-    @property
     def model_map(self) -> dict:
         return self.models
+
+    params = model_map  # tests/test_acceptance.py reads this name
 
     def covered_nodes(self) -> tuple[NodeId, ...]:
         return tuple(sorted(self.models))

@@ -37,7 +37,7 @@ from .baselines import (
     mlp_flatten,
     mlp_unflatten,
 )
-from .errors import _RHO, HiergruError, _check_fields
+from .errors import _COUNT, _RHO, HiergruError, _check_fields
 from .gru import flatten, unflatten
 from .models import (
     TrainSpec,
@@ -214,6 +214,7 @@ def _baseline(tag, keys, make_cfg, fit_nodes, encode, decode, fixed_rule=False):
 
 def _fc_config(params):
     hidden = params.pop("hidden", 100)
+    _check_fields({"hidden": hidden}, hidden=_COUNT)  # quoted as written
     return MlpConfig(hidden=(hidden,), **params)
 
 

@@ -36,7 +36,7 @@ def write_config(path: Path, data_dir: Path, models, **overrides):
 
 def assert_one_line_config_error(data_dir, tmp_path, capsys, entry, key):
     """``run`` with the one model ``entry`` exits 2 before writing anything,
-    with one stderr line naming the model label and ``key``."""
+    with one stderr line naming the model label and ``key``; returns it."""
     cfg = write_config(
         tmp_path / "cfg.json", data_dir, [{**entry, "label": "bad_model"}]
     )
@@ -46,6 +46,7 @@ def assert_one_line_config_error(data_dir, tmp_path, capsys, entry, key):
     assert "'bad_model'" in err and key in err
     assert len(err.strip().splitlines()) == 1
     assert not out.exists()
+    return err
 
 
 # Each tag's config dataclass (None: the tag has no config beyond rho);
@@ -384,6 +385,10 @@ class TestRun:
             ({"tag": "gbt", "n_trees": 2, "subsample": 1.5}, "subsample"),
             ({"tag": "gbt", "n_trees": 2, "shrinkage": 0.0}, "shrinkage"),
             ({"tag": "fc", "epochs": 2, "hidden": 0}, "hidden"),
+            ({"tag": "fc", "epochs": 2, "hidden": [3]}, "hidden"),
+            ({"tag": "fc", "epochs": 2, "hidden": "3"}, "hidden"),
+            ({"tag": "fc", "epochs": 2, "hidden": True}, "hidden"),
+            ({"tag": "fc", "epochs": 2, "hidden": 2.5}, "hidden"),
             ({"tag": "fc", "epochs": -1}, "epochs"),
             ({"tag": "fc", "epochs": 2, "lr": 0.0}, "lr"),
             ({"tag": "deepnn", "epochs": 1, "lr": -0.1}, "lr"),
@@ -397,7 +402,8 @@ class TestRun:
     def test_out_of_range_baseline_value_exit_2(
         self, synth_dir, tmp_path, capsys, entry, key
     ):
-        assert_one_line_config_error(synth_dir, tmp_path, capsys, entry, key)
+        err = assert_one_line_config_error(synth_dir, tmp_path, capsys, entry, key)
+        assert f"got {entry[key]!r}" in err  # the value as written
 
     @pytest.mark.parametrize(
         "entry, key",

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import panel_from_rates
-from hiergru.baselines import fit_baseline
+from hiergru.baselines import ForestConfig, fit_baseline
+from hiergru.cli import run_grid_search
 from hiergru.dataset import SeriesPanel
 from hiergru.errors import HiergruError
 from hiergru.hierarchy import build_hierarchy
@@ -16,14 +17,16 @@ from hiergru.evaluation import (
     MONTHLY_HORIZONS,
     Cell,
     EvalReport,
+    _pairs,
     evaluate,
+    forecast_table,
     render_level_report,
     render_raw,
     render_report,
     write_report_files,
 )
 from hiergru.metrics import rmse
-from hiergru.models import TrainSpec, train_igru
+from hiergru.models import ModelBundle, TrainSpec, train_igru, train_knn_gru
 
 
 class PerfectOracle:
@@ -130,6 +133,138 @@ class TestEvaluate:
     def test_horizon_presets(self):
         assert MONTHLY_HORIZONS == (0, 1, 2, 3, 4, 8)
         assert DAILY_HORIZONS == (0, 1, 2, 3, 7, 14)
+
+
+def ragged_panel():
+    """Four nodes from period 0 that end at three different periods, so
+    they have 12, 10 and 9 test origins."""
+    rng = np.random.default_rng(11)
+    lengths = {"r": 48, "a": 48, "b": 40, "c": 36}
+    panel = panel_from_rates({n: rng.normal(size=k) for n, k in lengths.items()})
+    h = build_hierarchy([("r", None, 1.0), ("a", "r", 0.4), ("b", "r", 0.3),
+                         ("c", "r", 0.3)])
+    return h, panel
+
+
+class PerOrigin:
+    """A bundle seen through its per-origin ``forecast`` alone, as a bundle
+    without ``forecast_nodes`` (a :class:`PerfectOracle`) is."""
+
+    def __init__(self, bundle):
+        self.rho, self.model_map = bundle.rho, bundle.model_map
+        self.forecast = bundle.forecast
+
+
+# (fit, whether the batched forecasts are the per-origin ones bit for bit:
+# a GRU multiplies matrices, where BLAS may sum a many-row product in a
+# different order than a one-row product)
+RAGGED_FITS = {
+    "ar": (lambda panel, h: fit_baseline(panel, h, "ar", rho=2), True),
+    "rf": (lambda panel, h: fit_baseline(
+        panel, h, "rf", rho=3, cfg=ForestConfig(n_trees=3, seed=1)), True),
+    "igru": (lambda panel, h: train_igru(
+        panel, h, TrainSpec(rho=3, hidden=3, epochs=5, seed=1)), False),
+    "knngru": (lambda panel, h: train_knn_gru(
+        panel, h, TrainSpec(rho=3, hidden=3, epochs=5, k_neighbors=2, seed=1)), False),
+}
+
+
+class TestForecastTable:
+    @pytest.mark.parametrize("tag", sorted(RAGGED_FITS))
+    def test_ragged_panel(self, tag):
+        h, panel = ragged_panel()
+        fit, exact = RAGGED_FITS[tag]
+        bundle = fit(panel, h)
+        nodes = h.bfs_order()
+        horizons = (0, 2, 11, 30)
+        # a node the bundle has no model for gets no row
+        table = forecast_table(bundle, panel, [*nodes, "elsewhere"], horizons)
+        fallback = forecast_table(PerOrigin(bundle), panel, nodes, horizons)
+        assert list(table) == list(fallback) == list(nodes)
+        top = 11  # the farthest horizon the first origin of r or a reaches
+        for node, (forecasts, actuals) in table.items():
+            assert forecasts.shape == fallback[node][0].shape
+            assert actuals.tobytes() == fallback[node][1].tobytes()
+            if exact:
+                assert forecasts.tobytes() == fallback[node][0].tobytes()
+            else:
+                np.testing.assert_allclose(forecasts, fallback[node][0], rtol=1e-10)
+            at = panel.test_origins(node, bundle.rho)
+            reached = at[:, None] + np.arange(top + 1)
+            rates = panel.rates[node]
+            assert actuals.shape == (at.size, top + 1)
+            assert (np.isnan(actuals) == (reached >= rates.shape[0])).all()
+            inside = ~np.isnan(actuals)
+            assert (actuals[inside] == rates[reached[inside]]).all()
+            # a horizon past the table gives no pairs
+            for j in (top + 1, 30):
+                assert all(a.size == 0 for a in _pairs((forecasts, actuals), j))
+            preds, got = _pairs((forecasts, actuals), 2)
+            assert got.tobytes() == rates[at[at + 2 < rates.shape[0]] + 2].tobytes()
+            assert preds.tobytes() == forecasts[at + 2 < rates.shape[0], 2].tobytes()
+
+    def test_no_origin_rolls_no_step(self, small_synth):
+        h, panel = small_synth
+        bundle = fit_baseline(panel, h, "rw", rho=200)
+        table = forecast_table(bundle, panel, bundle.covered_nodes(), (0, 3))
+        for forecasts, actuals in table.values():
+            assert forecasts.shape == actuals.shape == (0, 1)
+
+
+class TestForecastOnce:
+    """Every evaluation and every grid candidate forecasts each bundle in
+    one call: one :func:`forecast_table` per bundle."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        original = ModelBundle.forecast_nodes
+
+        def counted(self, panel, origins, horizon):
+            calls.append(self)
+            return original(self, panel, origins, horizon)
+
+        monkeypatch.setattr(ModelBundle, "forecast_nodes", counted)
+        return calls
+
+    def test_each_bundle_and_the_reference_once(self, small_synth, calls):
+        h, panel = small_synth
+        bundles = [
+            fit_baseline(panel, h, "ar", rho=3),
+            fit_baseline(panel, h, "rw", rho=2),
+            train_igru(panel, h, TrainSpec(rho=3, hidden=3, epochs=2, seed=1)),
+        ]
+        evaluate(bundles, panel, h, horizons=MONTHLY_HORIZONS)
+        assert len(calls) == len(bundles) + 1
+        assert all(got is bundle for got, bundle in zip(calls[1:], bundles))
+        assert calls[0].tag == "ar" and calls[0].rho == 1  # the reference
+
+    def test_oracle_forecasts_each_origin_once(self, small_synth, calls):
+        h, panel = small_synth
+        asked = []
+
+        class Recording(PerfectOracle):
+            def forecast(self, panel, node, origin, horizon):
+                asked.append((node, origin))
+                return super().forecast(panel, node, origin, horizon)
+
+        evaluate([Recording(panel)], panel, h, horizons=(0, 1, 4))
+        assert len(calls) == 1  # the reference
+        want = [(n, int(t)) for n in h.bfs_order() for t in panel.test_origins(n, 1)]
+        assert asked == want
+
+    @pytest.mark.parametrize("entry", [
+        {"tag": "ar", "label": "ar", "params": {}, "grid": {"rho": [1, 2, 4]}},
+        {"tag": "igru", "label": "igru", "params": {"epochs": 2, "rho": 2},
+         "grid": {"hidden": [2, 3]}},
+    ])
+    def test_each_grid_candidate_once(self, small_synth, calls, entry):
+        h, panel = small_synth
+        winner = run_grid_search(entry, panel, h, seed=0)
+        [(key, values)] = entry["grid"].items()
+        assert len(calls) == len(values)
+        assert [getattr(b.spec or b, key) for b in calls] == values
+        assert winner["grid"] == {}
 
 
 class TestPerLevel:

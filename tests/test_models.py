@@ -58,11 +58,11 @@ FAST = dict(rho=3, hidden=4, epochs=30, lr=0.005, seed=5)
 
 
 def bundles_equal(a: ModelBundle, b: ModelBundle) -> bool:
-    if set(a.params) != set(b.params):
+    if set(a.models) != set(b.models):
         return False
     return all(
-        flatten(a.params[n]).tobytes() == flatten(b.params[n]).tobytes()
-        for n in a.params
+        flatten(a.models[n]).tobytes() == flatten(b.models[n]).tobytes()
+        for n in a.models
     )
 
 
@@ -95,7 +95,7 @@ class TestSgru:
     def test_all_nodes_share_parameters(self, two_level_panel):
         h, panel = two_level_panel
         bundle = train_sgru(panel, h, TrainSpec(**FAST))
-        flats = {flatten(bundle.params[n]).tobytes() for n in h.nodes}
+        flats = {flatten(bundle.models[n]).tobytes() for n in h.nodes}
         assert len(flats) == 1
 
     def test_duplicated_node_same_predictions(self):
@@ -130,8 +130,8 @@ class TestIgru:
         spec = TrainSpec(**FAST)
         r1 = train_igru(panel_from_rates({"a": a, "b": b}), h, spec)
         r2 = train_igru(panel_from_rates({"a": a, "b": b + 5.0}), h, spec)
-        assert flatten(r1.params["a"]).tobytes() == flatten(r2.params["a"]).tobytes()
-        assert flatten(r1.params["b"]).tobytes() != flatten(r2.params["b"]).tobytes()
+        assert flatten(r1.models["a"]).tobytes() == flatten(r2.models["a"]).tobytes()
+        assert flatten(r1.models["b"]).tobytes() != flatten(r2.models["b"]).tobytes()
 
     def test_determinism(self, two_level_panel):
         h, panel = two_level_panel
@@ -173,7 +173,7 @@ class TestIgru:
         from hiergru.gru import init_params
 
         expected = init_params(4, np.random.default_rng(node_seed(7, "b")))
-        assert flatten(bundle.params["b"]).tobytes() == flatten(expected).tobytes()
+        assert flatten(bundle.models["b"]).tobytes() == flatten(expected).tobytes()
 
 
 class TestKnnGru:
@@ -195,7 +195,7 @@ class TestKnnGru:
         h, panel = two_level_panel
         spec = TrainSpec(rho=3, hidden=4, epochs=20, lr=0.005, seed=8, k_neighbors=2)
         bundle = train_knn_gru(panel, h, spec)
-        assert bundle.params["a"].input_dim == 3
+        assert bundle.models["a"].input_dim == 3
         assert bundle.neighbors["a"] == ("b", "top") or bundle.neighbors["a"] == (
             "top",
             "b",
@@ -257,7 +257,7 @@ class TestHrnn:
         panel = panel_from_rates({"solo": rng.normal(size=40)})
         h = build_hierarchy([("solo", None, 1.0)])
         bundle = train_hrnn(panel, h, TrainSpec(**FAST))
-        assert set(bundle.params) == {"solo"}
+        assert set(bundle.models) == {"solo"}
         assert bundle.provenance["solo"]["tau"] is None
         assert bundle.provenance["solo"]["anchor_coeff"] == 0.5
 
@@ -269,7 +269,7 @@ class TestHrnn:
             b = train_hrnn(panel, h, spec)
             dists[alpha] = np.mean(
                 [
-                    np.linalg.norm(flatten(b.params[n]) - flatten(b.params["top"]))
+                    np.linalg.norm(flatten(b.models[n]) - flatten(b.models["top"]))
                     for n in ("a", "b")
                 ]
             )
@@ -314,7 +314,7 @@ class TestBihrnn:
             lambda1=1e4, lambda2=0.0,
         )
         bundle = train_bihrnn(panel, h, strong, pre)
-        dist = np.linalg.norm(flatten(bundle.params["a"]) - flatten(pre.params["top"]))
+        dist = np.linalg.norm(flatten(bundle.models["a"]) - flatten(pre.models["top"]))
         assert dist < 1e-3
 
     def test_zero_distance_anchors_inert_while_at_anchor(self):
@@ -329,7 +329,7 @@ class TestBihrnn:
         h = build_hierarchy([("p", None, 1.0), ("c", "p", 1.0)])
         spec = TrainSpec(rho=3, hidden=4, epochs=40, lr=0.005, seed=14)
         pre = train_igru(panel, h, spec)
-        shared = pre.params["p"]
+        shared = pre.models["p"]
         pre_equal = ModelBundle(
             tag="igru", rho=spec.rho,
             models={"p": shared, "c": shared},
@@ -375,7 +375,7 @@ class TestBihrnn:
             panel = panel_from_rates(s)
             pre_params = {
                 n: train_igru(panel_from_rates({n: s[n]}),
-                              build_hierarchy([(n, None, 1.0)]), spec).params[n]
+                              build_hierarchy([(n, None, 1.0)]), spec).models[n]
                 for n in s
             }
             pre = ModelBundle(tag="igru", rho=spec.rho, models=pre_params, spec=spec)
@@ -385,12 +385,12 @@ class TestBihrnn:
         perturbed = run(True)
         # b's own data changed its fit, but a.x is outside b's neighborhood
         assert (
-            flatten(clean.params["a.x"]).tobytes()
-            == flatten(perturbed.params["a.x"]).tobytes()
+            flatten(clean.models["a.x"]).tobytes()
+            == flatten(perturbed.models["a.x"]).tobytes()
         )
         assert (
-            flatten(clean.params["b"]).tobytes()
-            != flatten(perturbed.params["b"]).tobytes()
+            flatten(clean.models["b"]).tobytes()
+            != flatten(perturbed.models["b"]).tobytes()
         )
 
     def test_missing_pretrained(self, two_level_panel):
@@ -399,7 +399,7 @@ class TestBihrnn:
         pre = train_igru(panel, h, spec)
         broken = ModelBundle(
             tag="igru", rho=spec.rho,
-            models={k: v for k, v in pre.params.items() if k != "a"},
+            models={k: v for k, v in pre.models.items() if k != "a"},
             spec=spec,
         )
         with pytest.raises(MissingPretrainedError, match="a"):
@@ -423,7 +423,7 @@ def alone(spec, params, data, regs=()):
 
 def assert_trained_alone(bundle, n, spec, params, data, regs=()):
     trained, losses = alone(spec, params, data, regs)
-    assert flatten(bundle.params[n]).tobytes() == flatten(trained).tobytes()
+    assert flatten(bundle.models[n]).tobytes() == flatten(trained).tobytes()
     prov = bundle.provenance[n]
     assert (prov["initial_loss"], prov["final_loss"]) == (losses[0], losses[-1])
 
@@ -451,7 +451,7 @@ class TestStackedGroups:
             if n == h.root:
                 regs = ((zero_params(spec.hidden), 0.5),)
             else:
-                regs = ((bundle.params[h.parent[n]], 0.5 * tau[n]),)
+                regs = ((bundle.models[h.parent[n]], 0.5 * tau[n]),)
             data = own_data(panel, n, spec.rho)
             assert_trained_alone(bundle, n, spec, seeded_init(spec, n), data, regs)
 
@@ -464,14 +464,14 @@ class TestStackedGroups:
         for n in h.nodes:
             regs = []
             if n in h.parent:
-                regs.append((pre.params[h.parent[n]], spec.lambda1))
+                regs.append((pre.models[h.parent[n]], spec.lambda1))
             kids = h.children.get(n, ())
             if kids:
                 shares = child_weights(h, n)
-                regs += [(pre.params[c], spec.lambda2 * shares[c]) for c in kids]
+                regs += [(pre.models[c], spec.lambda2 * shares[c]) for c in kids]
             both += n in h.parent and bool(kids)
             data = own_data(panel, n, spec.rho)
-            assert_trained_alone(bundle, n, spec, pre.params[n], data, tuple(regs))
+            assert_trained_alone(bundle, n, spec, pre.models[n], data, tuple(regs))
         assert both > 1
 
     def test_knngru_ragged_panel_in_several_buckets(self):
@@ -602,7 +602,7 @@ class TestForecast:
         window = panel.rates["a"][origin - spec.rho: origin]
         got = bundle.forecast(panel, "a", origin, 0)
         assert got.shape == (1,)
-        assert got[0] == predict_sequence(bundle.params["a"], window)
+        assert got[0] == predict_sequence(bundle.models["a"], window)
 
     def test_zero_params_forecast_zero(self, two_level_panel):
         h, panel = two_level_panel

@@ -21,6 +21,11 @@ Both sides run ``hiergru run --jobs 1`` on the same inputs, written once by
 * the panel-s workload at panel seed 0 with horizons 0, 1, 25 and 40: of
   its 30 test periods, horizon 25 reaches the first five origins and
   horizon 40 none;
+* the panel-s workload at panel seed 0 fitting ar, rw, rf and gbt, with
+  one rate of -0.9110926589655e253 as the last training rate of one node,
+  whose forecasts overflow to inf, and one in the test segment of another,
+  whose metrics overflow: the ``n/a(non-finite-forecast)`` and
+  ``n/a(overflow)`` cells;
 * a ragged panel with blank non-root weights: nodes start late, end early,
   or are too short to give a knngru window;
 * a wide panel, ``synth --depth 2 --branching 7`` (57 nodes), at a few
@@ -152,6 +157,22 @@ RAGGED_CUTS = {
 }
 
 
+# panel-s splits each node's 120 rates at 90.  A huge rate as a node's last
+# training rate makes its forecasts overflow to inf (n/a(non-finite-forecast),
+# which would hide any other code on that node); one in another node's test
+# segment keeps the forecasts finite and overflows the metrics (n/a(overflow)).
+# A gradient-trained family would stop the run as diverged on such a rate.
+HUGE_RATE = "-0.9110926589655e253"
+OVERFLOW_RATES = {"root.0": 89, "root.1.1": 100}
+OVERFLOW = [
+    {"tag": "ar", "rho": 1, "label": "ar_1"},
+    {"tag": "ar", "rho": 3},
+    {"tag": "rw", "rho": 4},
+    {"tag": "rf", "rho": 12, "n_trees": 20},
+    {"tag": "gbt", "rho": 12, "n_trees": 20},
+]
+
+
 def _with(config: Path, **keys) -> Path:
     """``config`` with its top-level ``keys`` replaced."""
     cfg = json.loads(config.read_text(encoding="utf-8"))
@@ -160,21 +181,32 @@ def _with(config: Path, **keys) -> Path:
     return config
 
 
-def _cut(config: Path, cuts: dict) -> None:
-    """Keep, of each node's rows of the config's series, those that
-    ``cuts`` keeps: node -> (periods dropped from the start, periods kept
-    at most)."""
+def _edit_series(config: Path, edit) -> None:
+    """Rewrite the config's series.csv: ``edit(node, i, value)`` gives the
+    value of each node's i-th row, or None to drop the row."""
     series = config.parent / "series.csv"
     with open(series, newline="", encoding="utf-8") as fh:
         header, *rows = list(csv.reader(fh))
     kept, seen = [header], {}
     for node, period, value in rows:
         i = seen[node] = seen.get(node, -1) + 1
-        start, keep = cuts.get(node, (0, None))
-        if i >= start and (keep is None or i - start < keep):
+        value = edit(node, i, value)
+        if value is not None:
             kept.append([node, period, value])
     with open(series, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(kept)
+
+
+def _cut(config: Path, cuts: dict) -> None:
+    """Keep, of each node's rows of the config's series, those that
+    ``cuts`` keeps: node -> (periods dropped from the start, periods kept
+    at most)."""
+
+    def keep(node, i, value):
+        start, most = cuts.get(node, (0, None))
+        return value if i >= start and (most is None or i - start < most) else None
+
+    _edit_series(config, keep)
 
 
 def _make_ragged(config: Path) -> Path:
@@ -196,6 +228,14 @@ def _make_wide(config: Path) -> Path:
     return _with(config, models=WIDE)
 
 
+def _make_overflow(config: Path) -> Path:
+    """The config's series with a huge finite rate at each of
+    :data:`OVERFLOW_RATES`, fitting the :data:`OVERFLOW` models."""
+    _edit_series(config, lambda node, i, value: (
+        HUGE_RATE if OVERFLOW_RATES.get(node) == i else value))
+    return _with(config, models=OVERFLOW)
+
+
 def write_runs(inputs: Path) -> list[tuple[str, Path, list[str]]]:
     """(name, config path, extra CLI flags) for every run."""
     runs = []
@@ -209,6 +249,8 @@ def write_runs(inputs: Path) -> list[tuple[str, Path, list[str]]]:
     runs.append(("grid", _with(grid, models=GRID), ["--grid"]))
     far = make_inputs("panel-s", 0, inputs / "far")
     runs.append(("horizons past the data", _with(far, horizons=FAR_HORIZONS), []))
+    overflow = make_inputs("panel-s", 0, inputs / "overflow")
+    runs.append(("overflow", _make_overflow(overflow), []))
     ragged = make_inputs("deep-gru", 0, inputs / "ragged")
     runs.append(("ragged blank-weight", _make_ragged(ragged), []))
     wide = make_inputs("panel-s", 2, inputs / "wide")
