@@ -8,13 +8,13 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Iterable
 
 import numpy as np
 
 from .dataset import SeriesPanel, Window, _seeded_rng, make_windows, stack_windows
 from .errors import (
+    DivergenceError,
     HiergruError,
     NodeSkippedWarning,
     WrongLengthError,
@@ -103,7 +103,9 @@ def _as_rows(windows, rho: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Tree:
-    """Binary regression tree in flat-array form; feature -1 marks a leaf."""
+    """Binary regression tree in flat-array form, in depth-first preorder
+    from its root at 0; feature -1 marks a leaf.  Child links count from
+    the tree's root, so a forest's trees end to end are one Tree too."""
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -122,59 +124,73 @@ class Tree:
         return self.value[_descend(self, x, rows, np.zeros_like(rows))]
 
 
-def _descend(tree: Tree, x: np.ndarray, rows: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Leaf reached by each (row of ``x``, start node) pair: all pairs that
+def _arrays(tree: Tree) -> tuple:
+    return tree.feature, tree.threshold, tree.left, tree.right, tree.value
+
+
+def _descend(forest: Tree, x: np.ndarray, rows: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Leaf reached by each (row of ``x``, tree root) pair: all pairs that
     still sit on a split move down one level per pass, with the same
-    ``<=`` test as :meth:`Tree.predict`."""
-    at = start.copy()
-    active = np.flatnonzero(tree.feature[at] >= 0)
+    ``<=`` test as :meth:`Tree.predict`, to their root plus a child link."""
+    at = roots.copy()
+    active = np.flatnonzero(forest.feature[at] >= 0)
     while active.size:
         node = at[active]
-        go_left = x[rows[active], tree.feature[node]] <= tree.threshold[node]
-        at[active] = np.where(go_left, tree.left[node], tree.right[node])
-        active = active[tree.feature[at[active]] >= 0]
+        go_left = x[rows[active], forest.feature[node]] <= forest.threshold[node]
+        at[active] = roots[active] + np.where(go_left, forest.left[node], forest.right[node])
+        active = active[forest.feature[at[active]] >= 0]
     return at
 
 
-def _merge(trees) -> tuple[Tree, np.ndarray]:
-    """All trees as one flat tree, and the index of each tree's root.  Child
-    links are shifted by the tree's offset; a leaf's links are never read."""
-    sizes = np.array([t.feature.shape[0] for t in trees])
-    roots = np.cumsum(sizes) - sizes
-    shift = np.repeat(roots, sizes)
-
-    def cat(name):
-        return np.concatenate([getattr(t, name) for t in trees])
-
-    merged = Tree(
-        feature=cat("feature"), threshold=cat("threshold"),
-        left=cat("left") + shift, right=cat("right") + shift, value=cat("value"),
-    )
-    return merged, roots
+def _tree(forest: Tree, roots: np.ndarray, i: int) -> Tree:
+    """Tree ``i`` of a forest whose trees start at ``roots``, as views."""
+    end = roots[i + 1] if i + 1 < roots.size else forest.value.size
+    return Tree(*(a[roots[i]: end] for a in _arrays(forest)))
 
 
-@dataclass(frozen=True)
+def _joined(trees) -> tuple[Tree, np.ndarray]:
+    """``trees`` end to end, by one concatenation, and their roots."""
+    sizes = np.array([t.value.size for t in trees], dtype=np.int64)
+    forest = Tree(*map(np.concatenate, zip(*map(_arrays, (_NO_TREE, *trees)))))
+    return forest, np.cumsum(sizes) - sizes
+
+
+# typed empty arrays, which joining no trees (gbt at 0 trees) gives
+_NO_TREE = Tree(*(np.empty(0, t) for t in (np.int64, float, np.int64, np.int64, float)))
+
+
+@dataclass(frozen=True, init=False)
 class TreeEnsemble:
-    """Forest (mode "average") or boosted stages (mode "additive")."""
+    """Forest (mode "average") or boosted stages (mode "additive") as one
+    flat forest, laid out as in its checkpoint: tree i starts at
+    ``roots[i]`` of ``forest``.  Built from a sequence of :class:`Tree`
+    by one concatenation, or from a flat forest and its ``roots`` as is."""
 
-    trees: tuple[Tree, ...]
+    forest: Tree
+    roots: np.ndarray
     mode: str
     shrinkage: float
     base_value: float
     rho: int
 
+    def __init__(self, trees, mode, shrinkage, base_value, rho, roots=None):
+        forest, roots = _joined(trees) if roots is None else (trees, roots)
+        vars(self).update(forest=forest, roots=roots, mode=mode, shrinkage=shrinkage,
+                          base_value=base_value, rho=rho)
+
+    @property
+    def trees(self) -> tuple[Tree, ...]:
+        """Views of each tree, built on access."""
+        return tuple(_tree(self.forest, self.roots, i) for i in range(self.roots.size))
+
     def predict_batch(self, windows: np.ndarray) -> np.ndarray:
         """A (batch, trees) array of tree outputs, averaged along its
         contiguous axis or summed tree by tree in tree order."""
         x = _as_rows(windows, self.rho)
-        batch = x.shape[0]
-        if self.trees:
-            merged, roots = self._merged
-            rows = np.repeat(np.arange(batch), roots.shape[0])
-            leaves = _descend(merged, x, rows, np.tile(roots, batch))
-            out = merged.value[leaves].reshape(batch, roots.shape[0])
-        else:
-            out = np.empty((batch, 0))
+        batch, count = x.shape[0], self.roots.size
+        leaves = _descend(self.forest, x, np.repeat(np.arange(batch), count),
+                          np.tile(self.roots, batch))
+        out = self.forest.value[leaves].reshape(batch, count)
         if self.mode == "average":
             return out.mean(axis=1)
         total = np.zeros(batch)
@@ -183,11 +199,6 @@ class TreeEnsemble:
         return self.base_value + self.shrinkage * total
 
     predict = predict_sequence
-
-    @cached_property
-    def _merged(self) -> tuple[Tree, np.ndarray]:
-        """:func:`_merge` of the trees, built on the first prediction."""
-        return _merge(self.trees)
 
 
 def _split_scores(xs: np.ndarray, ys: np.ndarray, m: np.ndarray, min_leaf: int):
@@ -260,9 +271,10 @@ def _presort(x, boots) -> np.ndarray:
 
 def _grow_forest(
     x, y, boots, *, max_depth, min_leaf, feature_count, rng, presorted=None
-) -> list[Tree]:
+) -> tuple[Tree, np.ndarray]:
     """One CART tree on rows ``x[b], y[b]`` for each index array ``b`` of
-    ``boots``, all grown together level by level (forests and boosting).
+    ``boots``, all grown together level by level (forests and boosting),
+    as the flat forest and roots of :func:`_depth_first`.
 
     A level lists every tree's open nodes, tree by tree and left to right.
     The nodes that may split (below ``max_depth``, at least ``2 * min_leaf``
@@ -365,12 +377,12 @@ def _node_means(y, rows, starts, sizes):
     return value, same
 
 
-def _depth_first(levels, links, count) -> list[Tree]:
-    """The ``count`` trees grown level by level, each numbered in
-    depth-first preorder: ``levels`` holds every level's (tree, value,
-    feature, threshold) and ``links`` the split nodes of each level with
-    their left and right children, all numbered over the levels in turn;
-    the first level holds the roots in tree order."""
+def _depth_first(levels, links, count) -> tuple[Tree, np.ndarray]:
+    """The ``count`` trees grown level by level as one flat forest and its
+    roots, each tree in depth-first preorder: ``levels`` holds every
+    level's (tree, value, feature, threshold) and ``links`` the split nodes
+    of each level with their left and right children, all numbered over
+    the levels in turn; the first level holds the roots in tree order."""
     tree, value, feature, threshold = (np.concatenate(a) for a in zip(*levels))
     left = np.full(tree.size, -1, dtype=np.int64)
     right = np.full(tree.size, -1, dtype=np.int64)
@@ -383,13 +395,13 @@ def _depth_first(levels, links, count) -> list[Tree]:
         pre[hi] = pre[lo] + size[lo]
         left[parent], right[parent] = pre[lo], pre[hi]
     nodes = size[:count]
-    base = np.cumsum(nodes) - nodes
-    at = base[tree] + pre
+    roots = np.cumsum(nodes) - nodes
+    at = roots[tree] + pre
     arrays = (feature, threshold, left, right, value)
-    placed = [np.empty_like(a) for a in arrays]
-    for out, a in zip(placed, arrays):
+    forest = Tree(*map(np.empty_like, arrays))
+    for out, a in zip(_arrays(forest), arrays):
         out[at] = a
-    return [Tree(*(a[lo: lo + n] for a in placed)) for lo, n in zip(base, nodes)]
+    return forest, roots
 
 
 @dataclass(frozen=True)
@@ -419,16 +431,18 @@ def fit_forest(windows: list[Window], rho: int, cfg: ForestConfig) -> TreeEnsemb
     _indexable(cfg.n_trees * n, f"{cfg.n_trees} bootstraps of {n} rows")
     boots = rng.integers(0, n, size=(cfg.n_trees, n))
     per_group = max(1, _GROUP_ROWS // n)
-    trees = []
-    for lo in range(0, cfg.n_trees, per_group):
-        trees += _grow_forest(
+    forests = [
+        _grow_forest(
             x, y, boots[lo: lo + per_group],
             max_depth=cfg.max_depth, min_leaf=cfg.min_leaf,
             feature_count=max(1, math.ceil(cfg.feature_frac * rho)), rng=rng,
         )
-    return TreeEnsemble(
-        trees=tuple(trees), mode="average", shrinkage=1.0, base_value=0.0, rho=rho
+        for lo in range(0, cfg.n_trees, per_group)
+    ]
+    forest, roots = forests[0] if len(forests) == 1 else _joined(
+        [_tree(f, r, i) for f, r in forests for i in range(r.shape[0])]
     )
+    return TreeEnsemble(forest, "average", 1.0, 0.0, rho, roots=roots)
 
 
 @dataclass(frozen=True)
@@ -472,8 +486,9 @@ def _boost(group, rho: int) -> list[TreeEnsemble]:
     are stacked into one ``x``; each stage's rows of a node (all of them,
     or a sorted ``subsample`` draw from the node's own generator) are one
     bootstrap of :func:`_grow_forest`, with every feature a candidate, and
-    one descent of the stage's merged trees updates every node's fit.
-    Without subsampling every stage grows on the same rows, presorted once."""
+    one descent of the stage's flat forest updates every node's fit.
+    Without subsampling every stage grows on the same rows, presorted once.
+    Each node's ensemble joins its trees of every stage once, at the end."""
     xs, ys, cfgs = zip(*group)
     x, y = np.concatenate(xs), np.concatenate(ys)
     sizes = np.array([t.shape[0] for t in ys])
@@ -492,16 +507,15 @@ def _boost(group, rho: int) -> list[TreeEnsemble]:
                 lo + np.sort(rng.permutation(n)[: max(1, int(cfg.subsample * n))])
                 for rng, lo, n in zip(rngs, starts, sizes)
             ]
-        trees = _grow_forest(
+        forest, roots = _grow_forest(
             x, residual, boots, max_depth=cfg.max_depth, min_leaf=1,
             feature_count=rho, rng=None, presorted=presorted,
         )
-        merged, roots = _merge(trees)
-        leaves = _descend(merged, x, np.arange(x.shape[0]), np.repeat(roots, sizes))
-        current = current + cfg.shrinkage * merged.value[leaves]
-        stages.append(trees)
+        leaves = _descend(forest, x, np.arange(x.shape[0]), np.repeat(roots, sizes))
+        current = current + cfg.shrinkage * forest.value[leaves]
+        stages.append((forest, roots))
     return [
-        TreeEnsemble(tuple(s[i] for s in stages), "additive", cfg.shrinkage, b, rho)
+        TreeEnsemble([_tree(f, r, i) for f, r in stages], "additive", cfg.shrinkage, b, rho)
         for i, b in enumerate(base)
     ]
 
@@ -689,7 +703,10 @@ def fit_baseline(
             fitted.append(n)
             yield w, node_cfg
 
-    models = entry.fit_nodes(nodes(), rho)
+    try:
+        models = entry.fit_nodes(nodes(), rho)
+    except DivergenceError as exc:  # fc and deepnn, which fit node by node
+        raise exc.at(f"node {fitted[-1]!r}:") from exc
     return ModelBundle(
         tag=tag,
         rho=rho,

@@ -194,10 +194,13 @@ def fit_entry(entry: dict, panel, h, seed: int, anchors_cache: dict):
 
     The extras are the hrnn anchors a bihrnn entry trained for itself,
     saved as ``<label>_anchors``; ``anchors_cache`` shares them with later
-    hrnn and bihrnn entries of the same spec."""
+    hrnn and bihrnn entries of the same spec.  A divergence names the label."""
     tag, label = TAGS[entry["tag"]], entry["label"]
     config = _build(entry["tag"], label, {"seed": seed, **entry["params"]})
-    bundle, anchors = tag.fit(panel, h, config, anchors_cache)
+    try:
+        bundle, anchors = tag.fit(panel, h, config, anchors_cache)
+    except DivergenceError as exc:
+        raise exc.at(label) from exc
     extras = [] if anchors is None else [(_anchors_label(label), anchors)]
     return replace(bundle, label=label), extras
 

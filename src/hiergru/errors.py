@@ -130,6 +130,10 @@ class DivergenceError(HiergruError):
         super().__init__(message)
         self.last_params = last_params
 
+    def at(self, where: str) -> "DivergenceError":
+        """This divergence with ``where`` put before its message."""
+        return DivergenceError(f"{where} {self}", self.last_params)
+
 
 class NoTrainingDataError(HiergruError):
     pass

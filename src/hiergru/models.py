@@ -242,7 +242,7 @@ def _train_group(
     node's windows are held once, by its run's stack.  Returns {index in
     ``pending``: (params, losses)}, ``losses`` being the initial and final
     loss.  Raises the divergence of the first node, in order, that
-    diverged: the error a node-by-node loop would raise."""
+    diverged: the error a node-by-node loop would raise, naming the node."""
     buckets: dict[tuple, list[int]] = {}
     for i in sorted(windows):
         key = (len(windows[i][1]), pending[i].params.input_dim)
@@ -264,7 +264,8 @@ def _train_group(
                 trained[i] = params[row], [float(loss[row]) for loss in ends]
             failures.update((members[row], err) for row, err in failed.items())
     if failures:
-        raise failures[min(failures)]
+        first = min(failures)
+        raise failures[first].at(f"node {pending[first].node!r}:")
     return trained
 
 

@@ -29,6 +29,7 @@ from .baselines import (
     RwModel,
     Tree,
     TreeEnsemble,
+    _arrays,
     fit_ar,
     fit_baseline,
     fit_forest,
@@ -83,15 +84,14 @@ def _decode_gru(payload, hidden, input_dim, rho):
 
 
 def _encode_trees(model: TreeEnsemble):
+    """The header (mode, shrinkage, base value, tree count), then per tree
+    its node count and a (feature, threshold, left, right, value) row per
+    node: the flat forest's rows, each tree's count put before them."""
     mode = 1.0 if model.mode == "additive" else 0.0
-    parts = [[mode, model.shrinkage, model.base_value, len(model.trees)]]
-    for t in model.trees:
-        parts.append([len(t.value)])
-        # one row of five per tree node, as the decoder reshapes it
-        parts.append(
-            np.column_stack([t.feature, t.threshold, t.left, t.right, t.value]).ravel()
-        )
-    return np.concatenate(parts), 0, 0
+    rows = np.column_stack(_arrays(model.forest)).ravel()
+    sizes = np.diff(model.roots, append=rows.size // 5)
+    header = [mode, model.shrinkage, model.base_value, model.roots.size]
+    return np.concatenate([header, np.insert(rows, 5 * model.roots, sizes)]), 0, 0
 
 
 def _decode_trees(payload, hidden, input_dim, rho) -> TreeEnsemble:
@@ -127,16 +127,11 @@ def _decode_trees(payload, hidden, input_dim, rho) -> TreeEnsemble:
                 f"tree {len(trees)} node {int(np.argmin(ok))} is neither a leaf "
                 "nor a split on a feature below rho with children down its tree"
             )
-        trees.append(
-            Tree(
-                feature=feature.astype(np.int64),
-                threshold=threshold.copy(),
-                left=left.astype(np.int64),
-                right=right.astype(np.int64),
-                value=value.copy(),
-            )
-        )
-    return TreeEnsemble(
+        trees.append(Tree(
+            feature.astype(np.int64), threshold, left.astype(np.int64),
+            right.astype(np.int64), value,
+        ))
+    return TreeEnsemble(  # joined by one copy, so it holds no view of the payload
         trees=tuple(trees), mode="additive" if payload[0] == 1.0 else "average",
         shrinkage=float(payload[1]), base_value=float(payload[2]), rho=rho,
     )

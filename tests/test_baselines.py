@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -29,7 +31,8 @@ from hiergru.baselines import (
     mlp_unflatten,
     predict_rw,
 )
-from hiergru.dataset import Window, make_windows
+from hiergru.checkpoint import load_bundle, save_bundle
+from hiergru.dataset import SynthSpec, Window, make_windows, synth_panel
 from hiergru.gru import init_params
 from hiergru.errors import (
     HiergruError,
@@ -338,10 +341,16 @@ def forest_inputs(draw):
     return x, y, boots, growth_settings(draw, rho), draw(st.integers(0, 2**32 - 1)), cells
 
 
+def grow_trees(x, y, boots, **kw):
+    """The trees of :func:`_grow_forest`'s flat forest, as views of it."""
+    forest, roots = _grow_forest(x, y, boots, **kw)
+    return [baselines._tree(forest, roots, i) for i in range(roots.shape[0])]
+
+
 def grow_tree(x, y, *, max_depth, min_leaf):
     """One tree on every row of ``x`` with every feature a candidate, as
     each boosting stage grows it."""
-    (tree,) = _grow_forest(
+    (tree,) = grow_trees(
         x, y, [np.arange(x.shape[0])], max_depth=max_depth, min_leaf=min_leaf,
         feature_count=x.shape[1], rng=None,
     )
@@ -355,7 +364,7 @@ def grown_trees(x, y, kw, seed):
     n = x.shape[0]
     cases = [(x, y, grow_tree(x, y, max_depth=kw["max_depth"], min_leaf=kw["min_leaf"]))]
     boots = [np.arange(n), rng.integers(0, n, size=n)]
-    forest = _grow_forest(x, y, boots, rng=rng, **kw)
+    forest = grow_trees(x, y, boots, rng=rng, **kw)
     return cases + [(x[b], y[b], tree) for b, tree in zip(boots, forest)]
 
 
@@ -406,7 +415,7 @@ class TestTreeGrowth:
         # bootstrap's rows
         x, y, boots, kw, seed, cells = case
         with mock.patch.object(baselines, "_PASS_CELLS", cells):
-            got = _grow_forest(x, y, boots, rng=np.random.default_rng(seed), **kw)
+            got = grow_trees(x, y, boots, rng=np.random.default_rng(seed), **kw)
         want = grow_forest_oracle(x, y, boots, rng=np.random.default_rng(seed), **kw)
         assert len(got) == len(want) == len(boots)
         for a, b in zip(got, want):
@@ -475,7 +484,7 @@ class TestTreeGrowth:
         x = np.tile([1.0, -2.0, 0.5], (9, 1))
         y = np.arange(9.0)
         tree = grow_tree(x, y, max_depth=4, min_leaf=1)
-        (forest_tree,) = _grow_forest(
+        (forest_tree,) = grow_trees(
             x, y, [np.arange(9)], max_depth=4, min_leaf=1, feature_count=2,
             rng=np.random.default_rng(0),
         )
@@ -652,6 +661,69 @@ class TestGbt:
         p1 = t1.predict_batch(x)
         p2 = t2.predict_batch(x)
         assert not np.allclose(p1, p2)
+
+
+class TestFlatForest:
+    """Every fitted or loaded tree ensemble is one flat forest: five arrays
+    of its own (not views of the grower's), nothing cached beside them, and
+    ``trees`` as views of them."""
+
+    @staticmethod
+    def assert_one_flat_forest(ens, n_trees):
+        flat = baselines._arrays(ens.forest)
+        assert set(vars(ens)) == {"forest", "roots", "mode", "shrinkage",
+                                  "base_value", "rho"}
+        assert all(a.base is None for a in flat)
+        assert ens.roots.shape == (n_trees,)
+        trees = ens.trees
+        for tree in trees:
+            for a, b in zip(baselines._arrays(tree), flat):
+                assert np.shares_memory(a, b)
+        for name, a in zip(TREE_ARRAYS, flat):
+            joined = np.concatenate([a[:0]] + [getattr(t, name) for t in trees])
+            assert joined.dtype == a.dtype and joined.tobytes() == a.tobytes(), name
+
+    def test_fitted_and_loaded_ensembles_are_flat_forests(self, small_synth, tmp_path):
+        # rf in one tree group and in several, gbt, and both loaded back
+        h, panel = small_synth
+        bundles = [fit_baseline(panel, h, "gbt", 3, GbtConfig(n_trees=4))]
+        for group_rows in (baselines._GROUP_ROWS, 30):
+            with mock.patch.object(baselines, "_GROUP_ROWS", group_rows):
+                bundles.append(fit_baseline(panel, h, "rf", 3, ForestConfig(n_trees=5)))
+        for i, bundle in enumerate(list(bundles)):
+            save_bundle(bundle, tmp_path / str(i))
+            bundles.append(load_bundle(tmp_path / str(i)))
+        for bundle in bundles:
+            assert bundle.models
+            for ens in bundle.models.values():
+                self.assert_one_flat_forest(ens, 4 if bundle.tag == "gbt" else 5)
+
+    @pytest.mark.parametrize("tag, cfg", [
+        ("rf", ForestConfig(n_trees=10)), ("gbt", GbtConfig(n_trees=10)),
+    ])
+    def test_bundle_holds_little_more_than_its_payloads(self, tag, cfg):
+        # what a fitted bundle still holds after forecasting every node once
+        # (the bytes freed when it goes), against the 8-byte values of the
+        # node payloads save_bundle would write: 1.13x (rf) and 1.25x (gbt)
+        # with one flat forest per node, 2.8x and 3.5x with per-tree
+        # objects and a merged copy beside them
+        h, panel = synth_panel(SynthSpec(
+            depth=2, branching=6, length=60, leaf_noise_sd=0.75, seed=0))
+        tracemalloc.start()
+        try:
+            bundle = fit_baseline(panel, h, tag, 4, cfg)
+            bundle.forecast_nodes(panel, {n: [panel.length(n)] for n in bundle.models}, 0)
+            payload = sum(8 * TAGS[tag].encode(m)[0].shape[0]
+                          for m in bundle.models.values())
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            del bundle
+            gc.collect()
+            held -= tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(h.bfs_order()) == 43
+        assert held < 1.5 * payload
 
 
 class TestMlp:

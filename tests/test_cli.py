@@ -640,6 +640,34 @@ class TestRun:
         assert len(lines) == 1
         assert lines[0].startswith("training diverged:")
 
+    @pytest.mark.parametrize("entry", [
+        {"tag": "igru", "epochs": 5},  # a GRU family, trained in stacks
+        {"tag": "fc", "rho": 12, "epochs": 5},  # a baseline fitted node by node
+    ])
+    def test_divergence_names_model_and_node(self, tmp_path, capsys, entry):
+        # a 13-node panel of 120 rates, split at 90, with a huge rate as
+        # root.0's last training rate: its loss overflows at once
+        data = tmp_path / "data"
+        assert main([
+            "synth", "--out", str(data), "--depth", "2", "--branching", "3",
+            "--length", "120", "--leaf-noise-sd", "0.75", "--seed", "0",
+        ]) == EXIT_OK
+        series = data / "series.csv"
+        header, *rows = series.read_text().splitlines()
+        at = [i for i, r in enumerate(rows) if r.startswith("root.0,")][89]
+        node, period, _ = rows[at].split(",")
+        rows[at] = f"{node},{period},-0.9110926589655e253"
+        series.write_text("\n".join([header, *rows]) + "\n")
+        cfg = write_config(tmp_path / "cfg.json", data, [
+            {"tag": "ar", "rho": 1, "label": "ar_1"}, entry,
+        ], seed=0)
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == EXIT_DIVERGED
+        assert capsys.readouterr().err.splitlines() == [
+            f"training diverged: {entry['tag']} node 'root.0': "
+            "loss became non-finite after 0 epochs"
+        ]
+
     def test_grid_search_selects_and_records(self, synth_dir, tmp_path):
         cfg = write_config(
             tmp_path / "cfg.json", synth_dir,

@@ -578,7 +578,7 @@ def assert_first_diverging_node_raises(scale_b):
     assert epochs("c") < epochs("b")
     with pytest.raises(DivergenceError) as exc:
         train_igru(panel, h, spec)
-    assert str(exc.value) == str(errors["b"])
+    assert str(exc.value) == f"node 'b': {errors['b']}"
     assert exc.value.last_params.tobytes() == errors["b"].last_params.tobytes()
 
 

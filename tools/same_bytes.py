@@ -32,7 +32,11 @@ Both sides run ``hiergru run --jobs 1`` on the same inputs, written once by
   epochs of igru, knngru, hrnn and bihrnn: 56 nodes of 86 training windows
   are more than one optimiser run holds (``models._RUN_WINDOWS``), so they
   train in runs of 47 and 9 nodes (hrnn's last level of 48 in 47 and 1),
-  and one leaf that ends early makes each bundle forecast in two stacks.
+  and one leaf that ends early makes each bundle forecast in two stacks;
+  with an rf of 30 trees and a gbt at rho 12, whose 78 training windows a
+  node are more than one tree group holds (``baselines._GROUP_ROWS``): each
+  rf node grows two groups of trees, and gbt boosts its nodes in three
+  groups, so that both join trees grown in several groups.
 
 Every output file is compared byte for byte, except the ``created_utc``
 line of the run manifest.  Every checkpoint bundle directory that either
@@ -144,6 +148,8 @@ WIDE = [
     {"tag": "knngru", "epochs": 3},
     {"tag": "hrnn", "epochs": 3},
     {"tag": "bihrnn", "epochs": 3},
+    {"tag": "rf", "rho": 12, "n_trees": 30},
+    {"tag": "gbt", "rho": 12, "n_trees": 5},
 ]
 
 # panel-s holds out 30 periods: horizon 25 reaches some origins, 40 none
