@@ -18,7 +18,6 @@ from .baselines import (
     fit_forest,
     fit_gbt,
     fit_mlp,
-    predict_rw,
 )
 from .checkpoint import load_bundle, read_checkpoint, save_bundle, write_checkpoint
 from .dataset import (
@@ -44,7 +43,6 @@ from .gru import (
     GruParams,
     OptimState,
     flatten,
-    gru_step,
     init_params,
     loss_and_grad,
     optimize,

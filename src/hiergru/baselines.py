@@ -87,10 +87,6 @@ class RwModel:
     predict = predict_sequence
 
 
-def predict_rw(values, rho: int) -> float:
-    return RwModel(rho).predict(values)
-
-
 def _as_rows(windows, rho: int) -> np.ndarray:
     """A batch of scalar windows as a float64 (batch, rho) array."""
     x = np.asarray(windows, dtype=np.float64)
@@ -118,10 +114,6 @@ class Tree:
         while self.feature[i] >= 0:
             i = self.left[i] if x[self.feature[i]] <= self.threshold[i] else self.right[i]
         return float(self.value[i])
-
-    def predict_batch(self, x: np.ndarray) -> np.ndarray:
-        rows = np.arange(x.shape[0])
-        return self.value[_descend(self, x, rows, np.zeros_like(rows))]
 
 
 def _arrays(tree: Tree) -> tuple:
@@ -159,12 +151,11 @@ def _joined(trees) -> tuple[Tree, np.ndarray]:
 _NO_TREE = Tree(*(np.empty(0, t) for t in (np.int64, float, np.int64, np.int64, float)))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class TreeEnsemble:
     """Forest (mode "average") or boosted stages (mode "additive") as one
     flat forest, laid out as in its checkpoint: tree i starts at
-    ``roots[i]`` of ``forest``.  Built from a sequence of :class:`Tree`
-    by one concatenation, or from a flat forest and its ``roots`` as is."""
+    ``roots[i]`` of ``forest``."""
 
     forest: Tree
     roots: np.ndarray
@@ -172,11 +163,6 @@ class TreeEnsemble:
     shrinkage: float
     base_value: float
     rho: int
-
-    def __init__(self, trees, mode, shrinkage, base_value, rho, roots=None):
-        forest, roots = _joined(trees) if roots is None else (trees, roots)
-        vars(self).update(forest=forest, roots=roots, mode=mode, shrinkage=shrinkage,
-                          base_value=base_value, rho=rho)
 
     @property
     def trees(self) -> tuple[Tree, ...]:
@@ -442,7 +428,7 @@ def fit_forest(windows: list[Window], rho: int, cfg: ForestConfig) -> TreeEnsemb
     forest, roots = forests[0] if len(forests) == 1 else _joined(
         [_tree(f, r, i) for f, r in forests for i in range(r.shape[0])]
     )
-    return TreeEnsemble(forest, "average", 1.0, 0.0, rho, roots=roots)
+    return TreeEnsemble(forest, roots, "average", 1.0, 0.0, rho)
 
 
 @dataclass(frozen=True)
@@ -515,7 +501,8 @@ def _boost(group, rho: int) -> list[TreeEnsemble]:
         current = current + cfg.shrinkage * forest.value[leaves]
         stages.append((forest, roots))
     return [
-        TreeEnsemble([_tree(f, r, i) for f, r in stages], "additive", cfg.shrinkage, b, rho)
+        TreeEnsemble(*_joined([_tree(f, r, i) for f, r in stages]), "additive",
+                     cfg.shrinkage, b, rho)
         for i, b in enumerate(base)
     ]
 

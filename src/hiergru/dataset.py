@@ -70,9 +70,6 @@ class SeriesPanel:
     def test_positions(self, n: NodeId) -> range:
         return range(self.split_index[n], self.length(n))
 
-    def period_label(self, n: NodeId, position: int) -> str:
-        return self.calendar[int(self.periods[n][position])]
-
     def train_overlap(self, nodes) -> tuple[int, list[np.ndarray]]:
         """The periods where every node of ``nodes`` has a training rate:
         the first one's calendar position, and each node's rates over them

@@ -36,9 +36,10 @@ backward, is computed without them.  The input projections of every step
 are written ahead (:func:`_project_steps`), and the bias gradients sum
 each unit's windows with ``np.einsum`` (:func:`_window_sums`).
 
-Training, prediction and forecasting run one recurrence, :func:`_step`.
-:func:`stack_predictor` runs it over a stack of units, so that a bundle
-forecasts its nodes together.  Every caller enters
+Training, prediction and forecasting run one recurrence, :func:`_step`,
+over a stack of units.  :func:`stack_predictor` runs it for a bundle's
+nodes together, and a single unit predicts as a stack of one
+(:func:`predict_batch`).  Every caller enters
 ``np.errstate(over="ignore")`` once, for the sigmoid's ``exp``
 (:func:`_sigmoid`).  None of this changes a bit of any loss, gradient or
 prediction.
@@ -220,8 +221,7 @@ def _step(p, s, z, r, v, out, tmp) -> None:
     """The recurrence, written once: completes gates ``z``, ``r``, ``v``,
     which hold the step's input projections (:func:`_project`), and writes
     the next state ``out`` from state ``s``, using ``tmp`` as scratch, for
-    one row or a batch of rows of one unit (``p`` a :class:`GruParams`), or
-    for a stack of units (``p`` a :class:`_Stack`).
+    the batches of a stack of units ``p`` (a :class:`_Stack`).
 
     ``s`` None is the zero state.  Its recurrent products ``s @ w_*`` and
     ``(s * r) @ w_v`` are then exact zeros for finite weights, and the
@@ -247,34 +247,16 @@ def _step(p, s, z, r, v, out, tmp) -> None:
         out += tmp
 
 
-def gru_step(p: GruParams, s_prev, x) -> np.ndarray:
-    """One recurrence step from state ``s_prev``, shape (hidden,), with
-    input ``x`` of ``input_dim`` values (a scalar when that is 1); other
-    shapes raise :class:`ShapeMismatchError`."""
-    s = np.asarray(s_prev, dtype=np.float64)
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if s.shape != (p.hidden,) or x.shape != (p.input_dim,):
-        raise ShapeMismatchError(
-            f"state of shape {s.shape} and input of shape {x.shape} do not "
-            f"fit hidden {p.hidden} and input_dim {p.input_dim}"
-        )
-    z, r, v, out, tmp = np.empty((5, p.hidden))
-    _project(p, x, z, r, v)
-    with np.errstate(over="ignore"):
-        _step(p, s, z, r, v, out, tmp)
-    return out
-
-
-def _as_windows(p: GruParams, inputs, lead: int) -> np.ndarray:
-    """The one check of a GRU unit's windows: ``inputs`` as a contiguous
-    float64 array of ``lead`` batch axes, then (rho, input_dim) with
-    rho >= 1; scalar windows, without the input axis, gain it."""
+def _as_windows(p: GruParams, inputs) -> np.ndarray:
+    """The one check of the windows of a stack of units shaped as ``p``:
+    ``inputs`` as a contiguous float64 array (units, batch, rho, input_dim)
+    with rho >= 1; scalar windows, without the input axis, gain it."""
     x = np.ascontiguousarray(inputs, dtype=np.float64)
-    if x.ndim == lead + 1:
+    if x.ndim == 3:
         x = x[..., None]
-    if x.ndim != lead + 2 or x.shape[-1] != p.input_dim:
+    if x.ndim != 4 or x.shape[-1] != p.input_dim:
         raise ShapeMismatchError(
-            f"batch inputs of shape {x.shape[lead - 1:]} incompatible with "
+            f"batch inputs of shape {x.shape[1:]} incompatible with "
             f"input_dim {p.input_dim}"
         )
     if x.shape[-2] == 0:
@@ -282,10 +264,11 @@ def _as_windows(p: GruParams, inputs, lead: int) -> np.ndarray:
     return x
 
 
-def _final_state(p, x: np.ndarray) -> np.ndarray:
-    """The state after the last step of every window, from the zero state;
-    ``x[..., t, :]`` is step t of every window.  The caller enters
-    ``np.errstate(over="ignore")`` (see :func:`_sigmoid`)."""
+def _final_state(p: _Stack, x: np.ndarray) -> np.ndarray:
+    """The state after the last step of every window of every unit of the
+    stack ``p``, from the zero state; ``x[:, :, t, :]`` is step t of every
+    window.  The caller enters ``np.errstate(over="ignore")`` (see
+    :func:`_sigmoid`)."""
     z, r, v, tmp, s, out = np.empty((6,) + x.shape[:-2] + p.b_z.shape[-1:])
     _project(p, x[..., 0, :], z, None, v)
     _step(p, None, z, r, v, s, tmp)
@@ -298,10 +281,9 @@ def _final_state(p, x: np.ndarray) -> np.ndarray:
 
 def predict_batch(p: GruParams, inputs: np.ndarray) -> np.ndarray:
     """Run the unit over a batch of windows, shape (batch, rho) or
-    (batch, rho, input_dim), from the zero state; linear readout."""
-    x = _as_windows(p, inputs, 1)
-    with np.errstate(over="ignore"):
-        return _final_state(p, x) @ p.readout_w + p.readout_b
+    (batch, rho, input_dim), from the zero state; linear readout.  The
+    one-unit case of :func:`stack_predictor`."""
+    return stack_predictor([p])(np.asarray(inputs)[None])[0]
 
 
 # ----------------------------------------------------------- stacked units
@@ -317,15 +299,16 @@ def _stack(P: np.ndarray, hidden: int, input_dim: int) -> _Stack:
 
 
 def stack_predictor(units: list[GruParams]):
-    """:func:`predict_batch` for a stack of units of one shape, run as one
-    batched recursion: the returned function maps windows (N, batch, rho)
-    or (N, batch, rho, input_dim), unit i's batch at [i], to the (N, batch)
-    predictions, each unit's row the bits of its own :func:`predict_batch`."""
+    """Prediction for a stack of units of one shape, run as one batched
+    recursion: the returned function maps windows (N, batch, rho) or
+    (N, batch, rho, input_dim), unit i's batch at [i], to the (N, batch)
+    predictions.  Every sum runs within one unit, so each unit's row has
+    the bits of that unit alone, a stack of one (:func:`predict_batch`)."""
     p = units[0]
     w = _stack(np.stack([u.vec for u in units]), p.hidden, p.input_dim)
 
     def predict(windows: np.ndarray) -> np.ndarray:
-        x = _as_windows(p, windows, 2)
+        x = _as_windows(p, windows)
         with np.errstate(over="ignore"):
             s = _final_state(w, x)
         return np.matmul(s, w.readout_w)[..., 0] + w.readout_b
@@ -338,7 +321,7 @@ def _batches(p: GruParams, inputs, targets) -> tuple[np.ndarray, np.ndarray]:
     :func:`_as_windows`, and targets as (N, n).  ``inputs`` and ``targets``
     are sequences of per-unit arrays, stacked here, or arrays already
     stacked, used without a copy when they are contiguous float64."""
-    x = _as_windows(p, inputs, 2)
+    x = _as_windows(p, inputs)
     if x.shape[1] == 0:
         raise EmptyInputError("empty training batch")
     y = np.ascontiguousarray(targets, dtype=np.float64)

@@ -30,6 +30,7 @@ from .baselines import (
     Tree,
     TreeEnsemble,
     _arrays,
+    _joined,
     fit_ar,
     fit_baseline,
     fit_forest,
@@ -132,7 +133,7 @@ def _decode_trees(payload, hidden, input_dim, rho) -> TreeEnsemble:
             right.astype(np.int64), value,
         ))
     return TreeEnsemble(  # joined by one copy, so it holds no view of the payload
-        trees=tuple(trees), mode="additive" if payload[0] == 1.0 else "average",
+        *_joined(trees), mode="additive" if payload[0] == 1.0 else "average",
         shrinkage=float(payload[1]), base_value=float(payload[2]), rho=rho,
     )
 

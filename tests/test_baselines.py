@@ -29,7 +29,6 @@ from hiergru.baselines import (
     mlp_flatten,
     mlp_loss_and_grad,
     mlp_unflatten,
-    predict_rw,
 )
 from hiergru.checkpoint import load_bundle, save_bundle
 from hiergru.dataset import SynthSpec, Window, make_windows, synth_panel
@@ -139,17 +138,17 @@ def test_fit_rejects_windows_not_rho_wide(fit, widths):
 
 class TestRw:
     def test_mean(self):
-        assert predict_rw([1.0, 2.0, 3.0], 3) == pytest.approx(2.0)
+        assert RwModel(3).predict([1.0, 2.0, 3.0]) == pytest.approx(2.0)
 
     def test_constant(self):
-        assert predict_rw([4.2] * 5, 5) == pytest.approx(4.2)
+        assert RwModel(5).predict([4.2] * 5) == pytest.approx(4.2)
 
     def test_rho_one_identity(self):
-        assert predict_rw([7.7], 1) == 7.7
+        assert RwModel(1).predict([7.7]) == 7.7
 
     def test_wrong_length(self):
         with pytest.raises(WrongLengthError):
-            predict_rw([1.0, 2.0], 3)
+            RwModel(3).predict([1.0, 2.0])
 
     def test_equals_restricted_ar(self):
         rng = np.random.default_rng(3)
@@ -192,10 +191,8 @@ class TestForest:
         rng = np.random.default_rng(6)
         ws = windows_from_series(rng.normal(size=60), rho=3)
         ens = fit_forest(ws, 3, ForestConfig(n_trees=20, seed=3))
-        shuffled = type(ens)(
-            trees=tuple(reversed(ens.trees)), mode=ens.mode,
-            shrinkage=ens.shrinkage, base_value=ens.base_value, rho=ens.rho,
-        )
+        forest, roots = baselines._joined(ens.trees[::-1])
+        shuffled = replace(ens, forest=forest, roots=roots)
         w = rng.normal(size=3)
         assert ens.predict(w) == pytest.approx(shuffled.predict(w), abs=1e-12)
 
@@ -233,9 +230,6 @@ class TestBatchedTrees:
         ws = windows_from_series(rng.normal(size=60), rho=3)
         ens = fit(ws, 3, cfg)
         x = self.probes(ens.trees, rng, 3)
-        for tree in ens.trees:
-            rows = np.array([tree.predict(r) for r in x])
-            assert tree.predict_batch(x).tobytes() == rows.tobytes()
         # the ensemble rule applied row by row to Tree.predict outputs: their
         # mean, or the base value plus the shrunk sum in tree order
         outs = [[t.predict(r) for t in ens.trees] for r in x]
@@ -645,7 +639,7 @@ class TestGbt:
         current = np.full(40, ens.base_value)
         mses = [np.mean((y - current) ** 2)]
         for tree in ens.trees:
-            current = current + ens.shrinkage * tree.predict_batch(x)
+            current = current + ens.shrinkage * np.array([tree.predict(r) for r in x])
             mses.append(np.mean((y - current) ** 2))
         assert all(b <= a + 1e-12 for a, b in zip(mses, mses[1:]))
 
@@ -658,8 +652,8 @@ class TestGbt:
         ws = [Window(inputs=row, target=float(t)) for row, t in zip(x, y)]
         ens = fit_gbt(ws, 2, GbtConfig(n_trees=2, max_depth=2, shrinkage=1.0))
         t1, t2 = ens.trees
-        p1 = t1.predict_batch(x)
-        p2 = t2.predict_batch(x)
+        p1 = [t1.predict(r) for r in x]
+        p2 = [t2.predict(r) for r in x]
         assert not np.allclose(p1, p2)
 
 

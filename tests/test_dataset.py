@@ -319,4 +319,4 @@ class TestSeriesCsv:
             "B,2020-03,50\nB,2020-04,51\nB,2020-05,52\n"
         )
         panel = load_series_csv(path)
-        assert panel.period_label("B", 0) == "2020-04"
+        assert panel.calendar[panel.periods["B"][0]] == "2020-04"

@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +25,6 @@ from hiergru.gru import (
     GruParams,
     OptimState,
     flatten,
-    gru_step,
     init_params,
     loss_and_grad,
     optimize,
@@ -34,75 +35,6 @@ from hiergru.gru import (
     zero_params,
 )
 from hiergru.models import ModelBundle
-
-
-class TestStep:
-    def test_zero_fixed_point(self):
-        p = zero_params(hidden=3)
-        s = gru_step(p, np.zeros(3), 1.7)
-        np.testing.assert_array_equal(s, np.zeros(3))
-
-    def test_zero_params_halve_unit_state(self):
-        # z = r = 0.5 and v = 0, so s' = 0.5 * 0 + 0.5 * 1 = 0.5
-        p = zero_params(hidden=4)
-        s = gru_step(p, np.ones(4), -2.3)
-        np.testing.assert_allclose(s, np.full(4, 0.5), atol=1e-15)
-
-    def test_saturated_update_gate_passes_candidate(self):
-        # hidden = input_dim = 1: one entry each for u_z, u_r, u_v, w_z,
-        # w_r, w_v, b_z, b_r, b_v, readout_w and readout_b, in that order
-        vec = np.zeros(11)
-        vec[[0, 3, 6]] = 50.0  # u_z, w_z, b_z
-        vec[2] = 1.0  # u_v
-        p = GruParams(vec, hidden=1)
-        s = gru_step(p, np.array([0.2]), 1.0)
-        v = np.tanh(1.0 * 1.0 + 0.2 * 0.5 * 0.0)  # r = sigmoid(0) = 0.5, w_v = 0
-        assert s[0] == pytest.approx(v, abs=1e-6)
-
-    def test_gate_ranges_bound_state(self):
-        rng = np.random.default_rng(0)
-        p = init_params(5, rng)
-
-        def gates(s, x):
-            xv = np.atleast_1d(x)
-            z = 1 / (1 + np.exp(-(xv @ p.u_z + s @ p.w_z + p.b_z)))
-            r = 1 / (1 + np.exp(-(xv @ p.u_r + s @ p.w_r + p.b_r)))
-            v = np.tanh(xv @ p.u_v + (s * r) @ p.w_v + p.b_v)
-            return z, r, v
-
-        # z, r in (0,1) and v in (-1,1), so the state never grows past
-        # max(|s_prev|, 1) in any coordinate
-        s = rng.uniform(-3, 3, size=5)
-        for _ in range(50):
-            x = rng.normal() * 10
-            z, r, v = gates(s, x)
-            assert np.all((z > 0) & (z < 1)) and np.all((r > 0) & (r < 1))
-            assert np.all((v > -1) & (v < 1))
-            bound = max(1.0, np.max(np.abs(s)))
-            s = gru_step(p, s, x)
-            assert np.max(np.abs(s)) <= bound + 1e-12
-
-    @pytest.mark.parametrize(
-        "state, x, input_dim",
-        [
-            (np.zeros(3), 1.0, 1),  # state too short
-            (np.zeros((2, 4)), 1.0, 1),  # a batch of states
-            (np.zeros(4), [1.0, 2.0], 1),  # input too wide
-            (np.zeros(4), [1.0, 2.0], 3),  # input too narrow
-            (np.zeros(4), np.zeros((1, 3)), 3),  # a batch of inputs
-        ],
-    )
-    def test_bad_shapes_rejected(self, state, x, input_dim):
-        p = init_params(4, np.random.default_rng(0), input_dim=input_dim)
-        with pytest.raises(ShapeMismatchError, match=r"state of shape .* input of shape"):
-            gru_step(p, state, x)
-
-    def test_init_params_names_bad_sizes(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ShapeMismatchError, match="hidden=0, input_dim=1"):
-            init_params(0, rng)
-        with pytest.raises(ShapeMismatchError, match="hidden=4, input_dim=-2"):
-            init_params(4, rng, input_dim=-2)
 
 
 class TestPredict:
@@ -137,15 +69,56 @@ class TestPredict:
         )
 
     def test_batch_matches_full_recurrence_bitwise(self):
-        # predict_batch skips the zero state's recurrent products, exact zeros
+        """predict_batch, a stack of one unit, skips the zero state's
+        recurrent products, exact zeros, and sums its batched products as
+        the oracle's two-dimensional ones, also at one hidden unit, one
+        input channel or one window, and at large weights."""
         rng = np.random.default_rng(45)
-        for d, rho in ((1, 1), (1, 4), (3, 2)):
-            p = init_params(5, rng, input_dim=d)
-            x = rng.normal(size=(30, rho, d))
+        shapes = [(5, 1, 1, 30), (5, 1, 4, 30), (5, 3, 2, 30), (1, 1, 3, 1),
+                  (1, 2, 1, 7), (8, 1, 4, 1), (1, 1, 1, 1), (3, 3, 5, 2)]
+        for (h, d, rho, n), scale in itertools.product(shapes, (1.0, 40.0)):
+            p = GruParams(init_params(h, rng, input_dim=d).vec * scale, h, d)
+            x = rng.normal(size=(n, rho, d))
             x.flat[::4] = 0.0
             x.flat[1::6] = -0.0
             want = gru_states_oracle(p, x)[0][rho] @ p.readout_w + p.readout_b
-            assert predict_batch(p, x).tobytes() == want.tobytes()
+            assert predict_batch(p, x).tobytes() == want.tobytes(), (h, d, rho, n, scale)
+
+    def test_constant_gates_move_halfway_each_step(self):
+        """Zero weights and gate biases, candidate bias c: every step has
+        z = 0.5 and v = tanh(c), so each state lies halfway between the
+        last one and v, and a window of rho steps from the zero state
+        ends at (1 - 2**-rho) tanh(c)."""
+        vec = np.zeros(11)  # hidden = input_dim = 1, _FIELDS order
+        vec[8], vec[9] = 0.7, 1.0  # b_v, readout_w
+        p = GruParams(vec, hidden=1)
+        for rho in (1, 2, 5):
+            x = np.random.default_rng(rho).normal(size=rho)
+            assert predict_sequence(p, x) == pytest.approx(
+                (1 - 2.0 ** -rho) * np.tanh(0.7), abs=1e-15
+            )
+
+    def test_saturated_update_gate_passes_candidate(self):
+        """An update gate saturated open makes the state the last step's
+        candidate, forgetting the state before it: on one-step windows
+        and on two-step ones whatever their first input."""
+        vec = np.zeros(11)  # hidden = input_dim = 1, _FIELDS order
+        vec[[0, 6]] = 50.0  # u_z, b_z
+        vec[2] = 1.0  # u_v
+        vec[9] = 1.0  # readout_w
+        p = GruParams(vec, hidden=1)
+        for window in ([1.0], [-3.0, 1.0], [3.0, 1.0]):
+            assert predict_sequence(p, window) == pytest.approx(np.tanh(1.0), abs=1e-6)
+
+    def test_gate_ranges_bound_state(self):
+        """z, r in (0, 1) and v in (-1, 1) keep every state coordinate in
+        (-1, 1) from the zero state, so a prediction lies within the
+        readout weights' absolute sum of the readout bias."""
+        rng = np.random.default_rng(0)
+        p = init_params(5, rng)
+        x = rng.normal(size=(50, 12)) * 10
+        bound = np.abs(p.readout_w).sum()
+        assert np.all(np.abs(predict_batch(p, x) - p.readout_b) < bound)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(44)
@@ -154,6 +127,18 @@ class TestPredict:
         batch = predict_batch(p, xs)
         singles = [predict_sequence(p, x) for x in xs]
         np.testing.assert_allclose(batch, singles, atol=1e-14)
+
+    @pytest.mark.parametrize("shape, input_dim, shown", [
+        ((2, 3, 2), 1, "(2, 3, 2)"),  # inputs too wide
+        ((2, 3), 3, "(2, 3, 1)"),  # scalar inputs, input_dim 3
+        ((3,), 1, "(3,)"),  # one window, not a batch
+        ((1, 2, 3, 1), 1, "(1, 2, 3, 1)"),  # a batch of batches
+    ])
+    def test_bad_window_shapes_rejected(self, shape, input_dim, shown):
+        p = init_params(4, np.random.default_rng(0), input_dim=input_dim)
+        with pytest.raises(ShapeMismatchError, match=re.escape(
+                f"batch inputs of shape {shown} incompatible with input_dim {input_dim}")):
+            predict_batch(p, np.zeros(shape))
 
     def test_empty_input(self):
         """Zero-step windows: prediction and every trainer reject them, at
@@ -197,19 +182,12 @@ class TestSaturatedGates:
         loss, grad = loss_and_grad(p, x, y, ((anchor, 0.5),))
         assert (loss, grad.tobytes()) == (want_loss, want_grad.tobytes())
 
-    def test_predict_batch_and_gru_step(self):
+    def test_predict_batch(self):
         (p,), rng = self._saturated(61, d=2)
         x = rng.normal(size=(6, 5, 2))
         states = gru_states_oracle(p, x)[0]
         want = states[5] @ p.readout_w + p.readout_b
         assert predict_batch(p, x).tobytes() == want.tobytes()
-        for window in x:
-            s = np.zeros(4)
-            for step in window:
-                s = gru_step(p, s, step)
-            with np.errstate(over="ignore"):
-                want = gru_forward_oracle(p, window)
-            assert float(s @ p.readout_w + p.readout_b) == want
 
     def test_stacked_forecast(self):
         units, rng = self._saturated(62, count=3)
@@ -226,6 +204,13 @@ class TestSaturatedGates:
 
 
 class TestFlatten:
+    def test_init_params_names_bad_sizes(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ShapeMismatchError, match="hidden=0, input_dim=1"):
+            init_params(0, rng)
+        with pytest.raises(ShapeMismatchError, match="hidden=4, input_dim=-2"):
+            init_params(4, rng, input_dim=-2)
+
     def test_bitwise_roundtrip(self):
         rng = np.random.default_rng(7)
         for d in (1, 3):

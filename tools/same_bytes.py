@@ -48,7 +48,17 @@ the panel-s workload at panel seed 0, whose rf, gbt and fc families once
 fitted on a thread pool, must write the same bytes with ``--jobs 4`` as
 with ``--jobs 1``.  The first line printed counts the lines of the ``.py``
 files under both sides' ``src/``: ``src/ lines: <REV> -> <working tree>
-(<delta>)``; it changes no comparison.  Then one line is printed per run.  Under a run that differs
+(<delta>)``.  The second lists the public names that one side's package
+defines and the other's lacks, each computed by importing the side's
+``hiergru`` and every module of it in the side's own interpreter:
+``public names: -<name on REV only> ... +<name in the working tree only>
+...``, or ``public names: unchanged``.  A public name is one without a
+leading underscore that the package exports, or that a module binds to
+something it defines itself (not an imported module, function or class),
+or an attribute of a class the module defines: ``hiergru.gru_step``,
+``hiergru.gru.gru_step``, ``hiergru.baselines.Tree.predict``.  Neither
+line changes a comparison or the exit status.  Then one line is printed
+per run.  Under a run that differs
 follows one line per checkpoint bundle directory naming every file of it
 that differs, and one line per report file naming the models whose rows
 (or ``report.dat`` blocks) differ, so that a change meant to touch one
@@ -279,6 +289,49 @@ def src_lines(src: Path) -> int:
     return sum(len(p.read_bytes().splitlines()) for p in src.rglob("*.py"))
 
 
+# Run in a side's own interpreter: print its public names, one a line.
+PUBLIC_NAMES = """
+import importlib, inspect, pkgutil
+import hiergru
+
+def public(names):
+    return [n for n in names if not n.startswith("_")]
+
+names = [f"hiergru.{n}" for n in public(vars(hiergru))
+         if not inspect.ismodule(getattr(hiergru, n))]
+for info in pkgutil.iter_modules(hiergru.__path__):
+    module = importlib.import_module(f"hiergru.{info.name}")
+    for n in public(vars(module)):
+        obj = getattr(module, n)
+        if inspect.ismodule(obj) or getattr(obj, "__module__", module.__name__) != module.__name__:
+            continue
+        names.append(f"{module.__name__}.{n}")
+        if inspect.isclass(obj):
+            names += [f"{module.__name__}.{n}.{a}" for a in public(vars(obj))]
+print("\\n".join(names))
+"""
+
+
+def public_names(src: Path) -> set[str] | str:
+    """The public names of the package under ``src`` (see
+    :data:`PUBLIC_NAMES`), or the tail of the error importing it."""
+    proc = subprocess.run([sys.executable, "-c", PUBLIC_NAMES],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True)
+    if proc.returncode:
+        return f"n/a ({proc.stderr.strip().splitlines()[-1:]})"
+    return set(proc.stdout.split())
+
+
+def names_line(base: set[str] | str, work: set[str] | str) -> str:
+    """The ``public names:`` line of two sides' :func:`public_names`."""
+    for side in (base, work):
+        if isinstance(side, str):
+            return f"public names: {side}"
+    changes = [f"-{n}" for n in sorted(base - work)] + [f"+{n}" for n in sorted(work - base)]
+    return f"public names: {' '.join(changes) or 'unchanged'}"
+
+
 def run_side(src: Path, config: Path, flags: list[str], out: Path,
              jobs: int = 1) -> str | None:
     """Run one side; None on success, else the tail of its stderr."""
@@ -409,6 +462,7 @@ def main(argv: list[str]) -> int:
         sides = {"base": base_src, "work": ROOT / "src"}
         base, work = src_lines(base_src), src_lines(ROOT / "src")
         print(f"src/ lines: {base} -> {work} ({work - base:+d})")
+        print(names_line(*map(public_names, sides.values())))
         work_outs = {}
         for name, config, flags in write_runs(tmp / "inputs"):
             slug = re.sub(r"\W+", "-", name)
