@@ -130,6 +130,7 @@ class TestPredict:
 
     @pytest.mark.parametrize("shape, input_dim, shown", [
         ((2, 3, 2), 1, "(2, 3, 2)"),  # inputs too wide
+        ((2, 3, 2), 3, "(2, 3, 2)"),  # inputs too narrow
         ((2, 3), 3, "(2, 3, 1)"),  # scalar inputs, input_dim 3
         ((3,), 1, "(3,)"),  # one window, not a batch
         ((1, 2, 3, 1), 1, "(1, 2, 3, 1)"),  # a batch of batches
@@ -139,6 +140,18 @@ class TestPredict:
         with pytest.raises(ShapeMismatchError, match=re.escape(
                 f"batch inputs of shape {shown} incompatible with input_dim {input_dim}")):
             predict_batch(p, np.zeros(shape))
+
+    @pytest.mark.parametrize("shape, input_dim, shown", [
+        ((3, 2), 1, "(1, 3, 2)"),  # steps too wide
+        ((3, 2), 3, "(1, 3, 2)"),  # steps too narrow
+        ((2, 3, 1), 1, "(1, 2, 3, 1)"),  # a batch of windows
+    ])
+    def test_bad_single_window_rejected(self, shape, input_dim, shown):
+        """predict_sequence checks its window as the one-row batch."""
+        p = init_params(4, np.random.default_rng(0), input_dim=input_dim)
+        with pytest.raises(ShapeMismatchError, match=re.escape(
+                f"batch inputs of shape {shown} incompatible with input_dim {input_dim}")):
+            predict_sequence(p, np.zeros(shape))
 
     def test_empty_input(self):
         """Zero-step windows: prediction and every trainer reject them, at
